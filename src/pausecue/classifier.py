@@ -29,12 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import IO, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .focus import (FocusStack, FocusingOperation, LinguisticTree, OpKind,
                     TIE_ORDER, apply, build_tree)
 from .fragments import SpeechFragment
-from .jsonl import SCHEMA_VERSION, write_jsonl
+from .jsonl import (MAX_MAGNITUDE, SCHEMA_VERSION, SchemaError, Target, open_target,
+                    write_jsonl)
 
 SOURCES = ("prior", "current", "subsequent")
 PRIMITIVES = ("push", "pop", "null", "impending_pop")
@@ -105,43 +106,46 @@ DEFAULT_CONFIG = ClassifierConfig()
 
 
 def load_weights(path: str | Path) -> ClassifierConfig:
-    """Read a ``key = value`` text config; unknown keys are rejected."""
+    """Read a ``key = value`` text config; unknown keys, values that are not
+    finite and row weights that are not positive are rejected."""
     weights = {key: 1.0 for key in ROW_KEYS}
     extras = {"candidate_bonus": 2.0, "impending_bonus": 2.0, "lstar_threshold": 0.5}
-    with open(path, encoding="utf-8") as fp:
+    # undecodable bytes turn into U+FFFD, which no key or number accepts
+    with open(path, encoding="utf-8", errors="replace") as fp:
         for lineno, raw in enumerate(fp, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+                raise SchemaError("expected 'key = value'", line=lineno, path=path)
             key, _, value = (part.strip() for part in line.partition("="))
+            if key not in weights and key not in extras:
+                raise SchemaError(f"unknown key {key!r}", line=lineno, path=path)
             try:
                 number = float(value)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad number {value!r}") from None
-            if key in weights:
-                weights[key] = number
-            elif key in extras:
+                raise SchemaError(f"bad number {value!r}", line=lineno, path=path) from None
+            if not -MAX_MAGNITUDE <= number <= MAX_MAGNITUDE:
+                raise SchemaError(f"{key} must be finite and at most {MAX_MAGNITUDE:g} "
+                                  f"in magnitude", line=lineno, path=path)
+            if key in extras:
                 extras[key] = number
+            elif number <= 0:
+                raise SchemaError(f"weight {key} must be positive", line=lineno, path=path)
             else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                weights[key] = number
     return ClassifierConfig(weights=weights, **extras)
 
 
-def write_weights(target: Union[str, Path, IO[str]], config: ClassifierConfig) -> None:
+def write_weights(target: Target, config: ClassifierConfig) -> None:
     lines = ["# evidence-row weights"]
     lines += [f"{key} = {config.weight(key):g}" for key in ROW_KEYS]
     lines += ["# bonuses and thresholds",
               f"candidate_bonus = {config.candidate_bonus:g}",
               f"impending_bonus = {config.impending_bonus:g}",
               f"lstar_threshold = {config.lstar_threshold:g}"]
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)  # type: ignore[union-attr]
-        return
-    with open(target, "w", encoding="utf-8") as fp:  # type: ignore[arg-type]
-        fp.write(text)
+    with open_target(target) as fp:
+        fp.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -432,8 +436,7 @@ def segment_discourse(fragments: Sequence[SpeechFragment],
                               classifications=classifications)
 
 
-def write_audit(target: Union[str, Path, IO[str]],
-                classifications: Sequence[Classification]) -> None:
+def write_audit(target: Target, classifications: Sequence[Classification]) -> None:
     """Classification audit log: alternatives and evidence, one line per fragment."""
     rows = []
     for i, cls in enumerate(classifications):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import classifier, fragments, pauses, replication, report
 from .focus import FocusEngineError, write_trace
-from .jsonl import SchemaError
+from .jsonl import Field, SchemaError, iter_jsonl, validate
 from .lexicon import Lexicon, MissingAnnotation, bundled_lexicon, load_lexicon
 from .stats import compute_report
 
@@ -28,7 +28,14 @@ EXIT_INPUT = 2
 
 _INPUT_ERRORS = (SchemaError, pauses.UnsupportedFormat, fragments.EmptyTranscript,
                  fragments.MisalignedPause, fragments.LengthMismatch,
-                 MissingAnnotation, FocusEngineError, ValueError)
+                 MissingAnnotation, FocusEngineError)
+
+#: One ``--functions`` line: the annotator's labels around one fragment.
+FUNCTION_FIELDS = (
+    Field("fragment_index", int),
+    Field("prior", str, "topical", choices=fragments.FUNCTION_LABELS),
+    Field("subsequent", str, "topical", choices=fragments.FUNCTION_LABELS),
+)
 
 
 def _lexicon_from(args: argparse.Namespace) -> Lexicon:
@@ -46,16 +53,12 @@ def _config_from(args: argparse.Namespace) -> classifier.ClassifierConfig:
 def _read_functions(path: str | None, n: int) -> list[tuple[str, str]] | None:
     if path is None:
         return None
-    from .jsonl import field, iter_jsonl
     labels = [("topical", "topical")] * n
-    for lineno, obj in iter_jsonl(path):
-        i = field(obj, "fragment_index", int, line=lineno, path=path)
+    for lineno, row in validate(iter_jsonl(path), FUNCTION_FIELDS, path):
+        i = row["fragment_index"]
         if not 0 <= i < n:
             raise SchemaError(f"fragment_index {i} out of range", line=lineno, path=path)
-        labels[i] = (field(obj, "prior", str, line=lineno, path=path,
-                           optional=True, default="topical"),
-                     field(obj, "subsequent", str, line=lineno, path=path,
-                           optional=True, default="topical"))
+        labels[i] = (row["prior"], row["subsequent"])
     return labels
 
 
@@ -135,8 +138,8 @@ def cmd_code(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     records = fragments.read_coded(args.coded)
-    if not records:
-        raise SchemaError("no records in input", path=str(args.coded))
+    if all(rec.pause_before_s is None for rec in records):
+        raise SchemaError("no record with a measured pause_before_s", path=args.coded)
     pause_records = pauses.read_pauses(args.pauses) if args.pauses else None
     config_note = (f"input={args.coded} pauses={args.pauses or 'none'} "
                    f"format={args.format}")

@@ -21,9 +21,10 @@ import dataclasses
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import Sequence
 
-from .jsonl import SCHEMA_VERSION, SchemaError, field, iter_jsonl, write_jsonl
+from .jsonl import (SCHEMA_VERSION, Field, SchemaError, Target, iter_jsonl, validate,
+                    write_jsonl)
 
 
 class FocusEngineError(Exception):
@@ -48,6 +49,8 @@ class OpKind(str, enum.Enum):
     RETURN = "Return"
     REPLACE = "Replace"
 
+
+OP_KINDS = tuple(kind.value for kind in OpKind)
 
 #: Cheapest-first preference used by downstream classifiers to break ties.
 TIE_ORDER = {OpKind.RETAIN: 0, OpKind.INITIATE: 1, OpKind.RETURN: 2, OpKind.REPLACE: 3}
@@ -270,31 +273,27 @@ def build_tree(trace: Trace) -> LinguisticTree:
 # Trace serialization: {"index": int, "kind": "...", "pops": int} per line.
 # ---------------------------------------------------------------------------
 
-def trace_to_rows(trace: Trace) -> list[dict]:
-    return [{"schema_version": SCHEMA_VERSION, "index": idx,
-             "kind": op.kind.value, "pops": op.pop_count}
-            for op, idx in trace]
+def write_trace(target: Target, trace: Trace) -> None:
+    write_jsonl(target, ({"schema_version": SCHEMA_VERSION, "index": idx,
+                          "kind": op.kind.value, "pops": op.pop_count} for op, idx in trace))
 
 
-def write_trace(target: Union[str, Path, IO[str]], trace: Trace) -> None:
-    write_jsonl(target, trace_to_rows(trace))
+#: An operation as stored in traces and coded records.
+OPERATION_FIELDS = (Field("kind", str, choices=OP_KINDS), Field("pops", int, 0))
+
+TRACE_FIELDS = (Field("index", int), *OPERATION_FIELDS)
+
+
+def operation_from_row(row: dict, path: str | Path, lineno: int) -> FocusingOperation:
+    """Build a well-formed operation from fields checked by OPERATION_FIELDS."""
+    op = FocusingOperation(OpKind(row["kind"]), row["pops"])
+    try:
+        op.validate()
+    except MalformedOperation as exc:
+        raise SchemaError(str(exc), line=lineno, path=path) from exc
+    return op
 
 
 def read_trace(path: str | Path) -> list[tuple[FocusingOperation, int]]:
-    trace: list[tuple[FocusingOperation, int]] = []
-    for lineno, obj in iter_jsonl(path):
-        kind_name = field(obj, "kind", str, line=lineno, path=str(path))
-        try:
-            kind = OpKind(kind_name)
-        except ValueError:
-            raise SchemaError(f"unknown operation kind {kind_name!r}",
-                              line=lineno, path=str(path)) from None
-        pops = field(obj, "pops", int, line=lineno, path=str(path), optional=True, default=0)
-        index = field(obj, "index", int, line=lineno, path=str(path))
-        op = FocusingOperation(kind, pops)
-        try:
-            op.validate()
-        except MalformedOperation as exc:
-            raise SchemaError(str(exc), line=lineno, path=str(path)) from exc
-        trace.append((op, index))
-    return trace
+    return [(operation_from_row(row, path, lineno), row["index"])
+            for lineno, row in validate(iter_jsonl(path), TRACE_FIELDS, path)]

@@ -21,13 +21,14 @@ cue phrase, an acknowledgment form or a filled pause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
-from .focus import (FocusingOperation, FocusStack, OpKind, apply,
-                    LinguisticTree, segments_affected)
-from .jsonl import SCHEMA_VERSION, SchemaError, field, iter_jsonl, write_jsonl
+from .focus import (OPERATION_FIELDS, FocusingOperation, FocusStack, apply,
+                    LinguisticTree, operation_from_row, segments_affected)
+from .jsonl import (SCHEMA_VERSION, Field, SchemaError, Target, build, iter_jsonl,
+                    open_target, validate, write_jsonl)
 from .lexicon import CueContext, CueEntry, Lexicon, bundled_lexicon, judge_cue_use, normalize
 from .pauses import PauseRecord, round_tenth
 
@@ -94,6 +95,8 @@ class AnnotatedToken:
             raise ValueError(f"bad pitch_range {self.pitch_range!r}")
         if self.pause_before_s < 0:
             raise ValueError("pause_before_s must be >= 0")
+        if self.start_s is not None and self.end_s is not None and self.end_s < self.start_s:
+            raise ValueError(f"end_s {self.end_s:g} precedes start_s {self.start_s:g}")
         self.flags = frozenset(self.flags)
         unknown = self.flags - set(TOKEN_FLAGS)
         if unknown:
@@ -118,6 +121,21 @@ class AnnotatedToken:
         if self.end_s is not None:
             row["end_s"] = self.end_s
         return row
+
+
+TOKEN_FIELDS = (
+    Field("surface", str),
+    Field("speaker", str, "A"),
+    Field("accent", str, "unmarked"),
+    Field("boundary", str, "none"),
+    Field("phonation", str, "normal"),
+    Field("pitch_range", str, "normal"),
+    Field("pause_before_s", float, 0.0),
+    Field("flags", list, (), of=str),
+    Field("topic", str, ""),
+    Field("start_s", float, None),
+    Field("end_s", float, None),
+)
 
 
 @dataclass
@@ -213,6 +231,21 @@ class CodedRecord:
         }
 
 
+CODED_FIELDS = (
+    Field("fragment_index", int),
+    Field("pause_before_s", float, None),
+    Field("initial_constituent", str),
+    Field("initial_token", str, ""),
+    Field("operation", dict, of=OPERATION_FIELDS),
+    Field("embedding_depth", int),
+    Field("segments_affected", int),
+    Field("prior_function", str, "topical"),
+    Field("subsequent_function", str, "topical"),
+    Field("turn_position", str, "continuing"),
+    Field("marked", bool, None),  # absent: marked unless the constituent is unmarked
+)
+
+
 # ---------------------------------------------------------------------------
 # Fragmentation
 # ---------------------------------------------------------------------------
@@ -222,7 +255,8 @@ def _align_pauses(tokens: Sequence[AnnotatedToken],
     """Map each pause record to the token gap it precedes.
 
     Alignment needs token timings; a pause whose end matches no token start
-    within ALIGN_TOL is misaligned and reported with the nearest token.
+    within ALIGN_TOL is misaligned and reported with the nearest token, and
+    so is a second pause on a gap that already holds one.
     """
     timed = [tok.start_s for tok in tokens]
     if any(t is None for t in timed):
@@ -232,6 +266,11 @@ def _align_pauses(tokens: Sequence[AnnotatedToken],
     for pause in pauses:
         best_i = min(range(len(tokens)), key=lambda i: abs(pause.end_s - timed[i]))
         if abs(pause.end_s - timed[best_i]) <= ALIGN_TOL:
+            if best_i in aligned:
+                raise MisalignedPause(
+                    f"pauses at {aligned[best_i].start_s:.3f}s and {pause.start_s:.3f}s "
+                    f"both align to the gap before {tokens[best_i].surface!r} "
+                    f"(index {best_i})")
             aligned[best_i] = pause
             continue
         nearest = min(range(len(tokens)),
@@ -335,20 +374,9 @@ def fragments_to_tokens(fragments: Sequence[SpeechFragment]) -> list[AnnotatedTo
     for frag in fragments:
         for j, tok in enumerate(frag.tokens):
             if j == 0 and tok.pause_before_s != frag.pause_before_s:
-                tok = AnnotatedToken(**{**_token_fields(tok),
-                                        "pause_before_s": frag.pause_before_s})
+                tok = replace(tok, pause_before_s=frag.pause_before_s)
             tokens.append(tok)
     return tokens
-
-
-def _token_fields(tok: AnnotatedToken) -> dict:
-    return {
-        "surface": tok.surface, "speaker": tok.speaker, "accent": tok.accent,
-        "boundary": tok.boundary, "phonation": tok.phonation,
-        "pitch_range": tok.pitch_range, "pause_before_s": tok.pause_before_s,
-        "flags": tok.flags, "topic": tok.topic,
-        "start_s": tok.start_s, "end_s": tok.end_s,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -432,91 +460,40 @@ def code(fragments: Sequence[SpeechFragment],
 # ---------------------------------------------------------------------------
 
 def read_transcript(path: str | Path) -> list[AnnotatedToken]:
+    """Read a transcript; timed tokens must not start before earlier ones."""
     tokens = []
-    for lineno, obj in iter_jsonl(path):
-        try:
-            tokens.append(AnnotatedToken(
-                surface=field(obj, "surface", str, line=lineno, path=str(path)),
-                speaker=field(obj, "speaker", str, line=lineno, path=str(path),
-                              optional=True, default="A"),
-                accent=field(obj, "accent", str, line=lineno, path=str(path),
-                             optional=True, default="unmarked"),
-                boundary=field(obj, "boundary", str, line=lineno, path=str(path),
-                               optional=True, default="none"),
-                phonation=field(obj, "phonation", str, line=lineno, path=str(path),
-                                optional=True, default="normal"),
-                pitch_range=field(obj, "pitch_range", str, line=lineno, path=str(path),
-                                  optional=True, default="normal"),
-                pause_before_s=field(obj, "pause_before_s", float, line=lineno,
-                                     path=str(path), optional=True, default=0.0),
-                flags=frozenset(field(obj, "flags", list, line=lineno, path=str(path),
-                                      optional=True, default=[]) or []),
-                topic=field(obj, "topic", str, line=lineno, path=str(path),
-                            optional=True, default=""),
-                start_s=field(obj, "start_s", float, line=lineno, path=str(path),
-                              optional=True, default=None),
-                end_s=field(obj, "end_s", float, line=lineno, path=str(path),
-                            optional=True, default=None),
-            ))
-        except ValueError as exc:
-            raise SchemaError(str(exc), line=lineno, path=str(path)) from exc
+    last_start = float("-inf")
+    for lineno, row in validate(iter_jsonl(path), TOKEN_FIELDS, path):
+        tokens.append(build(AnnotatedToken, row, path, lineno))
+        start = row["start_s"]
+        if start is not None:
+            if start < last_start:
+                raise SchemaError(f"start_s {start:g} precedes the previous token's "
+                                  f"{last_start:g}", line=lineno, path=path)
+            last_start = start
     return tokens
 
 
-def write_transcript(target: Union[str, Path, IO[str]],
-                     tokens: Iterable[AnnotatedToken]) -> None:
+def write_transcript(target: Target, tokens: Iterable[AnnotatedToken]) -> None:
     write_jsonl(target, (tok.to_dict() for tok in tokens))
 
 
 def read_coded(path: str | Path) -> list[CodedRecord]:
     records = []
-    for lineno, obj in iter_jsonl(path):
-        op_obj = field(obj, "operation", dict, line=lineno, path=str(path))
-        kind_name = field(op_obj, "kind", str, line=lineno, path=str(path))
-        try:
-            kind = OpKind(kind_name)
-        except ValueError:
-            raise SchemaError(f"unknown operation kind {kind_name!r}",
-                              line=lineno, path=str(path)) from None
-        op = FocusingOperation(kind, field(op_obj, "pops", int, line=lineno,
-                                           path=str(path), optional=True, default=0))
-        pause = obj.get("pause_before_s", None)
-        if pause is not None and not isinstance(pause, (int, float)):
-            raise SchemaError("pause_before_s must be a number or null",
-                              line=lineno, path=str(path))
-        try:
-            record = CodedRecord(
-                fragment_index=field(obj, "fragment_index", int, line=lineno, path=str(path)),
-                pause_before_s=float(pause) if pause is not None else None,
-                initial_constituent=field(obj, "initial_constituent", str,
-                                          line=lineno, path=str(path)),
-                initial_token=field(obj, "initial_token", str, line=lineno,
-                                    path=str(path), optional=True, default=""),
-                operation=op,
-                embedding_depth=field(obj, "embedding_depth", int, line=lineno, path=str(path)),
-                segments_affected=field(obj, "segments_affected", int,
-                                        line=lineno, path=str(path)),
-                prior_function=field(obj, "prior_function", str, line=lineno, path=str(path),
-                                     optional=True, default="topical"),
-                subsequent_function=field(obj, "subsequent_function", str, line=lineno,
-                                          path=str(path), optional=True, default="topical"),
-                turn_position=field(obj, "turn_position", str, line=lineno, path=str(path),
-                                    optional=True, default="continuing"),
-                marked=field(obj, "marked", bool, line=lineno, path=str(path),
-                             optional=True,
-                             default=obj.get("initial_constituent") != "unmarked"),
-            )
-        except ValueError as exc:
-            raise SchemaError(str(exc), line=lineno, path=str(path)) from exc
+    for lineno, row in validate(iter_jsonl(path), CODED_FIELDS, path):
+        op = row["operation"] = operation_from_row(row["operation"], path, lineno)
+        if row["marked"] is None:
+            row["marked"] = row["initial_constituent"] != "unmarked"
+        record = build(CodedRecord, row, path, lineno)
         if record.segments_affected != segments_affected(op):
             raise SchemaError(
                 f"segments_affected {record.segments_affected} inconsistent with "
-                f"{op.kind.value}({op.pop_count})", line=lineno, path=str(path))
+                f"{op.kind.value}({op.pop_count})", line=lineno, path=path)
         records.append(record)
     return records
 
 
-def write_coded(target: Union[str, Path, IO[str]], records: Iterable[CodedRecord]) -> None:
+def write_coded(target: Target, records: Iterable[CodedRecord]) -> None:
     write_jsonl(target, (rec.to_dict() for rec in records))
 
 
@@ -526,25 +503,16 @@ TSV_COLUMNS = ("fragment_index", "pause_before_s", "initial_constituent",
                "prior_function", "subsequent_function", "turn_position")
 
 
-def write_coded_tsv(target: Union[str, Path, IO[str]],
-                    records: Iterable[CodedRecord]) -> None:
+def write_coded_tsv(target: Target, records: Iterable[CodedRecord]) -> None:
     """Tab-separated mirror of the coded records for spreadsheet inspection."""
-    def rows():
-        yield "\t".join(TSV_COLUMNS) + "\n"
+    with open_target(target) as fp:
+        fp.write("\t".join(TSV_COLUMNS) + "\n")
         for rec in records:
             op = rec.operation.kind.value
             if rec.operation.pop_count:
                 op += f"({rec.operation.pop_count})"
             pause = "" if rec.pause_before_s is None else f"{rec.pause_before_s:g}"
-            yield "\t".join([str(rec.fragment_index), pause, rec.initial_constituent,
-                             op, str(rec.embedding_depth), str(rec.segments_affected),
-                             rec.prior_function, rec.subsequent_function,
-                             rec.turn_position]) + "\n"
-
-    if hasattr(target, "write"):
-        for row in rows():
-            target.write(row)  # type: ignore[union-attr]
-        return
-    with open(target, "w", encoding="utf-8") as fp:  # type: ignore[arg-type]
-        for row in rows():
-            fp.write(row)
+            fp.write("\t".join([str(rec.fragment_index), pause, rec.initial_constituent,
+                                 op, str(rec.embedding_depth), str(rec.segments_affected),
+                                 rec.prior_function, rec.subsequent_function,
+                                 rec.turn_position]) + "\n")

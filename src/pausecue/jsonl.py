@@ -2,72 +2,142 @@
 
 All record files are JSON Lines: one object per line, blank lines ignored.
 Writers stamp a ``schema_version`` field; readers tolerate its absence so
-hand-written fixtures stay terse.
+hand-written fixtures stay terse.  Each record type declares one table of
+``Field`` specs next to its class, checked by ``validate``.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Union
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
 
 Target = Union[str, Path, IO[str]]
 
 SCHEMA_VERSION = 1
 
+#: Largest magnitude a number field may hold.  The bound also rejects NaN
+#: and infinities, and keeps the squares and sums of the statistics finite.
+MAX_MAGNITUDE = 1e15
 
-class SchemaError(Exception):
+REQUIRED: Any = object()
+
+T = TypeVar("T")
+
+
+class SchemaError(ValueError):
     """An input file violates the expected record schema."""
 
-    def __init__(self, message: str, *, line: int | None = None, path: str | None = None):
+    def __init__(self, message: str, *, path: str | Path, line: int | None = None):
         self.line = line
-        self.path = path
-        where = ""
-        if path is not None:
-            where += str(path)
-        if line is not None:
-            where += f":{line}"
-        super().__init__(f"{where}: {message}" if where else message)
+        where = str(path) if line is None else f"{path}:{line}"
+        super().__init__(f"{where}: {message}")
+
+
+class Field(NamedTuple):
+    """One field of a record table.
+
+    ``of`` is the element type of a list, or the table of a nested object.
+    ``choices`` holds the allowed values (of each element, for a list).  A
+    field without a default is required; a field whose default is None also
+    accepts null.  Ints widen to float; bools are never numbers.
+    """
+
+    name: str
+    kind: type
+    default: Any = REQUIRED
+    of: Any = None
+    choices: Sequence[str] | None = None
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, object) pairs; line numbers are 1-based."""
-    with open(path, encoding="utf-8") as fp:
+    with open(path, "rb") as fp:
         for lineno, raw in enumerate(fp, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
             try:
-                obj = json.loads(raw)
+                text = raw.decode("utf-8").strip()
+                if not text:
+                    continue
+                obj = json.loads(text)
+            except UnicodeDecodeError:
+                raise SchemaError("not UTF-8 text", line=lineno, path=path) from None
             except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON ({exc.msg})", line=lineno, path=str(path)) from exc
+                raise SchemaError(f"invalid JSON ({exc.msg})", line=lineno, path=path) from exc
+            except RecursionError:
+                raise SchemaError("invalid JSON (nested too deeply)",
+                                  line=lineno, path=path) from None
             if not isinstance(obj, dict):
-                raise SchemaError("expected a JSON object", line=lineno, path=str(path))
+                raise SchemaError("expected a JSON object", line=lineno, path=path)
             yield lineno, obj
+
+
+def validate(rows: Iterable[tuple[int, dict]], table: Sequence[Field],
+             path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Check each (line, object) row against ``table``; yield (line, fields).
+
+    The fields dict holds every name in the table, defaults filled in;
+    unknown keys are ignored.  Every failure is a SchemaError at path:line.
+    """
+    for lineno, obj in rows:
+        yield lineno, _check(obj, table, path, lineno)
+
+
+def _check(obj: dict, table: Sequence[Field], path: str | Path, lineno: int) -> dict:
+    out = {}
+    for name, kind, default, of, choices in table:
+        value = obj.get(name, REQUIRED)
+        if value is REQUIRED or value is None and default is None:
+            if default is REQUIRED:
+                raise SchemaError(f"missing field {name!r}", line=lineno, path=path)
+            out[name] = default
+            continue
+        if type(value) is not kind:
+            if kind is not float or type(value) is not int:
+                raise SchemaError(f"field {name!r} has wrong type "
+                                  f"(got {type(value).__name__})", line=lineno, path=path)
+            value = float(value)
+        if kind is float or kind is int:
+            if not -MAX_MAGNITUDE <= value <= MAX_MAGNITUDE:
+                raise SchemaError(f"field {name!r} must be finite and at most "
+                                  f"{MAX_MAGNITUDE:g} in magnitude (got {value!r})",
+                                  line=lineno, path=path)
+        elif kind is dict and of is not None:
+            value = _check(value, of, path, lineno)
+        elif kind is list and of is not None:
+            for element in value:
+                if type(element) is not of:
+                    raise SchemaError(f"field {name!r} holds an element of wrong type "
+                                      f"(got {type(element).__name__})", line=lineno, path=path)
+        if choices is not None:
+            for item in value if kind is list else (value,):
+                if item not in choices:
+                    raise SchemaError(f"field {name!r} has bad value {item!r} (expected "
+                                      f"one of {', '.join(choices)})", line=lineno, path=path)
+        out[name] = value
+    return out
+
+
+def build(make: Callable[..., T], row: dict, path: str | Path, lineno: int) -> T:
+    """``make(**row)``, with a ValueError from a record's own checks at path:line."""
+    try:
+        return make(**row)
+    except ValueError as exc:
+        raise SchemaError(str(exc), line=lineno, path=path) from exc
+
+
+@contextmanager
+def open_target(target: Target) -> Iterator[IO[str]]:
+    """Yield an open text handle as is, or open a path for writing."""
+    if hasattr(target, "write"):
+        yield target  # type: ignore[misc]
+    else:
+        with open(target, "w", encoding="utf-8") as fp:  # type: ignore[arg-type]
+            yield fp
 
 
 def write_jsonl(target: Target, rows: Iterable[dict]) -> None:
     """Write rows line by line; accepts a path or an open text handle."""
-    if hasattr(target, "write"):
-        for row in rows:
-            target.write(json.dumps(row) + "\n")  # type: ignore[union-attr]
-        return
-    with open(target, "w", encoding="utf-8") as fp:  # type: ignore[arg-type]
+    with open_target(target) as fp:
         for row in rows:
             fp.write(json.dumps(row) + "\n")
-
-
-def field(obj: dict, key: str, kind: type | tuple[type, ...], *, line: int | None = None,
-          path: str | None = None, optional: bool = False, default: Any = None) -> Any:
-    """Fetch and type-check one field of a JSONL record."""
-    if key not in obj:
-        if optional:
-            return default
-        raise SchemaError(f"missing field {key!r}", line=line, path=path)
-    value = obj[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise SchemaError(f"field {key!r} has wrong type (got {type(value).__name__})",
-                          line=line, path=path)
-    return value

@@ -17,8 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .focus import OpKind
-from .jsonl import SCHEMA_VERSION, SchemaError, field, iter_jsonl, write_jsonl
+from .focus import OP_KINDS, OpKind
+from .jsonl import SCHEMA_VERSION, Field, SchemaError, build, iter_jsonl, validate, write_jsonl
 
 TOKEN_CLASSES = ("cue_phrase", "acknowledgment", "filled_pause")
 ORDINAL_RANKS = ("first", "subsequent")
@@ -89,6 +89,27 @@ class CueEntry:
         return row
 
 
+ENTRY_FIELDS = (
+    Field("surface", str),
+    Field("gloss", str, ""),
+    Field("candidate_ops", list, of=str, choices=OP_KINDS),
+    Field("ordinal_rank", str, None),
+    Field("token_class", str, "cue_phrase"),
+    Field("display", str, ""),  # empty: the capitalized surface
+    Field("connective", bool, False),
+    Field("corpus_derived", bool, False),
+    Field("variants", list, (), of=str),
+)
+
+
+class DuplicateSurface(ValueError):
+    """Two lexicon forms normalize alike; ``position`` indexes the later entry."""
+
+    def __init__(self, key: str, position: int):
+        super().__init__(f"duplicate lexicon surface {key!r}")
+        self.position = position
+
+
 @dataclass(frozen=True)
 class CueJudgment:
     """Outcome of the cue/non-cue cascade; rule_fired is ``none`` only when
@@ -123,11 +144,11 @@ class Lexicon:
     def __init__(self, entries: Iterable[CueEntry]):
         self.entries = tuple(entries)
         self._index: dict[str, CueEntry] = {}
-        for entry in self.entries:
+        for position, entry in enumerate(self.entries):
             for form in (entry.surface, *entry.variants):
                 key = normalize(form)
                 if key in self._index:
-                    raise ValueError(f"duplicate lexicon surface {key!r}")
+                    raise DuplicateSurface(key, position)
                 self._index[key] = entry
         self.max_words = max((len(k.split()) for k in self._index), default=1)
 
@@ -184,41 +205,20 @@ def judge_cue_use(entry: CueEntry, context: CueContext) -> CueJudgment:
 # Loading
 # ---------------------------------------------------------------------------
 
-def _entry_from_row(obj: dict, *, line: int | None = None, path: str | None = None) -> CueEntry:
-    surface = field(obj, "surface", str, line=line, path=path)
-    ops_raw = field(obj, "candidate_ops", list, line=line, path=path)
-    try:
-        ops = frozenset(OpKind(name) for name in ops_raw)
-    except ValueError as exc:
-        raise SchemaError(f"bad candidate op in {surface!r}: {exc}", line=line, path=path) from None
-    try:
-        return CueEntry(
-            surface=surface,
-            gloss=field(obj, "gloss", str, line=line, path=path, optional=True, default=""),
-            candidate_ops=ops,
-            ordinal_rank=field(obj, "ordinal_rank", str, line=line, path=path,
-                               optional=True, default=None),
-            token_class=field(obj, "token_class", str, line=line, path=path,
-                              optional=True, default="cue_phrase"),
-            display=field(obj, "display", str, line=line, path=path,
-                          optional=True, default="") or surface.capitalize(),
-            connective=field(obj, "connective", bool, line=line, path=path,
-                             optional=True, default=False),
-            corpus_derived=field(obj, "corpus_derived", bool, line=line, path=path,
-                                 optional=True, default=False),
-            variants=tuple(field(obj, "variants", list, line=line, path=path,
-                                 optional=True, default=[]) or []),
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc), line=line, path=path) from exc
-
-
 def load_lexicon(path: str | Path) -> Lexicon:
-    entries = [_entry_from_row(obj, line=lineno, path=str(path))
-               for lineno, obj in iter_jsonl(path)]
+    entries, lines = [], []
+    for lineno, row in validate(iter_jsonl(path), ENTRY_FIELDS, path):
+        row["candidate_ops"] = frozenset(map(OpKind, row["candidate_ops"]))
+        row["display"] = row["display"] or row["surface"].capitalize()
+        row["variants"] = tuple(row["variants"])
+        entries.append(build(CueEntry, row, path, lineno))
+        lines.append(lineno)
     if not entries:
-        raise SchemaError("lexicon file holds no entries", path=str(path))
-    return Lexicon(entries)
+        raise SchemaError("lexicon file holds no entries", path=path)
+    try:
+        return Lexicon(entries)
+    except DuplicateSurface as exc:
+        raise SchemaError(str(exc), line=lines[exc.position], path=path) from exc
 
 
 def write_lexicon(target, lexicon: Lexicon) -> None:

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 import wave
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .jsonl import SCHEMA_VERSION, SchemaError, field, iter_jsonl, write_jsonl
+from .jsonl import SCHEMA_VERSION, Field, Target, build, iter_jsonl, validate, write_jsonl
 
 POSITIONS = ("fragment_initial", "fragment_internal")
 
@@ -77,14 +77,16 @@ class PauseRecord:
         return self.start_s + self.raw_duration_s
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "start_s": self.start_s,
-            "raw_duration_s": self.raw_duration_s,
-            "reported_duration_s": self.reported_duration_s,
-            "position": self.position,
-            "suspect": self.suspect,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
+
+
+PAUSE_FIELDS = (
+    Field("start_s", float),
+    Field("raw_duration_s", float),
+    Field("reported_duration_s", float, None),  # absent: raw_duration_s rounded
+    Field("position", str, "fragment_internal"),
+    Field("suspect", bool, False),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +116,12 @@ def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
                 raise UnsupportedFormat(f"{path}: compressed WAV not supported")
             rate = wav.getframerate()
             raw = wav.readframes(wav.getnframes())
-    except wave.Error as exc:
+    except (wave.Error, RuntimeError) as exc:  # RuntimeError: a chunk overruns the file
         raise UnsupportedFormat(f"{path}: not a readable PCM WAV ({exc})") from exc
     except EOFError as exc:
         raise UnsupportedFormat(f"{path}: truncated WAV") from exc
+    if len(raw) % 2:
+        raise UnsupportedFormat(f"{path}: truncated WAV")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return samples, rate
 
@@ -220,27 +224,14 @@ def _inside_one_word(start_s: float, end_s: float,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def write_pauses(target: Union[str, Path, IO[str]], records: Iterable[PauseRecord]) -> None:
+def write_pauses(target: Target, records: Iterable[PauseRecord]) -> None:
     write_jsonl(target, (rec.to_dict() for rec in records))
 
 
 def read_pauses(path: str | Path) -> list[PauseRecord]:
     records = []
-    for lineno, obj in iter_jsonl(path):
-        start = field(obj, "start_s", float, line=lineno, path=str(path))
-        raw = field(obj, "raw_duration_s", float, line=lineno, path=str(path))
-        reported = field(obj, "reported_duration_s", float, line=lineno, path=str(path),
-                         optional=True, default=None)
-        position = field(obj, "position", str, line=lineno, path=str(path),
-                         optional=True, default="fragment_internal")
-        if position not in POSITIONS:
-            raise SchemaError(f"bad pause position {position!r}", line=lineno, path=str(path))
-        records.append(PauseRecord(
-            start_s=start,
-            raw_duration_s=raw,
-            reported_duration_s=reported if reported is not None else round_tenth(raw),
-            position=position,
-            suspect=field(obj, "suspect", bool, line=lineno, path=str(path),
-                          optional=True, default=False),
-        ))
+    for lineno, row in validate(iter_jsonl(path), PAUSE_FIELDS, path):
+        if row["reported_duration_s"] is None:
+            row["reported_duration_s"] = round_tenth(row["raw_duration_s"])
+        records.append(build(PauseRecord, row, path, lineno))
     return records

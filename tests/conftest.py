@@ -3,11 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pausecue import replication
 from pausecue.pauses import write_wav
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+#: The input fuzz runs the same bounded set of examples on every run.
+settings.register_profile("fuzz", derandomize=True, database=None, deadline=None,
+                          max_examples=150)
 
 RATE = 16000
 TONE_HZ = 400.0  # an integer number of cycles per 10 ms frame at 16 kHz

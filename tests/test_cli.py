@@ -111,12 +111,72 @@ def test_segment_neutral_annotations_flag_low_confidence(tmp_path, capsys):
     assert any(row["low_confidence"] for row in audit)
 
 
-def test_segment_schema_error_line_number(tmp_path, capsys):
-    transcript = tmp_path / "bad.jsonl"
-    transcript.write_text('{"surface": "you"}\n{"surface": 3}\n')
-    code, out, err = run(capsys, "segment", str(transcript), "--out", str(tmp_path))
+CODED_ROW = ('{"fragment_index": 0, "pause_before_s": %s, "initial_constituent": "unmarked", '
+             '"operation": {"kind": "Initiate", "pops": %d}, "embedding_depth": 1, '
+             '"segments_affected": 1}\n')
+PAUSE_ROW = '{"start_s": 0.5, "raw_duration_s": 0.2, "reported_duration_s": %s}\n'
+LEXICON_ROW = '{"surface": "%s", "candidate_ops": ["Return"], "variants": %s}\n'
+
+
+@pytest.mark.parametrize("command, files, culprit, line", [
+    pytest.param("segment", {"transcript": '{"surface": "you"}\n{"surface": 3}\n'},
+                 "transcript", 2, id="transcript-wrong-type"),
+    pytest.param("code", {"transcript": '{"surface": "you"}\n'
+                                        '{"surface": "go", "pause_before_s": Infinity}\n'},
+                 "transcript", 2, id="transcript-infinite-pause"),
+    pytest.param("segment", {"transcript": '{"surface": "you", "pause_before_s": NaN}\n'},
+                 "transcript", 1, id="transcript-nan-pause"),
+    pytest.param("segment", {"transcript": '{"surface": "you", "pause_before_s": 1e300}\n'},
+                 "transcript", 1, id="transcript-huge-pause"),
+    pytest.param("segment", {"transcript": '{"surface": "you", "flags": [["x"]]}\n'},
+                 "transcript", 1, id="transcript-flag-element"),
+    pytest.param("segment", {"transcript": '{"surface": "you"}\n' + "[" * 100000 + "\n"},
+                 "transcript", 2, id="transcript-nested-too-deeply"),
+    pytest.param("code", {"transcript": '{"surface": "you", "start_s": 1.0}\n'
+                                        '{"surface": "go", "start_s": 0.5}\n'},
+                 "transcript", 2, id="transcript-start-goes-back"),
+    pytest.param("code", {"transcript": '{"surface": "you", "start_s": 1.0, "end_s": 0.5}\n'},
+                 "transcript", 1, id="transcript-end-before-start"),
+    pytest.param("segment", {"transcript": b'{"surface": "you"}\n{"surface": "\xff"}\n'},
+                 "transcript", 2, id="transcript-not-utf8"),
+    pytest.param("segment", {"functions": '{"fragment_index": 1, "prior": "bogus"}\n'},
+                 "functions", 1, id="segment-functions-label"),
+    pytest.param("code", {"functions": '{"fragment_index": 0}\n'
+                                       '{"fragment_index": 1, "subsequent": "bogus"}\n'},
+                 "functions", 2, id="code-functions-label"),
+    pytest.param("segment", {"lexicon": LEXICON_ROW % ("so", "[1]")},
+                 "lexicon", 1, id="lexicon-variant-element"),
+    pytest.param("segment", {"lexicon": LEXICON_ROW % ("so", "[]") + LEXICON_ROW % ("So!", "[]")},
+                 "lexicon", 2, id="lexicon-duplicate-surface"),
+    pytest.param("segment", {"weights": "prior_pop = 1\ncurrent_push = nan\n"},
+                 "weights", 2, id="weights-nan"),
+    pytest.param("segment", {"weights": "prior_pop = 0\n"}, "weights", 1, id="weights-zero"),
+    pytest.param("segment", {"weights": "prior_pop 2\n"}, "weights", 1, id="weights-syntax"),
+    pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0) + CODED_ROW % ("NaN", 0)},
+                 "coded", 2, id="coded-nan-pause"),
+    pytest.param("stats", {"coded": CODED_ROW % ("0.2", 3)}, "coded", 1, id="coded-bad-pops"),
+    pytest.param("stats", {"coded": CODED_ROW % ("null", 0) * 2}, "coded", None,
+                 id="coded-no-measured-pause"),
+    pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0), "pauses": PAUSE_ROW % "NaN"},
+                 "pauses", 1, id="pauses-nan-duration"),
+])
+def test_input_error_names_path_and_line(tmp_path, capsys, command, files, culprit, line):
+    paths = {}
+    for kind, content in files.items():
+        paths[kind] = tmp_path / f"{kind}.in"
+        paths[kind].write_bytes(content if isinstance(content, bytes) else content.encode())
+    if command == "stats":
+        argv = ["stats", str(paths["coded"])]
+    else:
+        argv = [command, str(paths.get("transcript", FIXTURES / "directions_intro.jsonl")),
+                "--out", str(tmp_path)]
+    for kind in ("functions", "lexicon", "weights", "pauses"):
+        if kind in paths:
+            argv += [f"--{kind}", str(paths[kind])]
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    assert ":2" in err
+    where = str(paths[culprit]) if line is None else f"{paths[culprit]}:{line}"
+    assert err.startswith(f"error: {where}: "), err
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,13 @@ def test_misaligned_pause_reports_nearest_token():
         fragmentize(timed_tokens(), [pause])
 
 
+def test_two_pauses_on_one_gap_rejected():
+    pauses = [PauseRecord(start_s=0.4, raw_duration_s=0.5, reported_duration_s=0.5),
+              PauseRecord(start_s=0.45, raw_duration_s=0.47, reported_duration_s=0.5)]
+    with pytest.raises(MisalignedPause, match=r"0\.400s and 0\.450s .*'left'"):
+        fragmentize(timed_tokens(), pauses)
+
+
 def test_alignment_requires_timings():
     pause = PauseRecord(start_s=0.4, raw_duration_s=0.5, reported_duration_s=0.5)
     with pytest.raises(MisalignedPause, match="timing"):
