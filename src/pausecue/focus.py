@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -284,14 +285,23 @@ OPERATION_FIELDS = (Field("kind", str, choices=OP_KINDS), Field("pops", int, 0))
 TRACE_FIELDS = (Field("index", int), *OPERATION_FIELDS)
 
 
+@functools.lru_cache(maxsize=256)
+def _operation(kind: str, pops: int) -> FocusingOperation:
+    op = FocusingOperation(OpKind(kind), pops)
+    op.validate()
+    return op
+
+
 def operation_from_row(row: dict, path: str | Path, lineno: int) -> FocusingOperation:
-    """Build a well-formed operation from fields checked by OPERATION_FIELDS."""
-    op = FocusingOperation(OpKind(row["kind"]), row["pops"])
+    """Build a well-formed operation from fields checked by OPERATION_FIELDS.
+
+    Operations are frozen, so each distinct (kind, pops) is built and
+    validated once and then shared; a malformed one is never cached.
+    """
     try:
-        op.validate()
+        return _operation(row["kind"], row["pops"])
     except MalformedOperation as exc:
         raise SchemaError(str(exc), line=lineno, path=path) from exc
-    return op
 
 
 def read_trace(path: str | Path) -> list[tuple[FocusingOperation, int]]:

@@ -171,6 +171,11 @@ class SpeechFragment:
         return self.tokens[-1].boundary
 
 
+#: Token-table row of each constituent other than a cue phrase.
+_ROW_LABELS = {"acknowledgment": "Acknowledgment", "filled_pause": "Filled Pause",
+               "unmarked": "Unmarked"}
+
+
 @dataclass
 class CodedRecord:
     """The per-fragment coding row used for statistics.
@@ -209,9 +214,7 @@ class CodedRecord:
         """Display row used by token-level tables."""
         if self.initial_constituent == "cue_phrase":
             return self.initial_token or "Cue"
-        return {"acknowledgment": "Acknowledgment",
-                "filled_pause": "Filled Pause",
-                "unmarked": "Unmarked"}[self.initial_constituent]
+        return _ROW_LABELS[self.initial_constituent]
 
     def to_dict(self) -> dict:
         return {

@@ -51,6 +51,10 @@ class Field(NamedTuple):
     choices: Sequence[str] | None = None
 
 
+#: ``json.loads`` without its per-call set-up; trailing content is checked by hand.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, object) pairs; line numbers are 1-based."""
     with open(path, "rb") as fp:
@@ -59,14 +63,18 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 text = raw.decode("utf-8").strip()
                 if not text:
                     continue
-                obj = json.loads(text)
+                obj, end = _raw_decode(text)
             except UnicodeDecodeError:
                 raise SchemaError("not UTF-8 text", line=lineno, path=path) from None
             except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON ({exc.msg})", line=lineno, path=path) from exc
+                msg = ("Unexpected UTF-8 BOM (decode using utf-8-sig)"
+                       if text.startswith("\ufeff") else exc.msg)
+                raise SchemaError(f"invalid JSON ({msg})", line=lineno, path=path) from exc
             except RecursionError:
                 raise SchemaError("invalid JSON (nested too deeply)",
                                   line=lineno, path=path) from None
+            if end != len(text):
+                raise SchemaError("invalid JSON (Extra data)", line=lineno, path=path)
             if not isinstance(obj, dict):
                 raise SchemaError("expected a JSON object", line=lineno, path=path)
             yield lineno, obj
@@ -78,12 +86,15 @@ def validate(rows: Iterable[tuple[int, dict]], table: Sequence[Field],
 
     The fields dict holds every name in the table, defaults filled in;
     unknown keys are ignored.  Every failure is a SchemaError at path:line.
+    Equal strings share one object: labels repeat on every line.
     """
+    strings: dict[str, str] = {}
     for lineno, obj in rows:
-        yield lineno, _check(obj, table, path, lineno)
+        yield lineno, _check(obj, table, path, lineno, strings)
 
 
-def _check(obj: dict, table: Sequence[Field], path: str | Path, lineno: int) -> dict:
+def _check(obj: dict, table: Sequence[Field], path: str | Path, lineno: int,
+           strings: dict[str, str]) -> dict:
     out = {}
     for name, kind, default, of, choices in table:
         value = obj.get(name, REQUIRED)
@@ -103,12 +114,14 @@ def _check(obj: dict, table: Sequence[Field], path: str | Path, lineno: int) -> 
                                   f"{MAX_MAGNITUDE:g} in magnitude (got {value!r})",
                                   line=lineno, path=path)
         elif kind is dict and of is not None:
-            value = _check(value, of, path, lineno)
+            value = _check(value, of, path, lineno, strings)
         elif kind is list and of is not None:
             for element in value:
                 if type(element) is not of:
                     raise SchemaError(f"field {name!r} holds an element of wrong type "
                                       f"(got {type(element).__name__})", line=lineno, path=path)
+        elif kind is str:
+            value = strings.setdefault(value, value)
         if choices is not None:
             for item in value if kind is list else (value,):
                 if item not in choices:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .focus import OpKind
 from .fragments import CodedRecord
@@ -210,36 +210,39 @@ def _stat(values: Sequence[float]) -> CellStat:
     return CellStat(mean=mean, count=n, sd=sd)
 
 
-def grouped_means(triples: Iterable[tuple[str, str, float]],
+def grouped_means(cells: Mapping[tuple[str, str], Sequence[float]],
                   row_order: Sequence[str] | None = None,
                   col_order: Sequence[str] | None = None) -> GroupedMeans:
-    """Build a table of cell means from (row, col, value) triples.
+    """Build a table of cell means from the values of each nonempty (row, col) cell.
 
     Absent cells stay absent rather than reading as zero.  Margins are
     count-weighted, so permuting the input leaves every statistic unchanged.
     """
-    by_cell: dict[tuple[str, str], list[float]] = {}
-    by_row: dict[str, list[float]] = {}
-    by_col: dict[str, list[float]] = {}
-    everything: list[float] = []
-    for row, col, value in triples:
-        by_cell.setdefault((row, col), []).append(value)
-        by_row.setdefault(row, []).append(value)
-        by_col.setdefault(col, []).append(value)
-        everything.append(value)
-    if not everything:
+    if not cells:
         raise ValueError("no values to aggregate")
-
-    rows = tuple(row_order) if row_order is not None else tuple(sorted(by_row))
-    cols = tuple(col_order) if col_order is not None else tuple(sorted(by_col))
+    if row_order is None:
+        row_order = sorted({row for row, _ in cells})
+    if col_order is None:
+        col_order = sorted({col for _, col in cells})
+    # margins pool sorted runs, which sort as cheap merges
+    ordered = {key: sorted(vals) for key, vals in cells.items()}
     return GroupedMeans(
-        cells={key: _stat(vals) for key, vals in by_cell.items()},
-        row_margins={row: _stat(vals) for row, vals in by_row.items()},
-        col_margins={col: _stat(vals) for col, vals in by_col.items()},
-        grand=_stat(everything),
-        row_order=rows,
-        col_order=cols,
+        cells={key: _stat(vals) for key, vals in ordered.items()},
+        row_margins=_margins(ordered, 0),
+        col_margins=_margins(ordered, 1),
+        grand=_stat([v for vals in ordered.values() for v in vals]),
+        row_order=tuple(row_order),
+        col_order=tuple(col_order),
     )
+
+
+def _margins(cells: Mapping[tuple[str, str], Sequence[float]],
+             axis: int) -> dict[str, CellStat]:
+    """Pool the cells of each row (axis 0) or column (axis 1)."""
+    pooled: dict[str, list[float]] = {}
+    for key, values in cells.items():
+        pooled.setdefault(key[axis], []).extend(values)
+    return {name: _stat(values) for name, values in pooled.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +308,9 @@ class DistributionTables:
                 "pause_histogram": self.pause_panel.to_dict()}
 
 
-def _token_rows(records: Sequence[CodedRecord]) -> tuple[str, ...]:
-    present = {rec.row_label() for rec in records}
+def _token_rows(present: Iterable[str]) -> tuple[str, ...]:
+    """Order token rows: canonical cue rows, other cues sorted, then the tail rows."""
+    present = set(present)
     head = [row for row in CANONICAL_TOKEN_ROWS if row in present]
     extras = sorted(present - set(CANONICAL_TOKEN_ROWS) - set(TAIL_TOKEN_ROWS))
     tail = [row for row in TAIL_TOKEN_ROWS if row in present]
@@ -326,19 +330,17 @@ def table_distributions(records: Sequence[CodedRecord],
     op_cells: dict[tuple[str, str], int] = {}
     token_cells: dict[tuple[str, str], int] = {}
     for rec in records:
-        mark = "marked" if rec.marked else "unmarked"
-        op_key = (rec.operation.kind.value, mark)
+        kind = rec.operation.kind
+        op_key = (kind.value, "marked" if rec.marked else "unmarked")
         op_cells[op_key] = op_cells.get(op_key, 0) + 1
-        pos = "internal" if rec.operation.kind is OpKind.RETAIN else "initial"
-        tok_key = (rec.row_label(), pos)
+        tok_key = (rec.row_label(), "internal" if kind is OpKind.RETAIN else "initial")
         token_cells[tok_key] = token_cells.get(tok_key, 0) + 1
 
     if pauses is not None:
-        hist_pairs = [(round_tenth(p.reported_duration_s), p.position) for p in pauses]
+        hist_pairs = ((round_tenth(p.reported_duration_s), p.position) for p in pauses)
     else:
-        hist_pairs = [(round_tenth(rec.pause_before_s), "fragment_initial")
-                      for rec in records if rec.pause_before_s is not None]
-    bins = tuple(sorted({b for b, _ in hist_pairs}))
+        hist_pairs = ((round_tenth(rec.pause_before_s), "fragment_initial")
+                      for rec in records if rec.pause_before_s is not None)
     counts: dict[tuple[float, str], int] = {}
     sums: dict[str, float] = {"fragment_initial": 0.0, "fragment_internal": 0.0}
     totals: dict[str, int] = {"fragment_initial": 0, "fragment_internal": 0}
@@ -346,13 +348,15 @@ def table_distributions(records: Sequence[CodedRecord],
         counts[(bin_s, position)] = counts.get((bin_s, position), 0) + 1
         totals[position] += 1
         sums[position] += bin_s
+    bins = tuple(sorted({b for b, _ in counts}))
     averages = {pos: (sums[pos] / totals[pos] if totals[pos] else None)
                 for pos in totals}
 
     return DistributionTables(
         operation_marked=CountPanel(cells=op_cells, row_order=OP_ORDER,
                                     col_order=("marked", "unmarked")),
-        token_position=CountPanel(cells=token_cells, row_order=_token_rows(records),
+        token_position=CountPanel(cells=token_cells,
+                                  row_order=_token_rows(row for row, _ in token_cells),
                                   col_order=("initial", "internal")),
         pause_panel=PausePanel(bins=bins, counts=counts, totals=totals,
                                averages=averages),
@@ -363,27 +367,65 @@ def _measured(records: Sequence[CodedRecord]) -> list[CodedRecord]:
     return [rec for rec in records if rec.pause_before_s is not None]
 
 
+class _PauseGroups:
+    """The measured pauses of a record set, grouped in one pass.
+
+    Holds the cell values of the three pause-mean tables, keyed by (row,
+    col); the per-operation cells, in record order, are also the ANOVA
+    groups.  The t-test and Pearson samples keep record order as well; the
+    segments affected stay ints, whose sums are as exact as their floats'.
+    Records without a measured pause are skipped.
+    """
+
+    def __init__(self, records: Iterable[CodedRecord]):
+        self.op_cells: dict[tuple[str, str], list[float]] = {}
+        self.token_cells: dict[tuple[str, str], list[float]] = {}
+        self.marking_cells: dict[tuple[str, str], list[float]] = {}
+        self.pauses: list[float] = []
+        self.affected: list[int] = []
+        self.marked: list[float] = []
+        self.unmarked: list[float] = []
+        for rec in records:
+            value = rec.pause_before_s
+            if value is None:
+                continue
+            kind = rec.operation.kind.value
+            self.op_cells.setdefault((kind, "ALL"), []).append(value)
+            self.token_cells.setdefault((rec.row_label(), kind), []).append(value)
+            mark = "Marked" if rec.marked else "Unmarked"
+            self.marking_cells.setdefault((mark, kind), []).append(value)
+            (self.marked if rec.marked else self.unmarked).append(value)
+            self.pauses.append(value)
+            self.affected.append(rec.segments_affected)
+
+    def by_operation(self) -> GroupedMeans:
+        return grouped_means(self.op_cells, row_order=OP_ORDER, col_order=("ALL",))
+
+    def by_token_and_operation(self) -> GroupedMeans:
+        rows = _token_rows(row for row, _ in self.token_cells)
+        return grouped_means(self.token_cells, row_order=rows, col_order=OP_ORDER)
+
+    def by_marking(self) -> GroupedMeans:
+        return grouped_means(self.marking_cells, row_order=("Marked", "Unmarked"),
+                             col_order=OP_ORDER)
+
+    def anova_groups(self) -> list[list[float]]:
+        return [self.op_cells[(op, "ALL")] for op in OP_ORDER if (op, "ALL") in self.op_cells]
+
+
 def mean_pause_by_operation(records: Sequence[CodedRecord]) -> GroupedMeans:
     """Mean preceding pause per focusing operation (count and sd included)."""
-    rows = [(rec.operation.kind.value, "ALL", rec.pause_before_s)
-            for rec in _measured(records)]
-    return grouped_means(rows, row_order=OP_ORDER, col_order=("ALL",))
+    return _PauseGroups(records).by_operation()
 
 
 def mean_pause_by_token_and_operation(records: Sequence[CodedRecord]) -> GroupedMeans:
     """Mean preceding pause for each initial token and co-occurring operation."""
-    measured = _measured(records)
-    rows = [(rec.row_label(), rec.operation.kind.value, rec.pause_before_s)
-            for rec in measured]
-    return grouped_means(rows, row_order=_token_rows(measured), col_order=OP_ORDER)
+    return _PauseGroups(records).by_token_and_operation()
 
 
 def marked_unmarked_table(records: Sequence[CodedRecord]) -> GroupedMeans:
     """Mean preceding pause for marked and unmarked fragments by operation."""
-    rows = [("Marked" if rec.marked else "Unmarked", rec.operation.kind.value,
-             rec.pause_before_s)
-            for rec in _measured(records)]
-    return grouped_means(rows, row_order=("Marked", "Unmarked"), col_order=OP_ORDER)
+    return _PauseGroups(records).by_marking()
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +435,10 @@ def marked_unmarked_table(records: Sequence[CodedRecord]) -> GroupedMeans:
 def anova_one_way(groups: Sequence[Sequence[float]]) -> AnovaResult:
     """Classical one-way fixed-effects ANOVA.
 
-    Degenerate all-constant input yields F = 0 and p = 1 rather than an
-    exception; a zero within-group variance with real between-group spread
-    yields an infinite F.
+    Constant groups are detected from the values, before any rounding sum:
+    if every group is constant, equal constants yield F = 0 and p = 1 and
+    differing ones an infinite F with p = 0, rather than an exception or a
+    finite F made of rounding error.
     """
     if len(groups) < 2:
         raise ValueError("need at least two groups")
@@ -406,13 +449,19 @@ def anova_one_way(groups: Sequence[Sequence[float]]) -> AnovaResult:
     if n_total <= k:
         raise ValueError("need more observations than groups")
 
-    grand = sum(sum(g) for g in groups) / n_total
-    ss_between = sum(len(g) * (sum(g) / len(g) - grand) ** 2 for g in groups)
-    ss_within = sum(sum((x - sum(g) / len(g)) ** 2 for x in g) for g in groups)
     df_between = k - 1
     df_within = n_total - k
+    if all(min(g) == max(g) for g in groups):
+        if all(g[0] == groups[0][0] for g in groups):
+            return AnovaResult(F=0.0, df_between=df_between, df_within=df_within, p=1.0)
+        return AnovaResult(F=math.inf, df_between=df_between, df_within=df_within, p=0.0)
 
-    if ss_within == 0.0:
+    sums = [sum(g) for g in groups]
+    means = [total / len(g) for total, g in zip(sums, groups)]
+    grand = sum(sums) / n_total
+    ss_between = sum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
+    ss_within = sum(sum((x - m) ** 2 for x in g) for g, m in zip(groups, means))
+    if ss_within == 0.0:  # spread too small to square without underflow
         if ss_between == 0.0:
             return AnovaResult(F=0.0, df_between=df_between, df_within=df_within, p=1.0)
         return AnovaResult(F=math.inf, df_between=df_between, df_within=df_within, p=0.0)
@@ -428,11 +477,13 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrResult:
     n = len(x)
     if n < 3:
         raise ValueError("need at least three pairs")
+    if min(x) == max(x) or min(y) == max(y):
+        raise ZeroVariance("correlation undefined for constant samples")
     mx = sum(x) / n
     my = sum(y) / n
     sxx = sum((v - mx) ** 2 for v in x)
     syy = sum((v - my) ** 2 for v in y)
-    if sxx == 0.0 or syy == 0.0:
+    if sxx == 0.0 or syy == 0.0:  # spread too small to square without underflow
         raise ZeroVariance("correlation undefined for constant samples")
     sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
     r = sxy / math.sqrt(sxx * syy)
@@ -447,6 +498,10 @@ def t_test_pooled(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     """Two-sample t-test with pooled variance, two-sided p, df = n_a + n_b - 2."""
     if len(a) < 2 or len(b) < 2:
         raise ValueError("each group needs at least two observations")
+    if min(a) == max(a) and min(b) == max(b):
+        if a[0] == b[0]:
+            raise ZeroVariance("pooled variance is zero and the means agree")
+        raise ZeroVariance("pooled variance is zero")
     na, nb = len(a), len(b)
     ma = sum(a) / na
     mb = sum(b) / nb
@@ -454,7 +509,7 @@ def t_test_pooled(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     ssb = sum((v - mb) ** 2 for v in b)
     df = na + nb - 2
     pooled_var = (ssa + ssb) / df
-    if pooled_var == 0.0:
+    if pooled_var == 0.0:  # spread too small to square without underflow
         if ma == mb:
             raise ZeroVariance("pooled variance is zero and the means agree")
         raise ZeroVariance("pooled variance is zero")
@@ -518,31 +573,26 @@ def compute_report(records: Sequence[CodedRecord],
         notes.append(f"{excluded} record(s) without a measured pause were excluded")
 
     distributions = table_distributions(measured, pauses)
-    by_op = mean_pause_by_operation(measured)
-    by_token = mean_pause_by_token_and_operation(measured)
-    by_marking = marked_unmarked_table(measured)
+    groups = _PauseGroups(measured)
+    by_op = groups.by_operation()
+    by_token = groups.by_token_and_operation()
+    by_marking = groups.by_marking()
 
     anova = None
-    groups = [[rec.pause_before_s for rec in measured if rec.operation.kind.value == op]
-              for op in OP_ORDER]
-    groups = [g for g in groups if g]
     try:
-        anova = anova_one_way(groups)
+        anova = anova_one_way(groups.anova_groups())
     except ValueError as exc:
         notes.append(f"ANOVA skipped: {exc}")
 
     correlation = None
     try:
-        correlation = pearson([float(rec.segments_affected) for rec in measured],
-                              [rec.pause_before_s for rec in measured])
+        correlation = pearson(groups.affected, groups.pauses)
     except (ValueError, ZeroVariance) as exc:
         notes.append(f"correlation skipped: {exc}")
 
     t_test = None
-    marked = [rec.pause_before_s for rec in measured if rec.marked]
-    unmarked = [rec.pause_before_s for rec in measured if not rec.marked]
     try:
-        t_test = t_test_pooled(marked, unmarked)
+        t_test = t_test_pooled(groups.marked, groups.unmarked)
     except (ValueError, ZeroVariance) as exc:
         notes.append(f"marked/unmarked t-test skipped: {exc}")
     if t_test is not None:

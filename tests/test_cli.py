@@ -179,6 +179,24 @@ def test_input_error_names_path_and_line(tmp_path, capsys, command, files, culpr
     assert err.startswith(f"error: {where}: "), err
 
 
+@pytest.mark.parametrize("kind", ["transcript", "coded", "pauses"])
+def test_trailing_content_after_object_is_extra_data(tmp_path, capsys, kind):
+    rows = {"transcript": '{"surface": "you"}\n',
+            "coded": CODED_ROW % ("0.2", 0),
+            "pauses": PAUSE_ROW % "0.2"}
+    paths = {}
+    for name, row in rows.items():
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(row + ('{"a": 1} x\n' if name == kind else ""))
+    if kind == "transcript":
+        argv = ["code", str(paths["transcript"]), "--out", str(tmp_path)]
+    else:
+        argv = ["stats", str(paths["coded"]), "--pauses", str(paths["pauses"])]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {paths[kind]}:2: invalid JSON (Extra data)"), err
+
+
 # ---------------------------------------------------------------------------
 # code
 # ---------------------------------------------------------------------------
@@ -218,6 +236,22 @@ def test_stats_text_matches_golden(tmp_path, capsys, corpus_dir):
     produced = out_file.read_text()
     # the config footer names the input paths; everything above it is golden
     assert produced.split("config:")[0] == golden.split("config:")[0]
+
+
+def test_stats_json_matches_golden(tmp_path, capsys, corpus_dir):
+    out_file = tmp_path / "report.json"
+    code, out, err = run(capsys, "stats", str(corpus_dir / "replication_records.jsonl"),
+                         "--pauses", str(corpus_dir / "replication_pauses.jsonl"),
+                         "--format", "json", "--out", str(out_file))
+    assert code == 0
+
+    def without_config(text):
+        # the config field names the input paths; every other byte is golden
+        return [line for line in text.splitlines(keepends=True)
+                if not line.startswith('  "config": ')]
+
+    golden = (GOLDEN / "replication_report.json").read_text()
+    assert without_config(out_file.read_text()) == without_config(golden)
 
 
 def test_stats_json_is_parseable(capsys, corpus_dir):

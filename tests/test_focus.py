@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from pausecue.focus import (EmptyStackError, FocusStack, FocusingOperation,
                             MalformedOperation, OpKind, UnderflowError, apply,
-                            build_tree, read_trace, segments_affected, write_trace)
+                            build_tree, operation_from_row, read_trace, segments_affected,
+                            write_trace)
+from pausecue.jsonl import SchemaError
 
 INITIATE = FocusingOperation(OpKind.INITIATE)
 RETAIN = FocusingOperation(OpKind.RETAIN)
@@ -167,6 +169,15 @@ def test_trace_roundtrip(tmp_path):
     lines = path.read_text().splitlines()
     assert '"kind": "Replace"' in lines[2] and '"pops": 1' in lines[2]
     assert read_trace(path) == trace
+
+
+def test_operation_from_row_shares_only_well_formed_operations():
+    first = operation_from_row({"kind": "Return", "pops": 2}, "t.jsonl", 1)
+    assert first == FocusingOperation(OpKind.RETURN, 2)
+    assert operation_from_row({"kind": "Return", "pops": 2}, "t.jsonl", 2) is first
+    for lineno in (3, 4):  # a malformed operation is rejected, at its own line, every time
+        with pytest.raises(SchemaError, match=f"^t.jsonl:{lineno}: Retain must have pop_count 0"):
+            operation_from_row({"kind": "Retain", "pops": 1}, "t.jsonl", lineno)
 
 
 # ---------------------------------------------------------------------------

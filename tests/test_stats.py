@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pausecue.fragments import CodedRecord
+import stats_oracle
+from pausecue.fragments import CONSTITUENTS, CodedRecord
 from pausecue.focus import FocusingOperation, OpKind
 from pausecue.pauses import PauseRecord
 from pausecue.stats import (ZeroVariance, anova_one_way, compute_report, f_cdf,
@@ -139,6 +140,29 @@ def test_t_zero_variance():
         t_test_pooled([1.0, 1.0], [1.0, 1.0])
 
 
+# Constant samples whose float mean is not exact (0.1 * 3 / 3 != 0.1) leave
+# rounding error in the sums of squares; constancy is read from the values.
+
+def test_anova_equal_constant_groups_with_inexact_mean():
+    result = anova_one_way([[0.1] * 3, [0.1] * 3, [0.1] * 7])
+    assert (result.F, result.p) == (0.0, 1.0)
+
+
+def test_anova_differing_constant_groups_with_inexact_mean():
+    result = anova_one_way([[0.1] * 3, [0.2] * 3])
+    assert (result.F, result.p) == (math.inf, 0.0)
+
+
+def test_t_constant_samples_with_inexact_mean():
+    with pytest.raises(ZeroVariance, match="pooled variance is zero$"):
+        t_test_pooled([0.1] * 3, [0.2] * 3)
+
+
+def test_pearson_constant_sample_with_inexact_mean():
+    with pytest.raises(ZeroVariance):
+        pearson([1.0, 2.0, 3.0], [0.1] * 3)
+
+
 def test_randomized_oracle_agreement():
     rng = random.Random(424242)
     for _ in range(150):
@@ -222,8 +246,7 @@ def make_record(i, token, op_kind, pops, pause, constituent="cue_phrase"):
 
 
 def test_margins_are_count_weighted():
-    table = grouped_means([("A", "x", 1.0), ("A", "x", 3.0), ("A", "y", 8.0),
-                           ("B", "x", 4.0)])
+    table = grouped_means({("A", "x"): [1.0, 3.0], ("A", "y"): [8.0], ("B", "x"): [4.0]})
     assert table.cell("A", "x").mean == pytest.approx(2.0)
     assert table.row_margins["A"].mean == pytest.approx(4.0)   # (1+3+8)/3
     assert table.col_margins["x"].mean == pytest.approx(8 / 3)
@@ -363,3 +386,57 @@ def test_records_without_pause_are_excluded(corpus_records):
     report = compute_report(broken)
     assert report.excluded_records == 1
     assert any("excluded" in note for note in report.notes)
+
+
+# ---------------------------------------------------------------------------
+# differential: the one-pass report against the straightforward one
+# ---------------------------------------------------------------------------
+
+def outcome(compute, records, pauses):
+    try:
+        return compute(records, pauses).to_dict()
+    except ValueError as exc:
+        return repr(exc)
+
+
+def test_report_equals_oracle_on_corpus(corpus_records, corpus_pauses):
+    for pauses in (None, corpus_pauses):
+        report = compute_report(corpus_records, pauses).to_dict()
+        assert report == stats_oracle.compute_report(corpus_records, pauses).to_dict()
+
+
+#: Repeated values make constant cells and groups; rounding keeps pauses realistic.
+PAUSE_VALUES = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.35, 1.0]),
+                         st.floats(0.0, 5.0).map(lambda v: round(v, 3)))
+
+
+@st.composite
+def record_sets(draw):
+    """Records over a few operations, some unmeasured, some cells constant."""
+    kinds = draw(st.lists(st.sampled_from(list(OpKind)), min_size=1, max_size=4,
+                          unique=True))
+    constant = {kind: draw(PAUSE_VALUES) for kind in kinds if draw(st.booleans())}
+    records = []
+    for i in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(kinds))
+        pops = 0 if kind in (OpKind.INITIATE, OpKind.RETAIN) else draw(st.integers(1, 3))
+        constituent = draw(st.sampled_from(CONSTITUENTS))
+        token = draw(st.sampled_from(["And", "So", "Now", "Anyway", ""]))
+        if draw(st.integers(0, 5)) == 0:
+            pause = None
+        else:
+            pause = constant[kind] if kind in constant else draw(PAUSE_VALUES)
+        records.append(make_record(i, token, kind.value, pops, pause, constituent))
+    return records
+
+
+@settings(settings.get_profile("fuzz"))
+@given(records=record_sets(),
+       pauses=st.none() | st.lists(st.builds(
+           PauseRecord, start_s=st.just(0.0), raw_duration_s=PAUSE_VALUES,
+           reported_duration_s=PAUSE_VALUES,
+           position=st.sampled_from(["fragment_initial", "fragment_internal"])),
+           max_size=6))
+def test_report_equals_oracle_on_generated_records(records, pauses):
+    assert outcome(compute_report, records, pauses) == \
+        outcome(stats_oracle.compute_report, records, pauses)
