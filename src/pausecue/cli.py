@@ -123,7 +123,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
 def cmd_code(args: argparse.Namespace) -> int:
     frags, functions, result = _segment_pipeline(args)
     ops = [op for op, _ in result.trace]
-    records = fragments.code(frags, ops, result.tree, functions=functions)
+    records = fragments.code(frags, ops, functions=functions)
     stem = Path(args.transcript).stem
     directory = _out_dir(args)
     coded_path = directory / f"{stem}.coded.jsonl"

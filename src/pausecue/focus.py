@@ -62,12 +62,14 @@ class FocusingOperation:
     """One focusing operation with an explicit pop count.
 
     Initiate and Retain never pop; Return and Replace pop at least once.
+    Construction raises MalformedOperation otherwise, so every operation
+    that exists is well-formed.
     """
 
     kind: OpKind
     pop_count: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not isinstance(self.kind, OpKind):
             raise MalformedOperation(f"unknown operation kind {self.kind!r}")
         if self.kind in (OpKind.INITIATE, OpKind.RETAIN):
@@ -105,27 +107,10 @@ class FocusSpace:
 
 
 @dataclass(frozen=True)
-class HistoryEntry:
-    """Audit record for one applied operation.
-
-    Retain entries record the id of the space that stayed on top so that
-    later bookkeeping can attribute fragments to segments.  Popped spaces
-    are stored with their closed_at already set.
-    """
-
-    fragment_index: int
-    operation: FocusingOperation
-    pushed: FocusSpace | None
-    popped: tuple[FocusSpace, ...]
-    top_id: int | None
-
-
-@dataclass(frozen=True)
 class FocusStack:
-    """Immutable stack state: bottom-to-top spaces plus an append-only history."""
+    """Immutable stack state: the open spaces, bottom to top."""
 
     spaces: tuple[FocusSpace, ...] = ()
-    history: tuple[HistoryEntry, ...] = ()
     next_id: int = 0
 
     @classmethod
@@ -145,41 +130,24 @@ def apply(stack: FocusStack, op: FocusingOperation, fragment_index: int,
           label: str = "") -> FocusStack:
     """Apply one focusing operation, returning the new stack state.
 
-    Popped spaces are closed at ``fragment_index``.  The input stack is
-    never mutated, so callers can keep earlier states for auditing.
+    Popped spaces are dropped; a pushed space opens at ``fragment_index``.
+    The input stack is never mutated.
 
-    Raises MalformedOperation for ill-formed operations, EmptyStackError for
-    Retain/Return on an empty stack, and UnderflowError when pop_count
-    exceeds the current depth.
+    Raises EmptyStackError for Retain/Return on an empty stack and
+    UnderflowError when pop_count exceeds the current depth.
     """
-    op.validate()
     if op.kind in (OpKind.RETAIN, OpKind.RETURN) and not stack.spaces:
         raise EmptyStackError(f"{op.kind.value} requires a nonempty stack")
     if op.pop_count > stack.depth:
         raise UnderflowError(f"{op.kind.value} pops {op.pop_count} but depth is {stack.depth}")
-
-    spaces = list(stack.spaces)
-    popped: list[FocusSpace] = []
-    for _ in range(op.pop_count):
-        popped.append(dataclasses.replace(spaces.pop(), closed_at=fragment_index))
-
-    pushed: FocusSpace | None = None
-    next_id = stack.next_id
+    spaces = stack.spaces[:stack.depth - op.pop_count]
     if op.pushes:
-        pushed = FocusSpace(id=next_id, dsp_label=label, opened_at=fragment_index)
-        spaces.append(pushed)
-        next_id += 1
-
-    top_id = spaces[-1].id if spaces else None
-    entry = HistoryEntry(fragment_index=fragment_index, operation=op,
-                         pushed=pushed, popped=tuple(popped), top_id=top_id)
-    return FocusStack(spaces=tuple(spaces), history=stack.history + (entry,),
-                      next_id=next_id)
+        spaces += (FocusSpace(id=stack.next_id, dsp_label=label, opened_at=fragment_index),)
+    return FocusStack(spaces=spaces, next_id=stack.next_id + op.pushes)
 
 
 def segments_affected(op: FocusingOperation) -> int:
     """Number of segments opened or closed by one operation (pops + pushes)."""
-    op.validate()
     return op.pop_count + op.pushes
 
 
@@ -191,8 +159,7 @@ class LinguisticTree:
     parent links each pushed space to the space directly beneath it at push
     time, absent for top-level segments.  depths holds the embedding depth
     at push (1 = top level).  open_ids lists spaces still open at trace end,
-    bottom to top.  op_affected mirrors the trace: segments opened or closed
-    by each operation.
+    bottom to top.
     """
 
     nodes: dict[int, FocusSpace]
@@ -200,7 +167,6 @@ class LinguisticTree:
     depths: dict[int, int]
     order: tuple[int, ...]
     open_ids: tuple[int, ...]
-    op_affected: tuple[int, ...]
 
     def depth(self, node_id: int) -> int:
         return self.depths[node_id]
@@ -248,26 +214,24 @@ def build_tree(trace: Trace) -> LinguisticTree:
     depths: dict[int, int] = {}
     for idx, (op, fragment_index) in enumerate(trace):
         try:
-            stack = apply(stack, op, fragment_index)
+            after = apply(stack, op, fragment_index)
+            # top first: when several spaces close too early, the top is named
+            for space in reversed(stack.spaces[stack.depth - op.pop_count:]):
+                nodes[space.id] = dataclasses.replace(space, closed_at=fragment_index)
         except FocusEngineError as exc:
             raise type(exc)(f"trace index {idx}: {exc}") from exc
-        entry = stack.history[-1]
-        for space in entry.popped:
-            nodes[space.id] = space
-        if entry.pushed is not None:
-            pushed = entry.pushed
+        stack = after
+        if op.pushes:
+            pushed = stack.spaces[-1]
             nodes[pushed.id] = pushed
             if stack.depth >= 2:
                 parent[pushed.id] = stack.spaces[-2].id
             depths[pushed.id] = stack.depth
 
-    for space in stack.spaces:
-        nodes[space.id] = space
     order = tuple(sorted(nodes, key=lambda nid: (nodes[nid].opened_at, nid)))
     open_ids = tuple(space.id for space in stack.spaces)
-    affected = tuple(segments_affected(op) for op, _ in trace)
     return LinguisticTree(nodes=nodes, parent=parent, depths=depths, order=order,
-                          open_ids=open_ids, op_affected=affected)
+                          open_ids=open_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +251,7 @@ TRACE_FIELDS = (Field("index", int), *OPERATION_FIELDS)
 
 @functools.lru_cache(maxsize=256)
 def _operation(kind: str, pops: int) -> FocusingOperation:
-    op = FocusingOperation(OpKind(kind), pops)
-    op.validate()
-    return op
+    return FocusingOperation(OpKind(kind), pops)
 
 
 def operation_from_row(row: dict, path: str | Path, lineno: int) -> FocusingOperation:

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .focus import (OPERATION_FIELDS, FocusingOperation, FocusStack, apply,
-                    LinguisticTree, operation_from_row, segments_affected)
+                    operation_from_row, segments_affected)
 from .jsonl import (SCHEMA_VERSION, Field, SchemaError, Target, build, iter_jsonl,
                     open_target, validate, write_jsonl)
 from .lexicon import CueContext, CueEntry, Lexicon, bundled_lexicon, judge_cue_use, normalize
@@ -397,7 +397,6 @@ _CLASS_TO_CONSTITUENT = {
 
 def code(fragments: Sequence[SpeechFragment],
          ops: Sequence[FocusingOperation],
-         tree: LinguisticTree,
          functions: Sequence[tuple[str, str]] | None = None,
          turns: Mapping[int, str] | None = None) -> list[CodedRecord]:
     """Assemble one CodedRecord per fragment.
@@ -410,19 +409,12 @@ def code(fragments: Sequence[SpeechFragment],
     """
     if len(fragments) != len(ops):
         raise LengthMismatch(f"{len(fragments)} fragments vs {len(ops)} operations")
-    if len(tree.op_affected) != len(ops):
-        raise LengthMismatch(f"tree replays {len(tree.op_affected)} operations, "
-                             f"got {len(ops)}")
     if functions is not None and len(functions) != len(fragments):
         raise LengthMismatch(f"{len(fragments)} fragments vs {len(functions)} function labels")
 
     records: list[CodedRecord] = []
     stack = FocusStack.empty()
     for i, (frag, op) in enumerate(zip(fragments, ops)):
-        affected = segments_affected(op)
-        if tree.op_affected[i] != affected:
-            raise LengthMismatch(f"operation {i} disagrees with the supplied tree "
-                                 f"({affected} vs {tree.op_affected[i]} segments)")
         stack = apply(stack, op, i, label=frag.topic or f"fragment-{i}")
         # A discourse-final Return can empty the stack; the fragment then
         # operates at the level of the segment it just closed.
@@ -449,7 +441,7 @@ def code(fragments: Sequence[SpeechFragment],
                            and constituent != "unmarked" else ""),
             operation=op,
             embedding_depth=depth,
-            segments_affected=affected,
+            segments_affected=segments_affected(op),
             prior_function=prior_fn,
             subsequent_function=subsequent_fn,
             turn_position=turn,

@@ -22,9 +22,7 @@ from pathlib import Path
 from .focus import FocusingOperation, OpKind
 from .fragments import CodedRecord, read_coded, write_coded
 from .pauses import PauseRecord, read_pauses, write_pauses
-from .stats import (OP_ORDER, compute_report, mean_pause_by_operation,
-                    mean_pause_by_token_and_operation, marked_unmarked_table,
-                    table_distributions)
+from .stats import OP_ORDER, compute_report, table_distributions
 
 RECORDS_FILE = "replication_records.jsonl"
 PAUSES_FILE = "replication_pauses.jsonl"
@@ -183,7 +181,8 @@ def run_checks(records, pauses) -> list[CheckResult]:
     def add(name: str, passed: bool, detail: str) -> None:
         checks.append(CheckResult(name=name, passed=passed, detail=detail))
 
-    table5 = mean_pause_by_token_and_operation(records)
+    report = compute_report(records, pauses)
+    table5 = report.by_token_and_operation
     bad = []
     for (row, op_name), (mean, count) in sorted(TOKEN_OPERATION_CELLS.items()):
         stat = table5.cell(row, op_name)
@@ -194,7 +193,7 @@ def run_checks(records, pauses) -> list[CheckResult]:
         f"{len(TOKEN_OPERATION_CELLS)} cells within 0.005"
         + (f"; mismatched: {bad + extra}" if bad or extra else ""))
 
-    table4 = mean_pause_by_operation(records)
+    table4 = report.by_operation
     bad = []
     for op_name, expected in OPERATION_MEANS.items():
         stat = table4.row_margins.get(op_name)
@@ -205,7 +204,7 @@ def run_checks(records, pauses) -> list[CheckResult]:
         "per-operation means within 0.01 of published values"
         + (f"; mismatched: {bad}" if bad else ""))
 
-    table6 = marked_unmarked_table(records)
+    table6 = report.by_marking
     marked = table6.row_margins.get("Marked")
     unmarked = table6.row_margins.get("Unmarked")
     ok = (marked is not None and unmarked is not None
@@ -225,7 +224,6 @@ def run_checks(records, pauses) -> list[CheckResult]:
         "operation by marked/unmarked counts match exactly"
         + (f"; mismatched: {bad}" if bad else ""))
 
-    report = compute_report(records, pauses)
     anova = report.anova
     ok = anova is not None and (anova.df_between, anova.df_within) == (3, 96)
     add("anova-df", ok,

@@ -9,8 +9,9 @@ full precision; only the rendering rounds.
 from __future__ import annotations
 
 import json
+import math
 
-from .stats import CellStat, GroupedMeans, StatsReport
+from .stats import CellStat, CountPanel, GroupedMeans, StatsReport
 
 
 def _fmt_p(p: float) -> str:
@@ -47,6 +48,15 @@ def _means_grid(table: GroupedMeans, decimals: int, all_label: str = "ALL") -> l
     return _grid(header, body)
 
 
+def _count_grid(panel: CountPanel, labels: tuple[str, ...]) -> list[str]:
+    """Counts with row and column totals; labels head the panel's columns in order."""
+    body = [[row] + [str(panel.cell(row, col)) for col in panel.col_order]
+            + [str(panel.row_total(row))] for row in panel.row_order]
+    body.append(["ALL"] + [str(panel.col_total(col)) for col in panel.col_order]
+                + [str(panel.total)])
+    return _grid([""] + list(labels) + ["ALL"], body)
+
+
 def render_text(report: StatsReport) -> str:
     lines: list[str] = []
     out = lines.append
@@ -59,24 +69,12 @@ def render_text(report: StatsReport) -> str:
     out("")
 
     out("Focusing operation by marked/unmarked fragments (counts)")
-    panel = report.distributions.operation_marked
-    header = [""] + ["Marked", "Unmarked", "ALL"]
-    body = [[row, str(panel.cell(row, "marked")), str(panel.cell(row, "unmarked")),
-             str(panel.row_total(row))] for row in panel.row_order]
-    body.append(["ALL", str(panel.col_total("marked")), str(panel.col_total("unmarked")),
-                 str(panel.total)])
-    lines += _grid(header, body)
+    lines += _count_grid(report.distributions.operation_marked, ("Marked", "Unmarked"))
     out("")
 
     out("Fragment-initial token by segment position (counts)")
     out("  (initial = the operation changed the stack; internal = Retain)")
-    panel = report.distributions.token_position
-    header = [""] + ["Initial", "Internal", "ALL"]
-    body = [[row, str(panel.cell(row, "initial")), str(panel.cell(row, "internal")),
-             str(panel.row_total(row))] for row in panel.row_order]
-    body.append(["ALL", str(panel.col_total("initial")), str(panel.col_total("internal")),
-                 str(panel.total)])
-    lines += _grid(header, body)
+    lines += _count_grid(report.distributions.token_position, ("Initial", "Internal"))
     out("")
 
     out("Unfilled pause durations (0.1 s bins)")
@@ -151,4 +149,11 @@ def render_text(report: StatsReport) -> str:
 
 
 def render_json(report: StatsReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    """JSON rendering; an infinite ANOVA F, which JSON cannot hold, is written as null."""
+    data = report.to_dict()
+    anova = data["tests"]["anova"]
+    if anova is not None and math.isinf(anova["F"]):
+        anova["F"] = None
+        data["notes"].append("ANOVA F is infinite (every group is constant and the "
+                             "group means differ); written as null")
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import focus_oracle
 from conftest import FIXTURES, RATE, build_signal
 from pausecue import replication
 from pausecue.classifier import segment_discourse
@@ -145,6 +146,7 @@ def test_c5_ten_thousand_random_traces():
         assert stack.depth == pushes - pops
         tree = build_tree(trace)
         assert len(tree.nodes) == pushes
+        assert tree == focus_oracle.build_tree(trace)
     print("PASS criterion 5: 10000 random traces replay and match the naive simulator")
 
 

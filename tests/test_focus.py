@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pausecue.focus import (EmptyStackError, FocusStack, FocusingOperation,
-                            MalformedOperation, OpKind, UnderflowError, apply,
-                            build_tree, operation_from_row, read_trace, segments_affected,
-                            write_trace)
+import focus_oracle
+from pausecue.focus import (EmptyStackError, FocusEngineError, FocusStack,
+                            FocusingOperation, MalformedOperation, OpKind, UnderflowError,
+                            apply, build_tree, operation_from_row, read_trace,
+                            segments_affected, write_trace)
 from pausecue.jsonl import SchemaError
 
 INITIATE = FocusingOperation(OpKind.INITIATE)
@@ -40,7 +41,9 @@ def test_retain_is_identity_on_spaces():
     stack = apply(FocusStack.empty(), INITIATE, 0)
     retained = apply(stack, RETAIN, 1)
     assert retained.spaces == stack.spaces
-    assert retained.history[-1].top_id == stack.top.id
+    tree = build_tree([(INITIATE, 0), (RETAIN, 1)])
+    assert tree.open_ids == (stack.top.id,)  # the retained space stays open
+    assert tree.nodes[stack.top.id].closed_at is None
 
 
 def test_replace_pops_two_then_pushes():
@@ -49,11 +52,12 @@ def test_replace_pops_two_then_pushes():
     stack = apply(apply(FocusStack.empty(), INITIATE, 0), INITIATE, 1)
     replaced = apply(stack, rep(2), 2)
     assert replaced.depth == 1
-    entry = replaced.history[-1]
-    assert [s.id for s in entry.popped] == [1, 0]  # top popped first
-    assert all(s.closed_at == 2 for s in entry.popped)
     assert replaced.top.id == 2
     assert replaced.top.opened_at == 2
+    tree = build_tree([(INITIATE, 0), (INITIATE, 1), (rep(2), 2)])
+    assert [tree.nodes[i].closed_at for i in (0, 1)] == [2, 2]
+    assert tree.open_ids == (2,)
+    assert tree.roots() == (0, 2) and tree.depth(2) == 1
 
 
 def test_return_reexposes_previous_space():
@@ -77,15 +81,18 @@ def test_underflow_and_empty_stack_errors():
 
 
 @pytest.mark.parametrize("op", [
-    FocusingOperation(OpKind.INITIATE, 1),
-    FocusingOperation(OpKind.RETAIN, 2),
-    FocusingOperation(OpKind.RETURN, 0),
-    FocusingOperation(OpKind.REPLACE, 0),
-    FocusingOperation(OpKind.RETURN, -1),
+    (OpKind.INITIATE, 1, "Initiate must have pop_count 0, got 1"),
+    (OpKind.RETAIN, 2, "Retain must have pop_count 0, got 2"),
+    (OpKind.RETURN, 0, "Return must have pop_count >= 1, got 0"),
+    (OpKind.REPLACE, 0, "Replace must have pop_count >= 1, got 0"),
+    (OpKind.RETURN, -1, "Return must have pop_count >= 1, got -1"),
+    ("Return", 1, "unknown operation kind 'Return'"),
 ])
 def test_malformed_operations_rejected(op):
-    with pytest.raises(MalformedOperation):
-        apply(FocusStack.empty(), op, 0)
+    kind, pops, message = op
+    with pytest.raises(MalformedOperation) as excinfo:
+        FocusingOperation(kind, pops)
+    assert str(excinfo.value) == message
 
 
 def test_apply_is_pure():
@@ -105,8 +112,6 @@ def test_segments_affected():
     assert segments_affected(INITIATE) == 1
     assert segments_affected(ret(1)) == 1     # one pop, no push
     assert segments_affected(rep(3)) == 4     # three pops plus the push
-    with pytest.raises(MalformedOperation):
-        segments_affected(FocusingOperation(OpKind.RETURN, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +142,10 @@ def test_tree_siblings_under_root():
     assert tree.open_ids == (0,)
     assert tree.nodes[1].closed_at == 2
     assert tree.nodes[2].closed_at == 3
-    assert tree.op_affected == (1, 1, 2, 1)
+    # segments opened or closed at each fragment agree with segments_affected
+    touched = [sum((n.opened_at == i) + (n.closed_at == i) for n in tree.nodes.values())
+               for i in range(4)]
+    assert touched == [segments_affected(op) for op, _ in trace] == [1, 1, 2, 1]
 
 
 def test_tree_requires_initiate_first():
@@ -259,6 +267,7 @@ def test_replay_matches_naive_simulator(trace):
     assert len(closed) == pops  # every popped space closed exactly once
     assert set(tree.open_ids) == {n.id for n in tree.nodes.values()
                                   if n.closed_at is None}
+    assert tree == focus_oracle.build_tree(trace)
 
 
 def test_bulk_random_traces_replay_cleanly():
@@ -269,3 +278,50 @@ def test_bulk_random_traces_replay_cleanly():
         trajectory, pushes, _ = naive_depth_trajectory(trace)
         assert len(tree.nodes) == pushes
         assert trajectory[-1] == len(tree.open_ids)
+
+
+# ---------------------------------------------------------------------------
+# differential: build_tree against the history-keeping oracle
+# ---------------------------------------------------------------------------
+
+def replay_outcome(build, trace):
+    """The tree a replay builds, or the type and message of its error."""
+    try:
+        return build(trace)
+    except FocusEngineError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("trace,error", [
+    ([], MalformedOperation),
+    ([(RETAIN, 0)], MalformedOperation),
+    ([(rep(1), 0)], MalformedOperation),
+    ([(INITIATE, 0), (ret(5), 1)], UnderflowError),
+    ([(INITIATE, 0), (ret(1), 1), (rep(1), 2)], UnderflowError),
+    ([(INITIATE, 0), (ret(1), 1), (RETAIN, 2)], EmptyStackError),
+    ([(INITIATE, 0), (ret(1), 1), (ret(1), 2)], EmptyStackError),
+    ([(INITIATE, 5), (ret(1), 5)], MalformedOperation),
+    ([(INITIATE, 0), (INITIATE, 3), (rep(2), 2)], MalformedOperation),
+    ([(INITIATE, 5), (INITIATE, 6), (rep(2), 4)], MalformedOperation),  # names the top
+])
+def test_invalid_trace_errors_match_oracle(trace, error):
+    outcome = replay_outcome(build_tree, trace)
+    assert outcome == replay_outcome(focus_oracle.build_tree, trace)
+    assert outcome[0] is error
+
+
+@st.composite
+def any_trace_strategy(draw):
+    """Well-formed operations in any order, at any fragment indices."""
+    trace = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(list(OpKind)))
+        pops = draw(st.integers(1, 4)) if kind in (OpKind.RETURN, OpKind.REPLACE) else 0
+        trace.append((FocusingOperation(kind, pops), draw(st.integers(0, 8))))
+    return trace
+
+
+@given(any_trace_strategy())
+@settings(settings.get_profile("fuzz"))
+def test_any_trace_matches_oracle(trace):
+    assert replay_outcome(build_tree, trace) == replay_outcome(focus_oracle.build_tree, trace)

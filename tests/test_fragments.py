@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pausecue.focus import FocusingOperation, OpKind, build_tree
+from pausecue.focus import FocusingOperation, OpKind
 from pausecue.fragments import (AnnotatedToken, CodedRecord, EmptyTranscript,
                                 LengthMismatch, MisalignedPause, code,
                                 fragmentize, fragments_to_tokens, read_coded,
@@ -19,11 +19,6 @@ RETAIN = FocusingOperation(OpKind.RETAIN)
 
 def tok(surface, **kw):
     return AnnotatedToken(surface=surface, **kw)
-
-
-def ops_tree(ops):
-    trace = [(op, i) for i, op in enumerate(ops)]
-    return build_tree(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +168,7 @@ def test_code_filled_pause_initiate():
     tokens = [tok("you"), tok("go"), tok("um"), tok("on")]
     frags = fragmentize(tokens)
     ops = [INITIATE, INITIATE]
-    records = code(frags, ops, ops_tree(ops))
+    records = code(frags, ops)
     rec = records[1]
     assert rec.initial_constituent == "filled_pause"
     assert rec.marked
@@ -187,7 +182,7 @@ def test_code_unmarked_retain():
               tok("on", pause_before_s=0.2), tok("ahead")]
     frags = fragmentize(tokens)
     ops = [INITIATE, RETAIN]
-    records = code(frags, ops, ops_tree(ops))
+    records = code(frags, ops)
     rec = records[1]
     assert rec.initial_constituent == "unmarked"
     assert not rec.marked
@@ -200,7 +195,7 @@ def test_code_marked_count_matches_constituents():
               tok("go")]
     frags = fragmentize(tokens)
     ops = [INITIATE] + [RETAIN] * (len(frags) - 1)
-    records = code(frags, ops, ops_tree(ops))
+    records = code(frags, ops)
     marked = [r for r in records if r.marked]
     assert len(marked) == sum(
         1 for r in records
@@ -212,10 +207,10 @@ def test_code_turn_positions():
               tok("ok", speaker="B"), tok("go", speaker="B")]
     frags = fragmentize(tokens)
     ops = [INITIATE, RETAIN]
-    records = code(frags, ops, ops_tree(ops))
+    records = code(frags, ops)
     assert records[0].turn_position == "initiating"
     assert records[1].turn_position == "initiating"  # speaker change
-    overridden = code(frags, ops, ops_tree(ops), turns={1: "continuing"})
+    overridden = code(frags, ops, turns={1: "continuing"})
     assert overridden[1].turn_position == "continuing"
 
 
@@ -223,7 +218,7 @@ def test_code_function_labels():
     tokens = [tok("you"), tok("go"), tok("um"), tok("on")]
     frags = fragmentize(tokens)
     ops = [INITIATE, RETAIN]
-    records = code(frags, ops, ops_tree(ops),
+    records = code(frags, ops,
                    functions=[("topical", "closure"), ("repair", "topical")])
     assert records[0].subsequent_function == "closure"
     assert records[1].prior_function == "repair"
@@ -232,15 +227,7 @@ def test_code_function_labels():
 def test_code_length_mismatch():
     frags = fragmentize([tok("you"), tok("go")])
     with pytest.raises(LengthMismatch):
-        code(frags, [INITIATE, RETAIN], ops_tree([INITIATE]))
-
-
-def test_code_rejects_tree_from_other_operations():
-    tokens = [tok("you"), tok("go"), tok("on", pause_before_s=0.3), tok("ahead")]
-    frags = fragmentize(tokens)
-    wrong_tree = ops_tree([INITIATE, INITIATE])
-    with pytest.raises(LengthMismatch, match="tree"):
-        code(frags, [INITIATE, RETAIN], wrong_tree)
+        code(frags, [INITIATE, RETAIN])
 
 
 # ---------------------------------------------------------------------------

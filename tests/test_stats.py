@@ -1,5 +1,6 @@
 """Statistics: tables, tests, p-values, and oracle cross-checks."""
 
+import json
 import math
 import random
 
@@ -11,6 +12,7 @@ import stats_oracle
 from pausecue.fragments import CONSTITUENTS, CodedRecord
 from pausecue.focus import FocusingOperation, OpKind
 from pausecue.pauses import PauseRecord
+from pausecue.report import render_json, render_text
 from pausecue.stats import (ZeroVariance, anova_one_way, compute_report, f_cdf,
                             grouped_means, marked_unmarked_table,
                             mean_pause_by_operation,
@@ -243,6 +245,21 @@ def make_record(i, token, op_kind, pops, pause, constituent="cue_phrase"):
         segments_affected=op.pop_count + op.pushes,
         prior_function="topical", subsequent_function="topical",
         turn_position="continuing", marked=constituent != "unmarked")
+
+
+def test_json_report_writes_infinite_f_as_null():
+    records = ([make_record(i, "So", "Initiate", 0, 0.2) for i in range(3)]
+               + [make_record(i, "So", "Retain", 0, 0.5) for i in range(3, 6)])
+    report = compute_report(records)
+    assert report.anova.F == math.inf
+    assert "F(1, 4) = inf, p < .001" in render_text(report)
+
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    payload = json.loads(render_json(report), parse_constant=reject)
+    assert payload["tests"]["anova"]["F"] is None
+    assert payload["notes"][-1].startswith("ANOVA F is infinite")
 
 
 def test_margins_are_count_weighted():
