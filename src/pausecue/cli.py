@@ -73,11 +73,11 @@ def _out_dir(args: argparse.Namespace) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_pauses(args: argparse.Namespace) -> int:
-    samples, rate = pauses.read_wav(args.wav)
+    blocks, rate = pauses.read_wav(args.wav)
     config = pauses.PauseConfig(threshold_db=args.threshold_db,
                                 min_silence_s=args.min_silence,
                                 frame_ms=args.frame_ms)
-    frames = pauses.frame_energy(samples, rate, frame_ms=config.frame_ms)
+    frames = pauses.frame_energy(blocks, rate, frame_ms=config.frame_ms)
     records = pauses.detect_pauses(frames, config=config)
 
     if args.out == "-":

@@ -21,6 +21,7 @@ cue phrase, an acknowledgment form or a filled pause.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -257,17 +258,23 @@ def _align_pauses(tokens: Sequence[AnnotatedToken],
                   pauses: Sequence[PauseRecord]) -> dict[int, PauseRecord]:
     """Map each pause record to the token gap it precedes.
 
-    Alignment needs token timings; a pause whose end matches no token start
-    within ALIGN_TOL is misaligned and reported with the nearest token, and
-    so is a second pause on a gap that already holds one.
+    Alignment needs token timings in order; a pause whose end matches no
+    token start within ALIGN_TOL is misaligned and reported with the nearest
+    token, and so is a second pause on a gap that already holds one.  Each
+    pause takes the token whose start is nearest its end, the earliest one
+    among equally near starts, found by bisection.
     """
     timed = [tok.start_s for tok in tokens]
     if any(t is None for t in timed):
         raise MisalignedPause("tokens carry no start_s timing; "
                               "cannot align detected pauses")
+    for i in range(1, len(timed)):
+        if timed[i] < timed[i - 1]:
+            raise MisalignedPause(f"token {i} starts at {timed[i]:.3f}s, before the "
+                                  f"previous token; cannot align detected pauses")
     aligned: dict[int, PauseRecord] = {}
     for pause in pauses:
-        best_i = min(range(len(tokens)), key=lambda i: abs(pause.end_s - timed[i]))
+        best_i = _nearest_start(timed, pause.end_s)
         if abs(pause.end_s - timed[best_i]) <= ALIGN_TOL:
             if best_i in aligned:
                 raise MisalignedPause(
@@ -284,6 +291,24 @@ def _align_pauses(tokens: Sequence[AnnotatedToken],
             f"token gap; nearest token is {tokens[nearest].surface!r} "
             f"(index {nearest}, start {timed[nearest]:.3f}s)")
     return aligned
+
+
+def _nearest_start(starts: Sequence[float], t: float) -> int:
+    """The lowest index ``i`` minimising ``abs(t - starts[i])`` over sorted starts.
+
+    Above ``t`` the first start at or after it is nearest.  Below ``t`` the
+    distance falls as the start rises, but rounding can make several starts
+    equally near, so the earliest start with the least distance is found by
+    a second bisection; it wins a tie with the start above.
+    """
+    above = bisect_left(starts, t)
+    if above == 0:
+        return 0
+    gap = t - starts[above - 1]
+    below = bisect_left(starts, -gap, 0, above, key=lambda s: s - t)
+    if above == len(starts) or gap <= abs(t - starts[above]):
+        return below
+    return above
 
 
 def _at_boundary(tokens: Sequence[AnnotatedToken], i: int,

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 import wave
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -99,31 +100,59 @@ class AudioFrameSeries:
     n_samples: int
 
 
-def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
-    """Load a RIFF WAVE file as float samples in [-1, 1].
+#: Samples per block read from a WAV file (about 4 s at 16 kHz).
+BLOCK_SAMPLES = 1 << 16
 
-    Only 16-bit linear PCM mono is accepted; stereo input is rejected rather
-    than downmixed.
-    """
+
+@contextmanager
+def _wav_errors(path: str | Path) -> Iterator[None]:
+    """Turn the errors of a malformed WAV into ``UnsupportedFormat``."""
     try:
-        with wave.open(str(path), "rb") as wav:
-            if wav.getnchannels() != 1:
-                raise UnsupportedFormat(f"{path}: mono required, "
-                                        f"got {wav.getnchannels()} channels")
-            if wav.getsampwidth() != 2:
-                raise UnsupportedFormat(f"{path}: 16-bit linear PCM required")
-            if wav.getcomptype() not in ("NONE",):
-                raise UnsupportedFormat(f"{path}: compressed WAV not supported")
-            rate = wav.getframerate()
-            raw = wav.readframes(wav.getnframes())
+        yield
     except (wave.Error, RuntimeError) as exc:  # RuntimeError: a chunk overruns the file
         raise UnsupportedFormat(f"{path}: not a readable PCM WAV ({exc})") from exc
     except EOFError as exc:
         raise UnsupportedFormat(f"{path}: truncated WAV") from exc
-    if len(raw) % 2:
-        raise UnsupportedFormat(f"{path}: truncated WAV")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return samples, rate
+
+
+def read_wav(path: str | Path) -> tuple[Iterator[np.ndarray], int]:
+    """Open a RIFF WAVE file as a stream of 16-bit sample blocks and its rate.
+
+    The header is checked here: only 16-bit linear PCM mono is accepted;
+    stereo input is rejected rather than downmixed.  The blocks are ``<i2``
+    arrays of up to ``BLOCK_SAMPLES`` samples, read as they are consumed; a
+    file holding fewer samples than its header declares is truncated.  The
+    file is closed when the stream ends, fails or is dropped.
+    """
+    with _wav_errors(path):
+        wav = wave.open(str(path), "rb")
+    if wav.getnchannels() != 1:
+        problem = f"mono required, got {wav.getnchannels()} channels"
+    elif wav.getsampwidth() != 2:
+        problem = "16-bit linear PCM required"
+    elif wav.getcomptype() != "NONE":
+        problem = "compressed WAV not supported"
+    else:
+        return _blocks(wav, path), wav.getframerate()
+    wav.close()
+    raise UnsupportedFormat(f"{path}: {problem}")
+
+
+def _blocks(wav: wave.Wave_read, path: str | Path) -> Iterator[np.ndarray]:
+    with wav:
+        read = 0
+        while True:
+            with _wav_errors(path):
+                raw = wav.readframes(BLOCK_SAMPLES)
+            if not raw:
+                break
+            if len(raw) % 2:  # the stream ends in half a sample
+                raise UnsupportedFormat(f"{path}: truncated WAV")
+            block = np.frombuffer(raw, dtype="<i2")
+            read += len(block)
+            yield block
+        if read < wav.getnframes():
+            raise UnsupportedFormat(f"{path}: truncated WAV")
 
 
 def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
@@ -137,34 +166,43 @@ def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
         wav.writeframes(ints.tobytes())
 
 
-def frame_energy(samples: np.ndarray, sample_rate: int,
+def frame_energy(samples: np.ndarray | Iterator[np.ndarray], sample_rate: int,
                  frame_ms: float = 10.0) -> AudioFrameSeries:
-    """RMS energy per non-overlapping frame (default 10 ms frame and hop)."""
-    samples = np.asarray(samples)
-    if samples.ndim != 1:
-        raise UnsupportedFormat("mono PCM required (1-D sample array)")
+    """RMS energy per non-overlapping frame (default 10 ms frame and hop).
+
+    ``samples`` is one array, or an iterator of 1-D blocks such as
+    ``read_wav`` yields; integer samples are 16-bit PCM.  A frame that spans
+    two blocks is carried over, and only the energies are kept, so memory
+    beyond the current block is 8 bytes per frame.
+    """
     if sample_rate < 8000:
         raise UnsupportedFormat(f"sample rate {sample_rate} below 8000 Hz")
-    if np.issubdtype(samples.dtype, np.integer):
-        samples = samples.astype(np.float64) / 32768.0
-    else:
-        samples = samples.astype(np.float64)
-
     step = int(round(sample_rate * frame_ms / 1000.0))
     if step < 1:
         raise UnsupportedFormat(f"frame length {frame_ms} ms too short at {sample_rate} Hz")
-    n = len(samples)
-    n_frames = -(-n // step)  # ceil
-    energies = np.empty(n_frames, dtype=np.float64)
-    full = n // step
-    if full:
-        chunk = samples[:full * step].reshape(full, step)
-        energies[:full] = np.sqrt(np.mean(chunk * chunk, axis=1))
-    if full < n_frames:
-        tail = samples[full * step:]
-        energies[full] = math.sqrt(float(np.mean(tail * tail)))
+    blocks = samples if isinstance(samples, Iterator) else (samples,)
+    parts = [np.empty(0)]
+    carry = np.empty(0)
+    n = 0
+    for block in blocks:
+        block = np.asarray(block)
+        if block.ndim != 1:
+            raise UnsupportedFormat("mono PCM required (1-D sample array)")
+        if np.issubdtype(block.dtype, np.integer):
+            block = block.astype(np.float64) / 32768.0
+        else:
+            block = block.astype(np.float64)
+        n += len(block)
+        if len(carry):
+            block = np.concatenate((carry, block))
+        full = len(block) // step
+        chunk = block[:full * step].reshape(full, step)
+        parts.append(np.sqrt(np.mean(chunk * chunk, axis=1)))
+        carry = block[full * step:]
+    if len(carry):
+        parts.append(np.array([math.sqrt(float(np.mean(carry * carry)))]))
     return AudioFrameSeries(sample_rate=sample_rate, frame_ms=frame_ms,
-                            energies=energies, n_samples=n)
+                            energies=np.concatenate(parts), n_samples=n)
 
 
 def detect_pauses(frames: AudioFrameSeries,
@@ -185,21 +223,13 @@ def detect_pauses(frames: AudioFrameSeries,
         return []
 
     step = int(round(frames.sample_rate * frames.frame_ms / 1000.0))
-    silent = e <= threshold
+    silent = np.concatenate(([False], e <= threshold, [False]))
+    edges = np.flatnonzero(silent[1:] != silent[:-1]).tolist()
     records: list[PauseRecord] = []
-    i = 0
-    n = len(e)
-    while i < n:
-        if not silent[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and silent[j + 1]:
-            j += 1
+    for i, j in zip(edges[0::2], edges[1::2]):  # silent frames i .. j - 1
         start_s = i * step / frames.sample_rate
-        end_sample = min((j + 1) * step, frames.n_samples)
+        end_sample = min(j * step, frames.n_samples)
         raw = end_sample / frames.sample_rate - start_s
-        i = j + 1
         if raw + 1e-12 < config.min_silence_s:
             continue
         if word_spans is not None and _inside_one_word(start_s, start_s + raw, word_spans):

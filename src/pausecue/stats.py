@@ -26,6 +26,8 @@ from .pauses import PauseRecord, round_tenth
 OP_ORDER = ("Initiate", "Retain", "Return", "Replace")
 CANONICAL_TOKEN_ROWS = ("And", "But", "Now", "Oh", "So", "Well", "Y'know", "Ordinal")
 TAIL_TOKEN_ROWS = ("Acknowledgment", "Filled Pause", "Unmarked")
+#: An operation kind's name; the enum's ``.value`` property is slower per record.
+_KIND_NAME = {kind: kind.value for kind in OpKind}
 
 
 class ZeroVariance(Exception):
@@ -331,7 +333,7 @@ def table_distributions(records: Sequence[CodedRecord],
     token_cells: dict[tuple[str, str], int] = {}
     for rec in records:
         kind = rec.operation.kind
-        op_key = (kind.value, "marked" if rec.marked else "unmarked")
+        op_key = (_KIND_NAME[kind], "marked" if rec.marked else "unmarked")
         op_cells[op_key] = op_cells.get(op_key, 0) + 1
         tok_key = (rec.row_label(), "internal" if kind is OpKind.RETAIN else "initial")
         token_cells[tok_key] = token_cells.get(tok_key, 0) + 1
@@ -389,7 +391,7 @@ class _PauseGroups:
             value = rec.pause_before_s
             if value is None:
                 continue
-            kind = rec.operation.kind.value
+            kind = _KIND_NAME[rec.operation.kind]
             self.op_cells.setdefault((kind, "ALL"), []).append(value)
             self.token_cells.setdefault((rec.row_label(), kind), []).append(value)
             mark = "Marked" if rec.marked else "Unmarked"

@@ -1,7 +1,11 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import os
 import shutil
+import struct
+import subprocess
+import sys
 import wave
 from pathlib import Path
 
@@ -9,10 +13,11 @@ import pytest
 
 from conftest import FIXTURES, RATE, build_signal
 from pausecue.cli import main
-from pausecue.pauses import write_wav
+from pausecue.pauses import BLOCK_SAMPLES, write_wav
 from pausecue import replication
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -65,6 +70,47 @@ def test_pauses_rejects_stereo(tmp_path, capsys):
     code, out, err = run(capsys, "pauses", str(path))
     assert code == 2
     assert "mono" in err
+
+
+def _broken_wav(path, how):
+    """A WAV of more than two blocks, then broken; a WAV header is 44 bytes."""
+    write_wav(path, build_signal([("tone", 0.5), ("silence", 0.4)] * 10), RATE)
+    data = path.read_bytes()
+    assert (len(data) - 44) // 2 > 2 * BLOCK_SAMPLES
+    riff, size = struct.unpack_from("<L", data, 4)[0], struct.unpack_from("<L", data, 40)[0]
+    if how == "odd-data-chunk":         # the data chunk holds all its bytes, the last half a sample
+        data = (data[:4] + struct.pack("<L", riff + 1) + data[8:40] + struct.pack("<L", size + 1)
+                + data[44:] + b"\x01")
+    elif how == "odd-trailing-byte":    # the file ends in half a sample, short of its data chunk
+        data = (data[:4] + struct.pack("<L", riff + 1) + data[8:40] + struct.pack("<L", size + 3)
+                + data[44:] + b"\x01")
+    elif how == "data-overruns-file":   # the data chunk claims samples the file lacks
+        data = data[:40] + struct.pack("<L", size + 2000) + data[44:]
+    elif how == "fmt-overruns-file":    # so does the format chunk, before any sample
+        data = data[:16] + struct.pack("<L", 10**6) + data[20:]
+    path.write_bytes(data)
+
+
+@pytest.mark.parametrize("how,message", [
+    ("odd-data-chunk", "truncated WAV"),
+    ("odd-trailing-byte", "truncated WAV"),
+    ("data-overruns-file", "truncated WAV"),
+    ("fmt-overruns-file", "not a readable PCM WAV"),
+])
+def test_pauses_rejects_broken_stream(tmp_path, how, message):
+    path = tmp_path / "broken.wav"
+    _broken_wav(path, how)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-m", "pausecue.cli",
+         "pauses", str(path), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 2, result.stderr
+    # one line: no traceback, and no unclosed file reported on the way out
+    assert result.stderr.startswith(f"error: {path}: {message}")
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert not (out / "broken.pauses.jsonl").exists()
 
 
 def test_pauses_missing_file(tmp_path, capsys):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pauses_oracle as oracle
+from pausecue import fragments
 from pausecue.focus import FocusingOperation, OpKind
 from pausecue.fragments import (AnnotatedToken, CodedRecord, EmptyTranscript,
                                 LengthMismatch, MisalignedPause, code,
@@ -136,6 +138,70 @@ def test_alignment_requires_timings():
     pause = PauseRecord(start_s=0.4, raw_duration_s=0.5, reported_duration_s=0.5)
     with pytest.raises(MisalignedPause, match="timing"):
         fragmentize([tok("you"), tok("go")], [pause])
+
+
+def test_alignment_requires_ordered_timings():
+    tokens = [tok("you", start_s=0.5), tok("go", start_s=0.2)]
+    pause = PauseRecord(start_s=0.0, raw_duration_s=0.2, reported_duration_s=0.2)
+    with pytest.raises(MisalignedPause, match="token 1 starts at 0.200s, before"):
+        fragmentize(tokens, [pause])
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MisalignedPause as exc:
+        return type(exc), str(exc)
+
+
+#: Dyadic times, so midpoints between two starts are exactly equidistant.
+GRID = st.integers(0, 64).map(lambda k: k / 32)
+#: Starts below 0.1, where a difference can round to the same value for two starts.
+TINY = st.sampled_from([0.0, 1e-20, 2e-20, 5e-17, 1e-3, 0.05, 0.0625])
+OFFSETS = st.sampled_from([0.0, 1 / 64, -1 / 64, 3 / 64, -3 / 64, 1 / 16, -1 / 16, 0.05,
+                           -0.05, 0.5])
+
+
+@st.composite
+def timed_alignment(draw):
+    starts = sorted(draw(st.lists(GRID | TINY | st.floats(0.0, 3.0), min_size=1,
+                                  max_size=12)))
+    tokens = [tok(f"w{i}", start_s=t) for i, t in enumerate(starts)]
+    ends = []
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(starts) - 1))
+        j = min(i + 1, len(starts) - 1)
+        ends.append(draw(st.sampled_from([starts[i] + draw(OFFSETS),
+                                          (starts[i] + starts[j]) / 2])
+                         | st.floats(-1.0, 4.0) | TINY))
+    pauses = [PauseRecord(start_s=end - duration, raw_duration_s=duration,
+                          reported_duration_s=0.0)
+              for end, duration in zip(ends, draw(st.lists(
+                  st.sampled_from([0.125, 0.25, 1e-3, 0.1]), min_size=len(ends),
+                  max_size=len(ends))))]
+    return tokens, pauses
+
+
+@given(timed_alignment())
+@settings(settings.get_profile("fuzz"))
+def test_alignment_equals_linear_scan(case):
+    # equal starts, pauses equidistant from two starts, pauses on one gap
+    tokens, pauses = case
+    assert outcome(fragments._align_pauses, tokens, pauses) == \
+        outcome(oracle.align_pauses, tokens, pauses)
+
+
+def test_alignment_tie_takes_earliest_start():
+    tokens = [tok("a", start_s=0.0), tok("b", start_s=1.0), tok("c", start_s=1.0),
+              tok("d", start_s=1.0625)]
+    for end, index in ((1.03125, 1), (1.0, 1), (0.0, 0), (1.0625, 3)):
+        pause = PauseRecord(start_s=end - 0.5, raw_duration_s=0.5, reported_duration_s=0.5)
+        assert list(fragments._align_pauses(tokens, [pause])) == [index]
+    # 0.05 - 1e-20 and 0.05 - 2e-20 both round to 0.05: the earlier start wins
+    tokens = [tok("a", start_s=1e-20), tok("b", start_s=2e-20)]
+    pause = PauseRecord(start_s=0.0, raw_duration_s=0.05, reported_duration_s=0.1)
+    assert list(fragments._align_pauses(tokens, [pause])) == [0]
+    assert list(oracle.align_pauses(tokens, [pause])) == [0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,23 @@
 """Frame energies, silence detection, rounding and the plosive exclusion."""
 
+import gc
 import math
+import re
+import tracemalloc
+import warnings
+import wave
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pauses_oracle as oracle
 from conftest import RATE, TONE_HZ, build_signal
-from pausecue.pauses import (PauseConfig, UnsupportedFormat, detect_pauses,
-                             frame_energy, read_pauses, read_wav, round_tenth,
-                             write_pauses, write_wav)
+from pausecue import pauses
+from pausecue.pauses import (AudioFrameSeries, PauseConfig, UnsupportedFormat,
+                             detect_pauses, frame_energy, read_pauses, read_wav,
+                             round_tenth, write_pauses, write_wav)
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +77,87 @@ def test_frame_energy_rejects_bad_input():
         frame_energy(np.zeros((100, 2)), RATE)
     with pytest.raises(UnsupportedFormat):
         frame_energy(np.zeros(100), 4000)
+    with pytest.raises(UnsupportedFormat, match="mono"):
+        frame_energy(iter([np.zeros(100, dtype="<i2"), np.zeros((4, 2), dtype="<i2")]), RATE)
+
+
+def pcm(n, seed=0):
+    """``n`` random 16-bit samples, with runs of digital silence."""
+    rng = np.random.default_rng(seed)
+    samples = rng.integers(-2000, 2000, size=n).astype("<i2")
+    samples[n // 3:n // 2] = 0
+    return samples
+
+
+def split(samples, sizes):
+    """Blocks of ``samples`` with the given sizes, cycled; the rest in the last block."""
+    blocks, at, k = [], 0, 0
+    while at < len(samples) and sizes:
+        blocks.append(samples[at:at + sizes[k % len(sizes)]])
+        at += sizes[k % len(sizes)]
+        k += 1
+    return blocks + [samples[at:]]
+
+
+def assert_same_frames(got, expected):
+    assert got.energies.dtype == expected.energies.dtype
+    assert got.energies.tobytes() == expected.energies.tobytes()
+    assert got.n_samples == expected.n_samples
+    assert (got.sample_rate, got.frame_ms) == (expected.sample_rate, expected.frame_ms)
+
+
+@pytest.mark.parametrize("frame_ms", [7.0, 10.0, 25.0, 33.3])
+def test_block_energies_equal_whole_array(frame_ms):
+    # 0 samples, fewer than one frame, an exact multiple of the step, and
+    # lengths with a partial last frame; block sizes not multiples of the step
+    step = int(round(RATE * frame_ms / 1000.0))
+    for n in (0, step - 1, 40 * step, 40 * step + 7, RATE * 3 + 11):
+        samples = pcm(n)
+        expected = oracle.frame_energy(samples.astype(np.float64) / 32768.0, RATE, frame_ms)
+        for sizes in ([1000], [step + 1], [4096, 3, 0, 517], [RATE * 4]):
+            got = frame_energy(iter(split(samples, sizes)), RATE, frame_ms)
+            assert_same_frames(got, expected)
+        assert_same_frames(frame_energy(samples, RATE, frame_ms), expected)
+
+
+@given(st.integers(0, 5000), st.lists(st.integers(0, 900), max_size=8),
+       st.sampled_from([7.0, 10.0, 25.0, 33.3]), st.booleans())
+@settings(settings.get_profile("fuzz"), max_examples=60)
+def test_any_block_boundaries_give_same_energies(n, sizes, frame_ms, as_float):
+    samples = pcm(n, seed=n)
+    if as_float:
+        samples = samples / 32768.0
+    expected = oracle.frame_energy(samples, RATE, frame_ms)
+    assert_same_frames(frame_energy(iter(split(samples, sizes)), RATE, frame_ms), expected)
+
+
+@pytest.mark.parametrize("block", [1000, 1601, 65536])
+def test_streamed_wav_equals_whole_file(tmp_path, monkeypatch, block):
+    path = tmp_path / "speech.wav"
+    write_wav(path, build_signal([("tone", 0.35), ("silence", 0.42), ("noise", 0.3, 0.01),
+                                  ("tone", 0.33)]), RATE)
+    monkeypatch.setattr(pauses, "BLOCK_SAMPLES", block)
+    for frame_ms in (7.0, 10.0, 33.3):
+        assert_same_frames(frame_energy(*read_wav(path), frame_ms=frame_ms),
+                           oracle.frame_energy(*oracle.read_wav(path), frame_ms=frame_ms))
+
+
+def test_frame_energy_memory_does_not_grow_with_length(tmp_path):
+    second = build_signal([("tone", 0.7), ("silence", 0.3)])
+    peaks = []
+    for minutes in (1, 4):
+        path = tmp_path / f"{minutes}min.wav"
+        write_wav(path, np.tile(second, 60 * minutes), RATE)
+        tracemalloc.start()
+        try:
+            frames = frame_energy(*read_wav(path))
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+        assert len(frames.energies) == 6000 * minutes
+    # the 4-minute WAV holds 7.3 MB of samples; only its 24,000 energies are kept
+    assert peaks[1] < 4.0, peaks
+    assert peaks[1] - peaks[0] < 0.5, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +168,11 @@ def test_read_wav_roundtrip(tmp_path):
     path = tmp_path / "tone.wav"
     signal = build_signal([("tone", 0.5)])
     write_wav(path, signal, RATE)
-    samples, rate = read_wav(path)
+    blocks, rate = read_wav(path)
     assert rate == RATE
-    assert np.abs(samples - signal).max() < 1e-3  # 16-bit quantization
+    samples = np.concatenate(list(blocks))
+    assert samples.dtype == np.dtype("<i2")
+    assert np.abs(samples / 32768.0 - signal).max() < 1e-3  # 16-bit quantization
 
 
 def test_read_wav_rejects_stereo(tmp_path):
@@ -102,6 +192,36 @@ def test_read_wav_rejects_garbage(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(UnsupportedFormat):
         read_wav(path)
+
+
+@pytest.mark.parametrize("error,message", [(EOFError, "truncated WAV"),
+                                           (RuntimeError, "not a readable PCM WAV")])
+def test_errors_after_the_first_block_are_unsupported_format(tmp_path, monkeypatch,
+                                                            error, message):
+    path = tmp_path / "long.wav"
+    write_wav(path, np.zeros(3 * pauses.BLOCK_SAMPLES), RATE)
+    blocks, _ = read_wav(path)
+    next(blocks)
+
+    def fail(self, n):
+        raise error
+
+    monkeypatch.setattr(wave.Wave_read, "readframes", fail)
+    with pytest.raises(UnsupportedFormat, match="^" + re.escape(f"{path}: {message}")):
+        next(blocks)
+
+
+def test_dropped_stream_closes_file(tmp_path):
+    path = tmp_path / "long.wav"
+    write_wav(path, np.zeros(3 * pauses.BLOCK_SAMPLES), RATE)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        read_wav(path)                      # never started
+        blocks, _ = read_wav(path)
+        next(blocks)                        # left after the first block
+        del blocks
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +284,30 @@ def test_detection_invariant_under_gain():
         scaled = detect_pauses(frame_energy(samples, RATE))
         assert [(r.start_s, r.reported_duration_s) for r in scaled] == \
                [(r.start_s, r.reported_duration_s) for r in base]
+
+
+FRAME_MS = [7.0, 10.0, 33.3]
+
+
+@given(st.lists(st.tuples(st.booleans(), st.sampled_from([0.0, 1e-4, 0.05, 1.0])),
+                max_size=200),
+       st.sampled_from(FRAME_MS), st.integers(0, 1000),
+       st.floats(0.0, 0.3), st.floats(0.0, 30.0),
+       st.none() | st.lists(st.tuples(st.floats(-0.5, 2.5), st.floats(-0.5, 2.5)),
+                            max_size=6))
+@settings(settings.get_profile("fuzz"))
+def test_detect_pauses_equals_while_loop(mask, frame_ms, short_by, min_silence,
+                                         threshold_db, word_spans):
+    # silent frames get a low energy, the others a high one, except where both are equal
+    energies = np.array([level if silent else max(level, 0.5) for silent, level in mask])
+    step = int(round(RATE * frame_ms / 1000.0))
+    n_samples = max(len(energies) * step - short_by % step, 0)
+    frames = AudioFrameSeries(sample_rate=RATE, frame_ms=frame_ms, energies=energies,
+                              n_samples=n_samples)
+    config = PauseConfig(threshold_db=threshold_db, min_silence_s=min_silence,
+                         frame_ms=frame_ms)
+    assert detect_pauses(frames, word_spans, config) == \
+        oracle.detect_pauses(frames, word_spans, config)
 
 
 def test_records_ordered_and_disjoint():
