@@ -398,6 +398,7 @@ def segment_discourse(fragments: Sequence[SpeechFragment],
                          "function-label pairs")
 
     stack = FocusStack.empty()
+    labels: list[str] = []  # dsp_label of each open space, bottom to top
     trace: list[tuple[FocusingOperation, int]] = []
     classifications: list[Classification] = []
     lookahead = False
@@ -424,12 +425,17 @@ def segment_discourse(fragments: Sequence[SpeechFragment],
             candidates = frag.initial_cue.candidate_ops
         result = classify(evidence, candidates, stack.depth,
                           topic=frag.topic,
-                          open_labels=[space.dsp_label for space in stack.spaces],
+                          open_labels=labels,
                           lookahead_pop=lookahead,
                           config=config)
         lookahead = any(it.primitive == "impending_pop" for it in evidence)
-        stack = apply(stack, result.operation, i, label=frag.topic or f"fragment-{i}")
-        trace.append((result.operation, i))
+        op = result.operation
+        label = frag.topic or f"fragment-{i}"
+        stack = apply(stack, op, i, label=label)
+        del labels[stack.depth - op.pushes:]
+        if op.pushes:
+            labels.append(label)
+        trace.append((op, i))
         classifications.append(result)
 
     return SegmentationResult(trace=trace, tree=build_tree(trace),

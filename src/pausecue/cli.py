@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import classifier, fragments, pauses, replication, report
@@ -27,8 +28,7 @@ EXIT_IO = 1
 EXIT_INPUT = 2
 
 _INPUT_ERRORS = (SchemaError, pauses.UnsupportedFormat, fragments.EmptyTranscript,
-                 fragments.MisalignedPause, fragments.LengthMismatch,
-                 MissingAnnotation, FocusEngineError)
+                 fragments.LengthMismatch, MissingAnnotation, FocusEngineError)
 
 #: One ``--functions`` line: the annotator's labels around one fragment.
 FUNCTION_FIELDS = (
@@ -95,10 +95,21 @@ def cmd_pauses(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _record_line(path: str, index: int) -> int:
+    """The line of the ``index``-th record of a JSONL file (0-based, blank lines skipped)."""
+    return next(islice(iter_jsonl(path), index, None))[0]
+
+
 def _segment_pipeline(args: argparse.Namespace):
     tokens = fragments.read_transcript(args.transcript)
     pause_records = pauses.read_pauses(args.pauses) if getattr(args, "pauses", None) else None
-    frags = fragments.fragmentize(tokens, pause_records, _lexicon_from(args))
+    lexicon = _lexicon_from(args)
+    try:
+        frags = fragments.fragmentize(tokens, pause_records, lexicon)
+    except fragments.MisalignedPause as exc:
+        # the files were read whole without error, so the record is there
+        path = args.pauses if exc.blamed == "pauses" else args.transcript
+        raise SchemaError(str(exc), line=_record_line(path, exc.index), path=path) from exc
     functions = _read_functions(getattr(args, "functions", None), len(frags))
     result = classifier.segment_discourse(frags, functions=functions,
                                           config=_config_from(args))

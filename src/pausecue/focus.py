@@ -171,10 +171,6 @@ class LinguisticTree:
     def depth(self, node_id: int) -> int:
         return self.depths[node_id]
 
-    def children(self, node_id: int) -> tuple[int, ...]:
-        kids = [nid for nid in self.order if self.parent.get(nid) == node_id]
-        return tuple(kids)
-
     def roots(self) -> tuple[int, ...]:
         return tuple(nid for nid in self.order if nid not in self.parent)
 

@@ -56,7 +56,16 @@ class EmptyTranscript(Exception):
 
 
 class MisalignedPause(Exception):
-    """A pause record does not land on any token gap."""
+    """A pause record does not land on any token gap.
+
+    ``blamed`` names the input at fault, ``"pauses"`` or ``"transcript"``,
+    and ``index`` the 0-based position of the offending record in it.
+    """
+
+    def __init__(self, message: str, blamed: str, index: int):
+        super().__init__(message)
+        self.blamed = blamed
+        self.index = index
 
 
 class LengthMismatch(Exception):
@@ -265,22 +274,23 @@ def _align_pauses(tokens: Sequence[AnnotatedToken],
     among equally near starts, found by bisection.
     """
     timed = [tok.start_s for tok in tokens]
-    if any(t is None for t in timed):
+    if None in timed:
         raise MisalignedPause("tokens carry no start_s timing; "
-                              "cannot align detected pauses")
+                              "cannot align detected pauses", "transcript", timed.index(None))
     for i in range(1, len(timed)):
         if timed[i] < timed[i - 1]:
             raise MisalignedPause(f"token {i} starts at {timed[i]:.3f}s, before the "
-                                  f"previous token; cannot align detected pauses")
+                                  f"previous token; cannot align detected pauses",
+                                  "transcript", i)
     aligned: dict[int, PauseRecord] = {}
-    for pause in pauses:
+    for k, pause in enumerate(pauses):
         best_i = _nearest_start(timed, pause.end_s)
         if abs(pause.end_s - timed[best_i]) <= ALIGN_TOL:
             if best_i in aligned:
                 raise MisalignedPause(
                     f"pauses at {aligned[best_i].start_s:.3f}s and {pause.start_s:.3f}s "
                     f"both align to the gap before {tokens[best_i].surface!r} "
-                    f"(index {best_i})")
+                    f"(index {best_i})", "pauses", k)
             aligned[best_i] = pause
             continue
         nearest = min(range(len(tokens)),
@@ -289,7 +299,7 @@ def _align_pauses(tokens: Sequence[AnnotatedToken],
         raise MisalignedPause(
             f"pause at {pause.start_s:.3f}s ({pause.raw_duration_s:.3f}s) matches no "
             f"token gap; nearest token is {tokens[nearest].surface!r} "
-            f"(index {nearest}, start {timed[nearest]:.3f}s)")
+            f"(index {nearest}, start {timed[nearest]:.3f}s)", "pauses", k)
     return aligned
 
 

@@ -65,10 +65,6 @@ class CueEntry:
         if self.token_class not in TOKEN_CLASSES:
             raise ValueError(f"entry {self.surface!r} has bad token_class")
 
-    @property
-    def n_words(self) -> int:
-        return len(self.surface.split())
-
     def to_dict(self) -> dict:
         row = {
             "schema_version": SCHEMA_VERSION,
@@ -151,17 +147,27 @@ class Lexicon:
                     raise DuplicateSurface(key, position)
                 self._index[key] = entry
         self.max_words = max((len(k.split()) for k in self._index), default=1)
+        self._first_words = frozenset(key.partition(" ")[0] for key in self._index)
 
     def lookup(self, surface: str) -> CueEntry | None:
         """Exact lookup of a normalized surface form; None when absent."""
         return self._index.get(normalize(surface))
 
     def match_span(self, surfaces: Sequence[str], start: int) -> tuple[CueEntry, int] | None:
-        """Longest lexicon match beginning at ``start``; returns (entry, n_tokens)."""
-        limit = min(self.max_words, len(surfaces) - start)
-        for width in range(limit, 0, -1):
-            joined = " ".join(surfaces[start:start + width])
-            entry = self.lookup(joined)
+        """Longest lexicon match beginning at ``start``; returns (entry, n_tokens).
+
+        ``surfaces`` must already be normalized (see ``normalize``); they are
+        joined but not normalized again.  A surface that normalized to "" still
+        counts in the span's width.  A span whose first word begins no key is
+        rejected without a lookup.
+        """
+        first = surfaces[start]
+        if first and first.partition(" ")[0] not in self._first_words:
+            return None
+        for width in range(min(self.max_words, len(surfaces) - start), 0, -1):
+            # split() drops empty surfaces and the double spaces that an inner
+            # punctuation word leaves, as a second normalize would
+            entry = self._index.get(" ".join(" ".join(surfaces[start:start + width]).split()))
             if entry is not None:
                 return entry, width
         return None

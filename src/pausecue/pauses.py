@@ -118,11 +118,11 @@ def _wav_errors(path: str | Path) -> Iterator[None]:
 def read_wav(path: str | Path) -> tuple[Iterator[np.ndarray], int]:
     """Open a RIFF WAVE file as a stream of 16-bit sample blocks and its rate.
 
-    The header is checked here: only 16-bit linear PCM mono is accepted;
-    stereo input is rejected rather than downmixed.  The blocks are ``<i2``
-    arrays of up to ``BLOCK_SAMPLES`` samples, read as they are consumed; a
-    file holding fewer samples than its header declares is truncated.  The
-    file is closed when the stream ends, fails or is dropped.
+    The header is checked here: only 16-bit linear PCM mono at 8 kHz or more
+    is accepted; stereo input is rejected rather than downmixed.  The blocks
+    are ``<i2`` arrays of up to ``BLOCK_SAMPLES`` samples, read as they are
+    consumed; a file holding fewer samples than its header declares is
+    truncated.  The file is closed when the stream ends, fails or is dropped.
     """
     with _wav_errors(path):
         wav = wave.open(str(path), "rb")
@@ -132,6 +132,8 @@ def read_wav(path: str | Path) -> tuple[Iterator[np.ndarray], int]:
         problem = "16-bit linear PCM required"
     elif wav.getcomptype() != "NONE":
         problem = "compressed WAV not supported"
+    elif wav.getframerate() < 8000:
+        problem = f"sample rate {wav.getframerate()} below 8000 Hz"
     else:
         return _blocks(wav, path), wav.getframerate()
     wav.close()

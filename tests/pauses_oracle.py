@@ -117,18 +117,19 @@ def inside_one_word(start_s, end_s, word_spans):
 
 def align_pauses(tokens, pauses):
     timed = [tok.start_s for tok in tokens]
-    if any(t is None for t in timed):
-        raise MisalignedPause("tokens carry no start_s timing; "
-                              "cannot align detected pauses")
+    for i, t in enumerate(timed):
+        if t is None:
+            raise MisalignedPause("tokens carry no start_s timing; "
+                                  "cannot align detected pauses", "transcript", i)
     aligned = {}
-    for pause in pauses:
+    for k, pause in enumerate(pauses):
         best_i = min(range(len(tokens)), key=lambda i: abs(pause.end_s - timed[i]))
         if abs(pause.end_s - timed[best_i]) <= ALIGN_TOL:
             if best_i in aligned:
                 raise MisalignedPause(
                     f"pauses at {aligned[best_i].start_s:.3f}s and {pause.start_s:.3f}s "
                     f"both align to the gap before {tokens[best_i].surface!r} "
-                    f"(index {best_i})")
+                    f"(index {best_i})", "pauses", k)
             aligned[best_i] = pause
             continue
         nearest = min(range(len(tokens)),
@@ -137,5 +138,5 @@ def align_pauses(tokens, pauses):
         raise MisalignedPause(
             f"pause at {pause.start_s:.3f}s ({pause.raw_duration_s:.3f}s) matches no "
             f"token gap; nearest token is {tokens[nearest].surface!r} "
-            f"(index {nearest}, start {timed[nearest]:.3f}s)")
+            f"(index {nearest}, start {timed[nearest]:.3f}s)", "pauses", k)
     return aligned

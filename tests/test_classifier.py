@@ -1,9 +1,12 @@
 """Evidence extraction, operation scoring, and discourse segmentation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexicon_oracle as oracle
 from pausecue.classifier import (DEFAULT_CONFIG, ClassifierConfig, EvidenceItem,
                                  TABLE_ROWS, classify, extract_evidence,
                                  load_weights, resolve_pop_count,
@@ -336,6 +339,57 @@ def test_emitted_traces_never_underflow(specs):
     for alts in ranked:
         scores = [s for _, s in alts]
         assert scores == sorted(scores, reverse=True)
+
+
+def random_fragments(rng, n):
+    """Fragments that mostly push, so the stack grows deep, and that repeat a
+    few topics under the repetition flag, so Returns and Replaces anchor."""
+    frags = []
+    for i in range(n):
+        cue = rng.choice(["so", "now", "but", "and", "well"]) if rng.random() < 0.05 else None
+        first = tok(cue or rng.choice(["it", "it", "it", "you", "walk", "where"]),
+                    topic=rng.choice(["", "", "t0", "t1", "t2", "t3"]),
+                    flags={"nonpronominal_repetition"} if rng.random() < 0.08 else set(),
+                    pitch_range=rng.choice(["normal"] * 18 + ["expanded", "reduced"]),
+                    phonation=rng.choice(["normal"] * 19 + ["creaky"]))
+        rest = [tok(rng.choice(["on", "left", "then"])) for _ in range(rng.randint(0, 2))]
+        rest.append(tok("here", boundary=rng.choice(["none"] * 8 + ["fall",
+                                                                   "continuation_rise"])))
+        frags.append(SpeechFragment(
+            index=i, speaker=rng.choice("AB"), tokens=(first, *rest),
+            initial_token_class="cue_phrase" if cue else "unmarked",
+            initial_cue=LEX.lookup(cue) if cue else None, pause_before_s=0.0))
+    return frags
+
+
+def assert_same_as_label_replay(frags, functions=None):
+    got = segment_discourse(frags, functions=functions)
+    expected = oracle.segment_discourse(frags, functions=functions)
+    assert got.trace == expected.trace
+    assert got.classifications == expected.classifications
+    assert got.tree == expected.tree
+    return got
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), labelled=st.booleans())
+@settings(settings.get_profile("fuzz"))
+def test_segment_discourse_equals_per_fragment_label_replay(seed, n, labelled):
+    rng = random.Random(seed)
+    frags = random_fragments(rng, n)
+    functions = None
+    if labelled:
+        labels = ["topical", "closure", "acknowledgment", "repair"]
+        functions = [(rng.choice(labels), rng.choice(labels)) for _ in range(n)]
+    assert_same_as_label_replay(frags, functions)
+
+
+def test_label_replay_covers_deep_stacks_and_anchored_pops():
+    result = assert_same_as_label_replay(random_fragments(random.Random(1), 600))
+    assert max(result.tree.depths.values()) >= 50
+    # only a topic anchor pops more than one space
+    assert any(op.pop_count > 1 for op, _ in result.trace)
+    assert sum(op.pop_count > 1 for c in result.classifications
+               for op, _ in c.alternatives) >= 20
 
 
 def test_function_labels_route_to_neighbors():

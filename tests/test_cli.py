@@ -113,6 +113,15 @@ def test_pauses_rejects_broken_stream(tmp_path, how, message):
     assert not (out / "broken.pauses.jsonl").exists()
 
 
+def test_pauses_rejects_low_sample_rate(tmp_path, capsys):
+    path = tmp_path / "low.wav"
+    write_wav(path, build_signal([("tone", 0.4), ("silence", 0.3)], rate=4000), 4000)
+    code, out, err = run(capsys, "pauses", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert err == f"error: {path}: sample rate 4000 below 8000 Hz\n"
+    assert not (tmp_path / "low.pauses.jsonl").exists()
+
+
 def test_pauses_missing_file(tmp_path, capsys):
     code, out, err = run(capsys, "pauses", str(tmp_path / "nope.wav"))
     assert code in (1, 2)  # surfaced as unsupported input or I/O
@@ -162,6 +171,11 @@ CODED_ROW = ('{"fragment_index": 0, "pause_before_s": %s, "initial_constituent":
              '"segments_affected": 1}\n')
 PAUSE_ROW = '{"start_s": 0.5, "raw_duration_s": 0.2, "reported_duration_s": %s}\n'
 LEXICON_ROW = '{"surface": "%s", "candidate_ops": ["Return"], "variants": %s}\n'
+#: Three tokens starting at 0, 0.5 and 1 s, and pauses by start and duration.
+TIMED = "".join('{"surface": "%s", "start_s": %g}\n' % row
+                for row in (("you", 0.0), ("go", 0.5), ("left", 1.0)))
+GAP_ROW = '{"start_s": %s, "raw_duration_s": %s}\n'
+ON_LEFT, NOWHERE = GAP_ROW % (0.7, 0.3), GAP_ROW % (0.1, 0.15)
 
 
 @pytest.mark.parametrize("command, files, culprit, line", [
@@ -205,6 +219,17 @@ LEXICON_ROW = '{"surface": "%s", "candidate_ops": ["Return"], "variants": %s}\n'
                  id="coded-no-measured-pause"),
     pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0), "pauses": PAUSE_ROW % "NaN"},
                  "pauses", 1, id="pauses-nan-duration"),
+    pytest.param("code", {"transcript": TIMED, "pauses": ON_LEFT + NOWHERE},
+                 "pauses", 2, id="pauses-match-no-gap"),
+    pytest.param("segment", {"transcript": TIMED, "pauses": "\n" + ON_LEFT + "\n \n" + NOWHERE},
+                 "pauses", 5, id="pauses-match-no-gap-after-blank-lines"),
+    pytest.param("code", {"transcript": TIMED, "pauses": ON_LEFT + GAP_ROW % (0.75, 0.25)},
+                 "pauses", 2, id="pauses-two-on-one-gap"),
+    pytest.param("code", {"transcript": TIMED.replace(', "start_s": 0.5', ""),
+                          "pauses": ON_LEFT}, "transcript", 2, id="transcript-untimed-token"),
+    pytest.param("segment", {"transcript": "\n\n" + TIMED.replace(', "start_s": 0}', "}"),
+                             "pauses": ON_LEFT}, "transcript", 3,
+                 id="transcript-untimed-token-after-blank-lines"),
 ])
 def test_input_error_names_path_and_line(tmp_path, capsys, command, files, culprit, line):
     paths = {}

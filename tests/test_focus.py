@@ -138,7 +138,7 @@ def test_tree_siblings_under_root():
     tree = build_tree(trace)
     assert len(tree.nodes) == 3  # two Initiates plus one Replace push
     assert tree.parent == {1: 0, 2: 0}
-    assert tree.children(0) == (1, 2)
+    assert [nid for nid in tree.order if tree.parent.get(nid) == 0] == [1, 2]
     assert tree.open_ids == (0,)
     assert tree.nodes[1].closed_at == 2
     assert tree.nodes[2].closed_at == 3

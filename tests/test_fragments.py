@@ -123,35 +123,39 @@ def test_aligned_pause_overrides_token_annotation():
 
 def test_misaligned_pause_reports_nearest_token():
     pause = PauseRecord(start_s=0.95, raw_duration_s=0.05, reported_duration_s=0.1)
-    with pytest.raises(MisalignedPause, match="left"):
+    with pytest.raises(MisalignedPause, match="left") as caught:
         fragmentize(timed_tokens(), [pause])
+    assert (caught.value.blamed, caught.value.index) == ("pauses", 0)
 
 
 def test_two_pauses_on_one_gap_rejected():
     pauses = [PauseRecord(start_s=0.4, raw_duration_s=0.5, reported_duration_s=0.5),
               PauseRecord(start_s=0.45, raw_duration_s=0.47, reported_duration_s=0.5)]
-    with pytest.raises(MisalignedPause, match=r"0\.400s and 0\.450s .*'left'"):
+    with pytest.raises(MisalignedPause, match=r"0\.400s and 0\.450s .*'left'") as caught:
         fragmentize(timed_tokens(), pauses)
+    assert (caught.value.blamed, caught.value.index) == ("pauses", 1)
 
 
 def test_alignment_requires_timings():
     pause = PauseRecord(start_s=0.4, raw_duration_s=0.5, reported_duration_s=0.5)
-    with pytest.raises(MisalignedPause, match="timing"):
-        fragmentize([tok("you"), tok("go")], [pause])
+    with pytest.raises(MisalignedPause, match="timing") as caught:
+        fragmentize([tok("you", start_s=0.0), tok("go")], [pause])
+    assert (caught.value.blamed, caught.value.index) == ("transcript", 1)
 
 
 def test_alignment_requires_ordered_timings():
     tokens = [tok("you", start_s=0.5), tok("go", start_s=0.2)]
     pause = PauseRecord(start_s=0.0, raw_duration_s=0.2, reported_duration_s=0.2)
-    with pytest.raises(MisalignedPause, match="token 1 starts at 0.200s, before"):
+    with pytest.raises(MisalignedPause, match="token 1 starts at 0.200s, before") as caught:
         fragmentize(tokens, [pause])
+    assert (caught.value.blamed, caught.value.index) == ("transcript", 1)
 
 
 def outcome(fn, *args):
     try:
         return fn(*args)
     except MisalignedPause as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), exc.blamed, exc.index
 
 
 #: Dyadic times, so midpoints between two starts are exactly equidistant.

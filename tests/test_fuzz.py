@@ -4,7 +4,8 @@ Each example takes one input file of one subcommand, changes a value, drops
 a field or replaces a line (a byte, for the WAV), and runs the subcommand
 through ``cli.main``.  Whatever the input, the run must end in exit 0, 1 or
 2 without an exception, and an error that names an input file must name
-the line as well.
+the line as well.  A second test pairs timed transcripts with pause files
+that may not align, and checks that the error names the record at fault.
 """
 
 import contextlib
@@ -17,12 +18,13 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pauses_oracle
 from conftest import FIXTURES, RATE, build_signal
 from pausecue import replication
 from pausecue.classifier import DEFAULT_CONFIG, write_weights
 from pausecue.cli import main
-from pausecue.fragments import write_coded
-from pausecue.pauses import write_pauses, write_wav
+from pausecue.fragments import MisalignedPause, read_transcript, write_coded
+from pausecue.pauses import read_pauses, write_pauses, write_wav
 
 DATA = Path(__file__).parent.parent / "src" / "pausecue" / "data"
 
@@ -151,3 +153,48 @@ def test_mutated_inputs_exit_cleanly(data):
         for path in paths.values():
             if error.startswith(f"error: {path}") and not path.name.endswith(".wav"):
                 assert re.match(rf"error: {re.escape(str(path))}:\d+: ", error), error
+
+
+def _with_blank_lines(data, rows: list[str]) -> str:
+    lines = [row + "\n" for row in rows]
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(0, len(lines))),
+                     data.draw(st.sampled_from(["\n", "  \n"])))
+    return "".join(lines)
+
+
+@settings(settings.get_profile("fuzz"))
+@given(data=st.data())
+def test_misaligned_pauses_name_file_and_line(data):
+    n = data.draw(st.integers(1, 6))
+    untimed = data.draw(st.sampled_from([None] * n + list(range(n))))
+    tokens = [{"surface": f"w{i}"} if i == untimed else {"surface": f"w{i}", "start_s": i * 0.5}
+              for i in range(n)]
+    # pause ends on a token start, near one, or between two
+    ends = data.draw(st.lists(st.sampled_from([0.5 * i + d for i in range(n)
+                                               for d in (0.0, 0.03, -0.04, 0.2)
+                                               if 0.5 * i + d >= 0.1]), max_size=4))
+    gaps = [{"start_s": end - 0.1, "raw_duration_s": 0.1} for end in ends]
+    command = data.draw(st.sampled_from(["code", "segment"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        transcript, pauses = Path(tmp) / "t.jsonl", Path(tmp) / "p.jsonl"
+        transcript.write_text(_with_blank_lines(data, [json.dumps(t) for t in tokens]))
+        pauses.write_text(_with_blank_lines(data, [json.dumps(g) for g in gaps]))
+        expected = None
+        try:
+            if gaps:  # without pauses nothing is aligned
+                pauses_oracle.align_pauses(read_transcript(transcript), read_pauses(pauses))
+        except MisalignedPause as exc:
+            path = pauses if exc.blamed == "pauses" else transcript
+            lines = path.read_text().splitlines()
+            line = [i for i, text in enumerate(lines, start=1) if text.strip()][exc.index]
+            expected = f"error: {path}:{line}: {exc}\n"
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main([command, str(transcript), "--pauses", str(pauses),
+                         "--out", str(Path(tmp) / "out")])
+        output = sink.getvalue()
+    if expected is None:
+        assert code == 0, output
+    else:
+        assert (code, output) == (2, expected)

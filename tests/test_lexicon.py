@@ -1,7 +1,10 @@
 """Lexicon inventory, lookup normalization, and the cue/non-cue cascade."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lexicon_oracle as oracle
 from pausecue.focus import OpKind
 from pausecue.lexicon import (CueContext, CueEntry, Lexicon, MissingAnnotation,
                               bundled_lexicon, judge_cue_use, load_lexicon,
@@ -83,6 +86,48 @@ def test_match_span_prefers_longest():
     assert entry.surface == "to begin with"
     assert width == 3
     assert LEX.match_span(surfaces, 3) is None
+
+
+#: A lexicon whose keys include "" (a punctuation-only variant), a double
+#: space (an inner punctuation word) and multi-word keys sharing first words.
+CUSTOM = Lexicon([
+    CueEntry(surface="well", gloss="", candidate_ops=frozenset({OpKind.REPLACE}),
+             variants=("...",)),
+    CueEntry(surface="by the way", gloss="", candidate_ops=frozenset({OpKind.INITIATE}),
+             variants=("BY THE . WAY",)),
+    CueEntry(surface="by", gloss="", candidate_ops=frozenset({OpKind.RETAIN})),
+    CueEntry(surface="you know what", gloss="", candidate_ops=frozenset({OpKind.RETURN}),
+             variants=("you . know",)),
+])
+WORDS = sorted({word for lexicon in (LEX, CUSTOM) for key in lexicon._index
+                for word in key.split()})
+TOKENS = st.one_of(
+    st.sampled_from(WORDS),
+    st.sampled_from(WORDS).map(str.upper),
+    st.sampled_from(["...", ",", "", " ", "so,", "(now)", "you . know", "by  the",
+                     "the\tway", "Y'KNOW!", "-", "'", "uh-huh."]),
+    st.tuples(st.sampled_from(WORDS), st.sampled_from(WORDS)).map(" ".join),
+    st.text(alphabet="ab .,'-", max_size=4),
+)
+
+
+@pytest.mark.parametrize("lexicon", [LEX, CUSTOM], ids=["bundled", "custom"])
+@given(tokens=st.lists(TOKENS, min_size=1, max_size=12))
+@settings(settings.get_profile("fuzz"))
+def test_match_span_equals_normalizing_lookup(lexicon, tokens):
+    surfaces = [normalize(token) for token in tokens]
+    for i in range(len(surfaces)):
+        assert lexicon.match_span(surfaces, i) == oracle.match_span(lexicon, surfaces, i)
+
+
+def test_match_span_counts_empty_surfaces_in_width():
+    surfaces = [normalize(token) for token in ("...", "by", ",", "the", "way")]
+    # "..." and "," add nothing to the key but count in the width, and a
+    # span holds at most max_words tokens, so "by , the way" is not reached
+    assert CUSTOM.match_span(surfaces, 0) == (CUSTOM.lookup("by"), 3)
+    assert CUSTOM.match_span(surfaces, 1) == (CUSTOM.lookup("by"), 2)
+    assert CUSTOM.match_span(surfaces, 2) == (CUSTOM.lookup("well"), 1)
+    assert CUSTOM.match_span(surfaces, 3) is None
 
 
 def test_duplicate_surfaces_rejected():

@@ -1,5 +1,6 @@
 """The bundled corpus files and the example scripts stay in step with the package."""
 
+import json
 import runpy
 from importlib import resources
 from pathlib import Path
@@ -33,3 +34,34 @@ def test_worked_examples_script_prints_both_trees(capsys):
         "    [0] segment-0 (opened 0, open)\n"
         "      [1] segment-1 (opened 1, closed 2)\n"
         "\n")
+
+
+def _result_line(op_ms, rss, failed=0, attempted=10):
+    return json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed,
+                       "metrics": {"op_ms": {"value": op_ms, "unit": "ms"},
+                                   "peak_rss_mb": {"value": rss, "unit": "MB"},
+                                   "setup_s": {"value": None, "unit": "s"}}})
+
+
+def test_bench_pairs_summarises_result_lines():
+    bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    detail = json.dumps({"detail": {"workload": "dialogue_long"}})
+    lines = [(41, (800.0, 55.0), (610.0, 55.2)), (42, (820.0, 55.1), (600.0, 55.1)),
+             (43, (790.0, 55.3), (640.0, 55.0)), (44, (810.0, 55.2), (830.0, 55.4))]
+    pairs = [(seed, bench["parse_result"](f"{detail}\n{_result_line(*base)}\n"),
+              bench["parse_result"](f"{detail}\n{_result_line(*change, failed=seed % 2)}\n"))
+             for seed, base, change in lines]
+    summary = bench["summarise"](pairs, {"op_ms": "lower", "peak_rss_mb": "lower",
+                                         "setup_s": "lower"})
+    assert summary["seeds"] == [41, 42, 43, 44]
+    assert summary["failed_ops"] == {"base": {"failed": 0, "attempted": 40},
+                                     "change": {"failed": 2, "attempted": 40}}
+    assert set(summary["metrics"]) == {"op_ms", "peak_rss_mb"}  # setup_s is null
+    op_ms = summary["metrics"]["op_ms"]
+    assert (op_ms["wins"], op_ms["pairs"], op_ms["unit"]) == (3, 4, "ms")
+    assert op_ms["base"]["median"] == 805.0
+    assert op_ms["change"]["median"] == 625.0
+    assert (op_ms["base"]["q1"], op_ms["base"]["q3"]) == (792.5, 817.5)
+    assert op_ms["change"]["values"] == [610.0, 600.0, 640.0, 830.0]
+    # a tie is no win
+    assert summary["metrics"]["peak_rss_mb"]["wins"] == 1
