@@ -2,16 +2,21 @@
 """Paired benchmark runs: a base revision against the working tree.
 
     python3 scripts/bench_pairs.py --pr 6 --base HEAD~1 --workloads dialogue_long \\
-        --seeds 46-55 [--trace 0,1] [--seconds 15] [--scratch DIR]
+        --seeds 46-55 [--trace 0,1] [--scratch DIR]
 
 Exports the base revision with ``git archive`` into a scratch directory and
 runs ``perfbench/run.py`` there and in the working tree, one pair of runs per
-workload, trace mode and seed.  The side that runs first alternates from one
-pair to the next.  The last line each run prints is its result; the
-summary goes to ``BENCH_<pr>.json`` at the root of the working tree and is
-rewritten after every pair, so an interrupted session keeps what it ran.
-A file made against the same base keeps the workloads and modes that this
-invocation does not run.
+workload, trace mode and seed, each run as long as ``run_seconds`` of
+``BENCHMARK.json``.  The side that runs first alternates from one pair to the
+next.  The last line each run prints is its result; the summary goes to
+``BENCH_<pr>.json`` at the root of the working tree and is rewritten after
+every pair, so an interrupted session keeps what it ran.
+
+The file names the change by the git tree of the working tree, untracked
+files included and documents left out.  A later invocation adds its
+workloads and modes to an existing file only when the base, that tree, the
+host and the Python version are the same, and refuses otherwise, so every
+result in one file was measured on the same code.
 
 Per workload, trace mode and metric the file holds each side's median,
 quartiles and values, and how many pairs the change won in the direction
@@ -90,6 +95,20 @@ def _git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
+def _working_tree() -> str:
+    """The git tree of the working tree, untracked files included, without documents.
+
+    Markdown files and ``BENCH_*.json`` reports are left out: no run reads
+    them, and they are written after the runs they report.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        subprocess.run(["git", "add", "-A", "--", ".", ":(exclude)*.md",
+                        ":(exclude)BENCH_*.json"], cwd=ROOT, env=env, check=True)
+        return subprocess.run(["git", "write-tree"], cwd=ROOT, env=env, capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+
 def _export(sha: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", sha], cwd=ROOT, capture_output=True,
                              check=True).stdout
@@ -117,22 +136,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", required=True, help="comma-separated")
     parser.add_argument("--seeds", required=True, help="first-last, e.g. 46-55")
     parser.add_argument("--trace", default="0", help="comma-separated modes, e.g. 0,1")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--scratch", default=None,
                         help="directory for the base export (default: a temporary one)")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in (*spec["end_to_end"], *spec["per_layer"])}
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     seeds = seeds_from(args.seeds)
     base_sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     out_path = ROOT / f"BENCH_{args.pr}.json"
     report = {
-        "base": {"rev": args.base, "sha": base_sha},
-        "change": {"sha": _git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(_git("status", "--porcelain"))},
+        "base": {"sha": base_sha},
+        "change": {"tree": _working_tree()},
         "host": {"node": platform.node(), "machine": platform.machine(),
                  "cpus": os.cpu_count(), "system": platform.platform()},
         "python": platform.python_version(),
@@ -141,8 +157,11 @@ def main(argv: list[str] | None = None) -> int:
     }
     if out_path.exists():  # a later invocation adds workloads or modes to the file
         previous = json.loads(out_path.read_text())
-        if previous["base"]["sha"] == base_sha:
-            report["results"] = previous["results"]
+        differ = [key for key in report if key != "results" and previous.get(key) != report[key]]
+        if differ:
+            raise SystemExit(f"{out_path.name} was measured with another {', '.join(differ)}; "
+                             f"remove it or choose another --pr")
+        report["results"] = previous["results"]
     with tempfile.TemporaryDirectory(dir=args.scratch) as tmp:
         base_dir = Path(tmp) / "base"
         _export(base_sha, base_dir)

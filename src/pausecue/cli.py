@@ -95,9 +95,17 @@ def cmd_pauses(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _record_line(path: str, index: int) -> int:
-    """The line of the ``index``-th record of a JSONL file (0-based, blank lines skipped)."""
-    return next(islice(iter_jsonl(path), index, None))[0]
+def _record_line(path: str, index: int) -> int | None:
+    """The line of the ``index``-th record of a JSONL file (0-based, blank lines skipped).
+
+    None when the file cannot be read a second time (a pipe or FIFO has been
+    drained, and reopening a FIFO would wait for a writer) or no longer holds
+    that record.
+    """
+    if not Path(path).is_file():
+        return None
+    found = next(islice(iter_jsonl(path), index, None), None)
+    return None if found is None else found[0]
 
 
 def _segment_pipeline(args: argparse.Namespace):
@@ -107,7 +115,6 @@ def _segment_pipeline(args: argparse.Namespace):
     try:
         frags = fragments.fragmentize(tokens, pause_records, lexicon)
     except fragments.MisalignedPause as exc:
-        # the files were read whole without error, so the record is there
         path = args.pauses if exc.blamed == "pauses" else args.transcript
         raise SchemaError(str(exc), line=_record_line(path, exc.index), path=path) from exc
     functions = _read_functions(getattr(args, "functions", None), len(frags))

@@ -250,6 +250,34 @@ def test_input_error_names_path_and_line(tmp_path, capsys, command, files, culpr
     assert err.startswith(f"error: {where}: "), err
 
 
+@pytest.mark.parametrize("files, culprit", [
+    pytest.param({"transcript": TIMED, "pauses": ON_LEFT + NOWHERE}, "pauses",
+                 id="pauses-match-no-gap"),
+    pytest.param({"transcript": TIMED.replace(', "start_s": 0.5', ""), "pauses": ON_LEFT},
+                 "transcript", id="transcript-untimed-token"),
+])
+def test_misaligned_input_through_a_pipe_names_path(tmp_path, capsys, files, culprit):
+    # a pipe can be read only once, so the error names the file without a line
+    paths = {}
+    for kind, content in files.items():
+        if kind == culprit:
+            read_fd, write_fd = os.pipe()
+            os.write(write_fd, content.encode())
+            os.close(write_fd)
+            paths[kind] = f"/dev/fd/{read_fd}"
+        else:
+            paths[kind] = tmp_path / f"{kind}.in"
+            paths[kind].write_text(content)
+    try:
+        code, out, err = run(capsys, "code", str(paths["transcript"]),
+                             "--pauses", str(paths["pauses"]), "--out", str(tmp_path))
+    finally:
+        os.close(read_fd)
+    assert code == 2
+    assert err.startswith(f"error: {paths[culprit]}: "), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind", ["transcript", "coded", "pauses"])
 def test_trailing_content_after_object_is_extra_data(tmp_path, capsys, kind):
     rows = {"transcript": '{"surface": "you"}\n',
