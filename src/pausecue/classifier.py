@@ -27,7 +27,7 @@ Return, Replace).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -164,10 +164,6 @@ class EvidenceItem:
                              f"not {self.primitive}")
         if self.weight <= 0:
             raise ValueError("weight must be positive")
-
-    def to_dict(self) -> dict:
-        return {"source": self.source, "feature": self.feature,
-                "primitive": self.primitive, "weight": self.weight}
 
 
 @dataclass(frozen=True)
@@ -454,7 +450,7 @@ def write_audit(target: Target, classifications: Sequence[Classification]) -> No
             "score": cls.score,
             "alternatives": [[op.kind.value, op.pop_count, score]
                              for op, score in cls.alternatives],
-            "evidence_used": [it.to_dict() for it in cls.evidence_used],
+            "evidence_used": [asdict(it) for it in cls.evidence_used],
             "low_confidence": cls.low_confidence,
             "singleton_boosted": cls.singleton_boosted,
             "tie_break_applied": cls.tie_break_applied,

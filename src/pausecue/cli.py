@@ -27,8 +27,8 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INPUT = 2
 
-_INPUT_ERRORS = (SchemaError, pauses.UnsupportedFormat, fragments.EmptyTranscript,
-                 fragments.LengthMismatch, MissingAnnotation, FocusEngineError)
+_INPUT_ERRORS = (SchemaError, pauses.UnsupportedFormat, fragments.LengthMismatch,
+                 MissingAnnotation, FocusEngineError)
 
 #: One ``--functions`` line: the annotator's labels around one fragment.
 FUNCTION_FIELDS = (

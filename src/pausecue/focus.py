@@ -22,10 +22,9 @@ import enum
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .jsonl import (SCHEMA_VERSION, Field, SchemaError, Target, iter_jsonl, validate,
-                    write_jsonl)
+from .jsonl import Field, SchemaError, Target, iter_jsonl, rows, validate, write_jsonl
 
 
 class FocusEngineError(Exception):
@@ -83,6 +82,11 @@ class FocusingOperation:
     @property
     def pushes(self) -> int:
         return 1 if self.kind in (OpKind.INITIATE, OpKind.REPLACE) else 0
+
+    @property
+    def pops(self) -> int:
+        """``pop_count`` under the name it has in written rows."""
+        return self.pop_count
 
 
 @dataclass(frozen=True)
@@ -189,6 +193,16 @@ class LinguisticTree:
 Trace = Sequence[tuple[FocusingOperation, int]]
 
 
+class TraceStep(NamedTuple):
+    """One trace entry, with the ``kind`` and ``pops`` of its written row."""
+
+    op: FocusingOperation
+    index: int
+
+    kind = property(lambda self: self.op.kind)
+    pops = property(lambda self: self.op.pop_count)
+
+
 def build_tree(trace: Trace) -> LinguisticTree:
     """Replay a trace from an empty stack and build the segment tree.
 
@@ -235,8 +249,7 @@ def build_tree(trace: Trace) -> LinguisticTree:
 # ---------------------------------------------------------------------------
 
 def write_trace(target: Target, trace: Trace) -> None:
-    write_jsonl(target, ({"schema_version": SCHEMA_VERSION, "index": idx,
-                          "kind": op.kind.value, "pops": op.pop_count} for op, idx in trace))
+    write_jsonl(target, rows(TRACE_FIELDS, map(TraceStep._make, trace)))
 
 
 #: An operation as stored in traces and coded records.

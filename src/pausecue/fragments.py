@@ -28,8 +28,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .focus import (OPERATION_FIELDS, FocusingOperation, FocusStack, apply,
                     operation_from_row, segments_affected)
-from .jsonl import (SCHEMA_VERSION, Field, SchemaError, Target, build, iter_jsonl,
-                    open_target, validate, write_jsonl)
+from .jsonl import (Field, SchemaError, Target, build, iter_jsonl, open_target, rows,
+                    validate, write_jsonl)
 from .lexicon import CueContext, CueEntry, Lexicon, bundled_lexicon, judge_cue_use, normalize
 from .pauses import PauseRecord, round_tenth
 
@@ -112,26 +112,6 @@ class AnnotatedToken:
         if unknown:
             raise ValueError(f"unknown flags {sorted(unknown)}")
 
-    def to_dict(self) -> dict:
-        row = {
-            "schema_version": SCHEMA_VERSION,
-            "surface": self.surface,
-            "speaker": self.speaker,
-            "accent": self.accent,
-            "boundary": self.boundary,
-            "phonation": self.phonation,
-            "pitch_range": self.pitch_range,
-            "pause_before_s": self.pause_before_s,
-            "flags": sorted(self.flags),
-        }
-        if self.topic:
-            row["topic"] = self.topic
-        if self.start_s is not None:
-            row["start_s"] = self.start_s
-        if self.end_s is not None:
-            row["end_s"] = self.end_s
-        return row
-
 
 TOKEN_FIELDS = (
     Field("surface", str),
@@ -142,9 +122,9 @@ TOKEN_FIELDS = (
     Field("pitch_range", str, "normal"),
     Field("pause_before_s", float, 0.0),
     Field("flags", list, (), of=str),
-    Field("topic", str, ""),
-    Field("start_s", float, None),
-    Field("end_s", float, None),
+    Field("topic", str, "", omit_default=True),
+    Field("start_s", float, None, omit_default=True),
+    Field("end_s", float, None, omit_default=True),
 )
 
 
@@ -225,23 +205,6 @@ class CodedRecord:
         if self.initial_constituent == "cue_phrase":
             return self.initial_token or "Cue"
         return _ROW_LABELS[self.initial_constituent]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "fragment_index": self.fragment_index,
-            "pause_before_s": self.pause_before_s,
-            "initial_constituent": self.initial_constituent,
-            "initial_token": self.initial_token,
-            "operation": {"kind": self.operation.kind.value,
-                          "pops": self.operation.pop_count},
-            "embedding_depth": self.embedding_depth,
-            "segments_affected": self.segments_affected,
-            "prior_function": self.prior_function,
-            "subsequent_function": self.subsequent_function,
-            "turn_position": self.turn_position,
-            "marked": self.marked,
-        }
 
 
 CODED_FIELDS = (
@@ -501,11 +464,13 @@ def read_transcript(path: str | Path) -> list[AnnotatedToken]:
                 raise SchemaError(f"start_s {start:g} precedes the previous token's "
                                   f"{last_start:g}", line=lineno, path=path)
             last_start = start
+    if not tokens:
+        raise SchemaError("transcript holds no tokens", path=path)
     return tokens
 
 
 def write_transcript(target: Target, tokens: Iterable[AnnotatedToken]) -> None:
-    write_jsonl(target, (tok.to_dict() for tok in tokens))
+    write_jsonl(target, rows(TOKEN_FIELDS, tokens))
 
 
 def read_coded(path: str | Path) -> list[CodedRecord]:
@@ -524,7 +489,7 @@ def read_coded(path: str | Path) -> list[CodedRecord]:
 
 
 def write_coded(target: Target, records: Iterable[CodedRecord]) -> None:
-    write_jsonl(target, (rec.to_dict() for rec in records))
+    write_jsonl(target, rows(CODED_FIELDS, records))
 
 
 #: Column order of the spreadsheet mirror: the nine coded fields.

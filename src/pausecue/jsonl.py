@@ -3,13 +3,16 @@
 All record files are JSON Lines: one object per line, blank lines ignored.
 Writers stamp a ``schema_version`` field; readers tolerate its absence so
 hand-written fixtures stay terse.  Each record type declares one table of
-``Field`` specs next to its class, checked by ``validate``.
+``Field`` specs next to its class: ``validate`` checks rows against it and
+``rows`` derives the written rows from it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from contextlib import contextmanager
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
 
@@ -41,7 +44,9 @@ class Field(NamedTuple):
     ``of`` is the element type of a list, or the table of a nested object.
     ``choices`` holds the allowed values (of each element, for a list).  A
     field without a default is required; a field whose default is None also
-    accepts null.  Ints widen to float; bools are never numbers.
+    accepts null.  Ints widen to float; bools are never numbers.  A field
+    marked ``omit_default`` is left out of written rows while it holds its
+    default.
     """
 
     name: str
@@ -49,6 +54,7 @@ class Field(NamedTuple):
     default: Any = REQUIRED
     of: Any = None
     choices: Sequence[str] | None = None
+    omit_default: bool = False
 
 
 #: ``json.loads`` without its per-call set-up; trailing content is checked by hand.
@@ -96,7 +102,7 @@ def validate(rows: Iterable[tuple[int, dict]], table: Sequence[Field],
 def _check(obj: dict, table: Sequence[Field], path: str | Path, lineno: int,
            strings: dict[str, str]) -> dict:
     out = {}
-    for name, kind, default, of, choices in table:
+    for name, kind, default, of, choices, _ in table:
         value = obj.get(name, REQUIRED)
         if value is REQUIRED or value is None and default is None:
             if default is REQUIRED:
@@ -147,6 +153,45 @@ def open_target(target: Target) -> Iterator[IO[str]]:
     else:
         with open(target, "w", encoding="utf-8") as fp:  # type: ignore[arg-type]
             yield fp
+
+
+def rows(table: Sequence[Field], records: Iterable[Any]) -> Iterator[dict]:
+    """The row of each record: ``schema_version``, then ``table``'s fields in order.
+
+    Each field's value is the record attribute of the same name; a field
+    marked ``omit_default`` is left out while it holds its default.  A set
+    is written as a sorted list and a field with a nested table as an
+    object of that table's fields, without ``schema_version``.
+    """
+    return map(_row_maker(tuple(table), True), records)
+
+
+@functools.cache
+def _row_maker(table: tuple[Field, ...], stamped: bool) -> Callable[[Any], dict]:
+    """One table's record-to-row function, built once: one getter for all fields."""
+    names = tuple(field.name for field in table)
+    keys = ("schema_version", *names) if stamped else names
+    get = attrgetter(*names)
+    # (name, default or REQUIRED, nested row maker) of the fields a plain copy misses
+    fixes = tuple((field.name, field.default if field.omit_default else REQUIRED,
+                   _row_maker(field.of, False) if field.kind is dict and field.of else None)
+                  for field in table
+                  if field.omit_default or field.kind is list or field.kind is dict)
+
+    def make(record: Any) -> dict:
+        values = get(record)
+        row = dict(zip(keys, (SCHEMA_VERSION, *values) if stamped else values))
+        for name, default, nested in fixes:
+            value = row[name]
+            if value == default:
+                del row[name]
+            elif nested is not None:
+                row[name] = nested(value)
+            elif isinstance(value, (set, frozenset)):
+                row[name] = sorted(value)
+        return row
+
+    return make
 
 
 def write_jsonl(target: Target, rows: Iterable[dict]) -> None:

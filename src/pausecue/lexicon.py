@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .focus import OP_KINDS, OpKind
-from .jsonl import SCHEMA_VERSION, Field, SchemaError, build, iter_jsonl, validate, write_jsonl
+from .jsonl import (Field, SchemaError, Target, build, iter_jsonl, rows, validate,
+                    write_jsonl)
 
 TOKEN_CLASSES = ("cue_phrase", "acknowledgment", "filled_pause")
 ORDINAL_RANKS = ("first", "subsequent")
@@ -65,36 +66,17 @@ class CueEntry:
         if self.token_class not in TOKEN_CLASSES:
             raise ValueError(f"entry {self.surface!r} has bad token_class")
 
-    def to_dict(self) -> dict:
-        row = {
-            "schema_version": SCHEMA_VERSION,
-            "surface": self.surface,
-            "gloss": self.gloss,
-            "candidate_ops": sorted(op.value for op in self.candidate_ops),
-            "token_class": self.token_class,
-            "display": self.display,
-        }
-        if self.ordinal_rank:
-            row["ordinal_rank"] = self.ordinal_rank
-        if self.connective:
-            row["connective"] = True
-        if self.corpus_derived:
-            row["corpus_derived"] = True
-        if self.variants:
-            row["variants"] = list(self.variants)
-        return row
-
 
 ENTRY_FIELDS = (
     Field("surface", str),
     Field("gloss", str, ""),
     Field("candidate_ops", list, of=str, choices=OP_KINDS),
-    Field("ordinal_rank", str, None),
     Field("token_class", str, "cue_phrase"),
     Field("display", str, ""),  # empty: the capitalized surface
-    Field("connective", bool, False),
-    Field("corpus_derived", bool, False),
-    Field("variants", list, (), of=str),
+    Field("ordinal_rank", str, None, omit_default=True),
+    Field("connective", bool, False, omit_default=True),
+    Field("corpus_derived", bool, False, omit_default=True),
+    Field("variants", list, (), of=str, omit_default=True),
 )
 
 
@@ -227,8 +209,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
         raise SchemaError(str(exc), line=lines[exc.position], path=path) from exc
 
 
-def write_lexicon(target, lexicon: Lexicon) -> None:
-    write_jsonl(target, (entry.to_dict() for entry in lexicon.entries))
+def write_lexicon(target: Target, lexicon: Lexicon) -> None:
+    write_jsonl(target, rows(ENTRY_FIELDS, lexicon.entries))
 
 
 def bundled_lexicon() -> Lexicon:

@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 import wave
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .jsonl import SCHEMA_VERSION, Field, Target, build, iter_jsonl, validate, write_jsonl
+from .jsonl import Field, Target, build, iter_jsonl, rows, validate, write_jsonl
 
 POSITIONS = ("fragment_initial", "fragment_internal")
 
@@ -76,9 +76,6 @@ class PauseRecord:
     @property
     def end_s(self) -> float:
         return self.start_s + self.raw_duration_s
-
-    def to_dict(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
 PAUSE_FIELDS = (
@@ -257,7 +254,7 @@ def _inside_one_word(start_s: float, end_s: float,
 # ---------------------------------------------------------------------------
 
 def write_pauses(target: Target, records: Iterable[PauseRecord]) -> None:
-    write_jsonl(target, (rec.to_dict() for rec in records))
+    write_jsonl(target, rows(PAUSE_FIELDS, records))
 
 
 def read_pauses(path: str | Path) -> list[PauseRecord]:

@@ -16,7 +16,7 @@ The Pearson p-value uses the transform t = r sqrt((n-2) / (1-r^2)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Iterable, Mapping, Sequence
 
 from .focus import OpKind
@@ -129,9 +129,6 @@ class CellStat:
     count: int
     sd: float | None = None
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "count": self.count, "sd": self.sd}
-
 
 @dataclass(frozen=True)
 class GroupedMeans:
@@ -151,12 +148,12 @@ class GroupedMeans:
         return {
             "rows": list(self.row_order),
             "cols": list(self.col_order),
-            "cells": {row: {col: self.cells[(row, col)].to_dict()
+            "cells": {row: {col: asdict(self.cells[(row, col)])
                             for col in self.col_order if (row, col) in self.cells}
                       for row in self.row_order},
-            "row_margins": {row: stat.to_dict() for row, stat in self.row_margins.items()},
-            "col_margins": {col: stat.to_dict() for col, stat in self.col_margins.items()},
-            "grand": self.grand.to_dict(),
+            "row_margins": {row: asdict(stat) for row, stat in self.row_margins.items()},
+            "col_margins": {col: asdict(stat) for col, stat in self.col_margins.items()},
+            "grand": asdict(self.grand),
         }
 
 
@@ -167,19 +164,12 @@ class AnovaResult:
     df_within: int
     p: float
 
-    def to_dict(self) -> dict:
-        return {"F": self.F, "df_between": self.df_between,
-                "df_within": self.df_within, "p": self.p}
-
 
 @dataclass(frozen=True)
 class CorrResult:
     r: float
     n: int
     p: float
-
-    def to_dict(self) -> dict:
-        return {"r": self.r, "n": self.n, "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -193,12 +183,6 @@ class TTestResult:
     sd_b: float
     n_a: int
     n_b: int
-
-    def to_dict(self) -> dict:
-        return {"t": self.t, "df": self.df, "p": self.p,
-                "mean_a": self.mean_a, "mean_b": self.mean_b,
-                "sd_a": self.sd_a, "sd_b": self.sd_b,
-                "n_a": self.n_a, "n_b": self.n_b}
 
 
 def _stat(values: Sequence[float]) -> CellStat:
@@ -554,9 +538,9 @@ class StatsReport:
                 "marked_unmarked": self.by_marking.to_dict(),
             },
             "tests": {
-                "anova": self.anova.to_dict() if self.anova else None,
-                "pearson": self.correlation.to_dict() if self.correlation else None,
-                "t_test": self.t_test.to_dict() if self.t_test else None,
+                "anova": asdict(self.anova) if self.anova else None,
+                "pearson": asdict(self.correlation) if self.correlation else None,
+                "t_test": asdict(self.t_test) if self.t_test else None,
             },
             "notes": list(self.notes),
         }

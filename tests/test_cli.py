@@ -314,6 +314,15 @@ def test_code_writes_jsonl_and_tsv(tmp_path, capsys):
     assert "fragments: 4" in err
 
 
+@pytest.mark.parametrize("content", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize("command", ["code", "segment"])
+def test_transcript_without_tokens_names_file(tmp_path, capsys, command, content):
+    path = tmp_path / "t.jsonl"
+    path.write_text(content)
+    code, out, err = run(capsys, command, str(path), "--out", str(tmp_path))
+    assert (code, err) == (2, f"error: {path}: transcript holds no tokens\n")
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------

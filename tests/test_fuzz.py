@@ -150,8 +150,10 @@ def test_mutated_inputs_exit_cleanly(data):
     assert code in (0, 1, 2), output
     if code == 2:
         error = output[output.index("error: "):]
-        for path in paths.values():
-            if error.startswith(f"error: {path}") and not path.name.endswith(".wav"):
+        named = [path for path in paths.values() if error.startswith(f"error: {path}")]
+        assert named, error
+        for path in named:
+            if not path.name.endswith(".wav"):
                 assert re.match(rf"error: {re.escape(str(path))}:\d+: ", error), error
 
 

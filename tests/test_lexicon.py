@@ -216,7 +216,7 @@ def test_lexicon_roundtrip(tmp_path):
     path = tmp_path / "lexicon.jsonl"
     write_lexicon(path, LEX)
     again = load_lexicon(path)
-    assert again.surfaces() == LEX.surfaces()
+    assert again.entries == LEX.entries
     assert set(again.lookup("so").candidate_ops) == {OpKind.RETURN, OpKind.REPLACE}
 
 
