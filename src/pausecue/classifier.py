@@ -27,12 +27,12 @@ Return, Replace).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .focus import (FocusStack, FocusingOperation, LinguisticTree, OpKind,
-                    TIE_ORDER, apply, build_tree)
+                    TIE_ORDER, apply, build_tree, operation)
 from .fragments import SpeechFragment
 from .jsonl import (MAX_MAGNITUDE, SCHEMA_VERSION, SchemaError, Target, open_target,
                     write_jsonl)
@@ -108,8 +108,8 @@ DEFAULT_CONFIG = ClassifierConfig()
 def load_weights(path: str | Path) -> ClassifierConfig:
     """Read a ``key = value`` text config; unknown keys, values that are not
     finite and row weights that are not positive are rejected."""
-    weights = {key: 1.0 for key in ROW_KEYS}
-    extras = {"candidate_bonus": 2.0, "impending_bonus": 2.0, "lstar_threshold": 0.5}
+    extras = dict(vars(DEFAULT_CONFIG))
+    weights = dict(extras.pop("weights"))
     # undecodable bytes turn into U+FFFD, which no key or number accepts
     with open(path, encoding="utf-8", errors="replace") as fp:
         for lineno, raw in enumerate(fp, start=1):
@@ -352,9 +352,9 @@ def classify(evidence: Sequence[EvidenceItem],
     anchored = any(it.feature == "nonpronominal_repetition" and it.source == "current"
                    for it in evidence)
     alternatives = tuple(
-        (FocusingOperation(kind, resolve_pop_count(
-            kind, stack_depth, topic=topic, open_labels=open_labels,
-            topic_anchored=anchored)),
+        (operation(kind, resolve_pop_count(kind, stack_depth, topic=topic,
+                                           open_labels=open_labels,
+                                           topic_anchored=anchored)),
          scores[kind])
         for kind in ranked_kinds)
 
@@ -450,7 +450,7 @@ def write_audit(target: Target, classifications: Sequence[Classification]) -> No
             "score": cls.score,
             "alternatives": [[op.kind.value, op.pop_count, score]
                              for op, score in cls.alternatives],
-            "evidence_used": [asdict(it) for it in cls.evidence_used],
+            "evidence_used": [dict(vars(it)) for it in cls.evidence_used],
             "low_confidence": cls.low_confidence,
             "singleton_boosted": cls.singleton_boosted,
             "tie_break_applied": cls.tie_break_applied,

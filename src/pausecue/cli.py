@@ -204,12 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pauses", help="detect unfilled pauses in a mono PCM WAV file")
     p.add_argument("wav")
     p.add_argument("--out", default=".", help="output directory, or - for stdout")
-    p.add_argument("--threshold-db", type=float, default=10.0,
-                   help="threshold above the noise floor in dB (default 10)")
-    p.add_argument("--min-silence", type=float, default=0.05,
-                   help="minimum silence to report, seconds (default 0.05)")
-    p.add_argument("--frame-ms", type=float, default=10.0,
-                   help="analysis frame length in ms (default 10)")
+    defaults = pauses.DEFAULT_CONFIG
+    p.add_argument("--threshold-db", type=float, default=defaults.threshold_db,
+                   help="threshold above the noise floor in dB (default %(default)g)")
+    p.add_argument("--min-silence", type=float, default=defaults.min_silence_s,
+                   help="minimum silence to report, seconds (default %(default)g)")
+    p.add_argument("--frame-ms", type=float, default=defaults.frame_ms,
+                   help="analysis frame length in ms (default %(default)g)")
     p.set_defaults(func=cmd_pauses)
 
     for name, help_text, func in (

@@ -259,18 +259,20 @@ TRACE_FIELDS = (Field("index", int), *OPERATION_FIELDS)
 
 
 @functools.lru_cache(maxsize=256)
-def _operation(kind: str, pops: int) -> FocusingOperation:
+def operation(kind: OpKind | str, pops: int) -> FocusingOperation:
+    """The operation ``kind`` popping ``pops`` spaces.
+
+    Operations are frozen, so each distinct (kind, pops) is built and
+    validated once and then shared; a malformed one raises
+    MalformedOperation and is never cached.
+    """
     return FocusingOperation(OpKind(kind), pops)
 
 
 def operation_from_row(row: dict, path: str | Path, lineno: int) -> FocusingOperation:
-    """Build a well-formed operation from fields checked by OPERATION_FIELDS.
-
-    Operations are frozen, so each distinct (kind, pops) is built and
-    validated once and then shared; a malformed one is never cached.
-    """
+    """Build a well-formed operation from fields checked by OPERATION_FIELDS."""
     try:
-        return _operation(row["kind"], row["pops"])
+        return operation(row["kind"], row["pops"])
     except MalformedOperation as exc:
         raise SchemaError(str(exc), line=lineno, path=path) from exc
 

@@ -162,8 +162,8 @@ class SpeechFragment:
 
 
 #: Token-table row of each constituent other than a cue phrase.
-_ROW_LABELS = {"acknowledgment": "Acknowledgment", "filled_pause": "Filled Pause",
-               "unmarked": "Unmarked"}
+ROW_LABELS = {"acknowledgment": "Acknowledgment", "filled_pause": "Filled Pause",
+              "unmarked": "Unmarked"}
 
 
 @dataclass
@@ -199,12 +199,16 @@ class CodedRecord:
             raise ValueError(f"bad turn_position {self.turn_position!r}")
         if self.embedding_depth < 1:
             raise ValueError("embedding_depth must be >= 1")
+        op = self.operation
+        if self.segments_affected != segments_affected(op):
+            raise ValueError(f"segments_affected {self.segments_affected} inconsistent with "
+                             f"{op.kind.value}({op.pop_count})")
 
     def row_label(self) -> str:
         """Display row used by token-level tables."""
         if self.initial_constituent == "cue_phrase":
             return self.initial_token or "Cue"
-        return _ROW_LABELS[self.initial_constituent]
+        return ROW_LABELS[self.initial_constituent]
 
 
 CODED_FIELDS = (
@@ -296,8 +300,8 @@ def _at_boundary(tokens: Sequence[AnnotatedToken], i: int,
 
 def _classify_position(tokens: Sequence[AnnotatedToken], i: int,
                        surfaces: Sequence[str], pause_before: Sequence[float],
-                       lexicon: Lexicon) -> tuple[str | None, CueEntry | None, int]:
-    """Initial-token class firing at position ``i``: (class, entry, span width)."""
+                       lexicon: Lexicon) -> tuple[str | None, CueEntry | None]:
+    """Initial-token class firing at position ``i`` and its lexicon entry."""
     boundary = _at_boundary(tokens, i, pause_before)
     match = lexicon.match_span(surfaces, i)
     if match is not None:
@@ -311,17 +315,17 @@ def _classify_position(tokens: Sequence[AnnotatedToken], i: int,
                 own_intonational_phrase="own_intonational_phrase" in tokens[i].flags,
             )
             if judge_cue_use(entry, context).is_cue:
-                return "cue_phrase", entry, width
+                return "cue_phrase", entry
         elif entry.token_class == "acknowledgment":
             if boundary:
-                return "acknowledgment", entry, width
+                return "acknowledgment", entry
         elif entry.token_class == "filled_pause":
             # Hesitation fillers have no non-hesitation reading, so they
             # open a fragment wherever they occur.
-            return "filled_pause", entry, width
+            return "filled_pause", entry
     if round_tenth(pause_before[i]) >= 0.1:
-        return "unfilled_pause", None, 1
-    return None, None, 1
+        return "unfilled_pause", None
+    return None, None
 
 
 def fragmentize(transcript: Sequence[AnnotatedToken],
@@ -344,7 +348,7 @@ def fragmentize(transcript: Sequence[AnnotatedToken],
     surfaces = [normalize(tok.surface) for tok in transcript]
     starts: list[tuple[int, str, CueEntry | None]] = []
     for i in range(len(transcript)):
-        cls, entry, _ = _classify_position(transcript, i, surfaces, pause_before, lexicon)
+        cls, entry = _classify_position(transcript, i, surfaces, pause_before, lexicon)
         if i == 0:
             starts.append((0, cls or "unmarked", entry))
         elif cls is not None:
@@ -413,7 +417,7 @@ def code(fragments: Sequence[SpeechFragment],
     records: list[CodedRecord] = []
     stack = FocusStack.empty()
     for i, (frag, op) in enumerate(zip(fragments, ops)):
-        stack = apply(stack, op, i, label=frag.topic or f"fragment-{i}")
+        stack = apply(stack, op, i)
         # A discourse-final Return can empty the stack; the fragment then
         # operates at the level of the segment it just closed.
         depth = max(1, stack.depth)
@@ -476,15 +480,10 @@ def write_transcript(target: Target, tokens: Iterable[AnnotatedToken]) -> None:
 def read_coded(path: str | Path) -> list[CodedRecord]:
     records = []
     for lineno, row in validate(iter_jsonl(path), CODED_FIELDS, path):
-        op = row["operation"] = operation_from_row(row["operation"], path, lineno)
+        row["operation"] = operation_from_row(row["operation"], path, lineno)
         if row["marked"] is None:
             row["marked"] = row["initial_constituent"] != "unmarked"
-        record = build(CodedRecord, row, path, lineno)
-        if record.segments_affected != segments_affected(op):
-            raise SchemaError(
-                f"segments_affected {record.segments_affected} inconsistent with "
-                f"{op.kind.value}({op.pop_count})", line=lineno, path=path)
-        records.append(record)
+        records.append(build(CodedRecord, row, path, lineno))
     return records
 
 

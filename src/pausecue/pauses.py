@@ -59,8 +59,9 @@ class PauseRecord:
     """One measured unfilled pause.
 
     reported_duration_s is raw_duration_s rounded to the nearest tenth of a
-    second.  position is assigned downstream by alignment against fragment
-    boundaries; detection itself labels every pause fragment_internal.
+    second.  position is only ever read from a file: detection writes
+    fragment_internal for every pause and nothing reassigns it, so ``stats
+    --pauses`` on a detected file bins every pause as Internal.
     """
 
     start_s: float

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .focus import FocusingOperation, OpKind
-from .fragments import CodedRecord, read_coded, write_coded
+from .focus import operation, segments_affected
+from .fragments import ROW_LABELS, CodedRecord, read_coded, write_coded
 from .pauses import PauseRecord, read_pauses, write_pauses
 from .stats import OP_ORDER, compute_report, table_distributions
 
@@ -51,11 +51,7 @@ TOKEN_OPERATION_CELLS: dict[tuple[str, str], tuple[float, int]] = {
 ROW_ORDER = ("And", "But", "Now", "Oh", "So", "Well", "Y'know", "Ordinal",
              "Acknowledgment", "Filled Pause", "Unmarked")
 
-ROW_CONSTITUENT = {
-    "Acknowledgment": "acknowledgment",
-    "Filled Pause": "filled_pause",
-    "Unmarked": "unmarked",
-}
+ROW_CONSTITUENT = {label: constituent for constituent, label in ROW_LABELS.items()}
 
 #: Published per-operation pause means at full printed precision.
 OPERATION_MEANS = {"Initiate": 0.3217, "Retain": 0.2091,
@@ -81,7 +77,8 @@ PAUSE_HIST_INTERNAL = {0.0: 15, 0.1: 11, 0.2: 15, 0.3: 5, 0.4: 5, 0.5: 5,
 PAUSE_AVG_INITIAL = 0.422
 PAUSE_AVG_INTERNAL = 0.224
 
-_DEPTH_BY_OP = {"Initiate": 2, "Retain": 2, "Return": 1, "Replace": 1}
+#: (pops, embedding depth) of each reconstructed operation.
+_POPS_DEPTH_BY_OP = {"Initiate": (0, 2), "Retain": (0, 2), "Return": (1, 1), "Replace": (1, 1)}
 
 
 def build_records() -> list[CodedRecord]:
@@ -94,9 +91,8 @@ def build_records() -> list[CodedRecord]:
             if cell is None:
                 continue
             mean, count = cell
-            kind = OpKind(op_name)
-            pops = 1 if kind in (OpKind.RETURN, OpKind.REPLACE) else 0
-            op = FocusingOperation(kind, pops)
+            pops, depth = _POPS_DEPTH_BY_OP[op_name]
+            op = operation(op_name, pops)
             constituent = ROW_CONSTITUENT.get(row, "cue_phrase")
             for _ in range(count):
                 records.append(CodedRecord(
@@ -105,9 +101,8 @@ def build_records() -> list[CodedRecord]:
                     initial_constituent=constituent,
                     initial_token=row if constituent == "cue_phrase" else "",
                     operation=op,
-                    embedding_depth=_DEPTH_BY_OP[op_name],
-                    segments_affected=pops + (1 if kind in (OpKind.INITIATE,
-                                                            OpKind.REPLACE) else 0),
+                    embedding_depth=depth,
+                    segments_affected=segments_affected(op),
                     prior_function="topical",
                     subsequent_function="topical",
                     turn_position="initiating" if index == 0 else "continuing",

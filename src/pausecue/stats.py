@@ -16,7 +16,7 @@ The Pearson p-value uses the transform t = r sqrt((n-2) / (1-r^2)).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Mapping, Sequence
 
 from .focus import OpKind
@@ -148,12 +148,12 @@ class GroupedMeans:
         return {
             "rows": list(self.row_order),
             "cols": list(self.col_order),
-            "cells": {row: {col: asdict(self.cells[(row, col)])
+            "cells": {row: {col: dict(vars(self.cells[(row, col)]))
                             for col in self.col_order if (row, col) in self.cells}
                       for row in self.row_order},
-            "row_margins": {row: asdict(stat) for row, stat in self.row_margins.items()},
-            "col_margins": {col: asdict(stat) for col, stat in self.col_margins.items()},
-            "grand": asdict(self.grand),
+            "row_margins": {row: dict(vars(stat)) for row, stat in self.row_margins.items()},
+            "col_margins": {col: dict(vars(stat)) for col, stat in self.col_margins.items()},
+            "grand": dict(vars(self.grand)),
         }
 
 
@@ -538,9 +538,9 @@ class StatsReport:
                 "marked_unmarked": self.by_marking.to_dict(),
             },
             "tests": {
-                "anova": asdict(self.anova) if self.anova else None,
-                "pearson": asdict(self.correlation) if self.correlation else None,
-                "t_test": asdict(self.t_test) if self.t_test else None,
+                "anova": dict(vars(self.anova)) if self.anova else None,
+                "pearson": dict(vars(self.correlation)) if self.correlation else None,
+                "t_test": dict(vars(self.t_test)) if self.t_test else None,
             },
             "notes": list(self.notes),
         }

@@ -11,7 +11,7 @@ from pausecue.classifier import (DEFAULT_CONFIG, ClassifierConfig, EvidenceItem,
                                  TABLE_ROWS, classify, extract_evidence,
                                  load_weights, resolve_pop_count,
                                  segment_discourse, write_weights)
-from pausecue.focus import FocusingOperation, OpKind, apply, FocusStack
+from pausecue.focus import FocusingOperation, OpKind, apply, FocusStack, operation
 from pausecue.fragments import AnnotatedToken, SpeechFragment, fragmentize
 from pausecue.lexicon import bundled_lexicon
 
@@ -163,6 +163,14 @@ def test_emitted_pops_respect_depth():
     assert result.operation.pop_count <= 1
     for op, _ in result.alternatives:
         assert op.pop_count <= 1
+
+
+def test_alternatives_are_the_shared_operations():
+    evidence = [item("current", "expanded_range"), item("current", "pronominalization")]
+    result = classify(evidence, None, stack_depth=3)
+    assert len(result.alternatives) == 4
+    for op, _ in result.alternatives:
+        assert op is operation(op.kind, op.pop_count)
 
 
 def test_lookahead_bonus_tips_return():
@@ -437,6 +445,16 @@ def test_weights_roundtrip(tmp_path):
     write_weights(path, config)
     again = load_weights(path)
     assert again == config
+
+
+def test_weights_start_from_the_default_config(tmp_path):
+    path = tmp_path / "weights.conf"
+    path.write_text("# nothing set\n")
+    assert load_weights(path) == DEFAULT_CONFIG
+    path.write_text("prior_pop = 3\ncandidate_bonus = 4\n")
+    config = load_weights(path)
+    assert (config.weight("prior_pop"), config.candidate_bonus) == (3.0, 4.0)
+    assert DEFAULT_CONFIG.weight("prior_pop") == 1.0  # the default is copied, not edited
 
 
 def test_weights_reject_unknown_key(tmp_path):

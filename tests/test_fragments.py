@@ -1,5 +1,7 @@
 """Fragment boundaries, class precedence, pause alignment and coding."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -347,3 +349,22 @@ def test_coded_rejects_inconsistent_segments_affected(tmp_path):
     path.write_text(row + "\n")
     with pytest.raises(SchemaError, match="segments_affected"):
         read_coded(path)
+
+
+def test_coded_record_rejects_inconsistent_segments_affected(tmp_path):
+    fields = dict(fragment_index=0, pause_before_s=0.1, initial_constituent="unmarked",
+                  operation=FocusingOperation(OpKind.REPLACE, 2), embedding_depth=1,
+                  segments_affected=1, prior_function="topical",
+                  subsequent_function="topical", turn_position="initiating", marked=False)
+    message = "segments_affected 1 inconsistent with Replace(2)"
+    with pytest.raises(ValueError, match=fr"^{re.escape(message)}$"):
+        CodedRecord(**fields)
+    CodedRecord(**{**fields, "segments_affected": 3})
+    # the reader reports the record's own check at path:line
+    path = tmp_path / "bad.jsonl"
+    path.write_text('\n{"fragment_index": 0, "initial_constituent": "unmarked", '
+                    '"operation": {"kind": "Replace", "pops": 2}, "embedding_depth": 1, '
+                    '"segments_affected": 1}\n')
+    with pytest.raises(SchemaError) as excinfo:
+        read_coded(path)
+    assert str(excinfo.value) == f"{path}:2: {message}"

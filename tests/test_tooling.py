@@ -1,5 +1,8 @@
-"""The bundled corpus files and the example scripts stay in step with the package."""
+"""The bundled corpus files, the example scripts and the bench harness's hooks
+stay in step with the package."""
 
+import ast
+import importlib
 import json
 import runpy
 from importlib import resources
@@ -7,7 +10,8 @@ from pathlib import Path
 
 from pausecue import replication
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def test_bundled_corpus_equals_write_corpus(tmp_path):
@@ -65,3 +69,26 @@ def test_bench_pairs_summarises_result_lines():
     assert op_ms["change"]["values"] == [610.0, 600.0, 640.0, 830.0]
     # a tie is no win
     assert summary["metrics"]["peak_rss_mb"]["wins"] == 1
+
+
+def _worker_tables() -> dict:
+    """The literal hook tables of ``perfbench/worker.py``, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8"))
+    return {node.targets[0].id: node.value for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)}
+
+
+def test_bench_hooks_resolve_in_the_package():
+    tables = _worker_tables()
+    hooks = [(ast.literal_eval(entry.elts[0]), ast.literal_eval(entry.elts[1]))
+             for name in ("SPANS", "MEMORY_STAGES") for entry in tables[name].elts]
+    hooks += [(module, "iter_jsonl") for module in ast.literal_eval(tables["ROW_READERS"])]
+    hooks += [(module, "write_jsonl") for module in ast.literal_eval(tables["ROW_WRITERS"])]
+    assert len(hooks) > 30
+    for target, attr in hooks:
+        module, _, cls = target.partition(":")
+        owner = importlib.import_module(module)
+        owner = getattr(owner, cls) if cls else owner
+        # the harness patches the owner's own attribute, as it is called at run time
+        assert callable(vars(owner).get(attr)), f"{target}.{attr}"
