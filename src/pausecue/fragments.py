@@ -39,6 +39,7 @@ PHONATIONS = ("normal", "creaky")
 PITCH_RANGES = ("normal", "expanded", "reduced")
 TOKEN_FLAGS = ("coordination", "nonpronominal_repetition",
                "own_intonational_phrase", "turn_initial")
+_FLAG_SET = frozenset(TOKEN_FLAGS)
 
 INITIAL_CLASSES = ("unfilled_pause", "filled_pause", "cue_phrase",
                    "acknowledgment", "unmarked")
@@ -108,7 +109,7 @@ class AnnotatedToken:
         if self.start_s is not None and self.end_s is not None and self.end_s < self.start_s:
             raise ValueError(f"end_s {self.end_s:g} precedes start_s {self.start_s:g}")
         self.flags = frozenset(self.flags)
-        unknown = self.flags - set(TOKEN_FLAGS)
+        unknown = self.flags - _FLAG_SET
         if unknown:
             raise ValueError(f"unknown flags {sorted(unknown)}")
 

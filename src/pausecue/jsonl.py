@@ -3,8 +3,9 @@
 All record files are JSON Lines: one object per line, blank lines ignored.
 Writers stamp a ``schema_version`` field; readers tolerate its absence so
 hand-written fixtures stay terse.  Each record type declares one table of
-``Field`` specs next to its class: ``validate`` checks rows against it and
-``rows`` derives the written rows from it.
+``Field`` specs next to its class.  Each table is compiled once into a row
+checker, which ``validate`` runs on the rows read, and a row maker, which
+``rows`` runs on the records written.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 from contextlib import contextmanager
-from operator import attrgetter
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
 
@@ -76,6 +76,9 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 msg = ("Unexpected UTF-8 BOM (decode using utf-8-sig)"
                        if text.startswith("\ufeff") else exc.msg)
                 raise SchemaError(f"invalid JSON ({msg})", line=lineno, path=path) from exc
+            except ValueError as exc:  # an integer literal too long to convert
+                reason = str(exc).partition(";")[0]
+                raise SchemaError(f"invalid JSON ({reason})", line=lineno, path=path) from None
             except RecursionError:
                 raise SchemaError("invalid JSON (nested too deeply)",
                                   line=lineno, path=path) from None
@@ -91,50 +94,103 @@ def validate(rows: Iterable[tuple[int, dict]], table: Sequence[Field],
     """Check each (line, object) row against ``table``; yield (line, fields).
 
     The fields dict holds every name in the table, defaults filled in;
-    unknown keys are ignored.  Every failure is a SchemaError at path:line.
-    Equal strings share one object: labels repeat on every line.
+    unknown keys are ignored.  Fields are checked in table order, so a
+    SchemaError at path:line names the first one that fails.  Equal strings
+    share one object: labels repeat on every line.
     """
+    check = _checker(tuple(table))
     strings: dict[str, str] = {}
     for lineno, obj in rows:
-        yield lineno, _check(obj, table, path, lineno, strings)
+        yield lineno, check(obj, path, lineno, strings)
 
 
-def _check(obj: dict, table: Sequence[Field], path: str | Path, lineno: int,
-           strings: dict[str, str]) -> dict:
-    out = {}
-    for name, kind, default, of, choices, _ in table:
-        value = obj.get(name, REQUIRED)
-        if value is REQUIRED or value is None and default is None:
-            if default is REQUIRED:
-                raise SchemaError(f"missing field {name!r}", line=lineno, path=path)
-            out[name] = default
-            continue
-        if type(value) is not kind:
-            if kind is not float or type(value) is not int:
-                raise SchemaError(f"field {name!r} has wrong type "
-                                  f"(got {type(value).__name__})", line=lineno, path=path)
-            value = float(value)
-        if kind is float or kind is int:
-            if not -MAX_MAGNITUDE <= value <= MAX_MAGNITUDE:
-                raise SchemaError(f"field {name!r} must be finite and at most "
-                                  f"{MAX_MAGNITUDE:g} in magnitude (got {value!r})",
-                                  line=lineno, path=path)
+def _define(lines: list[str], env: dict[str, Any]) -> Callable:
+    """The one function that ``lines`` define, compiled with ``env`` as globals."""
+    exec("\n".join(lines), env)
+    return env["f"]
+
+
+@functools.cache
+def _checker(table: tuple[Field, ...]) -> Callable[[dict, str | Path, int, dict], dict]:
+    """One table's row checker, built once: one block per field in table order.
+
+    The source is generated, as ``dataclasses`` builds ``__init__``, because
+    a loop that unpacks each field and dispatches on its kind for every row
+    costs most of a reader.  A block reads the value, handles absence and
+    null, and checks the type, the magnitude, the list elements and the
+    choices; the helpers it calls on a failure build the message.
+    """
+    env: dict[str, Any] = {"_MISSING": REQUIRED, "_reject": _reject,
+                           "_bad_element": _bad_element, "_bad_choice": _bad_choice}
+    lines = ["def f(obj, path, lineno, strings):", "    get, share = obj.get, strings.setdefault"]
+    for i, field in enumerate(table):
+        name, kind, default, of, choices, _ = field
+        v = f"v{i}"
+        env[f"F{i}"], env[f"K{i}"], env[f"C{i}"] = field, kind, choices
+        if kind is float or kind is int:  # _reject returns the float of an int in range
+            body = [f"if type({v}) is not K{i} or not {-MAX_MAGNITUDE!r} <= {v} <= "
+                    f"{MAX_MAGNITUDE!r}:",
+                    f"    {v} = _reject(F{i}, {v}, path, lineno)"]
+        else:
+            body = [f"if type({v}) is not K{i}:", f"    _reject(F{i}, {v}, path, lineno)"]
+        if kind is str:
+            body.append(f"{v} = share({v}, {v})")
         elif kind is dict and of is not None:
-            value = _check(value, of, path, lineno, strings)
+            env[f"T{i}"] = _checker(tuple(of))
+            body.append(f"{v} = T{i}({v}, path, lineno, strings)")
         elif kind is list and of is not None:
-            for element in value:
-                if type(element) is not of:
-                    raise SchemaError(f"field {name!r} holds an element of wrong type "
-                                      f"(got {type(element).__name__})", line=lineno, path=path)
-        elif kind is str:
-            value = strings.setdefault(value, value)
-        if choices is not None:
-            for item in value if kind is list else (value,):
-                if item not in choices:
-                    raise SchemaError(f"field {name!r} has bad value {item!r} (expected "
-                                      f"one of {', '.join(choices)})", line=lineno, path=path)
-        out[name] = value
-    return out
+            env[f"E{i}"] = of
+            body += [f"for item in {v}:", f"    if type(item) is not E{i}:",
+                     f"        _bad_element(F{i}, item, path, lineno)"]
+        if choices is not None and kind is list:
+            body += [f"for item in {v}:", f"    if item not in C{i}:",
+                     f"        _bad_choice(F{i}, item, path, lineno)"]
+        elif choices is not None:
+            body += [f"if {v} not in C{i}:", f"    _bad_choice(F{i}, {v}, path, lineno)"]
+        if default is REQUIRED:  # _reject names a missing field
+            lines.append(f"    {v} = get({name!r}, _MISSING)")
+        elif default is None:  # absent and null alike
+            lines += [f"    {v} = get({name!r})", f"    if {v} is not None:"]
+        else:
+            env[f"D{i}"] = default
+            lines += [f"    {v} = get({name!r}, _MISSING)", f"    if {v} is _MISSING:",
+                      f"        {v} = D{i}", "    else:"]
+        indent = "    " if default is REQUIRED else "        "
+        lines += [indent + line for line in body]
+    lines.append("    return {%s}" % ", ".join(f"{field.name!r}: v{i}"
+                                              for i, field in enumerate(table)))
+    return _define(lines, env)
+
+
+def _reject(field: Field, value: Any, path: str | Path, lineno: int) -> float:
+    """The float of an int in range for a float field; else raise why ``value`` fails."""
+    name, kind = field.name, field.kind
+    if value is REQUIRED:
+        message = f"missing field {name!r}"
+    elif type(value) is not kind and (kind is not float or type(value) is not int):
+        message = f"field {name!r} has wrong type (got {type(value).__name__})"
+    elif -MAX_MAGNITUDE <= value <= MAX_MAGNITUDE:  # exact for ints of any size
+        return float(value)
+    else:
+        got = value
+        if kind is float and type(value) is int:
+            try:
+                got = float(value)
+            except OverflowError:  # beyond float range: shown as the int it is
+                pass
+        message = (f"field {name!r} must be finite and at most {MAX_MAGNITUDE:g} "
+                   f"in magnitude (got {got!r})")
+    raise SchemaError(message, line=lineno, path=path)
+
+
+def _bad_element(field: Field, element: Any, path: str | Path, lineno: int) -> None:
+    raise SchemaError(f"field {field.name!r} holds an element of wrong type "
+                      f"(got {type(element).__name__})", line=lineno, path=path)
+
+
+def _bad_choice(field: Field, item: Any, path: str | Path, lineno: int) -> None:
+    raise SchemaError(f"field {field.name!r} has bad value {item!r} (expected "
+                      f"one of {', '.join(field.choices)})", line=lineno, path=path)
 
 
 def build(make: Callable[..., T], row: dict, path: str | Path, lineno: int) -> T:
@@ -168,30 +224,36 @@ def rows(table: Sequence[Field], records: Iterable[Any]) -> Iterator[dict]:
 
 @functools.cache
 def _row_maker(table: tuple[Field, ...], stamped: bool) -> Callable[[Any], dict]:
-    """One table's record-to-row function, built once: one getter for all fields."""
-    names = tuple(field.name for field in table)
-    keys = ("schema_version", *names) if stamped else names
-    get = attrgetter(*names)
-    # (name, default or REQUIRED, nested row maker) of the fields a plain copy misses
-    fixes = tuple((field.name, field.default if field.omit_default else REQUIRED,
-                   _row_maker(field.of, False) if field.kind is dict and field.of else None)
-                  for field in table
-                  if field.omit_default or field.kind is list or field.kind is dict)
+    """One table's record-to-row function, built once: one block per field.
 
-    def make(record: Any) -> dict:
-        values = get(record)
-        row = dict(zip(keys, (SCHEMA_VERSION, *values) if stamped else values))
-        for name, default, nested in fixes:
-            value = row[name]
-            if value == default:
-                del row[name]
-            elif nested is not None:
-                row[name] = nested(value)
-            elif isinstance(value, (set, frozenset)):
-                row[name] = sorted(value)
-        return row
-
-    return make
+    The fields before the first ``omit_default`` one form a dict literal;
+    each later field is stored in turn, only while it differs from its
+    default if it is marked so.  Either way the keys keep table order.
+    """
+    env: dict[str, Any] = {"_SETS": (set, frozenset)}
+    head = ["def f(record):"]
+    literal = [f"'schema_version': {SCHEMA_VERSION!r}"] if stamped else []
+    tail: list[str] = []
+    for i, field in enumerate(table):
+        v = f"v{i}"
+        block = [f"{v} = record.{field.name}"]
+        if field.kind is dict and field.of is not None:
+            env[f"M{i}"] = _row_maker(tuple(field.of), False)
+            block.append(f"{v} = M{i}({v})")
+        elif field.kind is list:
+            block += [f"if isinstance({v}, _SETS):", f"    {v} = sorted({v})"]
+        if field.omit_default:
+            env[f"D{i}"] = field.default
+            block[1:] = [f"if {v} != D{i}:", *("    " + line for line in block[1:])]
+            block.append(f"    row[{field.name!r}] = {v}")
+        elif tail:
+            block.append(f"row[{field.name!r}] = {v}")
+        else:
+            literal.append(f"{field.name!r}: {v}")
+            head += ["    " + line for line in block]
+            continue
+        tail += ["    " + line for line in block]
+    return _define([*head, "    row = {%s}" % ", ".join(literal), *tail, "    return row"], env)
 
 
 def write_jsonl(target: Target, rows: Iterable[dict]) -> None:

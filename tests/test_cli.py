@@ -188,6 +188,13 @@ ON_LEFT, NOWHERE = GAP_ROW % (0.7, 0.3), GAP_ROW % (0.1, 0.15)
                  "transcript", 1, id="transcript-nan-pause"),
     pytest.param("segment", {"transcript": '{"surface": "you", "pause_before_s": 1e300}\n'},
                  "transcript", 1, id="transcript-huge-pause"),
+    pytest.param("segment", {"transcript": '{"surface": "you", "pause_before_s": 1%s}\n'
+                                           % ("0" * 400)},
+                 "transcript", 1, id="transcript-int-beyond-float-range"),
+    pytest.param("code", {"transcript": '{"surface": "you"}\n'
+                                        '{"surface": "go", "pause_before_s": 1%s}\n'
+                                        % ("0" * 4300)},
+                 "transcript", 2, id="transcript-int-over-4300-digits"),
     pytest.param("segment", {"transcript": '{"surface": "you", "flags": [["x"]]}\n'},
                  "transcript", 1, id="transcript-flag-element"),
     pytest.param("segment", {"transcript": '{"surface": "you"}\n' + "[" * 100000 + "\n"},
@@ -215,6 +222,10 @@ ON_LEFT, NOWHERE = GAP_ROW % (0.7, 0.3), GAP_ROW % (0.1, 0.15)
     pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0) + CODED_ROW % ("NaN", 0)},
                  "coded", 2, id="coded-nan-pause"),
     pytest.param("stats", {"coded": CODED_ROW % ("0.2", 3)}, "coded", 1, id="coded-bad-pops"),
+    pytest.param("stats", {"coded": CODED_ROW % ("-1" + "0" * 400, 0)}, "coded", 1,
+                 id="coded-int-beyond-float-range"),
+    pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0) + CODED_ROW % ("1" * 4301, 0)},
+                 "coded", 2, id="coded-int-over-4300-digits"),
     pytest.param("stats", {"coded": CODED_ROW % ("null", 0) * 2}, "coded", None,
                  id="coded-no-measured-pause"),
     pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0), "pauses": PAUSE_ROW % "NaN"},

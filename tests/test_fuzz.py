@@ -71,11 +71,23 @@ COMMANDS = {
 WORDS = ["Initiate", "Retain", "Return", "Replace", "topical", "closure", "bogus", "fall",
          "Hstar", "creaky", "turn_initial", "cue_phrase", "fragment_initial", "so", "and",
          "unmarked", "prior_pop", "candidate_bonus"]
+
+#: Integer literals beyond float range and beyond the decoder's 4,300 digits.
+#: Drawn as strings no other draw can equal, and unquoted once dumped: the
+#: JSON encoder refuses to write the longest as a number.
+OVERSIZED = ("1" + "0" * 400, "-" + "9" * 309, "1" * 4301)
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
-                    st.text(max_size=4), st.sampled_from(WORDS))
+                    st.text(max_size=4), st.sampled_from(WORDS), st.sampled_from(OVERSIZED))
 VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
                       | st.dictionaries(st.sampled_from(["kind", "pops", "x"]), inner,
                                         max_size=2), max_leaves=4)
+
+
+def _dumps(obj) -> str:
+    text = json.dumps(obj)
+    for literal in OVERSIZED:
+        text = text.replace(json.dumps(literal), literal)
+    return text
 
 
 def _mutate_jsonl(data, content: bytes) -> bytes:
@@ -95,7 +107,7 @@ def _mutate_jsonl(data, content: bytes) -> bytes:
         obj[key][data.draw(st.sampled_from(sorted(obj[key])))] = data.draw(VALUES)
     else:
         obj[key] = data.draw(VALUES)
-    lines[i] = (json.dumps(obj) + "\n").encode()
+    lines[i] = (_dumps(obj) + "\n").encode()
     return b"".join(lines)
 
 

@@ -1,5 +1,8 @@
-"""Written rows come from the Field tables: the row contract and round trips.
+"""Rows are checked and written from the Field tables: contracts and round trips.
 
+The compiled row checker and row maker agree with the interpreted ones in
+``jsonl_oracle`` on every table: the same fields in the same order, or the
+same error message, on mutated rows; the same rows on generated records.
 Generated valid records of every type read back equal after writing; the
 bundled coded records and pauses read and write back to the same bytes.
 The bundled lexicon lists some ``candidate_ops`` in an order a set does not
@@ -10,19 +13,25 @@ byte-stable from then on.
 import io
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pausecue.focus import FocusingOperation, OpKind, read_trace, segments_affected, write_trace
-from pausecue.fragments import (ACCENTS, BOUNDARIES, CONSTITUENTS, FUNCTION_LABELS, PHONATIONS,
-                                PITCH_RANGES, TOKEN_FLAGS, TURN_POSITIONS, AnnotatedToken,
-                                CodedRecord, read_coded, read_transcript, write_coded,
-                                write_transcript)
-from pausecue.jsonl import MAX_MAGNITUDE, Field, rows
-from pausecue.lexicon import (ORDINAL_RANKS, TOKEN_CLASSES, CueEntry, DuplicateSurface,
-                              Lexicon, bundled_lexicon, load_lexicon, write_lexicon)
-from pausecue.pauses import POSITIONS, PauseRecord, read_pauses, write_pauses
+import jsonl_oracle
+from pausecue.cli import FUNCTION_FIELDS
+from pausecue.focus import (OP_KINDS, TRACE_FIELDS, FocusingOperation, OpKind, TraceStep,
+                            read_trace, segments_affected, write_trace)
+from pausecue.fragments import (ACCENTS, BOUNDARIES, CODED_FIELDS, CONSTITUENTS,
+                                FUNCTION_LABELS, PHONATIONS, PITCH_RANGES, TOKEN_FIELDS,
+                                TOKEN_FLAGS, TURN_POSITIONS, AnnotatedToken, CodedRecord,
+                                read_coded, read_transcript, write_coded, write_transcript)
+from pausecue.jsonl import MAX_MAGNITUDE, REQUIRED, Field, SchemaError, rows, validate
+from pausecue.lexicon import (ENTRY_FIELDS, ORDINAL_RANKS, TOKEN_CLASSES, CueEntry,
+                              DuplicateSurface, Lexicon, bundled_lexicon, load_lexicon,
+                              write_lexicon)
+from pausecue.pauses import POSITIONS, PAUSE_FIELDS, PauseRecord, read_pauses, write_pauses
 
 DATA = Path(__file__).parent.parent / "src" / "pausecue" / "data"
 
@@ -194,3 +203,112 @@ def test_bundled_lexicon_is_stable_after_one_rewrite(tmp_path):
         '"display": "Ordinal", "ordinal_rank": "first"}')
     write_lexicon(path, load_lexicon(path))
     assert path.read_bytes() == first
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the interpreted checker and row maker
+# ---------------------------------------------------------------------------
+
+TABLES = {"token": TOKEN_FIELDS, "coded": CODED_FIELDS, "pause": PAUSE_FIELDS,
+          "trace": TRACE_FIELDS, "entry": ENTRY_FIELDS, "function": FUNCTION_FIELDS}
+LABELS = sorted({*OP_KINDS, *FUNCTION_LABELS, *TOKEN_FLAGS, *ACCENTS, "bogus", ""})
+#: Ints beyond float range, up to the decoder's 4,300-digit limit.
+OVERSIZED = st.sampled_from([2**1024, -(10**400), int("9" * 4300)])
+#: Numbers at and beyond the magnitude bound.
+EDGES = st.sampled_from([10**15, 10**15 + 1, -10**15, -10**15 - 1, 1e15, -1.0000000000000002e15,
+                         2**53 + 1, 2**1023, float("nan"), float("inf"), -float("inf")])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | EDGES | OVERSIZED
+    | st.text(max_size=4) | st.sampled_from(LABELS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "pops", "x"]), inner, max_size=2),
+    max_leaves=4)
+MUTATIONS = st.one_of(OVERSIZED, EDGES, st.sampled_from(LABELS),
+                      st.lists(st.sampled_from(LABELS) | EDGES, max_size=3), JSON_VALUES)
+
+
+def _valid_value(field: Field):
+    """Values ``field`` accepts, as the JSON decoder gives them."""
+    _, kind, default, of, choices, _ = field
+    words = st.sampled_from(choices) if choices else st.text(max_size=4) | st.sampled_from(LABELS)
+    if kind is dict:
+        value = _valid_row(of)
+    elif kind is list:
+        value = st.lists(words, max_size=3)
+    else:
+        value = {str: words, bool: st.booleans(), int: INDICES, float: NUMBERS | INDICES}[kind]
+    return value | st.none() if default is None else value
+
+
+def _valid_row(table):
+    return st.fixed_dictionaries(
+        {field.name: _valid_value(field) for field in table if field.default is REQUIRED},
+        optional={field.name: _valid_value(field) for field in table
+                  if field.default is not REQUIRED})
+
+
+def _outcome(validate_rows, table, obj):
+    """The checked fields as JSON text, keys in order, or the error message."""
+    try:
+        [(_, fields)] = validate_rows([(7, obj)], table, "in.jsonl")
+    except SchemaError as exc:
+        return str(exc)
+    return json.dumps(fields)
+
+
+@settings(settings.get_profile("fuzz"))
+@pytest.mark.parametrize("table", TABLES.values(), ids=TABLES)
+@given(data=st.data())
+def test_checker_agrees_with_the_interpreted_one(table, data):
+    obj = data.draw(_valid_row(table))
+    nested = [name for name, value in obj.items() if isinstance(value, dict)]
+    owner = obj[data.draw(st.sampled_from(nested))] if nested and data.draw(st.booleans()) else obj
+    lists = sorted(key for key, value in owner.items() if isinstance(value, list))
+    how = data.draw(st.sampled_from(["delete", "set", "set", "append"]))
+    if how == "append" and lists:  # a bad element after good ones
+        key = data.draw(st.sampled_from(lists))
+        owner[key].append(data.draw(st.sampled_from(LABELS) | MUTATIONS))
+    else:
+        key = data.draw(st.sampled_from(sorted({*owner, *(f.name for f in table), "x"})))
+        if how == "delete":
+            owner.pop(key, None)
+        else:
+            owner[key] = data.draw(MUTATIONS)
+    try:
+        expected = _outcome(jsonl_oracle.validate, table, obj)
+    except OverflowError:  # the interpreted checker's crash on an int beyond float range
+        expected = (f"in.jsonl:7: field {key!r} must be finite and at most 1e+15 in magnitude "
+                    f"(got {owner[key]!r})")
+    assert _outcome(validate, table, obj) == expected
+
+
+def _as_record(fields: dict, data):
+    """A record holding checked ``fields``: lists maybe as sets, nested tables as records."""
+    values = {}
+    for name, value in fields.items():
+        if isinstance(value, dict):
+            value = _as_record(value, data)
+        elif isinstance(value, list):
+            value = data.draw(st.sampled_from([value, tuple(value), frozenset(value)]))
+        values[name] = value
+    return SimpleNamespace(**values)
+
+
+RECORDS = {"token": transcripts(), "coded": st.lists(coded_records(), max_size=3),
+           "pause": st.lists(PAUSES, max_size=3),
+           "trace": st.lists(st.tuples(OPERATIONS, INDICES).map(TraceStep._make), max_size=3),
+           "entry": st.lists(ENTRIES, max_size=3), "function": st.just([])}
+
+
+@FUZZ
+@pytest.mark.parametrize("name", TABLES)
+@given(data=st.data())
+def test_row_maker_agrees_with_the_interpreted_one(name, data):
+    table = TABLES[name]
+    records = data.draw(RECORDS[name])
+    for _ in range(data.draw(st.integers(0, 2))):
+        [(_, fields)] = validate([(1, data.draw(_valid_row(table)))], table, "in.jsonl")
+        records.append(_as_record(fields, data))
+    made, expected = list(rows(table, records)), list(jsonl_oracle.rows(table, records))
+    assert made == expected
+    assert [json.dumps(row) for row in made] == [json.dumps(row) for row in expected]

@@ -3,12 +3,14 @@ stay in step with the package."""
 
 import ast
 import importlib
+import io
 import json
 import runpy
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
-from pausecue import replication
+from pausecue import fragments, lexicon, pauses, replication
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -92,3 +94,51 @@ def test_bench_hooks_resolve_in_the_package():
         owner = getattr(owner, cls) if cls else owner
         # the harness patches the owner's own attribute, as it is called at run time
         assert callable(vars(owner).get(attr)), f"{target}.{attr}"
+
+
+def test_bench_row_counters_see_every_row(monkeypatch):
+    # the harness counts rows by patching these module attributes; a reader or
+    # writer that bypassed them would read zero rows in a traced run
+    tables = _worker_tables()
+    counts = Counter()
+
+    def reader(module, read):
+        def counted(path):
+            for row in read(path):
+                counts[module, "read"] += 1
+                yield row
+        return counted
+
+    def writer(module, write):
+        def counted(target, rows):
+            rows = list(rows)
+            counts[module, "written"] += len(rows)
+            write(target, rows)
+        return counted
+
+    for module in ast.literal_eval(tables["ROW_READERS"]):
+        owner = importlib.import_module(module)
+        monkeypatch.setattr(owner, "iter_jsonl", reader(module, owner.iter_jsonl))
+    for module in ast.literal_eval(tables["ROW_WRITERS"]):
+        owner = importlib.import_module(module)
+        monkeypatch.setattr(owner, "write_jsonl", writer(module, owner.write_jsonl))
+    data = ROOT / "src" / "pausecue" / "data"
+    transcript = ROOT / "tests" / "fixtures" / "directions_intro.jsonl"
+    records = fragments.read_coded(data / replication.RECORDS_FILE)
+    tokens = fragments.read_transcript(transcript)
+    inventory = pauses.read_pauses(data / replication.PAUSES_FILE)
+    lexicon.bundled_lexicon()
+    fragments.write_coded(io.StringIO(), records)
+    fragments.write_transcript(io.StringIO(), tokens)
+    pauses.write_pauses(io.StringIO(), inventory)
+
+    def lines(*paths):
+        return sum(1 for path in paths for line in path.read_text().splitlines() if line.strip())
+
+    assert counts == {
+        ("pausecue.fragments", "read"): lines(data / replication.RECORDS_FILE, transcript),
+        ("pausecue.pauses", "read"): lines(data / replication.PAUSES_FILE),
+        ("pausecue.lexicon", "read"): lines(data / "lexicon.jsonl"),
+        ("pausecue.fragments", "written"): len(records) + len(tokens),
+        ("pausecue.pauses", "written"): len(inventory),
+    }
