@@ -17,7 +17,6 @@ parent is the space directly beneath it at push time.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 from dataclasses import dataclass
@@ -79,8 +78,9 @@ class FocusingOperation:
             raise MalformedOperation(f"{self.kind.value} must have pop_count >= 1, "
                                      f"got {self.pop_count}")
 
-    @property
+    @functools.cached_property
     def pushes(self) -> int:
+        """1 for Initiate and Replace, else 0; worked out once per operation."""
         return 1 if self.kind in (OpKind.INITIATE, OpKind.REPLACE) else 0
 
     @property
@@ -89,7 +89,7 @@ class FocusingOperation:
         return self.pop_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FocusSpace:
     """One discourse segment's attentional record.
 
@@ -110,11 +110,26 @@ class FocusSpace:
                 f"opened_at {self.opened_at}")
 
 
-@dataclass(frozen=True)
-class FocusStack:
-    """Immutable stack state: the open spaces, bottom to top."""
+#: One link of a focus stack: the space on top and the link beneath it,
+#: None beneath the bottom space.
+Link = tuple[FocusSpace, "Link"] | None
 
-    spaces: tuple[FocusSpace, ...] = ()
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class FocusStack:
+    """Immutable stack state: a persistent linked stack of the open spaces.
+
+    ``link`` is the top link ``(space, rest)``, where ``rest`` is the link
+    beneath (None below the bottom space); ``depth`` is the number of links.
+    ``apply`` walks only the links it pops and adds at most one, so a state
+    shares every link beneath its top with the states it came from, and no
+    state is ever copied or changed.  ``spaces`` rebuilds the bottom-to-top
+    tuple in O(depth); equality, hashing and ``repr`` go through it and
+    ``next_id``, never through the nested links, so they work at any depth.
+    """
+
+    link: Link = None
+    depth: int = 0
     next_id: int = 0
 
     @classmethod
@@ -122,12 +137,29 @@ class FocusStack:
         return cls()
 
     @property
-    def depth(self) -> int:
-        return len(self.spaces)
+    def top(self) -> FocusSpace | None:
+        return None if self.link is None else self.link[0]
 
     @property
-    def top(self) -> FocusSpace | None:
-        return self.spaces[-1] if self.spaces else None
+    def spaces(self) -> tuple[FocusSpace, ...]:
+        """The open spaces, bottom to top, read off the links in O(depth)."""
+        spaces = []
+        link = self.link
+        while link is not None:
+            space, link = link
+            spaces.append(space)
+        return tuple(reversed(spaces))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FocusStack):
+            return NotImplemented
+        return (self.next_id, self.spaces) == (other.next_id, other.spaces)
+
+    def __hash__(self) -> int:
+        return hash((self.spaces, self.next_id))
+
+    def __repr__(self) -> str:
+        return f"FocusStack(spaces={self.spaces!r}, next_id={self.next_id!r})"
 
 
 def apply(stack: FocusStack, op: FocusingOperation, fragment_index: int,
@@ -135,19 +167,24 @@ def apply(stack: FocusStack, op: FocusingOperation, fragment_index: int,
     """Apply one focusing operation, returning the new stack state.
 
     Popped spaces are dropped; a pushed space opens at ``fragment_index``.
-    The input stack is never mutated.
+    The input stack is never mutated: the result shares its links, and
+    costs O(pop_count + 1).
 
     Raises EmptyStackError for Retain/Return on an empty stack and
     UnderflowError when pop_count exceeds the current depth.
     """
-    if op.kind in (OpKind.RETAIN, OpKind.RETURN) and not stack.spaces:
+    depth, pops = stack.depth, op.pop_count
+    if not depth and not op.pushes:  # Retain or Return
         raise EmptyStackError(f"{op.kind.value} requires a nonempty stack")
-    if op.pop_count > stack.depth:
-        raise UnderflowError(f"{op.kind.value} pops {op.pop_count} but depth is {stack.depth}")
-    spaces = stack.spaces[:stack.depth - op.pop_count]
+    if pops > depth:
+        raise UnderflowError(f"{op.kind.value} pops {pops} but depth is {depth}")
+    link = stack.link
+    for _ in range(pops):
+        link = link[1]
     if op.pushes:
-        spaces += (FocusSpace(id=stack.next_id, dsp_label=label, opened_at=fragment_index),)
-    return FocusStack(spaces=spaces, next_id=stack.next_id + op.pushes)
+        space = FocusSpace(stack.next_id, label, fragment_index)
+        return FocusStack((space, link), depth - pops + 1, stack.next_id + 1)
+    return FocusStack(link, depth - pops, stack.next_id) if pops else stack
 
 
 def segments_affected(op: FocusingOperation) -> int:
@@ -226,16 +263,19 @@ def build_tree(trace: Trace) -> LinguisticTree:
         try:
             after = apply(stack, op, fragment_index)
             # top first: when several spaces close too early, the top is named
-            for space in reversed(stack.spaces[stack.depth - op.pop_count:]):
-                nodes[space.id] = dataclasses.replace(space, closed_at=fragment_index)
+            link = stack.link
+            for _ in range(op.pop_count):
+                space, link = link
+                nodes[space.id] = FocusSpace(space.id, space.dsp_label, space.opened_at,
+                                             fragment_index)
         except FocusEngineError as exc:
             raise type(exc)(f"trace index {idx}: {exc}") from exc
         stack = after
         if op.pushes:
-            pushed = stack.spaces[-1]
+            pushed, below = stack.link
             nodes[pushed.id] = pushed
-            if stack.depth >= 2:
-                parent[pushed.id] = stack.spaces[-2].id
+            if below is not None:
+                parent[pushed.id] = below[0].id
             depths[pushed.id] = stack.depth
 
     order = tuple(sorted(nodes, key=lambda nid: (nodes[nid].opened_at, nid)))

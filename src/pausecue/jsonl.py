@@ -176,11 +176,21 @@ def _reject(field: Field, value: Any, path: str | Path, lineno: int) -> float:
         if kind is float and type(value) is int:
             try:
                 got = float(value)
-            except OverflowError:  # beyond float range: shown as the int it is
+            except OverflowError:  # beyond float range: shown as an int
                 pass
         message = (f"field {name!r} must be finite and at most {MAX_MAGNITUDE:g} "
-                   f"in magnitude (got {got!r})")
+                   f"in magnitude (got {_shown(got)})")
     raise SchemaError(message, line=lineno, path=path)
+
+
+def _shown(value: Any) -> str:
+    """``repr(value)``, but an int of more than 20 digits as its sign, first
+    digits and digit count, so a message quoting it stays one short line."""
+    text = repr(value)
+    digits = text.lstrip("-")
+    if type(value) is not int or len(digits) <= 20:
+        return text
+    return f"{len(digits)}-digit integer {text[:-len(digits)]}{digits[:7]}..."
 
 
 def _bad_element(field: Field, element: Any, path: str | Path, lineno: int) -> None:

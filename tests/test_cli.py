@@ -226,6 +226,12 @@ ON_LEFT, NOWHERE = GAP_ROW % (0.7, 0.3), GAP_ROW % (0.1, 0.15)
                  id="coded-int-beyond-float-range"),
     pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0) + CODED_ROW % ("1" * 4301, 0)},
                  "coded", 2, id="coded-int-over-4300-digits"),
+    pytest.param("stats", {"coded": CODED_ROW.replace('"fragment_index": 0', '"fragment_index": 1'
+                                                      + "0" * 400) % ("0.2", 0)},
+                 "coded", 1, id="coded-index-of-401-digits"),
+    pytest.param("code", {"transcript": '{"surface": "you", "pause_before_s": -9%s}\n'
+                                        % ("9" * 4299)},
+                 "transcript", 1, id="transcript-int-of-4300-digits"),
     pytest.param("stats", {"coded": CODED_ROW % ("null", 0) * 2}, "coded", None,
                  id="coded-no-measured-pause"),
     pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0), "pauses": PAUSE_ROW % "NaN"},
@@ -259,6 +265,9 @@ def test_input_error_names_path_and_line(tmp_path, capsys, command, files, culpr
     assert code == 2
     where = str(paths[culprit]) if line is None else f"{paths[culprit]}:{line}"
     assert err.startswith(f"error: {where}: "), err
+    message = err.splitlines()[0][len(f"error: {where}: "):]
+    if "in magnitude" in message:  # an oversized number is shown in short form
+        assert len(message) < 120, message
 
 
 @pytest.mark.parametrize("files, culprit", [

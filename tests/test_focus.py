@@ -1,6 +1,9 @@
 """Stack engine: operation semantics, tree building, trace replay invariants."""
 
+import dataclasses
+import gc
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +104,56 @@ def test_apply_is_pure():
     twice = apply(stack, INITIATE, 1)
     assert once == twice
     assert stack.depth == 1  # input untouched
+
+
+def links(stack):
+    """The links of ``stack``, top first."""
+    found, link = [], stack.link
+    while link is not None:
+        found.append(link)
+        link = link[1]
+    return found
+
+
+def test_apply_shares_links_and_stores_depth():
+    # fails on any apply that copies: each result must reuse the input's links
+    stack = FocusStack.empty()
+    for i in range(6):
+        stack = apply(stack, INITIATE, i)
+    below = links(stack)
+    assert apply(stack, RETAIN, 6).link is stack.link
+    initiated = apply(stack, INITIATE, 6)
+    assert initiated.link[1] is stack.link
+    for k in range(1, 7):
+        rest = below[k] if k < len(below) else None
+        assert apply(stack, ret(k), 6).link is rest  # the input's k-th link
+        assert apply(stack, rep(k), 6).link[1] is rest
+    # the traced benchmark pass reads ``depth`` on every result: stored, not counted
+    assert [field.name for field in dataclasses.fields(FocusStack)] == ["link", "depth", "next_id"]
+    for state in (stack, initiated, apply(stack, ret(6), 6), FocusStack.empty()):
+        assert state.depth == len(links(state)) == len(state.spaces)
+    assert [space.id for space in stack.spaces] == [0, 1, 2, 3, 4, 5]
+
+
+def test_deep_stack_compares_hashes_prints_and_drops(monkeypatch):
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    built = []
+    for _ in range(2):  # two equal stacks that share no link
+        stack = FocusStack.empty()
+        for i in range(100_000):
+            stack = apply(stack, INITIATE, i)
+        built.append(stack)
+    one, twin = built
+    assert one == twin and one.link[1] is not twin.link[1]
+    assert hash(one) == hash(twin)
+    assert one != apply(one, INITIATE, 100_000) and one != apply(one, ret(1), 100_000)
+    assert repr(one).startswith("FocusStack(spaces=(FocusSpace(id=0, ")
+    assert repr(one).endswith(", next_id=100000)")
+    assert len(one.spaces) == one.depth == 100_000
+    del stack, built, one, twin
+    gc.collect()
+    assert unraisable == []
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +361,52 @@ def test_invalid_trace_errors_match_oracle(trace, error):
     outcome = replay_outcome(build_tree, trace)
     assert outcome == replay_outcome(focus_oracle.build_tree, trace)
     assert outcome[0] is error
+
+
+def deep_trace(rng, min_depth=2000, wander=1000):
+    """A well-formed trace that mostly pushes until ``min_depth`` deep, then wanders."""
+    trace, depth = [], 0
+
+    def step(weights, most):
+        nonlocal depth
+        kind = rng.choices(list(OpKind), weights)[0]
+        if depth == 0 or kind is OpKind.INITIATE:
+            op = INITIATE
+        elif kind is OpKind.RETAIN:
+            op = RETAIN
+        else:
+            op = FocusingOperation(kind, rng.randint(1, min(depth, most)))
+        trace.append((op, len(trace)))
+        depth += op.pushes - op.pop_count
+
+    while depth < min_depth:
+        step((8, 1, 1, 1), 2)
+    for _ in range(wander):  # now and then a pop of up to 300 spaces
+        step((1, 1, 1, 1), 300 if rng.random() < 0.02 else 3)
+    return trace, depth
+
+
+def test_deep_traces_match_oracle():
+    rng = random.Random(2000)
+    for _ in range(3):
+        trace, depth = deep_trace(rng)
+        assert max(naive_depth_trajectory(trace)[0]) >= 2000 and depth >= 1
+        assert build_tree(trace) == focus_oracle.build_tree(trace)
+    trace, depth = deep_trace(rng, wander=0)
+    end = len(trace)
+    reversed_indices = [(op, end - i) for op, i in trace]
+    failing = [
+        (trace + [(ret(depth + 1), end)], UnderflowError),
+        (trace + [(rep(depth + 1), end)], UnderflowError),
+        (trace + [(ret(depth), end), (RETAIN, end + 1)], EmptyStackError),
+        (trace + [(ret(min(depth, 50)), end - 1)], MalformedOperation),  # closes the top too early
+        (trace + [(ret(depth), 0)], MalformedOperation),  # every popped space fails: top named
+        (reversed_indices, MalformedOperation),  # non-increasing indices
+    ]
+    for bad, error in failing:
+        outcome = replay_outcome(build_tree, bad)
+        assert outcome == replay_outcome(focus_oracle.build_tree, bad)
+        assert outcome[0] is error
 
 
 @st.composite

@@ -12,6 +12,7 @@ byte-stable from then on.
 
 import io
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -279,7 +280,13 @@ def test_checker_agrees_with_the_interpreted_one(table, data):
     except OverflowError:  # the interpreted checker's crash on an int beyond float range
         expected = (f"in.jsonl:7: field {key!r} must be finite and at most 1e+15 in magnitude "
                     f"(got {owner[key]!r})")
-    assert _outcome(validate, table, obj) == expected
+    assert _outcome(validate, table, obj) == _shortened(expected)
+
+
+def _shortened(message: str) -> str:
+    """``message`` with a quoted int of more than 20 digits in the checker's short form."""
+    return re.sub(r"\(got (-?)(\d{21,})\)$",
+                  lambda m: f"(got {len(m[2])}-digit integer {m[1]}{m[2][:7]}...)", message)
 
 
 def _as_record(fields: dict, data):
