@@ -13,6 +13,7 @@ are deterministic given the same inputs and flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from itertools import islice
 from pathlib import Path
@@ -27,7 +28,12 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INPUT = 2
 
-_INPUT_ERRORS = (SchemaError, pauses.UnsupportedFormat, fragments.LengthMismatch,
+
+class OptionError(Exception):
+    """A command-line option holds a value the command cannot use."""
+
+
+_INPUT_ERRORS = (SchemaError, OptionError, pauses.UnsupportedFormat, fragments.LengthMismatch,
                  MissingAnnotation, FocusEngineError)
 
 #: One ``--functions`` line: the annotator's labels around one fragment.
@@ -73,7 +79,15 @@ def _out_dir(args: argparse.Namespace) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_pauses(args: argparse.Namespace) -> int:
+    for option, value in (("--threshold-db", args.threshold_db),
+                          ("--min-silence", args.min_silence)):
+        if not math.isfinite(value):
+            raise OptionError(f"{option}: {value} is not a finite number")
     blocks, rate = pauses.read_wav(args.wav)
+    try:
+        pauses.frame_step(rate, args.frame_ms)
+    except pauses.UnsupportedFormat as exc:
+        raise OptionError(f"--frame-ms: {exc}") from None
     config = pauses.PauseConfig(threshold_db=args.threshold_db,
                                 min_silence_s=args.min_silence,
                                 frame_ms=args.frame_ms)

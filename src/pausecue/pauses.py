@@ -8,6 +8,10 @@ relative, detection is invariant to uniform gain changes.  Files with no
 usable dynamic range between the 5th and 95th percentile (all speech, or all
 silence) yield no pauses.
 
+Only the functions that touch samples import numpy (``write_wav``,
+``frame_energy``, ``detect_pauses`` and the block reader behind
+``read_wav``), so the text-side commands never load it.
+
 Silences shorter than ``min_silence_s`` are discarded: they cannot round to
 a nonzero tenth of a second and are usually articulation.  A silence lying
 strictly inside a single word span is the closure phase of a plosive, not a
@@ -23,8 +27,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .jsonl import Field, Target, build, iter_jsonl, rows, validate, write_jsonl
 
@@ -101,6 +103,21 @@ class AudioFrameSeries:
 #: Samples per block read from a WAV file (about 4 s at 16 kHz).
 BLOCK_SAMPLES = 1 << 16
 
+#: The longest analysis frame, in ms.  A longer frame could not resolve
+#: pauses reported to a tenth of a second, and the bound keeps the partial
+#: frame carried between blocks under one second of samples.
+MAX_FRAME_MS = 1000.0
+
+
+def frame_step(sample_rate: int, frame_ms: float) -> int:
+    """Samples per frame of ``frame_ms`` ms, which must lie in (0, MAX_FRAME_MS]."""
+    if not 0.0 < frame_ms <= MAX_FRAME_MS:  # NaN fails too
+        raise UnsupportedFormat(f"frame length {frame_ms} ms not in (0, {MAX_FRAME_MS:g}] ms")
+    step = int(round(sample_rate * frame_ms / 1000.0))
+    if step < 1:
+        raise UnsupportedFormat(f"frame length {frame_ms} ms too short at {sample_rate} Hz")
+    return step
+
 
 @contextmanager
 def _wav_errors(path: str | Path) -> Iterator[None]:
@@ -139,6 +156,7 @@ def read_wav(path: str | Path) -> tuple[Iterator[np.ndarray], int]:
 
 
 def _blocks(wav: wave.Wave_read, path: str | Path) -> Iterator[np.ndarray]:
+    import numpy as np
     with wav:
         read = 0
         while True:
@@ -157,6 +175,7 @@ def _blocks(wav: wave.Wave_read, path: str | Path) -> Iterator[np.ndarray]:
 
 def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
     """Write float samples in [-1, 1] as 16-bit PCM mono (test fixtures, demos)."""
+    import numpy as np
     clipped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
     ints = (clipped * 32767.0).astype("<i2")
     with wave.open(str(path), "wb") as wav:
@@ -173,13 +192,13 @@ def frame_energy(samples: np.ndarray | Iterator[np.ndarray], sample_rate: int,
     ``samples`` is one array, or an iterator of 1-D blocks such as
     ``read_wav`` yields; integer samples are 16-bit PCM.  A frame that spans
     two blocks is carried over, and only the energies are kept, so memory
-    beyond the current block is 8 bytes per frame.
+    beyond the current block is 8 bytes per frame.  ``frame_ms`` must lie in
+    (0, ``MAX_FRAME_MS``] and span at least one sample (see ``frame_step``).
     """
+    import numpy as np
     if sample_rate < 8000:
         raise UnsupportedFormat(f"sample rate {sample_rate} below 8000 Hz")
-    step = int(round(sample_rate * frame_ms / 1000.0))
-    if step < 1:
-        raise UnsupportedFormat(f"frame length {frame_ms} ms too short at {sample_rate} Hz")
+    step = frame_step(sample_rate, frame_ms)
     blocks = samples if isinstance(samples, Iterator) else (samples,)
     parts = [np.empty(0)]
     carry = np.empty(0)
@@ -213,16 +232,20 @@ def detect_pauses(frames: AudioFrameSeries,
     Returns records ordered by start time; an empty list when the signal has
     no detectable silence.
     """
+    import numpy as np
     e = frames.energies
     if len(e) == 0:
         return []
     floor = float(np.percentile(e, 5))
     speech_ref = float(np.percentile(e, 95))
-    threshold = floor * 10.0 ** (config.threshold_db / 20.0)
+    try:
+        threshold = floor * 10.0 ** (config.threshold_db / 20.0)
+    except OverflowError:  # a threshold beyond float range lies above any speech
+        return []
     if threshold >= speech_ref:
         return []
 
-    step = int(round(frames.sample_rate * frames.frame_ms / 1000.0))
+    step = frame_step(frames.sample_rate, frames.frame_ms)
     silent = np.concatenate(([False], e <= threshold, [False]))
     edges = np.flatnonzero(silent[1:] != silent[:-1]).tolist()
     records: list[PauseRecord] = []

@@ -127,6 +127,90 @@ def test_pauses_missing_file(tmp_path, capsys):
     assert code in (1, 2)  # surfaced as unsupported input or I/O
 
 
+#: 2.5 s of tone, silence and tone.
+TWO_TONES = [("tone", 1.0), ("silence", 0.5), ("tone", 1.0)]
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--frame-ms", "nan"), ("--frame-ms", "inf"), ("--frame-ms", "1e308"),
+    ("--frame-ms", "1e300"), ("--frame-ms", "-1e308"), ("--frame-ms", "1000.5"),
+    ("--frame-ms", "0.01"), ("--threshold-db", "nan"), ("--threshold-db", "-inf"),
+    ("--min-silence", "nan"), ("--min-silence", "inf"),
+])
+def test_pauses_rejects_bad_option(tmp_path, capsys, option, value):
+    path = tmp_path / "speech.wav"
+    write_wav(path, build_signal(TWO_TONES), RATE)
+    code, out, err = run(capsys, "pauses", str(path), "--out", str(tmp_path),
+                         f"{option}={value}")
+    assert code == 2
+    assert err.startswith(f"error: {option}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "speech.pauses.jsonl").exists()
+
+
+def test_pauses_threshold_beyond_float_range_finds_no_pause(tmp_path, capsys):
+    path = tmp_path / "speech.wav"
+    write_wav(path, build_signal(TWO_TONES), RATE)
+    code, out, err = run(capsys, "pauses", str(path), "--out", "-", "--threshold-db", "1e308")
+    assert (code, out) == (0, "")
+    assert err.startswith("pauses: 0 ")
+
+
+# ---------------------------------------------------------------------------
+# numpy is loaded by the audio path only
+# ---------------------------------------------------------------------------
+
+#: Runs ``main`` on the arguments in a new interpreter, then prints its exit
+#: code and whether numpy was loaded.
+FRESH_MAIN = ("import sys; from pausecue.cli import main; code = main(sys.argv[1:]); "
+              "print(code, 'numpy' in sys.modules)")
+DATA = SRC / "pausecue" / "data"
+
+
+def run_fresh(script, *argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["segment", "{intro}"], id="segment"),
+    pytest.param(["code", "{intro}"], id="code"),
+    pytest.param(["code", "{timed}", "--pauses", "{gaps}"], id="code-pauses"),
+    pytest.param(["stats", "{records}", "--pauses", "{inventory}"], id="stats-pauses"),
+    pytest.param(["stats", "{records}", "--pauses", "{inventory}", "--format", "json"],
+                 id="stats-pauses-json"),
+    pytest.param(["replicate"], id="replicate"),
+])
+def test_text_commands_do_not_load_numpy(tmp_path, argv):
+    (tmp_path / "timed.jsonl").write_text(TIMED)
+    (tmp_path / "gaps.jsonl").write_text(ON_LEFT)
+    files = {"intro": FIXTURES / "directions_intro.jsonl", "timed": tmp_path / "timed.jsonl",
+             "gaps": tmp_path / "gaps.jsonl", "records": DATA / "replication_records.jsonl",
+             "inventory": DATA / "replication_pauses.jsonl"}
+    argv = [arg.format(**files) for arg in argv]
+    if argv[0] in ("segment", "code"):
+        argv += ["--out", str(tmp_path)]
+    assert run_fresh(FRESH_MAIN, *argv) == "0 False"
+
+
+def test_import_does_not_load_numpy():
+    assert run_fresh("import sys, pausecue; print('numpy' in sys.modules)") == "False"
+
+
+def test_pauses_in_a_fresh_interpreter_writes_the_same_bytes(tmp_path, capsys):
+    path = tmp_path / "speech.wav"
+    write_wav(path, build_signal(TWO_TONES), RATE)
+    code, out, err = run(capsys, "pauses", str(path), "--out", str(tmp_path / "here"))
+    assert code == 0
+    assert run_fresh(FRESH_MAIN, "pauses", str(path), "--out", str(tmp_path / "fresh")) \
+        == "0 True"
+    written = (tmp_path / "here" / "speech.pauses.jsonl").read_bytes()
+    assert written.count(b"\n") == 1
+    assert (tmp_path / "fresh" / "speech.pauses.jsonl").read_bytes() == written
+
+
 # ---------------------------------------------------------------------------
 # segment
 # ---------------------------------------------------------------------------

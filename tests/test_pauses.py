@@ -81,6 +81,25 @@ def test_frame_energy_rejects_bad_input():
         frame_energy(iter([np.zeros(100, dtype="<i2"), np.zeros((4, 2), dtype="<i2")]), RATE)
 
 
+@pytest.mark.parametrize("frame_ms", [math.nan, math.inf, -math.inf, 1e308, 1e300, -1e308,
+                                      1000.5, 0.0, -5.0, 0.01])
+def test_frame_energy_rejects_frame_outside_bound(frame_ms):
+    with pytest.raises(UnsupportedFormat, match="^frame length "):
+        frame_energy(np.zeros(100), RATE, frame_ms)
+
+
+def test_longest_frame():
+    frames = frame_energy(np.full(RATE + 5, 0.5), RATE, pauses.MAX_FRAME_MS)
+    assert len(frames.energies) == 2
+    assert frames.energies[0] == pytest.approx(0.5)
+
+
+def test_threshold_beyond_float_range_finds_no_pause():
+    frames = frame_energy(build_signal([("tone", 0.4), ("silence", 0.3), ("tone", 0.4)]), RATE)
+    assert detect_pauses(frames, config=PauseConfig(threshold_db=1e308)) == []
+    assert len(detect_pauses(frames, config=PauseConfig(threshold_db=-1e308))) == 1
+
+
 def pcm(n, seed=0):
     """``n`` random 16-bit samples, with runs of digital silence."""
     rng = np.random.default_rng(seed)
