@@ -106,10 +106,11 @@ DEFAULT_CONFIG = ClassifierConfig()
 
 
 def load_weights(path: str | Path) -> ClassifierConfig:
-    """Read a ``key = value`` text config; unknown keys, values that are not
-    finite and row weights that are not positive are rejected."""
+    """Read a ``key = value`` text config; unknown or repeated keys, values
+    that are not finite and row weights that are not positive are rejected."""
     extras = dict(vars(DEFAULT_CONFIG))
     weights = dict(extras.pop("weights"))
+    seen = set()
     # undecodable bytes turn into U+FFFD, which no key or number accepts
     with open(path, encoding="utf-8", errors="replace") as fp:
         for lineno, raw in enumerate(fp, start=1):
@@ -121,6 +122,9 @@ def load_weights(path: str | Path) -> ClassifierConfig:
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in weights and key not in extras:
                 raise SchemaError(f"unknown key {key!r}", line=lineno, path=path)
+            if key in seen:
+                raise SchemaError(f"duplicate key {key!r}", line=lineno, path=path)
+            seen.add(key)
             try:
                 number = float(value)
             except ValueError:

@@ -13,7 +13,6 @@ are deterministic given the same inputs and flags.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from itertools import islice
 from pathlib import Path
@@ -60,10 +59,14 @@ def _read_functions(path: str | None, n: int) -> list[tuple[str, str]] | None:
     if path is None:
         return None
     labels = [("topical", "topical")] * n
+    seen = set()
     for lineno, row in validate(iter_jsonl(path), FUNCTION_FIELDS, path):
         i = row["fragment_index"]
         if not 0 <= i < n:
             raise SchemaError(f"fragment_index {i} out of range", line=lineno, path=path)
+        if i in seen:
+            raise SchemaError(f"duplicate fragment_index {i}", line=lineno, path=path)
+        seen.add(i)
         labels[i] = (row["prior"], row["subsequent"])
     return labels
 
@@ -78,19 +81,23 @@ def _out_dir(args: argparse.Namespace) -> Path:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+#: The ``pauses`` option that sets each PauseConfig field.
+_PAUSE_OPTIONS = {"threshold_db": "--threshold-db", "min_silence_s": "--min-silence",
+                 "frame_ms": "--frame-ms"}
+
+
 def cmd_pauses(args: argparse.Namespace) -> int:
-    for option, value in (("--threshold-db", args.threshold_db),
-                          ("--min-silence", args.min_silence)):
-        if not math.isfinite(value):
-            raise OptionError(f"{option}: {value} is not a finite number")
+    try:
+        config = pauses.PauseConfig(threshold_db=args.threshold_db,
+                                    min_silence_s=args.min_silence,
+                                    frame_ms=args.frame_ms)
+    except pauses.BadPauseConfig as exc:
+        raise OptionError(f"{_PAUSE_OPTIONS[exc.field]}: {exc}") from None
     blocks, rate = pauses.read_wav(args.wav)
     try:
-        pauses.frame_step(rate, args.frame_ms)
-    except pauses.UnsupportedFormat as exc:
+        pauses.frame_step(rate, config.frame_ms)
+    except pauses.UnsupportedFormat as exc:  # a frame shorter than one sample
         raise OptionError(f"--frame-ms: {exc}") from None
-    config = pauses.PauseConfig(threshold_db=args.threshold_db,
-                                min_silence_s=args.min_silence,
-                                frame_ms=args.frame_ms)
     frames = pauses.frame_energy(blocks, rate, frame_ms=config.frame_ms)
     records = pauses.detect_pauses(frames, config=config)
 

@@ -28,8 +28,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .focus import (OPERATION_FIELDS, FocusingOperation, FocusStack, apply,
                     operation_from_row, segments_affected)
-from .jsonl import (Field, SchemaError, Target, build, iter_jsonl, open_target, rows,
-                    validate, write_jsonl)
+from .jsonl import (Field, SchemaError, Target, build, iter_jsonl, open_target,
+                    record_check, rows, validate, write_jsonl)
 from .lexicon import CueContext, CueEntry, Lexicon, bundled_lexicon, judge_cue_use, normalize
 from .pauses import PauseRecord, round_tenth
 
@@ -39,7 +39,6 @@ PHONATIONS = ("normal", "creaky")
 PITCH_RANGES = ("normal", "expanded", "reduced")
 TOKEN_FLAGS = ("coordination", "nonpronominal_repetition",
                "own_intonational_phrase", "turn_initial")
-_FLAG_SET = frozenset(TOKEN_FLAGS)
 
 INITIAL_CLASSES = ("unfilled_pause", "filled_pause", "cue_phrase",
                    "acknowledgment", "unmarked")
@@ -96,37 +95,26 @@ class AnnotatedToken:
     end_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.accent not in ACCENTS:
-            raise ValueError(f"bad accent {self.accent!r}")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"bad boundary {self.boundary!r}")
-        if self.phonation not in PHONATIONS:
-            raise ValueError(f"bad phonation {self.phonation!r}")
-        if self.pitch_range not in PITCH_RANGES:
-            raise ValueError(f"bad pitch_range {self.pitch_range!r}")
-        if self.pause_before_s < 0:
-            raise ValueError("pause_before_s must be >= 0")
+        _check_token(self)
         if self.start_s is not None and self.end_s is not None and self.end_s < self.start_s:
             raise ValueError(f"end_s {self.end_s:g} precedes start_s {self.start_s:g}")
         self.flags = frozenset(self.flags)
-        unknown = self.flags - _FLAG_SET
-        if unknown:
-            raise ValueError(f"unknown flags {sorted(unknown)}")
 
 
 TOKEN_FIELDS = (
     Field("surface", str),
     Field("speaker", str, "A"),
-    Field("accent", str, "unmarked"),
-    Field("boundary", str, "none"),
-    Field("phonation", str, "normal"),
-    Field("pitch_range", str, "normal"),
-    Field("pause_before_s", float, 0.0),
-    Field("flags", list, (), of=str),
+    Field("accent", str, "unmarked", choices=ACCENTS),
+    Field("boundary", str, "none", choices=BOUNDARIES),
+    Field("phonation", str, "normal", choices=PHONATIONS),
+    Field("pitch_range", str, "normal", choices=PITCH_RANGES),
+    Field("pause_before_s", float, 0.0, minimum=0.0),
+    Field("flags", list, (), of=str, choices=TOKEN_FLAGS),
     Field("topic", str, "", omit_default=True),
     Field("start_s", float, None, omit_default=True),
     Field("end_s", float, None, omit_default=True),
 )
+_check_token = record_check(TOKEN_FIELDS)
 
 
 @dataclass
@@ -190,16 +178,7 @@ class CodedRecord:
     initial_token: str = ""
 
     def __post_init__(self) -> None:
-        if self.initial_constituent not in CONSTITUENTS:
-            raise ValueError(f"bad constituent {self.initial_constituent!r}")
-        if self.prior_function not in FUNCTION_LABELS:
-            raise ValueError(f"bad prior_function {self.prior_function!r}")
-        if self.subsequent_function not in FUNCTION_LABELS:
-            raise ValueError(f"bad subsequent_function {self.subsequent_function!r}")
-        if self.turn_position not in TURN_POSITIONS:
-            raise ValueError(f"bad turn_position {self.turn_position!r}")
-        if self.embedding_depth < 1:
-            raise ValueError("embedding_depth must be >= 1")
+        _check_coded(self)
         op = self.operation
         if self.segments_affected != segments_affected(op):
             raise ValueError(f"segments_affected {self.segments_affected} inconsistent with "
@@ -214,17 +193,18 @@ class CodedRecord:
 
 CODED_FIELDS = (
     Field("fragment_index", int),
-    Field("pause_before_s", float, None),
-    Field("initial_constituent", str),
+    Field("pause_before_s", float, None, minimum=0.0),
+    Field("initial_constituent", str, choices=CONSTITUENTS),
     Field("initial_token", str, ""),
     Field("operation", dict, of=OPERATION_FIELDS),
-    Field("embedding_depth", int),
+    Field("embedding_depth", int, minimum=1),
     Field("segments_affected", int),
-    Field("prior_function", str, "topical"),
-    Field("subsequent_function", str, "topical"),
-    Field("turn_position", str, "continuing"),
+    Field("prior_function", str, "topical", choices=FUNCTION_LABELS),
+    Field("subsequent_function", str, "topical", choices=FUNCTION_LABELS),
+    Field("turn_position", str, "continuing", choices=TURN_POSITIONS),
     Field("marked", bool, None),  # absent: marked unless the constituent is unmarked
 )
+_check_coded = record_check(CODED_FIELDS)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ All record files are JSON Lines: one object per line, blank lines ignored.
 Writers stamp a ``schema_version`` field; readers tolerate its absence so
 hand-written fixtures stay terse.  Each record type declares one table of
 ``Field`` specs next to its class.  Each table is compiled once into a row
-checker, which ``validate`` runs on the rows read, and a row maker, which
-``rows`` runs on the records written.
+checker, which ``validate`` runs on the rows read, a record check of the same
+domain rules, which the record class's ``__post_init__`` runs, and a row
+maker, which ``rows`` runs on the records written.
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ class Field(NamedTuple):
     """One field of a record table.
 
     ``of`` is the element type of a list, or the table of a nested object.
-    ``choices`` holds the allowed values (of each element, for a list).  A
+    ``choices`` holds the allowed values (of each element, for a list), and
+    ``minimum`` is the inclusive lower bound of an int or float field.  A
     field without a default is required; a field whose default is None also
-    accepts null.  Ints widen to float; bools are never numbers.  A field
-    marked ``omit_default`` is left out of written rows while it holds its
-    default.
+    accepts null, which skips its choices and minimum.  Ints widen to float;
+    bools are never numbers.  A field marked ``omit_default`` is left out of
+    written rows while it holds its default.
     """
 
     name: str
@@ -54,6 +56,7 @@ class Field(NamedTuple):
     default: Any = REQUIRED
     of: Any = None
     choices: Sequence[str] | None = None
+    minimum: float | None = None
     omit_default: bool = False
 
 
@@ -98,7 +101,7 @@ def validate(rows: Iterable[tuple[int, dict]], table: Sequence[Field],
     SchemaError at path:line names the first one that fails.  Equal strings
     share one object: labels repeat on every line.
     """
-    check = _checker(tuple(table))
+    check = _compiled(tuple(table), False)
     strings: dict[str, str] = {}
     for lineno, obj in rows:
         yield lineno, check(obj, path, lineno, strings)
@@ -111,22 +114,30 @@ def _define(lines: list[str], env: dict[str, Any]) -> Callable:
 
 
 @functools.cache
-def _checker(table: tuple[Field, ...]) -> Callable[[dict, str | Path, int, dict], dict]:
-    """One table's row checker, built once: one block per field in table order.
+def _compiled(table: tuple[Field, ...], record: bool) -> Callable:
+    """One table's row checker, or with ``record`` its record check, built once.
 
-    The source is generated, as ``dataclasses`` builds ``__init__``, because
-    a loop that unpacks each field and dispatches on its kind for every row
-    costs most of a reader.  A block reads the value, handles absence and
-    null, and checks the type, the magnitude, the list elements and the
-    choices; the helpers it calls on a failure build the message.
+    The source is generated field by field, as ``dataclasses`` builds
+    ``__init__``, because a loop that unpacks each field and dispatches on
+    its kind for every row costs most of a reader.  A checker block reads
+    the value, handles absence and null, and checks the type, the
+    magnitude, the list elements and the domain rules (``choices`` and
+    ``minimum``).  The record check runs the same domain lines on the
+    record's attributes, skipping None where the field accepts null.  The
+    helpers called on a failure build the message; without a path they
+    raise a plain ValueError.  Choices are tested as a frozenset, whose cost
+    does not grow with a value's place in the list.
     """
     env: dict[str, Any] = {"_MISSING": REQUIRED, "_reject": _reject,
-                           "_bad_element": _bad_element, "_bad_choice": _bad_choice}
+                           "_bad_element": _bad_element, "_bad_value": _bad_value}
     lines = ["def f(obj, path, lineno, strings):", "    get, share = obj.get, strings.setdefault"]
+    rules = ["def f(record, path=None, lineno=0):"]
     for i, field in enumerate(table):
-        name, kind, default, of, choices, _ = field
+        name, kind, default, of, choices, minimum, _ = field
         v = f"v{i}"
-        env[f"F{i}"], env[f"K{i}"], env[f"C{i}"] = field, kind, choices
+        env[f"F{i}"], env[f"K{i}"] = field, kind
+        if choices is not None:
+            env[f"C{i}"] = frozenset(choices)
         if kind is float or kind is int:  # _reject returns the float of an int in range
             body = [f"if type({v}) is not K{i} or not {-MAX_MAGNITUDE!r} <= {v} <= "
                     f"{MAX_MAGNITUDE!r}:",
@@ -136,17 +147,22 @@ def _checker(table: tuple[Field, ...]) -> Callable[[dict, str | Path, int, dict]
         if kind is str:
             body.append(f"{v} = share({v}, {v})")
         elif kind is dict and of is not None:
-            env[f"T{i}"] = _checker(tuple(of))
+            if not record:  # only the row checker calls the nested one
+                env[f"T{i}"] = _compiled(tuple(of), False)
             body.append(f"{v} = T{i}({v}, path, lineno, strings)")
         elif kind is list and of is not None:
             env[f"E{i}"] = of
             body += [f"for item in {v}:", f"    if type(item) is not E{i}:",
                      f"        _bad_element(F{i}, item, path, lineno)"]
+        domain = []
         if choices is not None and kind is list:
-            body += [f"for item in {v}:", f"    if item not in C{i}:",
-                     f"        _bad_choice(F{i}, item, path, lineno)"]
+            domain = [f"for item in {v}:", f"    if item not in C{i}:",
+                      f"        _bad_value(F{i}, item, path, lineno)"]
         elif choices is not None:
-            body += [f"if {v} not in C{i}:", f"    _bad_choice(F{i}, {v}, path, lineno)"]
+            domain = [f"if {v} not in C{i}:", f"    _bad_value(F{i}, {v}, path, lineno)"]
+        if minimum is not None:
+            domain += [f"if {v} < {minimum!r}:", f"    _bad_value(F{i}, {v}, path, lineno)"]
+        body += domain
         if default is REQUIRED:  # _reject names a missing field
             lines.append(f"    {v} = get({name!r}, _MISSING)")
         elif default is None:  # absent and null alike
@@ -157,9 +173,21 @@ def _checker(table: tuple[Field, ...]) -> Callable[[dict, str | Path, int, dict]
                       f"        {v} = D{i}", "    else:"]
         indent = "    " if default is REQUIRED else "        "
         lines += [indent + line for line in body]
+        if domain:
+            rules.append(f"    {v} = record.{name}")
+            if default is None:
+                rules.append(f"    if {v} is not None:")
+            rules += [(indent if default is None else "    ") + line for line in domain]
     lines.append("    return {%s}" % ", ".join(f"{field.name!r}: v{i}"
                                               for i, field in enumerate(table)))
-    return _define(lines, env)
+    return _define([*rules, "    return None"] if record else lines, env)
+
+
+def record_check(table: Sequence[Field]) -> Callable[[Any], None]:
+    """The domain rules of ``table`` as a check of one record, for its class's
+    ``__post_init__``: the reader's tests in table order, raising ValueError
+    with the message the reader gives after ``path:line: ``."""
+    return _compiled(tuple(table), True)
 
 
 def _reject(field: Field, value: Any, path: str | Path, lineno: int) -> float:
@@ -198,9 +226,16 @@ def _bad_element(field: Field, element: Any, path: str | Path, lineno: int) -> N
                       f"(got {type(element).__name__})", line=lineno, path=path)
 
 
-def _bad_choice(field: Field, item: Any, path: str | Path, lineno: int) -> None:
-    raise SchemaError(f"field {field.name!r} has bad value {item!r} (expected "
-                      f"one of {', '.join(field.choices)})", line=lineno, path=path)
+def _bad_value(field: Field, value: Any, path: str | Path | None, lineno: int) -> None:
+    """Raise why ``value`` breaks ``field``'s choices or minimum: a SchemaError
+    at path:line in a reader, a ValueError in a record check."""
+    if field.choices is not None and value not in field.choices:
+        message = (f"field {field.name!r} has bad value {value!r} (expected "
+                   f"one of {', '.join(field.choices)})")
+    else:
+        message = (f"field {field.name!r} must be at least {field.minimum:g} "
+                   f"(got {_shown(value)})")
+    raise ValueError(message) if path is None else SchemaError(message, line=lineno, path=path)
 
 
 def build(make: Callable[..., T], row: dict, path: str | Path, lineno: int) -> T:

@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .focus import OP_KINDS, OpKind
-from .jsonl import (Field, SchemaError, Target, build, iter_jsonl, rows, validate,
-                    write_jsonl)
+from .jsonl import (Field, SchemaError, Target, build, iter_jsonl, record_check, rows,
+                    validate, write_jsonl)
 
 TOKEN_CLASSES = ("cue_phrase", "acknowledgment", "filled_pause")
 ORDINAL_RANKS = ("first", "subsequent")
@@ -59,25 +59,23 @@ class CueEntry:
     variants: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_entry(self)
         if not self.candidate_ops:
             raise ValueError(f"entry {self.surface!r} has empty candidate_ops")
-        if self.ordinal_rank is not None and self.ordinal_rank not in ORDINAL_RANKS:
-            raise ValueError(f"entry {self.surface!r} has bad ordinal_rank")
-        if self.token_class not in TOKEN_CLASSES:
-            raise ValueError(f"entry {self.surface!r} has bad token_class")
 
 
 ENTRY_FIELDS = (
     Field("surface", str),
     Field("gloss", str, ""),
     Field("candidate_ops", list, of=str, choices=OP_KINDS),
-    Field("token_class", str, "cue_phrase"),
+    Field("token_class", str, "cue_phrase", choices=TOKEN_CLASSES),
     Field("display", str, ""),  # empty: the capitalized surface
-    Field("ordinal_rank", str, None, omit_default=True),
+    Field("ordinal_rank", str, None, choices=ORDINAL_RANKS, omit_default=True),
     Field("connective", bool, False, omit_default=True),
     Field("corpus_derived", bool, False, omit_default=True),
     Field("variants", list, (), of=str, omit_default=True),
 )
+_check_entry = record_check(ENTRY_FIELDS)
 
 
 class DuplicateSurface(ValueError):

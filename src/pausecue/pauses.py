@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .jsonl import Field, Target, build, iter_jsonl, rows, validate, write_jsonl
+from .jsonl import Field, Target, build, iter_jsonl, record_check, rows, validate, write_jsonl
 
 POSITIONS = ("fragment_initial", "fragment_internal")
 
@@ -37,11 +37,43 @@ class UnsupportedFormat(Exception):
     """Audio input is not 16-bit linear PCM mono at a supported rate."""
 
 
+#: The longest analysis frame, in ms.  A longer frame could not resolve
+#: pauses reported to a tenth of a second, and the bound keeps the partial
+#: frame carried between blocks under one second of samples.
+MAX_FRAME_MS = 1000.0
+
+
+def _check_frame_ms(frame_ms: float) -> None:
+    if not 0.0 < frame_ms <= MAX_FRAME_MS:  # NaN fails too
+        raise UnsupportedFormat(f"frame length {frame_ms} ms not in (0, {MAX_FRAME_MS:g}] ms")
+
+
+class BadPauseConfig(ValueError):
+    """A PauseConfig value is unusable; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class PauseConfig:
+    """Detection settings: ``threshold_db`` and ``min_silence_s`` must be
+    finite and ``frame_ms`` must lie in (0, ``MAX_FRAME_MS``]."""
+
     threshold_db: float = 10.0
     min_silence_s: float = 0.05
     frame_ms: float = 10.0
+
+    def __post_init__(self) -> None:
+        for field in ("threshold_db", "min_silence_s"):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise BadPauseConfig(field, f"{value} is not a finite number")
+        try:
+            _check_frame_ms(self.frame_ms)
+        except UnsupportedFormat as exc:
+            raise BadPauseConfig("frame_ms", str(exc)) from None
 
 
 DEFAULT_CONFIG = PauseConfig()
@@ -73,8 +105,7 @@ class PauseRecord:
     suspect: bool = False
 
     def __post_init__(self) -> None:
-        if self.position not in POSITIONS:
-            raise ValueError(f"bad pause position {self.position!r}")
+        _check_pause(self)
 
     @property
     def end_s(self) -> float:
@@ -83,11 +114,12 @@ class PauseRecord:
 
 PAUSE_FIELDS = (
     Field("start_s", float),
-    Field("raw_duration_s", float),
-    Field("reported_duration_s", float, None),  # absent: raw_duration_s rounded
-    Field("position", str, "fragment_internal"),
+    Field("raw_duration_s", float, minimum=0.0),
+    Field("reported_duration_s", float, None, minimum=0.0),  # absent: raw_duration_s rounded
+    Field("position", str, "fragment_internal", choices=POSITIONS),
     Field("suspect", bool, False),
 )
+_check_pause = record_check(PAUSE_FIELDS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,16 +135,10 @@ class AudioFrameSeries:
 #: Samples per block read from a WAV file (about 4 s at 16 kHz).
 BLOCK_SAMPLES = 1 << 16
 
-#: The longest analysis frame, in ms.  A longer frame could not resolve
-#: pauses reported to a tenth of a second, and the bound keeps the partial
-#: frame carried between blocks under one second of samples.
-MAX_FRAME_MS = 1000.0
-
 
 def frame_step(sample_rate: int, frame_ms: float) -> int:
     """Samples per frame of ``frame_ms`` ms, which must lie in (0, MAX_FRAME_MS]."""
-    if not 0.0 < frame_ms <= MAX_FRAME_MS:  # NaN fails too
-        raise UnsupportedFormat(f"frame length {frame_ms} ms not in (0, {MAX_FRAME_MS:g}] ms")
+    _check_frame_ms(frame_ms)
     step = int(round(sample_rate * frame_ms / 1000.0))
     if step < 1:
         raise UnsupportedFormat(f"frame length {frame_ms} ms too short at {sample_rate} Hz")

@@ -22,7 +22,8 @@ from pathlib import Path
 from .focus import operation, segments_affected
 from .fragments import ROW_LABELS, CodedRecord, read_coded, write_coded
 from .pauses import PauseRecord, read_pauses, write_pauses
-from .stats import OP_ORDER, compute_report, table_distributions
+from .stats import (CANONICAL_TOKEN_ROWS, OP_ORDER, TAIL_TOKEN_ROWS, compute_report,
+                    table_distributions)
 
 RECORDS_FILE = "replication_records.jsonl"
 PAUSES_FILE = "replication_pauses.jsonl"
@@ -48,8 +49,7 @@ TOKEN_OPERATION_CELLS: dict[tuple[str, str], tuple[float, int]] = {
     ("Unmarked", "Return"): (0.40, 5), ("Unmarked", "Replace"): (1.15, 4),
 }
 
-ROW_ORDER = ("And", "But", "Now", "Oh", "So", "Well", "Y'know", "Ordinal",
-             "Acknowledgment", "Filled Pause", "Unmarked")
+ROW_ORDER = CANONICAL_TOKEN_ROWS + TAIL_TOKEN_ROWS
 
 ROW_CONSTITUENT = {label: constituent for constituent, label in ROW_LABELS.items()}
 

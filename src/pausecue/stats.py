@@ -19,13 +19,13 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Mapping, Sequence
 
-from .focus import OpKind
-from .fragments import CodedRecord
+from .focus import OP_KINDS, OpKind
+from .fragments import ROW_LABELS, CodedRecord
 from .pauses import PauseRecord, round_tenth
 
-OP_ORDER = ("Initiate", "Retain", "Return", "Replace")
+OP_ORDER = OP_KINDS
 CANONICAL_TOKEN_ROWS = ("And", "But", "Now", "Oh", "So", "Well", "Y'know", "Ordinal")
-TAIL_TOKEN_ROWS = ("Acknowledgment", "Filled Pause", "Unmarked")
+TAIL_TOKEN_ROWS = tuple(ROW_LABELS.values())
 #: An operation kind's name; the enum's ``.value`` property is slower per record.
 _KIND_NAME = {kind: kind.value for kind in OpKind}
 

@@ -25,7 +25,7 @@ def validate(rows, table, path):
 
 def _check(obj, table, path, lineno, strings):
     out = {}
-    for name, kind, default, of, choices, _ in table:
+    for name, kind, default, of, choices, minimum, _ in table:
         value = obj.get(name, REQUIRED)
         if value is REQUIRED or value is None and default is None:
             if default is REQUIRED:
@@ -56,6 +56,9 @@ def _check(obj, table, path, lineno, strings):
                 if item not in choices:
                     raise SchemaError(f"field {name!r} has bad value {item!r} (expected "
                                       f"one of {', '.join(choices)})", line=lineno, path=path)
+        if minimum is not None and value < minimum:
+            raise SchemaError(f"field {name!r} must be at least {minimum:g} (got {value!r})",
+                              line=lineno, path=path)
         out[name] = value
     return out
 

@@ -295,6 +295,9 @@ ON_LEFT, NOWHERE = GAP_ROW % (0.7, 0.3), GAP_ROW % (0.1, 0.15)
     pytest.param("code", {"functions": '{"fragment_index": 0}\n'
                                        '{"fragment_index": 1, "subsequent": "bogus"}\n'},
                  "functions", 2, id="code-functions-label"),
+    pytest.param("code", {"functions": '{"fragment_index": 1, "prior": "repair"}\n'
+                                       '{"fragment_index": 0}\n{"fragment_index": 1}\n'},
+                 "functions", 3, id="functions-duplicate-index"),
     pytest.param("segment", {"lexicon": LEXICON_ROW % ("so", "[1]")},
                  "lexicon", 1, id="lexicon-variant-element"),
     pytest.param("segment", {"lexicon": LEXICON_ROW % ("so", "[]") + LEXICON_ROW % ("So!", "[]")},
@@ -303,8 +306,12 @@ ON_LEFT, NOWHERE = GAP_ROW % (0.7, 0.3), GAP_ROW % (0.1, 0.15)
                  "weights", 2, id="weights-nan"),
     pytest.param("segment", {"weights": "prior_pop = 0\n"}, "weights", 1, id="weights-zero"),
     pytest.param("segment", {"weights": "prior_pop 2\n"}, "weights", 1, id="weights-syntax"),
+    pytest.param("code", {"weights": "prior_pop = 2\ncurrent_push = 1\nprior_pop = 3\n"},
+                 "weights", 3, id="weights-duplicate-key"),
     pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0) + CODED_ROW % ("NaN", 0)},
                  "coded", 2, id="coded-nan-pause"),
+    pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0) + CODED_ROW % ("-0.4", 0)},
+                 "coded", 2, id="coded-negative-pause"),
     pytest.param("stats", {"coded": CODED_ROW % ("0.2", 3)}, "coded", 1, id="coded-bad-pops"),
     pytest.param("stats", {"coded": CODED_ROW % ("-1" + "0" * 400, 0)}, "coded", 1,
                  id="coded-int-beyond-float-range"),
@@ -320,6 +327,9 @@ ON_LEFT, NOWHERE = GAP_ROW % (0.7, 0.3), GAP_ROW % (0.1, 0.15)
                  id="coded-no-measured-pause"),
     pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0), "pauses": PAUSE_ROW % "NaN"},
                  "pauses", 1, id="pauses-nan-duration"),
+    pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0),
+                           "pauses": ON_LEFT + GAP_ROW % (1.5, -0.5)},
+                 "pauses", 2, id="pauses-negative-duration"),
     pytest.param("code", {"transcript": TIMED, "pauses": ON_LEFT + NOWHERE},
                  "pauses", 2, id="pauses-match-no-gap"),
     pytest.param("segment", {"transcript": TIMED, "pauses": "\n" + ON_LEFT + "\n \n" + NOWHERE},

@@ -12,6 +12,7 @@ byte-stable from then on.
 
 import io
 import json
+import math
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -74,7 +75,7 @@ def transcripts(draw):
 def coded_records(draw):
     op = draw(OPERATIONS)
     return CodedRecord(
-        fragment_index=draw(INDICES), pause_before_s=draw(st.none() | NUMBERS),
+        fragment_index=draw(INDICES), pause_before_s=draw(st.none() | DURATIONS),
         initial_constituent=draw(st.sampled_from(CONSTITUENTS)), operation=op,
         embedding_depth=draw(st.integers(1, 10**15)), segments_affected=segments_affected(op),
         prior_function=draw(st.sampled_from(FUNCTION_LABELS)),
@@ -83,8 +84,8 @@ def coded_records(draw):
         initial_token=draw(st.text(max_size=6)))
 
 
-PAUSES = st.builds(PauseRecord, start_s=NUMBERS, raw_duration_s=NUMBERS,
-                   reported_duration_s=NUMBERS, position=st.sampled_from(POSITIONS),
+PAUSES = st.builds(PauseRecord, start_s=NUMBERS, raw_duration_s=DURATIONS,
+                   reported_duration_s=DURATIONS, position=st.sampled_from(POSITIONS),
                    suspect=st.booleans())
 
 ENTRIES = st.builds(
@@ -224,20 +225,27 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(["kind", "pops", "x"]), inner, max_size=2),
     max_leaves=4)
-MUTATIONS = st.one_of(OVERSIZED, EDGES, st.sampled_from(LABELS),
+#: Numbers just below, at and just above the tables' minimums: 0 for the
+#: float fields, 1 for the int field.
+BOUNDS = (-5e-324, -0.0, 0, 0.0, 5e-324, 1, 2)
+MUTATIONS = st.one_of(OVERSIZED, EDGES, st.sampled_from(BOUNDS), st.sampled_from(LABELS),
                       st.lists(st.sampled_from(LABELS) | EDGES, max_size=3), JSON_VALUES)
 
 
 def _valid_value(field: Field):
     """Values ``field`` accepts, as the JSON decoder gives them."""
-    _, kind, default, of, choices, _ = field
+    _, kind, default, of, choices, minimum, _ = field
     words = st.sampled_from(choices) if choices else st.text(max_size=4) | st.sampled_from(LABELS)
+    ints, floats = INDICES, NUMBERS
+    if minimum is not None:
+        ints = st.integers(math.ceil(minimum), 10**15)
+        floats = st.floats(minimum, MAX_MAGNITUDE)
     if kind is dict:
         value = _valid_row(of)
     elif kind is list:
         value = st.lists(words, max_size=3)
     else:
-        value = {str: words, bool: st.booleans(), int: INDICES, float: NUMBERS | INDICES}[kind]
+        value = {str: words, bool: st.booleans(), int: ints, float: floats | ints}[kind]
     return value | st.none() if default is None else value
 
 
@@ -265,7 +273,14 @@ def test_checker_agrees_with_the_interpreted_one(table, data):
     nested = [name for name, value in obj.items() if isinstance(value, dict)]
     owner = obj[data.draw(st.sampled_from(nested))] if nested and data.draw(st.booleans()) else obj
     lists = sorted(key for key, value in owner.items() if isinstance(value, list))
-    how = data.draw(st.sampled_from(["delete", "set", "set", "append"]))
+    how = data.draw(st.sampled_from(["delete", "set", "set", "append", "bound"]))
+    bounded = [field.name for field in table if field.minimum is not None]
+    if how == "bound" and bounded:  # every number near one field's minimum
+        key = data.draw(st.sampled_from(bounded))
+        for value in BOUNDS:
+            row = {**obj, key: value}
+            assert _outcome(validate, table, row) == _outcome(jsonl_oracle.validate, table, row)
+        return
     if how == "append" and lists:  # a bad element after good ones
         key = data.draw(st.sampled_from(lists))
         owner[key].append(data.draw(st.sampled_from(LABELS) | MUTATIONS))
@@ -319,3 +334,57 @@ def test_row_maker_agrees_with_the_interpreted_one(name, data):
     made, expected = list(rows(table, records)), list(jsonl_oracle.rows(table, records))
     assert made == expected
     assert [json.dumps(row) for row in made] == [json.dumps(row) for row in expected]
+
+
+# ---------------------------------------------------------------------------
+# Domain rules: the constructor and the reader give one message
+# ---------------------------------------------------------------------------
+
+#: Per table that builds a record class: the class, a valid record's fields
+#: and the reader.
+BUILT = {
+    "token": (TOKEN_FIELDS, AnnotatedToken, dict(surface="so"), read_transcript),
+    "coded": (CODED_FIELDS, CodedRecord,
+              dict(fragment_index=0, pause_before_s=0.2, initial_constituent="unmarked",
+                   operation=FocusingOperation(OpKind.INITIATE, 0), embedding_depth=1,
+                   segments_affected=1, prior_function="topical",
+                   subsequent_function="topical", turn_position="continuing", marked=False),
+              read_coded),
+    "pause": (PAUSE_FIELDS, PauseRecord,
+              dict(start_s=0.5, raw_duration_s=0.2, reported_duration_s=0.2), read_pauses),
+    "entry": (ENTRY_FIELDS, CueEntry,
+              dict(surface="so", candidate_ops=frozenset({OpKind.RETURN}), gloss=""),
+              load_lexicon),
+}
+DOMAIN_FIELDS = [pytest.param(name, field, id=f"{name}-{field.name}")
+                 for name, (table, *_) in BUILT.items() for field in table
+                 if field.choices is not None or field.minimum is not None]
+
+
+def test_every_domain_rule_is_covered():
+    named = {(p.values[0], p.values[1].name) for p in DOMAIN_FIELDS}
+    assert {name for name, _ in named} == set(BUILT)
+    assert sum(1 for p in DOMAIN_FIELDS if p.values[1].minimum is not None) == 5
+
+
+@pytest.mark.parametrize("name, field", DOMAIN_FIELDS)
+def test_constructor_and_reader_reject_a_bad_value_alike(tmp_path, name, field):
+    table, make, fields, read = BUILT[name]
+    if field.choices is not None:
+        bad = ["bogus"] if field.kind is list else "bogus"
+        message = (f"field {field.name!r} has bad value 'bogus' "
+                   f"(expected one of {', '.join(field.choices)})")
+    else:
+        bad = field.minimum - 1 if field.kind is int else -0.5
+        message = f"field {field.name!r} must be at least {field.minimum:g} (got {bad!r})"
+    with pytest.raises(ValueError) as raised:
+        make(**{**fields, field.name: bad})
+    assert str(raised.value) == message
+    [row] = rows(table, [make(**fields)])
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field.name: bad}) + "\n")
+    with pytest.raises(SchemaError) as raised:
+        read(path)
+    assert str(raised.value) == f"{path}:2: {message}"
+    if field.default is None:  # null skips the rule
+        make(**{**fields, field.name: None})

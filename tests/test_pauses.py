@@ -94,6 +94,17 @@ def test_longest_frame():
     assert frames.energies[0] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("field, message", [
+    ("threshold_db", "nan is not a finite number"),
+    ("min_silence_s", "nan is not a finite number"),
+    ("frame_ms", "frame length nan ms not in (0, 1000] ms"),
+])
+def test_config_rejects_nan(field, message):
+    with pytest.raises(pauses.BadPauseConfig) as raised:
+        PauseConfig(**{field: math.nan})
+    assert (raised.value.field, str(raised.value)) == (field, message)
+
+
 def test_threshold_beyond_float_range_finds_no_pause():
     frames = frame_energy(build_signal([("tone", 0.4), ("silence", 0.3), ("tone", 0.4)]), RATE)
     assert detect_pauses(frames, config=PauseConfig(threshold_db=1e308)) == []
