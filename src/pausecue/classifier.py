@@ -70,15 +70,29 @@ TABLE_ROWS: dict[tuple[str, str], tuple[str, str]] = {
 ROW_KEYS = ("prior_pop", "prior_null", "current_push", "current_pop",
             "current_impending", "subsequent_pop")
 
-PRONOUNS = frozenset("""
-    i me my mine you your yours he him his she her hers it its we us our ours
-    they them their theirs this that these those
-    i'm i'll i've you're you'll you've he's she's it's that's we're we'll
-    they're they'll there's
-""".split())
-
 SUBORDINATORS = frozenset(
     "if who whom whose which where when while that".split())
+
+RETAIN, INITIATE, RETURN, REPLACE = (OpKind.RETAIN, OpKind.INITIATE, OpKind.RETURN,
+                                     OpKind.REPLACE)
+
+
+@dataclass(frozen=True)
+class EvidenceItem:
+    source: str
+    feature: str
+    primitive: str
+    weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        if (self.source, self.feature) not in TABLE_ROWS:
+            raise ValueError(f"unknown evidence row ({self.source}, {self.feature})")
+        expected = TABLE_ROWS[(self.source, self.feature)][1]
+        if self.primitive != expected:
+            raise ValueError(f"({self.source}, {self.feature}) maps to {expected}, "
+                             f"not {self.primitive}")
+        if self.weight <= 0:
+            raise ValueError("weight must be positive")
 
 
 @dataclass(frozen=True)
@@ -90,13 +104,20 @@ class ClassifierConfig:
     when the previous fragment primed a pop.  lstar_threshold is the
     proportion of accented tokens that must carry L* before the
     parenthetical reading fires (an interpretation knob, not an observed
-    constant).
+    constant).  items holds one shared EvidenceItem per evidence row, built
+    from the weights when the config is made.
     """
 
     weights: dict = dc_field(default_factory=lambda: {key: 1.0 for key in ROW_KEYS})
     candidate_bonus: float = 2.0
     impending_bonus: float = 2.0
     lstar_threshold: float = 0.5
+    items: dict = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "items", {
+            (source, feature): EvidenceItem(source, feature, primitive, self.weight(row_key))
+            for (source, feature), (row_key, primitive) in TABLE_ROWS.items()})
 
     def weight(self, row_key: str) -> float:
         return float(self.weights.get(row_key, 1.0))
@@ -110,6 +131,7 @@ def load_weights(path: str | Path) -> ClassifierConfig:
     that are not finite and row weights that are not positive are rejected."""
     extras = dict(vars(DEFAULT_CONFIG))
     weights = dict(extras.pop("weights"))
+    del extras["items"]  # built from the weights, not read
     seen = set()
     # undecodable bytes turn into U+FFFD, which no key or number accepts
     with open(path, encoding="utf-8", errors="replace") as fp:
@@ -153,24 +175,6 @@ def write_weights(target: Target, config: ClassifierConfig) -> None:
 
 
 @dataclass(frozen=True)
-class EvidenceItem:
-    source: str
-    feature: str
-    primitive: str
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if (self.source, self.feature) not in TABLE_ROWS:
-            raise ValueError(f"unknown evidence row ({self.source}, {self.feature})")
-        expected = TABLE_ROWS[(self.source, self.feature)][1]
-        if self.primitive != expected:
-            raise ValueError(f"({self.source}, {self.feature}) maps to {expected}, "
-                             f"not {self.primitive}")
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
-
-
-@dataclass(frozen=True)
 class Classification:
     """Ranked outcome for one fragment.
 
@@ -194,16 +198,6 @@ class Classification:
 # Evidence extraction
 # ---------------------------------------------------------------------------
 
-def _item(source: str, feature: str, config: ClassifierConfig) -> EvidenceItem:
-    row_key, primitive = TABLE_ROWS[(source, feature)]
-    return EvidenceItem(source=source, feature=feature, primitive=primitive,
-                        weight=config.weight(row_key))
-
-
-def _has_creaky(frag: SpeechFragment) -> bool:
-    return any(tok.phonation == "creaky" for tok in frag.tokens)
-
-
 def _cue_surface(frag: SpeechFragment) -> str:
     if frag.initial_cue is not None and frag.initial_token_class == "cue_phrase":
         return frag.initial_cue.surface
@@ -223,62 +217,64 @@ def extract_evidence(prior: SpeechFragment | None,
     (lexical closure, prompts) fire only from annotator-supplied labels;
     they are never inferred from the words themselves.
     """
+    item = config.items
     items: list[EvidenceItem] = []
 
     if prior is not None:
         if prior.final_boundary == "fall":
-            items.append(_item("prior", "falling_final", config))
+            items.append(item["prior", "falling_final"])
         if prior.initial_token_class == "acknowledgment" or prior_function == "acknowledgment":
-            items.append(_item("prior", "acknowledgment", config))
+            items.append(item["prior", "acknowledgment"])
         if prior_function == "closure":
-            items.append(_item("prior", "lexical_closure", config))
+            items.append(item["prior", "lexical_closure"])
         if prior.final_boundary == "continuation_rise":
-            items.append(_item("prior", "continuation_rise", config))
+            items.append(item["prior", "continuation_rise"])
 
-    surfaces = [tok.surface.lower() for tok in current.tokens]
-    if any(s in PRONOUNS for s in surfaces):
-        items.append(_item("current", "pronominalization", config))
-    if any(tok.pitch_range == "reduced" for tok in current.tokens):
-        items.append(_item("current", "reduced_range", config))
-    if any(tok.phonation == "creaky" for tok in current.tokens[:-1]):
-        items.append(_item("current", "nonstandard_phonation", config))
-    accented = [tok.accent for tok in current.tokens if tok.accent in ("Hstar", "Lstar")]
-    if len(accented) >= 2 and accented.count("Lstar") / len(accented) > config.lstar_threshold:
-        items.append(_item("current", "many_Lstar", config))
-    if surfaces[0] in SUBORDINATORS:
-        items.append(_item("current", "relative_clause", config))
+    feats = current.features
+    if feats.pronoun:
+        items.append(item["current", "pronominalization"])
+    if feats.reduced_range:
+        items.append(item["current", "reduced_range"])
+    if feats.creaky_before_last:
+        items.append(item["current", "nonstandard_phonation"])
+    accented = feats.hstar + feats.lstar
+    if accented >= 2 and feats.lstar / accented > config.lstar_threshold:
+        items.append(item["current", "many_Lstar"])
+    if current.tokens[0].surface.lower() in SUBORDINATORS:
+        items.append(item["current", "relative_clause"])
     cue = _cue_surface(current)
     if cue in ("now", "you know") or (current.initial_cue is not None
                                       and current.initial_cue.ordinal_rank is not None):
-        items.append(_item("current", "cue_now_yknow_ordinal", config))
-    if any("nonpronominal_repetition" in tok.flags for tok in current.tokens):
-        items.append(_item("current", "nonpronominal_repetition", config))
-    if any(tok.pitch_range == "expanded" for tok in current.tokens):
-        items.append(_item("current", "expanded_range", config))
-    if prior is not None and _has_creaky(prior) and not _has_creaky(current):
-        items.append(_item("current", "normal_phonation_return", config))
+        items.append(item["current", "cue_now_yknow_ordinal"])
+    if feats.repetition:
+        items.append(item["current", "nonpronominal_repetition"])
+    if feats.expanded_range:
+        items.append(item["current", "expanded_range"])
+    if prior is not None and prior.features.creaky and not feats.creaky:
+        items.append(item["current", "normal_phonation_return"])
     if cue in ("so", "but"):
-        items.append(_item("current", "cue_so_but", config))
+        items.append(item["current", "cue_so_but"])
     if current.final_boundary == "fall":
-        items.append(_item("current", "falling_final", config))
+        items.append(item["current", "falling_final"])
     if current.initial_token_class == "acknowledgment":
-        items.append(_item("current", "acknowledgment", config))
+        items.append(item["current", "acknowledgment"])
     if current_function == "acknowledgment" and current.initial_token_class != "acknowledgment":
-        items.append(_item("current", "prompt", config))
+        items.append(item["current", "prompt"])
     if current_function == "closure":
-        items.append(_item("current", "lexical_closure", config))
+        items.append(item["current", "lexical_closure"])
     if current.tokens[-1].phonation == "creaky":
-        items.append(_item("current", "creaky_final", config))
+        items.append(item["current", "creaky_final"])
 
     if subsequent is not None:
-        if any("nonpronominal_repetition" in tok.flags for tok in subsequent.tokens):
-            items.append(_item("subsequent", "nonpronominal_repetition", config))
-        if any(tok.pitch_range == "expanded" for tok in subsequent.tokens):
-            items.append(_item("subsequent", "expanded_range", config))
-        if _has_creaky(current) and not _has_creaky(subsequent):
-            items.append(_item("subsequent", "normal_phonation_return", config))
+        later = subsequent.features
+        if later.repetition:
+            items.append(item["subsequent", "nonpronominal_repetition"])
+        if later.expanded_range:
+            items.append(item["subsequent", "expanded_range"])
+        if feats.creaky and not later.creaky:
+            items.append(item["subsequent", "normal_phonation_return"])
         if _cue_surface(subsequent) in ("so", "but", "now"):
-            items.append(_item("subsequent", "cue_so_but_now_subsequent", config))
+            items.append(item["subsequent", "cue_so_but_now_subsequent"])
 
     return items
 
@@ -296,11 +292,11 @@ def resolve_pop_count(kind: OpKind, stack_depth: int, *, topic: str = "",
     just above that space and a Replace pops through it; otherwise the
     evidence rarely says how many segments closed, so one pop is assumed.
     """
-    if kind not in (OpKind.RETURN, OpKind.REPLACE):
+    if kind is not RETURN and kind is not REPLACE:
         return 0
     if topic_anchored and topic and topic in open_labels:
         idx = max(i for i, label in enumerate(open_labels) if label == topic)
-        pops = stack_depth - 1 - idx if kind is OpKind.RETURN else stack_depth - idx
+        pops = stack_depth - 1 - idx if kind is RETURN else stack_depth - idx
         return min(max(1, pops), stack_depth)
     return 1
 
@@ -320,21 +316,28 @@ def classify(evidence: Sequence[EvidenceItem],
     flagged low-confidence.  The emitted pop counts never exceed the stack
     depth, so the operation can always be applied.
     """
-    pop_w = sum(it.weight for it in evidence if it.primitive == "pop")
-    push_w = sum(it.weight for it in evidence if it.primitive == "push")
-    null_w = sum(it.weight for it in evidence if it.primitive == "null")
-    imp_w = sum(it.weight for it in evidence if it.primitive == "impending_pop")
+    # start at int 0 and add in evidence order, as sum() does: the audit
+    # writes an empty total as 0
+    pop_w = push_w = null_w = imp_w = 0
+    anchored = False
+    for it in evidence:
+        primitive = it.primitive
+        if primitive == "pop":
+            pop_w += it.weight
+        elif primitive == "push":
+            push_w += it.weight
+        elif primitive == "null":
+            null_w += it.weight
+        else:
+            imp_w += it.weight
+        if it.feature == "nonpronominal_repetition" and it.source == "current":
+            anchored = True
 
-    raw = {
-        OpKind.RETAIN: null_w + imp_w,
-        OpKind.INITIATE: push_w,
-        OpKind.RETURN: pop_w,
-        OpKind.REPLACE: pop_w + push_w,
-    }
+    raw = {RETAIN: null_w + imp_w, INITIATE: push_w, RETURN: pop_w, REPLACE: pop_w + push_w}
     scores = dict(raw)
     if lookahead_pop:
-        scores[OpKind.RETURN] *= config.impending_bonus
-        scores[OpKind.REPLACE] *= config.impending_bonus
+        scores[RETURN] *= config.impending_bonus
+        scores[REPLACE] *= config.impending_bonus
     if prior_ops:
         for kind in prior_ops:
             scores[kind] *= config.candidate_bonus
@@ -348,30 +351,23 @@ def classify(evidence: Sequence[EvidenceItem],
                 scores[kind] = rivals + raw[kind]
                 singleton_boosted = True
 
-    feasible = list(scores) if stack_depth > 0 else [OpKind.INITIATE]
-    ranked_kinds = sorted(feasible, key=lambda k: (-scores[k], TIE_ORDER[k]))
+    # TIE_ORDER lists the kinds least disruptive first; the sort is stable
+    feasible = TIE_ORDER if stack_depth > 0 else (INITIATE,)
+    ranked_kinds = sorted(feasible, key=lambda k: -scores[k])
     top = ranked_kinds[0]
     tie_break = len(ranked_kinds) > 1 and scores[ranked_kinds[1]] == scores[top]
 
-    anchored = any(it.feature == "nonpronominal_repetition" and it.source == "current"
-                   for it in evidence)
-    alternatives = tuple(
+    alternatives = tuple([
         (operation(kind, resolve_pop_count(kind, stack_depth, topic=topic,
                                            open_labels=open_labels,
                                            topic_anchored=anchored)),
          scores[kind])
-        for kind in ranked_kinds)
+        for kind in ranked_kinds])
 
-    return Classification(
-        operation=alternatives[0][0],
-        score=scores[top],
-        alternatives=alternatives,
-        evidence_used=tuple(evidence),
-        low_confidence=not evidence,
-        singleton_boosted=singleton_boosted,
-        tie_break_applied=tie_break,
-        prior_disagreement=bool(prior_ops) and top not in prior_ops,
-    )
+    # positional, in field order: eight keywords cost more to bind, once per fragment
+    return Classification(alternatives[0][0], scores[top], alternatives, tuple(evidence),
+                          not evidence, singleton_boosted, tie_break,
+                          bool(prior_ops) and top not in prior_ops)
 
 
 class SegmentationResult(NamedTuple):
@@ -423,14 +419,12 @@ def segment_discourse(fragments: Sequence[SpeechFragment],
         if frag.initial_cue is not None and frag.initial_cue.token_class == "cue_phrase" \
                 and frag.initial_token_class == "cue_phrase":
             candidates = frag.initial_cue.candidate_ops
-        result = classify(evidence, candidates, stack.depth,
-                          topic=frag.topic,
-                          open_labels=labels,
-                          lookahead_pop=lookahead,
-                          config=config)
+        topic = frag.topic
+        result = classify(evidence, candidates, stack.depth, topic=topic, open_labels=labels,
+                          lookahead_pop=lookahead, config=config)
         lookahead = any(it.primitive == "impending_pop" for it in evidence)
         op = result.operation
-        label = frag.topic or f"fragment-{i}"
+        label = topic or f"fragment-{i}"
         stack = apply(stack, op, i, label=label)
         del labels[stack.depth - op.pushes:]
         if op.pushes:

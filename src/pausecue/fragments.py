@@ -22,9 +22,9 @@ cue phrase, an acknowledgment form or a filled pause.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .focus import (OPERATION_FIELDS, FocusingOperation, FocusStack, apply,
                     operation_from_row, segments_affected)
@@ -46,6 +46,14 @@ CONSTITUENTS = ("cue_phrase", "acknowledgment", "filled_pause", "unmarked")
 FUNCTION_LABELS = ("cue_phrase", "acknowledgment", "closure", "filled_pause",
                    "repair", "topical")
 TURN_POSITIONS = ("initiating", "continuing")
+
+#: Lower-cased surfaces that count as pronominal reference.
+PRONOUNS = frozenset("""
+    i me my mine you your yours he him his she her hers it its we us our ours
+    they them their theirs this that these those
+    i'm i'll i've you're you'll you've he's she's it's that's we're we'll
+    they're they'll there's
+""".split())
 
 #: Pause-to-token alignment tolerance in seconds.
 ALIGN_TOL = 0.05
@@ -117,9 +125,55 @@ TOKEN_FIELDS = (
 _check_token = record_check(TOKEN_FIELDS)
 
 
+class TokenFeatures(NamedTuple):
+    """What the classifier reads off a fragment's tokens, found in one pass."""
+
+    creaky: bool  # some token has creaky phonation
+    creaky_before_last: bool  # some token other than the last one does
+    reduced_range: bool
+    expanded_range: bool
+    repetition: bool  # some token is flagged nonpronominal_repetition
+    pronoun: bool  # some surface, lower-cased, is in PRONOUNS
+    hstar: int  # tokens accented H*
+    lstar: int  # tokens accented L*
+
+
+def _token_features(tokens: Sequence[AnnotatedToken]) -> TokenFeatures:
+    creaky = hstar = lstar = 0
+    reduced = expanded = repetition = pronoun = False
+    for tok in tokens:
+        if tok.phonation == "creaky":
+            creaky += 1
+        pitch_range = tok.pitch_range
+        if pitch_range == "reduced":
+            reduced = True
+        elif pitch_range == "expanded":
+            expanded = True
+        accent = tok.accent
+        if accent == "Lstar":
+            lstar += 1
+        elif accent == "Hstar":
+            hstar += 1
+        if tok.flags and "nonpronominal_repetition" in tok.flags:
+            repetition = True
+        if not pronoun and tok.surface.lower() in PRONOUNS:
+            pronoun = True
+    creaky_final = tokens[-1].phonation == "creaky"
+    return TokenFeatures(creaky > 0, creaky > creaky_final, reduced, expanded,
+                         repetition, pronoun, hstar, lstar)
+
+
 @dataclass
 class SpeechFragment:
-    """A token span opened by one fragment-initial token."""
+    """A token span opened by one fragment-initial token.
+
+    ``features`` is worked out on first read and kept, since the classifier
+    reads a fragment as the prior, current and subsequent neighbor in turn;
+    it assumes the tokens are not replaced afterwards.  The kept value is a
+    field left out of ``==`` and ``repr``; ``functools.cached_property``
+    would instead build an instance dict per fragment and, on Python 3.11,
+    take a lock shared by all instances on every first read.
+    """
 
     index: int
     speaker: str
@@ -127,6 +181,8 @@ class SpeechFragment:
     initial_token_class: str
     initial_cue: CueEntry | None
     pause_before_s: float
+    _features: TokenFeatures | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self) -> None:
         if not self.tokens:
@@ -146,6 +202,12 @@ class SpeechFragment:
         return ""
 
     @property
+    def features(self) -> TokenFeatures:
+        if self._features is None:
+            self._features = _token_features(self.tokens)
+        return self._features
+
+    @property
     def final_boundary(self) -> str:
         return self.tokens[-1].boundary
 
@@ -163,6 +225,8 @@ class CodedRecord:
     example "And" or "Filled Pause") so token-level tables can be rebuilt;
     it is empty for unmarked fragments.  pause_before_s of None means the
     pause was never measured; such records are excluded from statistics.
+    marked is True exactly when initial_constituent is not "unmarked"; None
+    derives it so.
     """
 
     fragment_index: int
@@ -183,6 +247,12 @@ class CodedRecord:
         if self.segments_affected != segments_affected(op):
             raise ValueError(f"segments_affected {self.segments_affected} inconsistent with "
                              f"{op.kind.value}({op.pop_count})")
+        marked = self.initial_constituent != "unmarked"
+        if self.marked is None:
+            self.marked = marked
+        elif self.marked != marked:
+            raise ValueError(f"marked {str(self.marked).lower()} contradicts "
+                             f"initial_constituent {self.initial_constituent!r}")
 
     def row_label(self) -> str:
         """Display row used by token-level tables."""
@@ -462,8 +532,6 @@ def read_coded(path: str | Path) -> list[CodedRecord]:
     records = []
     for lineno, row in validate(iter_jsonl(path), CODED_FIELDS, path):
         row["operation"] = operation_from_row(row["operation"], path, lineno)
-        if row["marked"] is None:
-            row["marked"] = row["initial_constituent"] != "unmarked"
         records.append(build(CodedRecord, row, path, lineno))
     return records
 

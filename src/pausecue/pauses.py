@@ -93,7 +93,8 @@ class PauseRecord:
     """One measured unfilled pause.
 
     reported_duration_s is raw_duration_s rounded to the nearest tenth of a
-    second.  position is only ever read from a file: detection writes
+    second (round_tenth); None derives it so, and any other value is
+    rejected.  position is only ever read from a file: detection writes
     fragment_internal for every pause and nothing reassigns it, so ``stats
     --pauses`` on a detected file bins every pause as Internal.
     """
@@ -106,6 +107,13 @@ class PauseRecord:
 
     def __post_init__(self) -> None:
         _check_pause(self)
+        expected = round_tenth(self.raw_duration_s)
+        if self.reported_duration_s is None:
+            self.reported_duration_s = expected
+        elif self.reported_duration_s != expected:
+            raise ValueError(f"reported_duration_s {self.reported_duration_s} is not "
+                             f"raw_duration_s {self.raw_duration_s} rounded to a tenth "
+                             f"({expected})")
 
     @property
     def end_s(self) -> float:
@@ -308,9 +316,5 @@ def write_pauses(target: Target, records: Iterable[PauseRecord]) -> None:
 
 
 def read_pauses(path: str | Path) -> list[PauseRecord]:
-    records = []
-    for lineno, row in validate(iter_jsonl(path), PAUSE_FIELDS, path):
-        if row["reported_duration_s"] is None:
-            row["reported_duration_s"] = round_tenth(row["raw_duration_s"])
-        records.append(build(PauseRecord, row, path, lineno))
-    return records
+    return [build(PauseRecord, row, path, lineno)
+            for lineno, row in validate(iter_jsonl(path), PAUSE_FIELDS, path)]

@@ -1,18 +1,21 @@
 """Evidence extraction, operation scoring, and discourse segmentation."""
 
+import io
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lexicon_oracle as oracle
-from pausecue.classifier import (DEFAULT_CONFIG, ClassifierConfig, EvidenceItem,
+import classifier_oracle as oracle
+from pausecue import classifier
+from pausecue.classifier import (DEFAULT_CONFIG, ROW_KEYS, ClassifierConfig, EvidenceItem,
                                  TABLE_ROWS, classify, extract_evidence,
                                  load_weights, resolve_pop_count,
-                                 segment_discourse, write_weights)
+                                 segment_discourse, write_audit, write_weights)
 from pausecue.focus import FocusingOperation, OpKind, apply, FocusStack, operation
-from pausecue.fragments import AnnotatedToken, SpeechFragment, fragmentize
+from pausecue.fragments import ACCENTS, AnnotatedToken, SpeechFragment, fragmentize
 from pausecue.lexicon import bundled_lexicon
 
 LEX = bundled_lexicon()
@@ -391,6 +394,71 @@ def test_segment_discourse_equals_per_fragment_label_replay(seed, n, labelled):
     assert_same_as_label_replay(frags, functions)
 
 
+#: Row weights with no exact binary form, so a change of summation order shows.
+WEIGHTS = st.sampled_from([0.1, 0.7, 1.0, 3.3])
+CONFIGS = st.builds(ClassifierConfig,
+                    weights=st.fixed_dictionaries({key: WEIGHTS for key in ROW_KEYS}),
+                    candidate_bonus=st.sampled_from([0.1, 1.0, 2.0, 3.3]),
+                    impending_bonus=st.sampled_from([0.7, 1.0, 2.0, 3.3]),
+                    lstar_threshold=st.sampled_from([0.0, 0.3, 0.5, 0.9]))
+#: No feature fires on it, so it is classified at the int score 0.
+NEUTRAL = frag(["walk", "straight"])
+
+
+def audit_text(classifications):
+    buf = io.StringIO()
+    write_audit(buf, classifications)
+    return buf.getvalue()
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), labelled=st.booleans(),
+       config=CONFIGS)
+@settings(settings.get_profile("fuzz"))
+def test_classifier_equals_oracle_under_generated_configs(seed, n, labelled, config):
+    rng = random.Random(seed)
+    # every token accented, some creaky and some capitalized, so the L* share
+    # and its threshold, creak on the last token and case all come into play
+    frags = [replace(f, tokens=tuple(
+        replace(t, accent=rng.choice(ACCENTS), surface=rng.choice([t.surface, t.surface.title()]),
+                phonation=rng.choice(["normal"] * 5 + ["creaky"]))
+        for t in f.tokens)) for f in random_fragments(rng, n)]
+    functions = None
+    if labelled:
+        labels = ["topical", "closure", "acknowledgment", "repair"]
+        functions = [(rng.choice(labels), rng.choice(labels)) for _ in range(n)]
+    audits = []
+    for case, fns in (([NEUTRAL], None), (frags, functions)):
+        got = segment_discourse(case, functions=fns, config=config)
+        expected = oracle.segment_discourse(case, functions=fns, config=config)
+        assert got.trace == expected.trace
+        assert got.classifications == expected.classifications
+        audits.append(audit_text(got.classifications))
+        assert audits[-1] == audit_text(expected.classifications)
+    assert '"score": 0,' in audits[0]
+
+
+def test_segment_discourse_calls_each_stage_once_per_fragment(monkeypatch):
+    counts = {"extract_evidence": 0, "classify": 0}
+    for name in counts:
+        def counting(*args, _name=name, _real=getattr(classifier, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(classifier, name, counting)
+    frags = random_fragments(random.Random(3), 40)
+    segment_discourse(frags)
+    assert counts == {"extract_evidence": 40, "classify": 40}
+
+
+def test_evidence_items_are_the_configs_own():
+    config = ClassifierConfig(weights={**DEFAULT_CONFIG.weights, "current_push": 0.7})
+    frags = random_fragments(random.Random(5), 30)
+    for i, current in enumerate(frags):
+        prior = frags[i - 1] if i else None
+        for it in extract_evidence(prior, current, None, config=config):
+            assert it is config.items[it.source, it.feature]
+            assert it.weight == config.weight(TABLE_ROWS[it.source, it.feature][0])
+
+
 def test_label_replay_covers_deep_stacks_and_anchored_pops():
     result = assert_same_as_label_replay(random_fragments(random.Random(1), 600))
     assert max(result.tree.depths.values()) >= 50
@@ -445,6 +513,23 @@ def test_weights_roundtrip(tmp_path):
     write_weights(path, config)
     again = load_weights(path)
     assert again == config
+    assert again.items == config.items
+    assert again.items["prior", "falling_final"].weight == 2.5
+    assert repr(again) == repr(config) and "items" not in repr(config)
+
+
+def test_configs_with_equal_weights_compare_equal():
+    assert ClassifierConfig() == DEFAULT_CONFIG
+    assert ClassifierConfig(weights=dict(DEFAULT_CONFIG.weights)) == DEFAULT_CONFIG
+    assert ClassifierConfig(weights={**DEFAULT_CONFIG.weights, "prior_pop": 2.0}) \
+        != DEFAULT_CONFIG
+
+
+def test_config_rejects_a_non_positive_weight_when_built():
+    # the items are built with the config, so a bad row weight fails at once,
+    # not when its row first fires
+    with pytest.raises(ValueError, match="^weight must be positive$"):
+        ClassifierConfig(weights={**DEFAULT_CONFIG.weights, "subsequent_pop": 0.0})
 
 
 def test_weights_start_from_the_default_config(tmp_path):

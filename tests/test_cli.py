@@ -313,6 +313,9 @@ ON_LEFT, NOWHERE = GAP_ROW % (0.7, 0.3), GAP_ROW % (0.1, 0.15)
     pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0) + CODED_ROW % ("-0.4", 0)},
                  "coded", 2, id="coded-negative-pause"),
     pytest.param("stats", {"coded": CODED_ROW % ("0.2", 3)}, "coded", 1, id="coded-bad-pops"),
+    pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0) + CODED_ROW.replace(
+        '"segments_affected": 1}', '"segments_affected": 1, "marked": true}') % ("0.2", 0)},
+                 "coded", 2, id="coded-marked-contradicts"),
     pytest.param("stats", {"coded": CODED_ROW % ("-1" + "0" * 400, 0)}, "coded", 1,
                  id="coded-int-beyond-float-range"),
     pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0) + CODED_ROW % ("1" * 4301, 0)},
@@ -327,6 +330,9 @@ ON_LEFT, NOWHERE = GAP_ROW % (0.7, 0.3), GAP_ROW % (0.1, 0.15)
                  id="coded-no-measured-pause"),
     pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0), "pauses": PAUSE_ROW % "NaN"},
                  "pauses", 1, id="pauses-nan-duration"),
+    pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0),
+                           "pauses": PAUSE_ROW % "0.2" + PAUSE_ROW % "9.0"},
+                 "pauses", 2, id="pauses-reported-mismatch"),
     pytest.param("stats", {"coded": CODED_ROW % ("0.2", 0),
                            "pauses": ON_LEFT + GAP_ROW % (1.5, -0.5)},
                  "pauses", 2, id="pauses-negative-duration"),

@@ -15,7 +15,7 @@ from pausecue.fragments import (AnnotatedToken, CodedRecord, EmptyTranscript,
                                 read_transcript, write_coded, write_coded_tsv,
                                 write_transcript, TSV_COLUMNS)
 from pausecue.jsonl import SchemaError
-from pausecue.pauses import PauseRecord
+from pausecue.pauses import PauseRecord, round_tenth
 
 INITIATE = FocusingOperation(OpKind.INITIATE)
 RETAIN = FocusingOperation(OpKind.RETAIN)
@@ -181,7 +181,7 @@ def timed_alignment(draw):
                                           (starts[i] + starts[j]) / 2])
                          | st.floats(-1.0, 4.0) | TINY))
     pauses = [PauseRecord(start_s=end - duration, raw_duration_s=duration,
-                          reported_duration_s=0.0)
+                          reported_duration_s=round_tenth(duration))
               for end, duration in zip(ends, draw(st.lists(
                   st.sampled_from([0.125, 0.25, 1e-3, 0.1]), min_size=len(ends),
                   max_size=len(ends))))]
@@ -368,3 +368,17 @@ def test_coded_record_rejects_inconsistent_segments_affected(tmp_path):
     with pytest.raises(SchemaError) as excinfo:
         read_coded(path)
     assert str(excinfo.value) == f"{path}:2: {message}"
+
+
+def test_coded_record_derives_marked_from_the_constituent():
+    fields = dict(fragment_index=0, pause_before_s=0.1, initial_constituent="unmarked",
+                  operation=FocusingOperation(OpKind.INITIATE, 0), embedding_depth=1,
+                  segments_affected=1, prior_function="topical",
+                  subsequent_function="topical", turn_position="initiating", marked=None)
+    assert CodedRecord(**fields).marked is False
+    assert CodedRecord(**{**fields, "initial_constituent": "filled_pause"}).marked is True
+    with pytest.raises(ValueError, match="^marked true contradicts initial_constituent "
+                                         "'unmarked'$"):
+        CodedRecord(**{**fields, "marked": True})
+    with pytest.raises(ValueError, match="^marked false contradicts"):
+        CodedRecord(**{**fields, "initial_constituent": "cue_phrase", "marked": False})

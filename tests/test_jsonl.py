@@ -33,7 +33,8 @@ from pausecue.jsonl import MAX_MAGNITUDE, REQUIRED, Field, SchemaError, rows, va
 from pausecue.lexicon import (ENTRY_FIELDS, ORDINAL_RANKS, TOKEN_CLASSES, CueEntry,
                               DuplicateSurface, Lexicon, bundled_lexicon, load_lexicon,
                               write_lexicon)
-from pausecue.pauses import POSITIONS, PAUSE_FIELDS, PauseRecord, read_pauses, write_pauses
+from pausecue.pauses import (POSITIONS, PAUSE_FIELDS, PauseRecord, read_pauses, round_tenth,
+                             write_pauses)
 
 DATA = Path(__file__).parent.parent / "src" / "pausecue" / "data"
 
@@ -74,18 +75,20 @@ def transcripts(draw):
 @st.composite
 def coded_records(draw):
     op = draw(OPERATIONS)
+    constituent = draw(st.sampled_from(CONSTITUENTS))
     return CodedRecord(
         fragment_index=draw(INDICES), pause_before_s=draw(st.none() | DURATIONS),
-        initial_constituent=draw(st.sampled_from(CONSTITUENTS)), operation=op,
+        initial_constituent=constituent, operation=op,
         embedding_depth=draw(st.integers(1, 10**15)), segments_affected=segments_affected(op),
         prior_function=draw(st.sampled_from(FUNCTION_LABELS)),
         subsequent_function=draw(st.sampled_from(FUNCTION_LABELS)),
-        turn_position=draw(st.sampled_from(TURN_POSITIONS)), marked=draw(st.booleans()),
+        turn_position=draw(st.sampled_from(TURN_POSITIONS)), marked=constituent != "unmarked",
         initial_token=draw(st.text(max_size=6)))
 
 
-PAUSES = st.builds(PauseRecord, start_s=NUMBERS, raw_duration_s=DURATIONS,
-                   reported_duration_s=DURATIONS, position=st.sampled_from(POSITIONS),
+PAUSES = st.builds(lambda raw, **kw: PauseRecord(raw_duration_s=raw,
+                                                 reported_duration_s=round_tenth(raw), **kw),
+                   DURATIONS, start_s=NUMBERS, position=st.sampled_from(POSITIONS),
                    suspect=st.booleans())
 
 ENTRIES = st.builds(

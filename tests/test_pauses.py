@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import pauses_oracle as oracle
 from conftest import RATE, TONE_HZ, build_signal
 from pausecue import pauses
-from pausecue.pauses import (AudioFrameSeries, PauseConfig, UnsupportedFormat,
+from pausecue.pauses import (AudioFrameSeries, PauseConfig, PauseRecord, UnsupportedFormat,
                              detect_pauses, frame_energy, read_pauses, read_wav,
                              round_tenth, write_pauses, write_wav)
 
@@ -371,3 +371,11 @@ def test_pause_jsonl_roundtrip(tmp_path):
             for r in again] == \
            [(r.start_s, r.raw_duration_s, r.reported_duration_s, r.position)
             for r in records]
+
+
+def test_pause_record_reported_duration_is_the_rounded_raw_one():
+    assert PauseRecord(start_s=0.0, raw_duration_s=0.35, reported_duration_s=None) \
+        .reported_duration_s == 0.4
+    with pytest.raises(ValueError, match=r"^reported_duration_s 9\.0 is not raw_duration_s "
+                                         r"0\.2 rounded to a tenth \(0\.2\)$"):
+        PauseRecord(start_s=0.0, raw_duration_s=0.2, reported_duration_s=9.0)
