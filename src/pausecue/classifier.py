@@ -37,9 +37,6 @@ from .fragments import SpeechFragment
 from .jsonl import (MAX_MAGNITUDE, SCHEMA_VERSION, SchemaError, Target, open_target,
                     write_jsonl)
 
-SOURCES = ("prior", "current", "subsequent")
-PRIMITIVES = ("push", "pop", "null", "impending_pop")
-
 #: (source, feature) -> (config row key, stack primitive).
 TABLE_ROWS: dict[tuple[str, str], tuple[str, str]] = {
     ("prior", "falling_final"): ("prior_pop", "pop"),
@@ -76,6 +73,8 @@ SUBORDINATORS = frozenset(
 RETAIN, INITIATE, RETURN, REPLACE = (OpKind.RETAIN, OpKind.INITIATE, OpKind.RETURN,
                                      OpKind.REPLACE)
 
+IN_RANGE = f"must be finite and at most {MAX_MAGNITUDE:g} in magnitude"
+
 
 @dataclass(frozen=True)
 class EvidenceItem:
@@ -93,6 +92,8 @@ class EvidenceItem:
                              f"not {self.primitive}")
         if self.weight <= 0:
             raise ValueError("weight must be positive")
+        if not self.weight <= MAX_MAGNITUDE:  # also NaN
+            raise ValueError(f"weight {IN_RANGE}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ class ClassifierConfig:
     proportion of accented tokens that must carry L* before the
     parenthetical reading fires (an interpretation knob, not an observed
     constant).  items holds one shared EvidenceItem per evidence row, built
-    from the weights when the config is made.
+    with the config, which rejects every number load_weights would reject.
     """
 
     weights: dict = dc_field(default_factory=lambda: {key: 1.0 for key in ROW_KEYS})
@@ -115,6 +116,9 @@ class ClassifierConfig:
     items: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for key in ("candidate_bonus", "impending_bonus", "lstar_threshold"):
+            if not -MAX_MAGNITUDE <= getattr(self, key) <= MAX_MAGNITUDE:
+                raise ValueError(f"{key} {IN_RANGE}")
         object.__setattr__(self, "items", {
             (source, feature): EvidenceItem(source, feature, primitive, self.weight(row_key))
             for (source, feature), (row_key, primitive) in TABLE_ROWS.items()})
@@ -152,8 +156,7 @@ def load_weights(path: str | Path) -> ClassifierConfig:
             except ValueError:
                 raise SchemaError(f"bad number {value!r}", line=lineno, path=path) from None
             if not -MAX_MAGNITUDE <= number <= MAX_MAGNITUDE:
-                raise SchemaError(f"{key} must be finite and at most {MAX_MAGNITUDE:g} "
-                                  f"in magnitude", line=lineno, path=path)
+                raise SchemaError(f"{key} {IN_RANGE}", line=lineno, path=path)
             if key in extras:
                 extras[key] = number
             elif number <= 0:
@@ -283,38 +286,39 @@ def extract_evidence(prior: SpeechFragment | None,
 # Classification
 # ---------------------------------------------------------------------------
 
-def resolve_pop_count(kind: OpKind, stack_depth: int, *, topic: str = "",
-                      open_labels: Sequence[str] = (),
+def resolve_pop_count(kind: OpKind, stack: FocusStack, *, topic: str = "",
                       topic_anchored: bool = False) -> int:
     """How many spaces a Return or Replace pops.
 
-    With a repeated topic that matches an open space, a Return pops down to
-    just above that space and a Replace pops through it; otherwise the
-    evidence rarely says how many segments closed, so one pop is assumed.
+    With a repeated topic, the links are walked from the top to the nearest
+    open space labelled with it: a Return pops the spaces above that space
+    (at least one) and a Replace pops them and the space itself.  Otherwise
+    the evidence rarely says how many segments closed, so one pop is assumed.
     """
     if kind is not RETURN and kind is not REPLACE:
         return 0
-    if topic_anchored and topic and topic in open_labels:
-        idx = max(i for i, label in enumerate(open_labels) if label == topic)
-        pops = stack_depth - 1 - idx if kind is RETURN else stack_depth - idx
-        return min(max(1, pops), stack_depth)
+    if topic_anchored and topic:
+        link, above = stack.link, 0
+        while link is not None and link[0].dsp_label != topic:
+            link, above = link[1], above + 1
+        if link is not None:
+            return max(1, above) if kind is RETURN else above + 1
     return 1
 
 
 def classify(evidence: Sequence[EvidenceItem],
-             prior_ops: frozenset[OpKind] | None = None,
-             stack_depth: int = 1,
+             prior_ops: frozenset[OpKind] | None,
+             stack: FocusStack,
              *,
              topic: str = "",
-             open_labels: Sequence[str] = (),
              lookahead_pop: bool = False,
              config: ClassifierConfig = DEFAULT_CONFIG) -> Classification:
     """Rank the four operations against the evidence.
 
     With an empty stack only Initiate is feasible.  With no evidence at all
     the null operation Retain wins by default at score 0 and the result is
-    flagged low-confidence.  The emitted pop counts never exceed the stack
-    depth, so the operation can always be applied.
+    flagged low-confidence.  Pop counts are read off the stack's open
+    spaces, so every alternative can be applied to it.
     """
     # start at int 0 and add in evidence order, as sum() does: the audit
     # writes an empty total as 0
@@ -352,14 +356,13 @@ def classify(evidence: Sequence[EvidenceItem],
                 singleton_boosted = True
 
     # TIE_ORDER lists the kinds least disruptive first; the sort is stable
-    feasible = TIE_ORDER if stack_depth > 0 else (INITIATE,)
+    feasible = TIE_ORDER if stack.depth else (INITIATE,)
     ranked_kinds = sorted(feasible, key=lambda k: -scores[k])
     top = ranked_kinds[0]
     tie_break = len(ranked_kinds) > 1 and scores[ranked_kinds[1]] == scores[top]
 
     alternatives = tuple([
-        (operation(kind, resolve_pop_count(kind, stack_depth, topic=topic,
-                                           open_labels=open_labels,
+        (operation(kind, resolve_pop_count(kind, stack, topic=topic,
                                            topic_anchored=anchored)),
          scores[kind])
         for kind in ranked_kinds])
@@ -394,7 +397,6 @@ def segment_discourse(fragments: Sequence[SpeechFragment],
                          "function-label pairs")
 
     stack = FocusStack.empty()
-    labels: list[str] = []  # dsp_label of each open space, bottom to top
     trace: list[tuple[FocusingOperation, int]] = []
     classifications: list[Classification] = []
     lookahead = False
@@ -420,15 +422,11 @@ def segment_discourse(fragments: Sequence[SpeechFragment],
                 and frag.initial_token_class == "cue_phrase":
             candidates = frag.initial_cue.candidate_ops
         topic = frag.topic
-        result = classify(evidence, candidates, stack.depth, topic=topic, open_labels=labels,
+        result = classify(evidence, candidates, stack, topic=topic,
                           lookahead_pop=lookahead, config=config)
         lookahead = any(it.primitive == "impending_pop" for it in evidence)
         op = result.operation
-        label = topic or f"fragment-{i}"
-        stack = apply(stack, op, i, label=label)
-        del labels[stack.depth - op.pushes:]
-        if op.pushes:
-            labels.append(label)
+        stack = apply(stack, op, i, label=topic or f"fragment-{i}")
         trace.append((op, i))
         classifications.append(result)
 

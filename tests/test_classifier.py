@@ -1,6 +1,7 @@
 """Evidence extraction, operation scoring, and discourse segmentation."""
 
 import io
+import math
 import random
 from dataclasses import replace
 
@@ -36,6 +37,14 @@ def frag(surfaces, index=0, cue=None, cls="unmarked", **token_kw):
 def item(source, feature, weight=1.0):
     return EvidenceItem(source=source, feature=feature,
                         primitive=TABLE_ROWS[(source, feature)][1], weight=weight)
+
+
+def stack_of(*labels):
+    """The stack that Initiates with these labels open, bottom to top."""
+    stack = FocusStack.empty()
+    for i, label in enumerate(labels):
+        stack = apply(stack, operation(OpKind.INITIATE, 0), i, label=label)
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +130,7 @@ def test_subsequent_pop_features():
 def test_pop_evidence_with_so_ranks_pops_first():
     evidence = [item("prior", "falling_final"), item("current", "expanded_range"),
                 item("current", "cue_so_but")]
-    result = classify(evidence, LEX.lookup("so").candidate_ops, stack_depth=3)
+    result = classify(evidence, LEX.lookup("so").candidate_ops, stack_of("a", "b", "c"))
     assert result.operation.kind in (OpKind.RETURN, OpKind.REPLACE)
     scores = {op.kind: score for op, score in result.alternatives}
     assert result.score > scores[OpKind.INITIATE]
@@ -129,7 +138,7 @@ def test_pop_evidence_with_so_ranks_pops_first():
 
 
 def test_no_evidence_defaults_to_retain():
-    result = classify([], None, stack_depth=2)
+    result = classify([], None, stack_of("a", "b"))
     assert result.operation.kind is OpKind.RETAIN
     assert result.score == 0
     assert result.low_confidence
@@ -138,31 +147,31 @@ def test_no_evidence_defaults_to_retain():
 def test_null_evidence_with_and_yields_retain():
     evidence = [item("prior", "continuation_rise"),
                 item("current", "pronominalization")]
-    result = classify(evidence, LEX.lookup("and").candidate_ops, stack_depth=2)
+    result = classify(evidence, LEX.lookup("and").candidate_ops, stack_of("a", "b"))
     assert result.operation.kind is OpKind.RETAIN
 
 
 def test_push_only_yields_initiate():
     result = classify([item("current", "reduced_range"),
-                       item("current", "relative_clause")], None, stack_depth=1)
+                       item("current", "relative_clause")], None, stack_of("a"))
     assert result.operation.kind is OpKind.INITIATE
 
 
 def test_pop_and_push_yield_replace():
     result = classify([item("prior", "falling_final"),
-                       item("current", "pronominalization")], None, stack_depth=2)
+                       item("current", "pronominalization")], None, stack_of("a", "b"))
     assert result.operation.kind is OpKind.REPLACE
 
 
 def test_empty_stack_forces_initiate():
-    result = classify([item("prior", "falling_final")], None, stack_depth=0)
+    result = classify([item("prior", "falling_final")], None, stack_of())
     assert result.operation.kind is OpKind.INITIATE
     assert len(result.alternatives) == 1
 
 
 def test_emitted_pops_respect_depth():
     evidence = [item("current", "expanded_range")]
-    result = classify(evidence, None, stack_depth=1)
+    result = classify(evidence, None, stack_of("a"))
     assert result.operation.pop_count <= 1
     for op, _ in result.alternatives:
         assert op.pop_count <= 1
@@ -170,7 +179,7 @@ def test_emitted_pops_respect_depth():
 
 def test_alternatives_are_the_shared_operations():
     evidence = [item("current", "expanded_range"), item("current", "pronominalization")]
-    result = classify(evidence, None, stack_depth=3)
+    result = classify(evidence, None, stack_of("a", "b", "c"))
     assert len(result.alternatives) == 4
     for op, _ in result.alternatives:
         assert op is operation(op.kind, op.pop_count)
@@ -178,8 +187,8 @@ def test_alternatives_are_the_shared_operations():
 
 def test_lookahead_bonus_tips_return():
     evidence = [item("prior", "falling_final"), item("current", "pronominalization")]
-    plain = classify(evidence, None, stack_depth=2)
-    boosted = classify(evidence, None, stack_depth=2, lookahead_pop=True)
+    plain = classify(evidence, None, stack_of("a", "b"))
+    boosted = classify(evidence, None, stack_of("a", "b"), lookahead_pop=True)
     plain_scores = {op.kind: s for op, s in plain.alternatives}
     boosted_scores = {op.kind: s for op, s in boosted.alternatives}
     assert boosted_scores[OpKind.RETURN] > plain_scores[OpKind.RETURN]
@@ -189,7 +198,7 @@ def test_lookahead_bonus_tips_return():
 def test_tie_breaks_prefer_cheapest():
     # equal pop and null evidence: Retain outranks Return at the same score
     result = classify([item("prior", "continuation_rise"),
-                       item("current", "expanded_range")], None, stack_depth=2)
+                       item("current", "expanded_range")], None, stack_of("a", "b"))
     assert result.operation.kind is OpKind.RETAIN
     assert result.tie_break_applied
 
@@ -197,7 +206,7 @@ def test_tie_breaks_prefer_cheapest():
 def test_prior_disagreement_flagged():
     # a lone continuation rise argues Retain even under a So prior
     evidence = [item("prior", "continuation_rise")]
-    result = classify(evidence, LEX.lookup("so").candidate_ops, stack_depth=1)
+    result = classify(evidence, LEX.lookup("so").candidate_ops, stack_of("a"))
     assert result.operation.kind is OpKind.RETAIN
     assert result.prior_disagreement
 
@@ -209,8 +218,9 @@ EVIDENCE_KEYS = sorted(TABLE_ROWS)
 @settings(max_examples=120, deadline=None)
 def test_null_items_never_promote_pops_over_retain(keys):
     evidence = [item(src, feat) for src, feat in keys]
-    before = classify(evidence, None, stack_depth=4)
-    after = classify(evidence + [item("prior", "continuation_rise")], None, stack_depth=4)
+    stack = stack_of("a", "b", "c", "d")
+    before = classify(evidence, None, stack)
+    after = classify(evidence + [item("prior", "continuation_rise")], None, stack)
     b = {op.kind: s for op, s in before.alternatives}
     a = {op.kind: s for op, s in after.alternatives}
     for kind in (OpKind.RETURN, OpKind.REPLACE):
@@ -230,7 +240,7 @@ def test_singleton_candidate_with_consistent_evidence_wins(kind, keys):
     evidence = [item(src, feat) for src, feat in keys] + [item(*consistent)]
     if kind is OpKind.REPLACE:
         evidence.append(item("current", "pronominalization"))
-    result = classify(evidence, frozenset({kind}), stack_depth=4)
+    result = classify(evidence, frozenset({kind}), stack_of("a", "b", "c", "d"))
     assert result.operation.kind is kind
 
 
@@ -239,29 +249,74 @@ def test_singleton_candidate_with_consistent_evidence_wins(kind, keys):
 # ---------------------------------------------------------------------------
 
 def test_pop_count_defaults_to_one():
-    assert resolve_pop_count(OpKind.RETURN, 3) == 1
-    assert resolve_pop_count(OpKind.REPLACE, 3) == 1
-    assert resolve_pop_count(OpKind.RETAIN, 3) == 0
+    stack = stack_of("a", "b", "c")
+    assert resolve_pop_count(OpKind.RETURN, stack) == 1
+    assert resolve_pop_count(OpKind.REPLACE, stack) == 1
+    assert resolve_pop_count(OpKind.RETAIN, stack) == 0
 
 
 def test_topic_anchored_return_pops_to_above_match():
-    labels = ["route", "hallway", "aside"]
-    assert resolve_pop_count(OpKind.RETURN, 3, topic="route",
-                             open_labels=labels, topic_anchored=True) == 2
-    assert resolve_pop_count(OpKind.REPLACE, 3, topic="route",
-                             open_labels=labels, topic_anchored=True) == 3
+    stack = stack_of("route", "hallway", "aside")
+    assert resolve_pop_count(OpKind.RETURN, stack, topic="route", topic_anchored=True) == 2
+    assert resolve_pop_count(OpKind.REPLACE, stack, topic="route", topic_anchored=True) == 3
 
 
 def test_topic_match_at_top_falls_back_to_single_pop():
-    labels = ["route", "aside"]
-    assert resolve_pop_count(OpKind.RETURN, 2, topic="aside",
-                             open_labels=labels, topic_anchored=True) == 1
+    stack = stack_of("route", "aside")
+    assert resolve_pop_count(OpKind.RETURN, stack, topic="aside", topic_anchored=True) == 1
 
 
 def test_unanchored_topic_is_ignored():
-    labels = ["route", "aside"]
-    assert resolve_pop_count(OpKind.RETURN, 2, topic="route",
-                             open_labels=labels, topic_anchored=False) == 1
+    stack = stack_of("route", "aside")
+    assert resolve_pop_count(OpKind.RETURN, stack, topic="route", topic_anchored=False) == 1
+
+
+def test_anchored_pops_walk_to_the_nearest_open_space():
+    def pops(kind, stack, topic, anchored=True):
+        return resolve_pop_count(kind, stack, topic=topic, topic_anchored=anchored)
+
+    # the topmost of several spaces with the topic wins
+    stack = stack_of("route", "route", "hallway", "aside")
+    assert pops(OpKind.RETURN, stack, "route") == 2
+    assert pops(OpKind.REPLACE, stack, "route") == 3
+    # on the top space: a Return still pops one, a Replace pops only that space
+    assert pops(OpKind.RETURN, stack, "aside") == 1
+    assert pops(OpKind.REPLACE, stack, "aside") == 1
+    for kind in (OpKind.RETURN, OpKind.REPLACE):
+        assert pops(kind, stack, "kitchen") == 1  # no open space has it
+        assert pops(kind, stack, "route", anchored=False) == 1
+    assert pops(OpKind.INITIATE, stack, "route") == 0
+
+
+def test_anchored_pops_from_a_stack_2000_deep():
+    deep_open, pushes = 700, 2100
+    anchored = dict(flags={"nonpronominal_repetition"}, pitch_range="expanded")
+    firsts = [(tok("it", topic="bottom"),)]
+    firsts += [(tok("it", topic="deep" if i == deep_open else ""),) for i in range(1, pushes)]
+    return_deep = len(firsts)
+    firsts.append((tok("route", topic="deep", **anchored),))
+    firsts += [(tok("it"),)] * 50
+    replace_deep = len(firsts)
+    firsts.append((tok("route", topic="deep", **anchored), tok("it")))
+    firsts += [(tok("it"),)] * 50
+    firsts.append((tok("route", topic="bottom", **anchored),))
+    frags = [SpeechFragment(index=i, speaker="B", tokens=(*first, tok("here")),
+                            initial_token_class="unmarked", initial_cue=None,
+                            pause_before_s=0.0)
+             for i, first in enumerate(firsts)]
+    result = assert_same_as_label_replay(frags)
+    assert max(result.tree.depths.values()) >= 2000
+    # replay with the labels segment_discourse gives and read the top space
+    tops = []
+    stack = FocusStack.empty()
+    for (op, i), fragment in zip(result.trace, frags):
+        stack = apply(stack, op, i, label=fragment.topic or f"fragment-{i}")
+        tops.append((op.kind, stack.top.dsp_label, stack.top.opened_at, stack.depth))
+    assert result.trace[return_deep][0].pop_count > 1000
+    assert tops[return_deep] == (OpKind.RETURN, "deep", deep_open, deep_open + 1)
+    # the Replace closes the old "deep" space too and opens its successor
+    assert tops[replace_deep] == (OpKind.REPLACE, "deep", replace_deep, deep_open + 1)
+    assert tops[-1] == (OpKind.RETURN, "bottom", 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +585,23 @@ def test_config_rejects_a_non_positive_weight_when_built():
     # not when its row first fires
     with pytest.raises(ValueError, match="^weight must be positive$"):
         ClassifierConfig(weights={**DEFAULT_CONFIG.weights, "subsequent_pop": 0.0})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2e15])
+def test_config_rejects_a_weight_out_of_range(value):
+    # two weights of 1e308 sum to inf, and inf times a bonus of 0 is NaN
+    with pytest.raises(ValueError, match="^weight must be finite and at most 1e"):
+        ClassifierConfig(weights={**DEFAULT_CONFIG.weights, "prior_pop": value})
+    with pytest.raises(ValueError, match="^weight must be finite and at most 1e"):
+        EvidenceItem("prior", "falling_final", "pop", value)
+
+
+@pytest.mark.parametrize("key", ["candidate_bonus", "impending_bonus", "lstar_threshold"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2e15, -2e15])
+def test_config_rejects_a_bonus_or_threshold_out_of_range(key, value):
+    # the rule load_weights applies to the same keys read from a file
+    with pytest.raises(ValueError, match=f"^{key} must be finite and at most 1e"):
+        ClassifierConfig(**{key: value})
 
 
 def test_weights_start_from_the_default_config(tmp_path):
