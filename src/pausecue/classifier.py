@@ -105,7 +105,8 @@ class ClassifierConfig:
     when the previous fragment primed a pop.  lstar_threshold is the
     proportion of accented tokens that must carry L* before the
     parenthetical reading fires (an interpretation knob, not an observed
-    constant).  items holds one shared EvidenceItem per evidence row, built
+    constant).  weights may omit a row but may name no key outside
+    ROW_KEYS.  items holds one shared EvidenceItem per evidence row, built
     with the config, which rejects every number load_weights would reject.
     """
 
@@ -116,6 +117,9 @@ class ClassifierConfig:
     items: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for key in self.weights:
+            if key not in ROW_KEYS:
+                raise ValueError(f"unknown weight key {key!r}")
         for key in ("candidate_bonus", "impending_bonus", "lstar_threshold"):
             if not -MAX_MAGNITUDE <= getattr(self, key) <= MAX_MAGNITUDE:
                 raise ValueError(f"{key} {IN_RANGE}")

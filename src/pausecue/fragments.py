@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .focus import (OPERATION_FIELDS, FocusingOperation, FocusStack, apply,
                     operation_from_row, segments_affected)
@@ -225,8 +225,9 @@ class CodedRecord:
     example "And" or "Filled Pause") so token-level tables can be rebuilt;
     it is empty for unmarked fragments.  pause_before_s of None means the
     pause was never measured; such records are excluded from statistics.
-    marked is True exactly when initial_constituent is not "unmarked"; None
-    derives it so.
+    segments_affected is the operation's pops plus pushes, and marked is
+    True exactly when initial_constituent is not "unmarked"; None derives
+    each so, and any other value is rejected.
     """
 
     fragment_index: int
@@ -234,17 +235,20 @@ class CodedRecord:
     initial_constituent: str
     operation: FocusingOperation
     embedding_depth: int
-    segments_affected: int
-    prior_function: str
-    subsequent_function: str
-    turn_position: str
-    marked: bool
+    segments_affected: int | None = None
+    prior_function: str = "topical"
+    subsequent_function: str = "topical"
+    turn_position: str = "continuing"
+    marked: bool | None = None
     initial_token: str = ""
 
     def __post_init__(self) -> None:
-        _check_coded(self)
         op = self.operation
-        if self.segments_affected != segments_affected(op):
+        affected = segments_affected(op)
+        if self.segments_affected is None:
+            self.segments_affected = affected
+        _check_coded(self)
+        if self.segments_affected != affected:
             raise ValueError(f"segments_affected {self.segments_affected} inconsistent with "
                              f"{op.kind.value}({op.pop_count})")
         marked = self.initial_constituent != "unmarked"
@@ -450,15 +454,13 @@ _CLASS_TO_CONSTITUENT = {
 
 def code(fragments: Sequence[SpeechFragment],
          ops: Sequence[FocusingOperation],
-         functions: Sequence[tuple[str, str]] | None = None,
-         turns: Mapping[int, str] | None = None) -> list[CodedRecord]:
+         functions: Sequence[tuple[str, str]] | None = None) -> list[CodedRecord]:
     """Assemble one CodedRecord per fragment.
 
     ops must be the fragment-aligned focusing operations (one each); the
     stack is replayed to recover the embedding depth at each fragment.
     prior/subsequent discourse functions are annotator-supplied and default
-    to topical.  Turn position derives from speaker change unless overridden
-    through ``turns``.
+    to topical.  Turn position derives from speaker change.
     """
     if len(fragments) != len(ops):
         raise LengthMismatch(f"{len(fragments)} fragments vs {len(ops)} operations")
@@ -477,9 +479,7 @@ def code(fragments: Sequence[SpeechFragment],
         if functions is not None:
             prior_fn, subsequent_fn = functions[i]
 
-        if turns is not None and i in turns:
-            turn = turns[i]
-        elif i == 0 or frag.speaker != fragments[i - 1].speaker \
+        if i == 0 or frag.speaker != fragments[i - 1].speaker \
                 or "turn_initial" in frag.tokens[0].flags:
             turn = "initiating"
         else:
@@ -494,11 +494,9 @@ def code(fragments: Sequence[SpeechFragment],
                            and constituent != "unmarked" else ""),
             operation=op,
             embedding_depth=depth,
-            segments_affected=segments_affected(op),
             prior_function=prior_fn,
             subsequent_function=subsequent_fn,
             turn_position=turn,
-            marked=constituent != "unmarked",
         ))
     return records
 

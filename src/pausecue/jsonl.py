@@ -122,13 +122,13 @@ def _compiled(table: tuple[Field, ...], record: bool) -> Callable:
     its kind for every row costs most of a reader.  A checker block reads
     the value, handles absence and null, and checks the type, the
     magnitude, the list elements and the domain rules (``choices`` and
-    ``minimum``).  The record check runs the same domain lines on the
-    record's attributes, skipping None where the field accepts null.  The
-    helpers called on a failure build the message; without a path they
-    raise a plain ValueError.  Choices are tested as a frozenset, whose cost
-    does not grow with a value's place in the list.
+    ``minimum``).  The record check runs the magnitude test and the same
+    domain lines on the record's attributes, skipping None where the field
+    accepts null.  The helpers called on a failure build the message;
+    without a path they raise a plain ValueError.  Choices are tested as a
+    frozenset, whose cost does not grow with a value's place in the list.
     """
-    env: dict[str, Any] = {"_MISSING": REQUIRED, "_reject": _reject,
+    env: dict[str, Any] = {"_MISSING": REQUIRED, "_reject": _reject, "_too_large": _too_large,
                            "_bad_element": _bad_element, "_bad_value": _bad_value}
     lines = ["def f(obj, path, lineno, strings):", "    get, share = obj.get, strings.setdefault"]
     rules = ["def f(record, path=None, lineno=0):"]
@@ -138,9 +138,9 @@ def _compiled(table: tuple[Field, ...], record: bool) -> Callable:
         env[f"F{i}"], env[f"K{i}"] = field, kind
         if choices is not None:
             env[f"C{i}"] = frozenset(choices)
+        in_range = f"{-MAX_MAGNITUDE!r} <= {v} <= {MAX_MAGNITUDE!r}"
         if kind is float or kind is int:  # _reject returns the float of an int in range
-            body = [f"if type({v}) is not K{i} or not {-MAX_MAGNITUDE!r} <= {v} <= "
-                    f"{MAX_MAGNITUDE!r}:",
+            body = [f"if type({v}) is not K{i} or not {in_range}:",
                     f"    {v} = _reject(F{i}, {v}, path, lineno)"]
         else:
             body = [f"if type({v}) is not K{i}:", f"    _reject(F{i}, {v}, path, lineno)"]
@@ -163,6 +163,9 @@ def _compiled(table: tuple[Field, ...], record: bool) -> Callable:
         if minimum is not None:
             domain += [f"if {v} < {minimum!r}:", f"    _bad_value(F{i}, {v}, path, lineno)"]
         body += domain
+        if kind is float or kind is int:  # the record check has no type test to share
+            domain = [f"if not {in_range}:", f"    _too_large(F{i}, {v}, path, lineno)",
+                      *domain]
         if default is REQUIRED:  # _reject names a missing field
             lines.append(f"    {v} = get({name!r}, _MISSING)")
         elif default is None:  # absent and null alike
@@ -200,15 +203,22 @@ def _reject(field: Field, value: Any, path: str | Path, lineno: int) -> float:
     elif -MAX_MAGNITUDE <= value <= MAX_MAGNITUDE:  # exact for ints of any size
         return float(value)
     else:
-        got = value
-        if kind is float and type(value) is int:
-            try:
-                got = float(value)
-            except OverflowError:  # beyond float range: shown as an int
-                pass
-        message = (f"field {name!r} must be finite and at most {MAX_MAGNITUDE:g} "
-                   f"in magnitude (got {_shown(got)})")
+        _too_large(field, value, path, lineno)
     raise SchemaError(message, line=lineno, path=path)
+
+
+def _too_large(field: Field, value: Any, path: str | Path | None, lineno: int) -> None:
+    """Raise that ``value`` is not finite or beyond ``MAX_MAGNITUDE``: a
+    SchemaError at path:line in a reader, a ValueError in a record check."""
+    got = value
+    if field.kind is float and type(value) is int:
+        try:
+            got = float(value)
+        except OverflowError:  # beyond float range: shown as an int
+            pass
+    message = (f"field {field.name!r} must be finite and at most {MAX_MAGNITUDE:g} "
+               f"in magnitude (got {_shown(got)})")
+    raise ValueError(message) if path is None else SchemaError(message, line=lineno, path=path)
 
 
 def _shown(value: Any) -> str:

@@ -45,7 +45,8 @@ class CueEntry:
     to signal.  ordinal_rank distinguishes first uses of ordinal phrases
     (which open a segment) from subsequent uses (which replace one).
     corpus_derived marks sets read off the observed distribution rather than
-    the marker's conversational role.
+    the marker's conversational role.  An empty display derives the
+    capitalized surface.
     """
 
     surface: str
@@ -60,6 +61,8 @@ class CueEntry:
 
     def __post_init__(self) -> None:
         _check_entry(self)
+        if not self.display:
+            object.__setattr__(self, "display", self.surface.capitalize())
         if not self.candidate_ops:
             raise ValueError(f"entry {self.surface!r} has empty candidate_ops")
 
@@ -195,7 +198,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
     entries, lines = [], []
     for lineno, row in validate(iter_jsonl(path), ENTRY_FIELDS, path):
         row["candidate_ops"] = frozenset(map(OpKind, row["candidate_ops"]))
-        row["display"] = row["display"] or row["surface"].capitalize()
         row["variants"] = tuple(row["variants"])
         entries.append(build(CueEntry, row, path, lineno))
         lines.append(lineno)

@@ -101,7 +101,7 @@ class PauseRecord:
 
     start_s: float
     raw_duration_s: float
-    reported_duration_s: float
+    reported_duration_s: float | None = None
     position: str = "fragment_internal"
     suspect: bool = False
 
@@ -293,9 +293,7 @@ def detect_pauses(frames: AudioFrameSeries,
             continue
         suspect = (word_spans is None and raw < 0.15
                    and start_s > 0 and end_sample < frames.n_samples)
-        records.append(PauseRecord(start_s=start_s, raw_duration_s=raw,
-                                   reported_duration_s=round_tenth(raw),
-                                   suspect=suspect))
+        records.append(PauseRecord(start_s=start_s, raw_duration_s=raw, suspect=suspect))
     return records
 
 

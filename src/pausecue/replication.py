@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .focus import operation, segments_affected
+from .focus import operation
 from .fragments import ROW_LABELS, CodedRecord, read_coded, write_coded
 from .pauses import PauseRecord, read_pauses, write_pauses
 from .stats import (CANONICAL_TOKEN_ROWS, OP_ORDER, TAIL_TOKEN_ROWS, compute_report,
@@ -102,11 +102,7 @@ def build_records() -> list[CodedRecord]:
                     initial_token=row if constituent == "cue_phrase" else "",
                     operation=op,
                     embedding_depth=depth,
-                    segments_affected=segments_affected(op),
-                    prior_function="topical",
-                    subsequent_function="topical",
                     turn_position="initiating" if index == 0 else "continuing",
-                    marked=constituent != "unmarked",
                 ))
                 index += 1
     return records
@@ -121,7 +117,6 @@ def build_pauses() -> list[PauseRecord]:
         for duration in sorted(hist):
             for _ in range(hist[duration]):
                 records.append(PauseRecord(start_s=start, raw_duration_s=duration,
-                                           reported_duration_s=duration,
                                            position=position))
                 start += duration + 1.0
     return records

@@ -604,6 +604,16 @@ def test_config_rejects_a_bonus_or_threshold_out_of_range(key, value):
         ClassifierConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key", ["prior_pops", "candidate_bonus", ""])
+def test_config_rejects_an_unknown_weight_key(key):
+    # a misspelt row would otherwise leave every row at weight 1
+    with pytest.raises(ValueError, match=f"^unknown weight key {key!r}$"):
+        ClassifierConfig(weights={key: 5.0})
+    with pytest.raises(ValueError, match=f"^unknown weight key {key!r}$"):
+        ClassifierConfig(weights={**DEFAULT_CONFIG.weights, key: 5.0})
+    assert ClassifierConfig(weights={"prior_pop": 5.0}).weight("current_pop") == 1.0
+
+
 def test_weights_start_from_the_default_config(tmp_path):
     path = tmp_path / "weights.conf"
     path.write_text("# nothing set\n")

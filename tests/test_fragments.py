@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import pauses_oracle as oracle
 from pausecue import fragments
-from pausecue.focus import FocusingOperation, OpKind
+from pausecue.focus import FocusingOperation, OpKind, segments_affected
 from pausecue.fragments import (AnnotatedToken, CodedRecord, EmptyTranscript,
                                 LengthMismatch, MisalignedPause, code,
                                 fragmentize, fragments_to_tokens, read_coded,
@@ -282,8 +282,6 @@ def test_code_turn_positions():
     records = code(frags, ops)
     assert records[0].turn_position == "initiating"
     assert records[1].turn_position == "initiating"  # speaker change
-    overridden = code(frags, ops, turns={1: "continuing"})
-    assert overridden[1].turn_position == "continuing"
 
 
 def test_code_function_labels():
@@ -382,3 +380,27 @@ def test_coded_record_derives_marked_from_the_constituent():
         CodedRecord(**{**fields, "marked": True})
     with pytest.raises(ValueError, match="^marked false contradicts"):
         CodedRecord(**{**fields, "initial_constituent": "cue_phrase", "marked": False})
+
+
+def test_coded_record_derives_the_columns_left_out():
+    op = FocusingOperation(OpKind.REPLACE, 2)
+    fields = dict(fragment_index=0, pause_before_s=0.1, initial_constituent="cue_phrase",
+                  operation=op, embedding_depth=1)
+    record = CodedRecord(**fields)
+    assert (record.segments_affected, record.marked) == (segments_affected(op), True) == (3, True)
+    assert record == CodedRecord(**fields, segments_affected=None, marked=None)
+    # the other columns default as in CODED_FIELDS
+    assert (record.prior_function, record.subsequent_function, record.turn_position,
+            record.initial_token) == ("topical", "topical", "continuing", "")
+
+
+def test_code_derives_segments_affected_and_marked():
+    tokens = [tok("you", boundary="fall"), tok("so"), tok("um"),
+              tok("on", pause_before_s=0.4), tok("go")]
+    frags = fragmentize(tokens)
+    ops = [INITIATE, FocusingOperation(OpKind.REPLACE, 1), RETAIN, INITIATE]
+    records = code(frags, ops)
+    assert [r.initial_constituent for r in records] == [
+        "unmarked", "cue_phrase", "filled_pause", "unmarked"]
+    assert [r.segments_affected for r in records] == [segments_affected(op) for op in ops]
+    assert [r.marked for r in records] == [False, True, True, False]

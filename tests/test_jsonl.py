@@ -10,6 +10,7 @@ keep, so its first rewrite differs from it in that order alone and is
 byte-stable from then on.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -95,7 +96,7 @@ ENTRIES = st.builds(
     CueEntry, surface=WORDS, gloss=st.text(max_size=6),
     candidate_ops=st.frozensets(st.sampled_from(OpKind), min_size=1),
     ordinal_rank=st.none() | st.sampled_from(ORDINAL_RANKS),
-    token_class=st.sampled_from(TOKEN_CLASSES), display=st.text(min_size=1, max_size=6),
+    token_class=st.sampled_from(TOKEN_CLASSES), display=st.text(max_size=6),
     connective=st.booleans(), corpus_derived=st.booleans(),
     variants=st.lists(WORDS, max_size=2).map(tuple))
 
@@ -165,6 +166,14 @@ def _written(write, records) -> bytes:
     sink = io.StringIO()
     write(sink, records)
     return sink.getvalue().encode()
+
+
+def test_replication_builders_get_the_derived_columns(corpus_records, corpus_pauses):
+    for record in corpus_records:
+        assert record.segments_affected == segments_affected(record.operation)
+        assert record.marked == (record.initial_constituent != "unmarked")
+    for pause in corpus_pauses:
+        assert pause.reported_duration_s == round_tenth(pause.raw_duration_s)
 
 
 def test_bundled_corpus_writes_back_byte_for_byte():
@@ -391,3 +400,52 @@ def test_constructor_and_reader_reject_a_bad_value_alike(tmp_path, name, field):
     assert str(raised.value) == f"{path}:2: {message}"
     if field.default is None:  # null skips the rule
         make(**{**fields, field.name: None})
+
+
+NUMBER_FIELDS = [pytest.param(name, field, bad, id=f"{name}-{field.name}-{bad!r}")
+                 for name, (table, *_) in BUILT.items() for field in table
+                 if field.kind in (int, float)
+                 for bad in ((math.nan, math.inf, 1e16) if field.kind is float else (10**16,))]
+
+
+def test_every_number_field_is_covered():
+    assert {p.values[0] for p in NUMBER_FIELDS} == {"token", "coded", "pause"}
+    assert len({(p.values[0], p.values[1].name) for p in NUMBER_FIELDS}) == 10
+
+
+@pytest.mark.parametrize("name, field, bad", NUMBER_FIELDS)
+def test_constructor_and_reader_reject_a_number_out_of_range_alike(tmp_path, name, field, bad):
+    table, make, fields, read = BUILT[name]
+    message = (f"field {field.name!r} must be finite and at most 1e+15 in magnitude "
+               f"(got {bad!r})")
+    with pytest.raises(ValueError) as raised:
+        make(**{**fields, field.name: bad})
+    assert str(raised.value) == message
+    [row] = rows(table, [make(**fields)])
+    path = tmp_path / "in.jsonl"
+    # json writes the floats as NaN, Infinity and 1e+16
+    path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field.name: bad}) + "\n")
+    with pytest.raises(SchemaError) as raised:
+        read(path)
+    assert str(raised.value) == f"{path}:2: {message}"
+
+
+RECORD_TABLES = [pytest.param(make, table, id=name)
+                 for name, (table, make, *_) in BUILT.items()]
+
+
+@pytest.mark.parametrize("make, table", RECORD_TABLES)
+def test_record_defaults_equal_the_table_defaults(make, table):
+    by_name = {field.name: field for field in table}
+    declared = {f.name: f.default for f in dataclasses.fields(make)
+                if f.init and f.default is not dataclasses.MISSING}
+    assert declared.keys() <= by_name.keys()
+    for name, default in declared.items():
+        expected = by_name[name].default
+        if (make, name) == (CodedRecord, "segments_affected"):
+            # required in files, derived for constructors
+            assert (expected, default) == (REQUIRED, None)
+        elif isinstance(default, frozenset):  # flags: a list in the table
+            assert default == frozenset(expected), name
+        else:
+            assert default == expected, name

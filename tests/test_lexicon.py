@@ -220,6 +220,17 @@ def test_lexicon_roundtrip(tmp_path):
     assert set(again.lookup("so").candidate_ops) == {OpKind.RETURN, OpKind.REPLACE}
 
 
+def test_library_entry_derives_its_display(tmp_path):
+    # an empty display means the capitalized surface, built or read alike
+    entry = CueEntry(surface="so", gloss="", candidate_ops=frozenset({OpKind.RETURN}))
+    assert entry.display == "So"
+    assert CueEntry(surface="so", gloss="", candidate_ops=frozenset({OpKind.RETURN}),
+                    display="SO").display == "SO"
+    path = tmp_path / "lexicon.jsonl"
+    write_lexicon(path, Lexicon([entry]))
+    assert load_lexicon(path).entries == (entry,)
+
+
 def test_empty_candidate_ops_rejected():
     with pytest.raises(ValueError):
         CueEntry(surface="x", gloss="", candidate_ops=frozenset())

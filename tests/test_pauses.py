@@ -269,6 +269,7 @@ def test_single_inserted_silence():
     assert len(records) == 1
     rec = records[0]
     assert rec.reported_duration_s == pytest.approx(0.4)
+    assert rec.reported_duration_s == round_tenth(rec.raw_duration_s)
     assert abs(rec.raw_duration_s - 0.42) <= 0.05
     assert abs(rec.start_s - 0.5) <= 0.02
 
@@ -376,6 +377,7 @@ def test_pause_jsonl_roundtrip(tmp_path):
 def test_pause_record_reported_duration_is_the_rounded_raw_one():
     assert PauseRecord(start_s=0.0, raw_duration_s=0.35, reported_duration_s=None) \
         .reported_duration_s == 0.4
+    assert PauseRecord(start_s=0.0, raw_duration_s=0.35).reported_duration_s == 0.4
     with pytest.raises(ValueError, match=r"^reported_duration_s 9\.0 is not raw_duration_s "
                                          r"0\.2 rounded to a tenth \(0\.2\)$"):
         PauseRecord(start_s=0.0, raw_duration_s=0.2, reported_duration_s=9.0)
