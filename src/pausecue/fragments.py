@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .focus import (OPERATION_FIELDS, FocusingOperation, FocusStack, apply,
                     operation_from_row, segments_affected)
 from .jsonl import (Field, SchemaError, Target, build, iter_jsonl, open_target,
-                    record_check, rows, validate, write_jsonl)
+                    record_class, rows, validate, write_jsonl)
 from .lexicon import CueContext, CueEntry, Lexicon, bundled_lexicon, judge_cue_use, normalize
 from .pauses import PauseRecord, round_tenth
 
@@ -80,35 +80,6 @@ class LengthMismatch(Exception):
     """Fragments and operations differ in length."""
 
 
-@dataclass
-class AnnotatedToken:
-    """One transcript token with its prosodic annotations.
-
-    pause_before_s is the annotated silent interval preceding the token.
-    topic is an optional annotator-supplied topic id used when resolving how
-    far a Return or Replace pops.  start_s/end_s are optional timings used
-    to align separately detected pause records.
-    """
-
-    surface: str
-    speaker: str = "A"
-    accent: str = "unmarked"
-    boundary: str = "none"
-    phonation: str = "normal"
-    pitch_range: str = "normal"
-    pause_before_s: float = 0.0
-    flags: frozenset[str] = frozenset()
-    topic: str = ""
-    start_s: float | None = None
-    end_s: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_token(self)
-        if self.start_s is not None and self.end_s is not None and self.end_s < self.start_s:
-            raise ValueError(f"end_s {self.end_s:g} precedes start_s {self.start_s:g}")
-        self.flags = frozenset(self.flags)
-
-
 TOKEN_FIELDS = (
     Field("surface", str),
     Field("speaker", str, "A"),
@@ -122,7 +93,22 @@ TOKEN_FIELDS = (
     Field("start_s", float, None, omit_default=True),
     Field("end_s", float, None, omit_default=True),
 )
-_check_token = record_check(TOKEN_FIELDS)
+
+
+@record_class(TOKEN_FIELDS)
+class AnnotatedToken:
+    """One transcript token with its prosodic annotations.
+
+    pause_before_s is the annotated silent interval preceding the token.
+    topic is an optional annotator-supplied topic id used when resolving how
+    far a Return or Replace pops.  start_s/end_s are optional timings used
+    to align separately detected pause records.
+    """
+
+    def __post_init__(self) -> None:
+        if self.start_s is not None and self.end_s is not None and self.end_s < self.start_s:
+            raise ValueError(f"end_s {self.end_s:g} precedes start_s {self.start_s:g}")
+        self.flags = frozenset(self.flags)
 
 
 class TokenFeatures(NamedTuple):
@@ -217,7 +203,22 @@ ROW_LABELS = {"acknowledgment": "Acknowledgment", "filled_pause": "Filled Pause"
               "unmarked": "Unmarked"}
 
 
-@dataclass
+CODED_FIELDS = (
+    Field("fragment_index", int),
+    Field("pause_before_s", float, None, minimum=0.0),
+    Field("initial_constituent", str, choices=CONSTITUENTS),
+    Field("initial_token", str, ""),
+    Field("operation", dict, of=OPERATION_FIELDS),
+    Field("embedding_depth", int, minimum=1),
+    Field("segments_affected", int),
+    Field("prior_function", str, "topical", choices=FUNCTION_LABELS),
+    Field("subsequent_function", str, "topical", choices=FUNCTION_LABELS),
+    Field("turn_position", str, "continuing", choices=TURN_POSITIONS),
+    Field("marked", bool, None),  # absent: marked unless the constituent is unmarked
+)
+
+
+@record_class(CODED_FIELDS)
 class CodedRecord:
     """The per-fragment coding row used for statistics.
 
@@ -230,25 +231,14 @@ class CodedRecord:
     each so, and any other value is rejected.
     """
 
-    fragment_index: int
-    pause_before_s: float | None
-    initial_constituent: str
-    operation: FocusingOperation
-    embedding_depth: int
-    segments_affected: int | None = None
-    prior_function: str = "topical"
-    subsequent_function: str = "topical"
-    turn_position: str = "continuing"
-    marked: bool | None = None
-    initial_token: str = ""
+    segments_affected: int | None = None  # required in files, derived by constructors
 
     def __post_init__(self) -> None:
         op = self.operation
         affected = segments_affected(op)
         if self.segments_affected is None:
             self.segments_affected = affected
-        _check_coded(self)
-        if self.segments_affected != affected:
+        elif self.segments_affected != affected:
             raise ValueError(f"segments_affected {self.segments_affected} inconsistent with "
                              f"{op.kind.value}({op.pop_count})")
         marked = self.initial_constituent != "unmarked"
@@ -263,22 +253,6 @@ class CodedRecord:
         if self.initial_constituent == "cue_phrase":
             return self.initial_token or "Cue"
         return ROW_LABELS[self.initial_constituent]
-
-
-CODED_FIELDS = (
-    Field("fragment_index", int),
-    Field("pause_before_s", float, None, minimum=0.0),
-    Field("initial_constituent", str, choices=CONSTITUENTS),
-    Field("initial_token", str, ""),
-    Field("operation", dict, of=OPERATION_FIELDS),
-    Field("embedding_depth", int, minimum=1),
-    Field("segments_affected", int),
-    Field("prior_function", str, "topical", choices=FUNCTION_LABELS),
-    Field("subsequent_function", str, "topical", choices=FUNCTION_LABELS),
-    Field("turn_position", str, "continuing", choices=TURN_POSITIONS),
-    Field("marked", bool, None),  # absent: marked unless the constituent is unmarked
-)
-_check_coded = record_check(CODED_FIELDS)
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,23 @@
 
 All record files are JSON Lines: one object per line, blank lines ignored.
 Writers stamp a ``schema_version`` field; readers tolerate its absence so
-hand-written fixtures stay terse.  Each record type declares one table of
-``Field`` specs next to its class.  Each table is compiled once into a row
-checker, which ``validate`` runs on the rows read, a record check of the same
-domain rules, which the record class's ``__post_init__`` runs, and a row
-maker, which ``rows`` runs on the records written.
+hand-written fixtures stay terse.  Each record type is declared once, as a
+table of ``Field`` specs.  ``record_class`` makes the record's class from
+its table: a dataclass of the table's fields whose constructor runs the
+reader's type test and domain rules.  Each table is also compiled once into
+a row checker, which ``validate`` runs on the rows read, and a row maker,
+which ``rows`` runs on the records written.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
+from typing import (IO, Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence,
+                    TypeVar, Union)
 
 Target = Union[str, Path, IO[str]]
 
@@ -101,7 +104,7 @@ def validate(rows: Iterable[tuple[int, dict]], table: Sequence[Field],
     SchemaError at path:line names the first one that fails.  Equal strings
     share one object: labels repeat on every line.
     """
-    check = _compiled(tuple(table), False)
+    check = _compiled(tuple(table))
     strings: dict[str, str] = {}
     for lineno, obj in rows:
         yield lineno, check(obj, path, lineno, strings)
@@ -114,58 +117,30 @@ def _define(lines: list[str], env: dict[str, Any]) -> Callable:
 
 
 @functools.cache
-def _compiled(table: tuple[Field, ...], record: bool) -> Callable:
-    """One table's row checker, or with ``record`` its record check, built once.
+def _compiled(table: tuple[Field, ...]) -> Callable:
+    """One table's row checker, built once.
 
     The source is generated field by field, as ``dataclasses`` builds
     ``__init__``, because a loop that unpacks each field and dispatches on
-    its kind for every row costs most of a reader.  A checker block reads
-    the value, handles absence and null, and checks the type, the
-    magnitude, the list elements and the domain rules (``choices`` and
-    ``minimum``).  The record check runs the magnitude test and the same
-    domain lines on the record's attributes, skipping None where the field
-    accepts null.  The helpers called on a failure build the message;
-    without a path they raise a plain ValueError.  Choices are tested as a
-    frozenset, whose cost does not grow with a value's place in the list.
+    its kind for every row costs most of a reader.  A block reads the value,
+    handles absence and null, and checks the type, the magnitude, the list
+    elements and the domain rules (``choices`` and ``minimum``).
     """
-    env: dict[str, Any] = {"_MISSING": REQUIRED, "_reject": _reject, "_too_large": _too_large,
-                           "_bad_element": _bad_element, "_bad_value": _bad_value}
+    env = dict(_HELPERS)
     lines = ["def f(obj, path, lineno, strings):", "    get, share = obj.get, strings.setdefault"]
-    rules = ["def f(record, path=None, lineno=0):"]
     for i, field in enumerate(table):
-        name, kind, default, of, choices, minimum, _ = field
+        name, kind, default, of, *_ = field
         v = f"v{i}"
-        env[f"F{i}"], env[f"K{i}"] = field, kind
-        if choices is not None:
-            env[f"C{i}"] = frozenset(choices)
-        in_range = f"{-MAX_MAGNITUDE!r} <= {v} <= {MAX_MAGNITUDE!r}"
-        if kind is float or kind is int:  # _reject returns the float of an int in range
-            body = [f"if type({v}) is not K{i} or not {in_range}:",
-                    f"    {v} = _reject(F{i}, {v}, path, lineno)"]
-        else:
-            body = [f"if type({v}) is not K{i}:", f"    _reject(F{i}, {v}, path, lineno)"]
+        body, domain = _field_tests(i, field, env)
         if kind is str:
             body.append(f"{v} = share({v}, {v})")
         elif kind is dict and of is not None:
-            if not record:  # only the row checker calls the nested one
-                env[f"T{i}"] = _compiled(tuple(of), False)
+            env[f"T{i}"] = _compiled(tuple(of))
             body.append(f"{v} = T{i}({v}, path, lineno, strings)")
         elif kind is list and of is not None:
             env[f"E{i}"] = of
             body += [f"for item in {v}:", f"    if type(item) is not E{i}:",
                      f"        _bad_element(F{i}, item, path, lineno)"]
-        domain = []
-        if choices is not None and kind is list:
-            domain = [f"for item in {v}:", f"    if item not in C{i}:",
-                      f"        _bad_value(F{i}, item, path, lineno)"]
-        elif choices is not None:
-            domain = [f"if {v} not in C{i}:", f"    _bad_value(F{i}, {v}, path, lineno)"]
-        if minimum is not None:
-            domain += [f"if {v} < {minimum!r}:", f"    _bad_value(F{i}, {v}, path, lineno)"]
-        body += domain
-        if kind is float or kind is int:  # the record check has no type test to share
-            domain = [f"if not {in_range}:", f"    _too_large(F{i}, {v}, path, lineno)",
-                      *domain]
         if default is REQUIRED:  # _reject names a missing field
             lines.append(f"    {v} = get({name!r}, _MISSING)")
         elif default is None:  # absent and null alike
@@ -175,50 +150,98 @@ def _compiled(table: tuple[Field, ...], record: bool) -> Callable:
             lines += [f"    {v} = get({name!r}, _MISSING)", f"    if {v} is _MISSING:",
                       f"        {v} = D{i}", "    else:"]
         indent = "    " if default is REQUIRED else "        "
-        lines += [indent + line for line in body]
-        if domain:
-            rules.append(f"    {v} = record.{name}")
-            if default is None:
-                rules.append(f"    if {v} is not None:")
-            rules += [(indent if default is None else "    ") + line for line in domain]
+        lines += [indent + line for line in (*body, *domain)]
     lines.append("    return {%s}" % ", ".join(f"{field.name!r}: v{i}"
                                               for i, field in enumerate(table)))
-    return _define([*rules, "    return None"] if record else lines, env)
+    return _define(lines, env)
 
 
-def record_check(table: Sequence[Field]) -> Callable[[Any], None]:
-    """The domain rules of ``table`` as a check of one record, for its class's
-    ``__post_init__``: the reader's tests in table order, raising ValueError
-    with the message the reader gives after ``path:line: ``."""
-    return _compiled(tuple(table), True)
+def _field_tests(i: int, field: Field, env: dict[str, Any]) -> tuple[list[str], list[str]]:
+    """The type test and the domain rules of field ``i`` on its value ``v{i}``.
+
+    Each test calls a helper on a failure, which builds the message; without
+    a path it raises a plain ValueError.  The type test of a number also
+    checks its magnitude.  Choices are tested as a frozenset, whose cost
+    does not grow with a value's place in the list.
+    """
+    _, kind, _, _, choices, minimum, _ = field
+    v = f"v{i}"
+    env[f"F{i}"], env[f"K{i}"] = field, kind
+    if kind is float or kind is int:  # _reject returns the float of an int in range
+        test = [f"if type({v}) is not K{i} or not "
+                f"{-MAX_MAGNITUDE!r} <= {v} <= {MAX_MAGNITUDE!r}:",
+                f"    {v} = _reject(F{i}, {v}, path, lineno)"]
+    else:
+        test = [f"if type({v}) is not K{i}:", f"    _reject(F{i}, {v}, path, lineno)"]
+    domain = []
+    if choices is not None:
+        env[f"C{i}"] = frozenset(choices)
+        domain = ([f"for item in {v}:", f"    if item not in C{i}:",
+                   f"        _bad_value(F{i}, item, path, lineno)"] if kind is list else
+                  [f"if {v} not in C{i}:", f"    _bad_value(F{i}, {v}, path, lineno)"])
+    if minimum is not None:
+        domain += [f"if {v} < {minimum!r}:", f"    _bad_value(F{i}, {v}, path, lineno)"]
+    return test, domain
 
 
-def _reject(field: Field, value: Any, path: str | Path, lineno: int) -> float:
+def record_class(table: Sequence[Field], *, frozen: bool = False) -> Callable[[type], type]:
+    """Make the decorated class the dataclass of ``table``'s records.
+
+    The fields are the table's, in its order, with its defaults; those from
+    the first one with a default onward are keyword-only.  Each is annotated
+    with its table kind, the type a file holds.  A field that the class body
+    annotates keeps the body's annotation and default.  The ``__post_init__``
+    runs the record check, then the class's own ``__post_init__``.  The
+    check runs the reader's tests in table order on the record's attributes,
+    skipping None where the field's default is None: the type test of every
+    str, int, float and bool field and the domain rules of every field.  It
+    raises ValueError with the message the reader gives after ``path:line: ``.
+    """
+    table = tuple(table)
+
+    def make(cls: type) -> type:
+        own = vars(cls).get("__annotations__", {})
+        env = {**_HELPERS, "path": None, "lineno": 0, "_rules": vars(cls).get("__post_init__")}
+        annotations, kw_only, lines = {}, False, ["def f(self):"]
+        for i, field in enumerate(table):
+            name = field.name
+            default = vars(cls).get(name, REQUIRED) if name in own else field.default
+            kw_only = kw_only or default is not REQUIRED
+            annotations[name] = own.get(name, field.kind)
+            setattr(cls, name, dataclasses.field(
+                default=dataclasses.MISSING if default is REQUIRED else default, kw_only=kw_only))
+            test, domain = _field_tests(i, field, env)
+            body = [*test, *domain] if field.kind in (str, int, float, bool) else domain
+            if body:
+                lines.append(f"    v{i} = self.{name}")
+                if default is None:
+                    lines.append(f"    if v{i} is not None:")
+                indent = "        " if default is None else "    "
+                lines += [indent + line for line in body]
+        lines.append("    return None" if env["_rules"] is None else "    _rules(self)")
+        cls.__annotations__ = annotations
+        cls.__post_init__ = _define(lines, env)
+        return dataclasses.dataclass(cls, frozen=frozen)
+    return make
+
+
+def _reject(field: Field, value: Any, path: str | Path | None, lineno: int) -> float:
     """The float of an int in range for a float field; else raise why ``value`` fails."""
     name, kind = field.name, field.kind
     if value is REQUIRED:
-        message = f"missing field {name!r}"
-    elif type(value) is not kind and (kind is not float or type(value) is not int):
-        message = f"field {name!r} has wrong type (got {type(value).__name__})"
-    elif -MAX_MAGNITUDE <= value <= MAX_MAGNITUDE:  # exact for ints of any size
+        _fail(f"missing field {name!r}", path, lineno)
+    if type(value) is not kind and (kind is not float or type(value) is not int):
+        _fail(f"field {name!r} has wrong type (got {type(value).__name__})", path, lineno)
+    if -MAX_MAGNITUDE <= value <= MAX_MAGNITUDE:  # exact for ints of any size
         return float(value)
-    else:
-        _too_large(field, value, path, lineno)
-    raise SchemaError(message, line=lineno, path=path)
-
-
-def _too_large(field: Field, value: Any, path: str | Path | None, lineno: int) -> None:
-    """Raise that ``value`` is not finite or beyond ``MAX_MAGNITUDE``: a
-    SchemaError at path:line in a reader, a ValueError in a record check."""
     got = value
-    if field.kind is float and type(value) is int:
+    if kind is float and type(value) is int:
         try:
             got = float(value)
         except OverflowError:  # beyond float range: shown as an int
             pass
-    message = (f"field {field.name!r} must be finite and at most {MAX_MAGNITUDE:g} "
-               f"in magnitude (got {_shown(got)})")
-    raise ValueError(message) if path is None else SchemaError(message, line=lineno, path=path)
+    _fail(f"field {name!r} must be finite and at most {MAX_MAGNITUDE:g} "
+          f"in magnitude (got {_shown(got)})", path, lineno)
 
 
 def _shown(value: Any) -> str:
@@ -232,20 +255,28 @@ def _shown(value: Any) -> str:
 
 
 def _bad_element(field: Field, element: Any, path: str | Path, lineno: int) -> None:
-    raise SchemaError(f"field {field.name!r} holds an element of wrong type "
-                      f"(got {type(element).__name__})", line=lineno, path=path)
+    _fail(f"field {field.name!r} holds an element of wrong type "
+          f"(got {type(element).__name__})", path, lineno)
 
 
 def _bad_value(field: Field, value: Any, path: str | Path | None, lineno: int) -> None:
-    """Raise why ``value`` breaks ``field``'s choices or minimum: a SchemaError
-    at path:line in a reader, a ValueError in a record check."""
+    """Raise why ``value`` breaks ``field``'s choices or minimum."""
     if field.choices is not None and value not in field.choices:
-        message = (f"field {field.name!r} has bad value {value!r} (expected "
-                   f"one of {', '.join(field.choices)})")
-    else:
-        message = (f"field {field.name!r} must be at least {field.minimum:g} "
-                   f"(got {_shown(value)})")
+        _fail(f"field {field.name!r} has bad value {value!r} (expected "
+              f"one of {', '.join(field.choices)})", path, lineno)
+    _fail(f"field {field.name!r} must be at least {field.minimum:g} "
+          f"(got {_shown(value)})", path, lineno)
+
+
+def _fail(message: str, path: str | Path | None, lineno: int) -> NoReturn:
+    """Raise ``message``: a SchemaError at path:line in a reader, a ValueError
+    in a record check, which has no path."""
     raise ValueError(message) if path is None else SchemaError(message, line=lineno, path=path)
+
+
+#: The globals every generated checker starts from.
+_HELPERS = {"_MISSING": REQUIRED, "_reject": _reject, "_bad_element": _bad_element,
+            "_bad_value": _bad_value}
 
 
 def build(make: Callable[..., T], row: dict, path: str | Path, lineno: int) -> T:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .focus import OP_KINDS, OpKind
-from .jsonl import (Field, SchemaError, Target, build, iter_jsonl, record_check, rows,
+from .jsonl import (Field, SchemaError, Target, build, iter_jsonl, record_class, rows,
                     validate, write_jsonl)
 
 TOKEN_CLASSES = ("cue_phrase", "acknowledgment", "filled_pause")
@@ -37,36 +37,6 @@ def normalize(surface: str) -> str:
     return " ".join(part.strip(_STRIP) for part in surface.lower().split()).strip()
 
 
-@dataclass(frozen=True)
-class CueEntry:
-    """One lexicon row.
-
-    candidate_ops is the nonempty set of focusing operations the marker tends
-    to signal.  ordinal_rank distinguishes first uses of ordinal phrases
-    (which open a segment) from subsequent uses (which replace one).
-    corpus_derived marks sets read off the observed distribution rather than
-    the marker's conversational role.  An empty display derives the
-    capitalized surface.
-    """
-
-    surface: str
-    gloss: str
-    candidate_ops: frozenset[OpKind]
-    ordinal_rank: str | None = None
-    token_class: str = "cue_phrase"
-    display: str = ""
-    connective: bool = False
-    corpus_derived: bool = False
-    variants: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        _check_entry(self)
-        if not self.display:
-            object.__setattr__(self, "display", self.surface.capitalize())
-        if not self.candidate_ops:
-            raise ValueError(f"entry {self.surface!r} has empty candidate_ops")
-
-
 ENTRY_FIELDS = (
     Field("surface", str),
     Field("gloss", str, ""),
@@ -78,7 +48,25 @@ ENTRY_FIELDS = (
     Field("corpus_derived", bool, False, omit_default=True),
     Field("variants", list, (), of=str, omit_default=True),
 )
-_check_entry = record_check(ENTRY_FIELDS)
+
+
+@record_class(ENTRY_FIELDS, frozen=True)
+class CueEntry:
+    """One lexicon row.
+
+    candidate_ops is the nonempty set of focusing operations the marker tends
+    to signal.  ordinal_rank distinguishes first uses of ordinal phrases
+    (which open a segment) from subsequent uses (which replace one).
+    corpus_derived marks sets read off the observed distribution rather than
+    the marker's conversational role.  An empty display derives the
+    capitalized surface.
+    """
+
+    def __post_init__(self) -> None:
+        if not self.display:
+            object.__setattr__(self, "display", self.surface.capitalize())
+        if not self.candidate_ops:
+            raise ValueError(f"entry {self.surface!r} has empty candidate_ops")
 
 
 class DuplicateSurface(ValueError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .jsonl import Field, Target, build, iter_jsonl, record_check, rows, validate, write_jsonl
+from .jsonl import Field, Target, build, iter_jsonl, record_class, rows, validate, write_jsonl
 
 POSITIONS = ("fragment_initial", "fragment_internal")
 
@@ -88,7 +88,16 @@ def round_tenth(x: float) -> float:
     return math.floor(x * 10.0 + 0.5 + 1e-9) / 10.0
 
 
-@dataclass
+PAUSE_FIELDS = (
+    Field("start_s", float),
+    Field("raw_duration_s", float, minimum=0.0),
+    Field("reported_duration_s", float, None, minimum=0.0),  # absent: raw_duration_s rounded
+    Field("position", str, "fragment_internal", choices=POSITIONS),
+    Field("suspect", bool, False),
+)
+
+
+@record_class(PAUSE_FIELDS)
 class PauseRecord:
     """One measured unfilled pause.
 
@@ -99,14 +108,7 @@ class PauseRecord:
     --pauses`` on a detected file bins every pause as Internal.
     """
 
-    start_s: float
-    raw_duration_s: float
-    reported_duration_s: float | None = None
-    position: str = "fragment_internal"
-    suspect: bool = False
-
     def __post_init__(self) -> None:
-        _check_pause(self)
         expected = round_tenth(self.raw_duration_s)
         if self.reported_duration_s is None:
             self.reported_duration_s = expected
@@ -118,16 +120,6 @@ class PauseRecord:
     @property
     def end_s(self) -> float:
         return self.start_s + self.raw_duration_s
-
-
-PAUSE_FIELDS = (
-    Field("start_s", float),
-    Field("raw_duration_s", float, minimum=0.0),
-    Field("reported_duration_s", float, None, minimum=0.0),  # absent: raw_duration_s rounded
-    Field("position", str, "fragment_internal", choices=POSITIONS),
-    Field("suspect", bool, False),
-)
-_check_pause = record_check(PAUSE_FIELDS)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,9 @@ Generated valid records of every type read back equal after writing; the
 bundled coded records and pauses read and write back to the same bytes.
 The bundled lexicon lists some ``candidate_ops`` in an order a set does not
 keep, so its first rewrite differs from it in that order alone and is
-byte-stable from then on.
+byte-stable from then on.  Each record class is made from its table: its
+fields are the table's, and its constructor rejects a wrong type, a number
+out of range and a bad value with the reader's message.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -38,6 +41,7 @@ from pausecue.pauses import (POSITIONS, PAUSE_FIELDS, PauseRecord, read_pauses, 
                              write_pauses)
 
 DATA = Path(__file__).parent.parent / "src" / "pausecue" / "data"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 FUZZ = settings(settings.get_profile("fuzz"), max_examples=60)
 
@@ -430,22 +434,72 @@ def test_constructor_and_reader_reject_a_number_out_of_range_alike(tmp_path, nam
     assert str(raised.value) == f"{path}:2: {message}"
 
 
+#: Per scalar kind, values of other types that a field of that kind rejects;
+#: a bool never counts as a number.
+WRONG_TYPES = {str: (5,), int: (1.5, True), float: ("x", False), bool: (1, "yes")}
+TYPE_FIELDS = [pytest.param(name, field, bad, id=f"{name}-{field.name}-{bad!r}")
+               for name, (table, *_) in BUILT.items() for field in table
+               if field.kind in WRONG_TYPES for bad in WRONG_TYPES[field.kind]]
+
+
+def test_every_scalar_field_is_covered():
+    assert {p.values[0] for p in TYPE_FIELDS} == set(BUILT)
+    assert len({(p.values[0], p.values[1].name) for p in TYPE_FIELDS}) == 32
+
+
+@pytest.mark.parametrize("name, field, bad", TYPE_FIELDS)
+def test_constructor_and_reader_reject_a_wrong_type_alike(tmp_path, name, field, bad):
+    table, make, fields, read = BUILT[name]
+    message = f"field {field.name!r} has wrong type (got {type(bad).__name__})"
+    with pytest.raises(ValueError) as raised:
+        make(**{**fields, field.name: bad})
+    assert str(raised.value) == message
+    [row] = rows(table, [make(**fields)])
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field.name: bad}) + "\n")
+    with pytest.raises(SchemaError) as raised:
+        read(path)
+    assert str(raised.value) == f"{path}:2: {message}"
+
+
+def test_constructor_takes_an_int_for_a_float_as_the_reader_does():
+    token = AnnotatedToken("so", pause_before_s=1, start_s=0, end_s=2)
+    assert (token.pause_before_s, token.start_s, token.end_s) == (1, 0, 2)
+    assert PauseRecord(0, 1).reported_duration_s == 1.0
+
+
 RECORD_TABLES = [pytest.param(make, table, id=name)
                  for name, (table, make, *_) in BUILT.items()]
 
 
 @pytest.mark.parametrize("make, table", RECORD_TABLES)
 def test_record_defaults_equal_the_table_defaults(make, table):
-    by_name = {field.name: field for field in table}
-    declared = {f.name: f.default for f in dataclasses.fields(make)
-                if f.init and f.default is not dataclasses.MISSING}
-    assert declared.keys() <= by_name.keys()
-    for name, default in declared.items():
-        expected = by_name[name].default
-        if (make, name) == (CodedRecord, "segments_affected"):
-            # required in files, derived for constructors
-            assert (expected, default) == (REQUIRED, None)
-        elif isinstance(default, frozenset):  # flags: a list in the table
-            assert default == frozenset(expected), name
+    fields = dataclasses.fields(make)
+    assert [f.name for f in fields] == [field.name for field in table]
+    first_default = min(i for i, field in enumerate(table) if field.default is not REQUIRED)
+    for i, (declared, field) in enumerate(zip(fields, table)):
+        default = REQUIRED if declared.default is dataclasses.MISSING else declared.default
+        if (make, field.name) == (CodedRecord, "segments_affected"):
+            # required in files, derived by constructors
+            assert (field.default, default) == (REQUIRED, None)
         else:
-            assert default == expected, name
+            assert default == field.default, field.name
+        assert declared.kw_only is (i >= first_default), field.name
+
+
+def _read_one(read, path):
+    records = read(path)
+    return (records.entries if isinstance(records, Lexicon) else records)[0]
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_records_keep_key_sharing_instance_dicts(name):
+    """A record's ``__dict__`` shares its keys with its class's other
+    instances: smaller than a plain dict copy of it, from readers and
+    constructors alike."""
+    _, make, fields, read = BUILT[name]
+    source = {"token": FIXTURES / "directions_intro.jsonl",
+              "coded": DATA / "replication_records.jsonl",
+              "pause": DATA / "replication_pauses.jsonl", "entry": DATA / "lexicon.jsonl"}[name]
+    for record in (make(**fields), _read_one(read, source)):
+        assert sys.getsizeof(vars(record)) < sys.getsizeof(dict(vars(record)))
