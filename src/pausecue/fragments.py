@@ -28,8 +28,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .focus import (OPERATION_FIELDS, FocusingOperation, FocusStack, apply,
                     operation_from_row, segments_affected)
-from .jsonl import (Field, SchemaError, Target, build, iter_jsonl, open_target,
-                    record_class, rows, validate, write_jsonl)
+from .jsonl import (Field, SchemaError, Target, iter_jsonl, open_target, record_class,
+                    rows, validate, write_jsonl)
 from .lexicon import CueContext, CueEntry, Lexicon, bundled_lexicon, judge_cue_use, normalize
 from .pauses import PauseRecord, round_tenth
 
@@ -39,6 +39,7 @@ PHONATIONS = ("normal", "creaky")
 PITCH_RANGES = ("normal", "expanded", "reduced")
 TOKEN_FLAGS = ("coordination", "nonpronominal_repetition",
                "own_intonational_phrase", "turn_initial")
+_NO_FLAGS: frozenset[str] = frozenset()  # shared by unflagged tokens, not one set each
 
 INITIAL_CLASSES = ("unfilled_pause", "filled_pause", "cue_phrase",
                    "acknowledgment", "unmarked")
@@ -108,7 +109,7 @@ class AnnotatedToken:
     def __post_init__(self) -> None:
         if self.start_s is not None and self.end_s is not None and self.end_s < self.start_s:
             raise ValueError(f"end_s {self.end_s:g} precedes start_s {self.start_s:g}")
-        self.flags = frozenset(self.flags)
+        self.flags = frozenset(self.flags) or _NO_FLAGS
 
 
 class TokenFeatures(NamedTuple):
@@ -218,7 +219,7 @@ CODED_FIELDS = (
 )
 
 
-@record_class(CODED_FIELDS)
+@record_class(CODED_FIELDS, convert={"operation": operation_from_row})
 class CodedRecord:
     """The per-fragment coding row used for statistics.
 
@@ -317,46 +318,6 @@ def _nearest_start(starts: Sequence[float], t: float) -> int:
     return above
 
 
-def _at_boundary(tokens: Sequence[AnnotatedToken], i: int,
-                 pause_before: Sequence[float]) -> bool:
-    """Operational utterance/segment-initial test for position ``i``."""
-    if i == 0 or "turn_initial" in tokens[i].flags:
-        return True
-    if tokens[i - 1].boundary != "none":
-        return True
-    return round_tenth(pause_before[i]) >= 0.1
-
-
-def _classify_position(tokens: Sequence[AnnotatedToken], i: int,
-                       surfaces: Sequence[str], pause_before: Sequence[float],
-                       lexicon: Lexicon) -> tuple[str | None, CueEntry | None]:
-    """Initial-token class firing at position ``i`` and its lexicon entry."""
-    boundary = _at_boundary(tokens, i, pause_before)
-    match = lexicon.match_span(surfaces, i)
-    if match is not None:
-        entry, width = match
-        if entry.token_class == "cue_phrase":
-            span = tokens[i:i + width]
-            context = CueContext(
-                utterance_initial=boundary,
-                coordination="coordination" in tokens[i].flags,
-                accents=tuple(tok.accent for tok in span),
-                own_intonational_phrase="own_intonational_phrase" in tokens[i].flags,
-            )
-            if judge_cue_use(entry, context).is_cue:
-                return "cue_phrase", entry
-        elif entry.token_class == "acknowledgment":
-            if boundary:
-                return "acknowledgment", entry
-        elif entry.token_class == "filled_pause":
-            # Hesitation fillers have no non-hesitation reading, so they
-            # open a fragment wherever they occur.
-            return "filled_pause", entry
-    if round_tenth(pause_before[i]) >= 0.1:
-        return "unfilled_pause", None
-    return None, None
-
-
 def fragmentize(transcript: Sequence[AnnotatedToken],
                 pauses: Sequence[PauseRecord] | None = None,
                 lexicon: Lexicon | None = None) -> list[SpeechFragment]:
@@ -364,6 +325,9 @@ def fragmentize(transcript: Sequence[AnnotatedToken],
 
     Detected pause records, when given, are aligned to token gaps by timing
     and override the tokens' annotated pause_before_s at the aligned gaps.
+    A cue phrase or an acknowledgment is utterance- or segment-initial when
+    it opens the transcript or a turn, or follows a boundary tone or a pause
+    reported at 0.1 s or more.
     """
     if not transcript:
         raise EmptyTranscript("transcript holds no tokens")
@@ -373,15 +337,35 @@ def fragmentize(transcript: Sequence[AnnotatedToken],
     if pauses:
         for i, record in _align_pauses(transcript, pauses).items():
             pause_before[i] = record.reported_duration_s
+    paused = [round_tenth(pause) >= 0.1 for pause in pause_before]
 
-    surfaces = [normalize(tok.surface) for tok in transcript]
+    forms = {surface: normalize(surface) for surface in {tok.surface for tok in transcript}}
+    surfaces = [forms[tok.surface] for tok in transcript]
     starts: list[tuple[int, str, CueEntry | None]] = []
-    for i in range(len(transcript)):
-        cls, entry = _classify_position(transcript, i, surfaces, pause_before, lexicon)
-        if i == 0:
-            starts.append((0, cls or "unmarked", entry))
-        elif cls is not None:
-            starts.append((i, cls, entry))
+    for i, tok in enumerate(transcript):
+        match = lexicon.match_span(surfaces, i)
+        if match is not None:
+            entry, width = match
+            kind = entry.token_class
+            # Hesitation fillers have no non-hesitation reading, so they
+            # open a fragment wherever they occur.
+            opens = kind == "filled_pause"
+            if not opens:
+                flags = tok.flags
+                opens = (i == 0 or "turn_initial" in flags
+                         or transcript[i - 1].boundary != "none" or paused[i])
+                if kind == "cue_phrase":
+                    opens = judge_cue_use(entry, CueContext(
+                        utterance_initial=opens, coordination="coordination" in flags,
+                        accents=tuple(t.accent for t in transcript[i:i + width]),
+                        own_intonational_phrase="own_intonational_phrase" in flags)).is_cue
+            if opens:
+                starts.append((i, kind, entry))
+                continue
+        if paused[i]:
+            starts.append((i, "unfilled_pause", None))
+    if not starts or starts[0][0] != 0:
+        starts.insert(0, (0, "unmarked", None))
 
     fragments: list[SpeechFragment] = []
     for k, (start, cls, entry) in enumerate(starts):
@@ -483,9 +467,9 @@ def read_transcript(path: str | Path) -> list[AnnotatedToken]:
     """Read a transcript; timed tokens must not start before earlier ones."""
     tokens = []
     last_start = float("-inf")
-    for lineno, row in validate(iter_jsonl(path), TOKEN_FIELDS, path):
-        tokens.append(build(AnnotatedToken, row, path, lineno))
-        start = row["start_s"]
+    for lineno, token in validate(iter_jsonl(path), TOKEN_FIELDS, path, AnnotatedToken):
+        tokens.append(token)
+        start = token.start_s
         if start is not None:
             if start < last_start:
                 raise SchemaError(f"start_s {start:g} precedes the previous token's "
@@ -501,11 +485,7 @@ def write_transcript(target: Target, tokens: Iterable[AnnotatedToken]) -> None:
 
 
 def read_coded(path: str | Path) -> list[CodedRecord]:
-    records = []
-    for lineno, row in validate(iter_jsonl(path), CODED_FIELDS, path):
-        row["operation"] = operation_from_row(row["operation"], path, lineno)
-        records.append(build(CodedRecord, row, path, lineno))
-    return records
+    return [record for _, record in validate(iter_jsonl(path), CODED_FIELDS, path, CodedRecord)]
 
 
 def write_coded(target: Target, records: Iterable[CodedRecord]) -> None:

@@ -5,9 +5,11 @@ Writers stamp a ``schema_version`` field; readers tolerate its absence so
 hand-written fixtures stay terse.  Each record type is declared once, as a
 table of ``Field`` specs.  ``record_class`` makes the record's class from
 its table: a dataclass of the table's fields whose constructor runs the
-reader's type test and domain rules.  Each table is also compiled once into
-a row checker, which ``validate`` runs on the rows read, and a row maker,
-which ``rows`` runs on the records written.
+reader's type test and domain rules.  Each table is also compiled, on first
+use, into a row checker, which ``validate`` runs on the rows read, and a
+row maker, which ``rows`` runs on the records written.  A reader checks and
+builds each record in one step, so no test runs twice on a row read; a
+record built in code is still checked by its constructor.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import functools
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import (IO, Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence,
-                    TypeVar, Union)
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, Union
 
 Target = Union[str, Path, IO[str]]
 
@@ -29,8 +30,6 @@ SCHEMA_VERSION = 1
 MAX_MAGNITUDE = 1e15
 
 REQUIRED: Any = object()
-
-T = TypeVar("T")
 
 
 class SchemaError(ValueError):
@@ -95,16 +94,21 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
-def validate(rows: Iterable[tuple[int, dict]], table: Sequence[Field],
-             path: str | Path) -> Iterator[tuple[int, dict]]:
+def validate(rows: Iterable[tuple[int, dict]], table: Sequence[Field], path: str | Path,
+             record: type | None = None) -> Iterator[tuple[int, Any]]:
     """Check each (line, object) row against ``table``; yield (line, fields).
 
     The fields dict holds every name in the table, defaults filled in;
     unknown keys are ignored.  Fields are checked in table order, so a
     SchemaError at path:line names the first one that fails.  Equal strings
-    share one object: labels repeat on every line.
+    share one object: labels repeat on every line.  Given ``record``, the
+    ``record_class`` of ``table``, each row yields its record instead, built
+    in the same step: once every field passes, the fields the class converts
+    are converted, all are set on a new record in table order and the class's
+    own cross-field hook runs, its ValueError raised at path:line.  The field
+    tests do not run again.
     """
-    check = _compiled(tuple(table))
+    check = _compiled(tuple(table), record)
     strings: dict[str, str] = {}
     for lineno, obj in rows:
         yield lineno, check(obj, path, lineno, strings)
@@ -117,14 +121,17 @@ def _define(lines: list[str], env: dict[str, Any]) -> Callable:
 
 
 @functools.cache
-def _compiled(table: tuple[Field, ...]) -> Callable:
-    """One table's row checker, built once.
+def _compiled(table: tuple[Field, ...], record: type | None = None) -> Callable:
+    """One table's row checker, or with ``record`` its reader step, built once.
 
     The source is generated field by field, as ``dataclasses`` builds
     ``__init__``, because a loop that unpacks each field and dispatches on
     its kind for every row costs most of a reader.  A block reads the value,
     handles absence and null, and checks the type, the magnitude, the list
-    elements and the domain rules (``choices`` and ``minimum``).
+    elements and the domain rules (``choices`` and ``minimum``).  The reader
+    step makes the record with ``object.__new__`` and sets its attributes
+    one by one, as ``__init__`` does: an instance dict filled all at once
+    would not share its keys with the class's other instances.
     """
     env = dict(_HELPERS)
     lines = ["def f(obj, path, lineno, strings):", "    get, share = obj.get, strings.setdefault"]
@@ -151,8 +158,24 @@ def _compiled(table: tuple[Field, ...]) -> Callable:
                       f"        {v} = D{i}", "    else:"]
         indent = "    " if default is REQUIRED else "        "
         lines += [indent + line for line in (*body, *domain)]
-    lines.append("    return {%s}" % ", ".join(f"{field.name!r}: v{i}"
-                                              for i, field in enumerate(table)))
+    if record is None:
+        lines.append("    return {%s}" % ", ".join(f"{field.name!r}: v{i}"
+                                                  for i, field in enumerate(table)))
+        return _define(lines, env)
+    frozen, rules, convert = record._record
+    env.update(_new=object.__new__, _set=object.__setattr__, R=record, _rules=rules,
+               SchemaError=SchemaError)
+    for i, field in enumerate(table):
+        if field.name in convert:
+            env[f"X{i}"] = convert[field.name]
+            lines.append(f"    v{i} = X{i}(v{i}, path, lineno)")
+    lines.append("    r = _new(R)")
+    lines += [f"    _set(r, {field.name!r}, v{i})" if frozen else f"    r.{field.name} = v{i}"
+              for i, field in enumerate(table)]
+    if rules is not None:
+        lines += ["    try:", "        _rules(r)", "    except ValueError as exc:",
+                  "        raise SchemaError(str(exc), line=lineno, path=path) from exc"]
+    lines.append("    return r")
     return _define(lines, env)
 
 
@@ -184,7 +207,8 @@ def _field_tests(i: int, field: Field, env: dict[str, Any]) -> tuple[list[str], 
     return test, domain
 
 
-def record_class(table: Sequence[Field], *, frozen: bool = False) -> Callable[[type], type]:
+def record_class(table: Sequence[Field], *, frozen: bool = False,
+                 convert: dict[str, Callable] | None = None) -> Callable[[type], type]:
     """Make the decorated class the dataclass of ``table``'s records.
 
     The fields are the table's, in its order, with its defaults; those from
@@ -196,12 +220,16 @@ def record_class(table: Sequence[Field], *, frozen: bool = False) -> Callable[[t
     skipping None where the field's default is None: the type test of every
     str, int, float and bool field and the domain rules of every field.  It
     raises ValueError with the message the reader gives after ``path:line: ``.
+    ``convert`` maps a field to the function ``validate`` calls as
+    ``f(value, path, lineno)`` to turn its checked value in a file into the
+    attribute.
     """
     table = tuple(table)
 
     def make(cls: type) -> type:
         own = vars(cls).get("__annotations__", {})
-        env = {**_HELPERS, "path": None, "lineno": 0, "_rules": vars(cls).get("__post_init__")}
+        rules = vars(cls).get("__post_init__")
+        env = {**_HELPERS, "path": None, "lineno": 0, "_rules": rules}
         annotations, kw_only, lines = {}, False, ["def f(self):"]
         for i, field in enumerate(table):
             name = field.name
@@ -218,9 +246,10 @@ def record_class(table: Sequence[Field], *, frozen: bool = False) -> Callable[[t
                     lines.append(f"    if v{i} is not None:")
                 indent = "        " if default is None else "    "
                 lines += [indent + line for line in body]
-        lines.append("    return None" if env["_rules"] is None else "    _rules(self)")
+        lines.append("    return None" if rules is None else "    _rules(self)")
         cls.__annotations__ = annotations
         cls.__post_init__ = _define(lines, env)
+        cls._record = (frozen, rules, convert or {})
         return dataclasses.dataclass(cls, frozen=frozen)
     return make
 
@@ -277,14 +306,6 @@ def _fail(message: str, path: str | Path | None, lineno: int) -> NoReturn:
 #: The globals every generated checker starts from.
 _HELPERS = {"_MISSING": REQUIRED, "_reject": _reject, "_bad_element": _bad_element,
             "_bad_value": _bad_value}
-
-
-def build(make: Callable[..., T], row: dict, path: str | Path, lineno: int) -> T:
-    """``make(**row)``, with a ValueError from a record's own checks at path:line."""
-    try:
-        return make(**row)
-    except ValueError as exc:
-        raise SchemaError(str(exc), line=lineno, path=path) from exc
 
 
 @contextmanager

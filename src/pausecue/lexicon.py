@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .focus import OP_KINDS, OpKind
-from .jsonl import (Field, SchemaError, Target, build, iter_jsonl, record_class, rows,
-                    validate, write_jsonl)
+from .jsonl import (Field, SchemaError, Target, iter_jsonl, record_class, rows, validate,
+                    write_jsonl)
 
 TOKEN_CLASSES = ("cue_phrase", "acknowledgment", "filled_pause")
 ORDINAL_RANKS = ("first", "subsequent")
@@ -50,7 +50,9 @@ ENTRY_FIELDS = (
 )
 
 
-@record_class(ENTRY_FIELDS, frozen=True)
+@record_class(ENTRY_FIELDS, frozen=True, convert={
+    "candidate_ops": lambda names, path, lineno: frozenset(map(OpKind, names)),
+    "variants": lambda forms, path, lineno: tuple(forms)})
 class CueEntry:
     """One lexicon row.
 
@@ -184,10 +186,8 @@ def judge_cue_use(entry: CueEntry, context: CueContext) -> CueJudgment:
 
 def load_lexicon(path: str | Path) -> Lexicon:
     entries, lines = [], []
-    for lineno, row in validate(iter_jsonl(path), ENTRY_FIELDS, path):
-        row["candidate_ops"] = frozenset(map(OpKind, row["candidate_ops"]))
-        row["variants"] = tuple(row["variants"])
-        entries.append(build(CueEntry, row, path, lineno))
+    for lineno, entry in validate(iter_jsonl(path), ENTRY_FIELDS, path, CueEntry):
+        entries.append(entry)
         lines.append(lineno)
     if not entries:
         raise SchemaError("lexicon file holds no entries", path=path)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .jsonl import Field, Target, build, iter_jsonl, record_class, rows, validate, write_jsonl
+from .jsonl import Field, Target, iter_jsonl, record_class, rows, validate, write_jsonl
 
 POSITIONS = ("fragment_initial", "fragment_internal")
 
@@ -306,5 +306,4 @@ def write_pauses(target: Target, records: Iterable[PauseRecord]) -> None:
 
 
 def read_pauses(path: str | Path) -> list[PauseRecord]:
-    return [build(PauseRecord, row, path, lineno)
-            for lineno, row in validate(iter_jsonl(path), PAUSE_FIELDS, path)]
+    return [record for _, record in validate(iter_jsonl(path), PAUSE_FIELDS, path, PauseRecord)]

@@ -199,6 +199,13 @@ def test_import_does_not_load_numpy():
     assert run_fresh("import sys, pausecue; print('numpy' in sys.modules)") == "False"
 
 
+def test_reader_steps_are_generated_on_first_read():
+    # start-up generates no reader step; the lexicon load generates its own
+    assert run_fresh("from pausecue import cli; from pausecue.jsonl import _compiled; "
+                     "n = _compiled.cache_info().currsize; cli.bundled_lexicon(); "
+                     "print(n, _compiled.cache_info().currsize)") == "0 1"
+
+
 def test_pauses_in_a_fresh_interpreter_writes_the_same_bytes(tmp_path, capsys):
     path = tmp_path / "speech.wav"
     write_wav(path, build_signal(TWO_TONES), RATE)

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fragments_oracle
 import pauses_oracle as oracle
 from pausecue import fragments
 from pausecue.focus import FocusingOperation, OpKind, segments_affected
-from pausecue.fragments import (AnnotatedToken, CodedRecord, EmptyTranscript,
-                                LengthMismatch, MisalignedPause, code,
+from pausecue.fragments import (ACCENTS, BOUNDARIES, TOKEN_FLAGS, AnnotatedToken, CodedRecord,
+                                EmptyTranscript, LengthMismatch, MisalignedPause, code,
                                 fragmentize, fragments_to_tokens, read_coded,
                                 read_transcript, write_coded, write_coded_tsv,
                                 write_transcript, TSV_COLUMNS)
 from pausecue.jsonl import SchemaError
+from pausecue.lexicon import CueEntry, Lexicon, bundled_lexicon
 from pausecue.pauses import PauseRecord, round_tenth
 
 INITIATE = FocusingOperation(OpKind.INITIATE)
@@ -208,6 +210,61 @@ def test_alignment_tie_takes_earliest_start():
     pause = PauseRecord(start_s=0.0, raw_duration_s=0.05, reported_duration_s=0.1)
     assert list(fragments._align_pauses(tokens, [pause])) == [0]
     assert list(oracle.align_pauses(tokens, [pause])) == [0]
+
+
+# ---------------------------------------------------------------------------
+# one pass against the per-position oracle
+# ---------------------------------------------------------------------------
+
+#: A lexicon with a punctuation-only variant, a multi-word marker sharing its
+#: first word with a one-word one, and one marker of each other class.
+CUSTOM = Lexicon([
+    CueEntry(surface="well", candidate_ops=frozenset({OpKind.REPLACE}), variants=("...",)),
+    CueEntry(surface="by the way", candidate_ops=frozenset({OpKind.INITIATE})),
+    CueEntry(surface="by", candidate_ops=frozenset({OpKind.RETAIN}), connective=True),
+    CueEntry(surface="hm", candidate_ops=frozenset({OpKind.RETAIN}),
+             token_class="acknowledgment"),
+    CueEntry(surface="erm", candidate_ops=frozenset({OpKind.RETAIN}),
+             token_class="filled_pause"),
+])
+#: Markers, the words of multi-word markers, punctuated and punctuation-only
+#: forms, and plain words.
+SURFACES = ["so", "So,", "and", "But", "ok", "Okay.", "uh-huh", "um", "er", "well", "now",
+            "to", "begin", "with", "you", "know", "y'know", "i", "mean", "first", "of", "all",
+            "in", "the", "place", "good", "by", "way", "hm", "erm", "...", ",", "--", "",
+            "go", "left"]
+#: Pauses on both sides of the 0.1 s threshold after rounding to a tenth.
+PAUSE_S = st.sampled_from([0.0, 0.0, 0.04, 0.05, 0.1, 0.15, 0.3])
+
+
+@st.composite
+def transcripts_with_pauses(draw):
+    """Tokens, timed one second apart or untimed, and pause records ending
+    on some of their gaps when timed."""
+    n = draw(st.integers(1, 14))
+    timed = draw(st.booleans())
+    tokens = [tok(draw(st.sampled_from(SURFACES)), speaker=draw(st.sampled_from("AB")),
+                  accent=draw(st.sampled_from(ACCENTS)),
+                  boundary=draw(st.sampled_from(BOUNDARIES)),
+                  flags=draw(st.frozensets(st.sampled_from(TOKEN_FLAGS))),
+                  pause_before_s=draw(PAUSE_S), start_s=float(i) if timed else None)
+              for i in range(n)]
+    gaps = sorted(draw(st.sets(st.integers(0, n - 1)))) if timed else []
+    pauses = [PauseRecord(start_s=gap - duration, raw_duration_s=duration)
+              for gap, duration in zip(gaps, draw(st.lists(PAUSE_S, min_size=len(gaps),
+                                                           max_size=len(gaps))))]
+    return tokens, pauses or None
+
+
+@pytest.mark.parametrize("lexicon", [bundled_lexicon(), CUSTOM], ids=["bundled", "custom"])
+@given(case=transcripts_with_pauses())
+@settings(settings.get_profile("fuzz"))
+def test_fragmentize_equals_the_per_position_oracle(lexicon, case):
+    tokens, pauses = case
+    got = fragmentize(tokens, pauses, lexicon)
+    expected = fragments_oracle.fragmentize(tokens, pauses, lexicon)
+    assert got == expected
+    assert all(a.initial_cue is b.initial_cue for a, b in zip(got, expected))
 
 
 # ---------------------------------------------------------------------------

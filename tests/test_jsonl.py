@@ -372,6 +372,10 @@ BUILT = {
               dict(surface="so", candidate_ops=frozenset({OpKind.RETURN}), gloss=""),
               load_lexicon),
 }
+#: Per table in BUILT, a bundled file of its records.
+SOURCES = {"token": FIXTURES / "directions_intro.jsonl",
+           "coded": DATA / "replication_records.jsonl",
+           "pause": DATA / "replication_pauses.jsonl", "entry": DATA / "lexicon.jsonl"}
 DOMAIN_FIELDS = [pytest.param(name, field, id=f"{name}-{field.name}")
                  for name, (table, *_) in BUILT.items() for field in table
                  if field.choices is not None or field.minimum is not None]
@@ -462,6 +466,67 @@ def test_constructor_and_reader_reject_a_wrong_type_alike(tmp_path, name, field,
     assert str(raised.value) == f"{path}:2: {message}"
 
 
+#: Per case: the table, the changes to a valid row for lines 1 and 2, and
+#: the message for line 2.  The rules that span fields, each alone and each
+#: behind a field rule, which is tested first.
+CROSS_FIELD = [
+    pytest.param("token", {}, {"start_s": 1.0, "end_s": 0.5},
+                 "end_s 0.5 precedes start_s 1", id="token-end-before-start"),
+    pytest.param("token", {"start_s": 1.0}, {"start_s": 0.5},
+                 "start_s 0.5 precedes the previous token's 1", id="token-start-goes-back"),
+    pytest.param("token", {}, {"start_s": 1.0, "end_s": 0.5, "accent": "bogus"},
+                 "field 'accent' has bad value 'bogus' (expected one of Hstar, Lstar, "
+                 "deaccented, unmarked)", id="token-end-before-start-and-bad-accent"),
+    pytest.param("coded", {}, {"segments_affected": 2},
+                 "segments_affected 2 inconsistent with Initiate(0)",
+                 id="coded-segments-affected"),
+    pytest.param("coded", {}, {"marked": True},
+                 "marked true contradicts initial_constituent 'unmarked'", id="coded-marked"),
+    pytest.param("coded", {}, {"operation": {"kind": "Retain", "pops": 1}},
+                 "Retain must have pop_count 0, got 1", id="coded-malformed-operation"),
+    pytest.param("coded", {}, {"operation": {"kind": "Retain", "pops": 1}, "embedding_depth": 0},
+                 "field 'embedding_depth' must be at least 1 (got 0)",
+                 id="coded-malformed-operation-and-bad-depth"),
+    pytest.param("pause", {}, {"reported_duration_s": 0.3},
+                 "reported_duration_s 0.3 is not raw_duration_s 0.2 rounded to a tenth (0.2)",
+                 id="pause-reported-duration"),
+    pytest.param("entry", {}, {"surface": "now", "candidate_ops": []},
+                 "entry 'now' has empty candidate_ops", id="entry-empty-candidate-ops"),
+]
+
+
+@pytest.mark.parametrize("name, first, second, message", CROSS_FIELD)
+def test_reader_rejects_a_cross_field_fault_at_its_line(tmp_path, name, first, second, message):
+    table, make, fields, read = BUILT[name]
+    [row] = rows(table, [make(**fields)])
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps({**row, **first}) + "\n" + json.dumps({**row, **second}) + "\n")
+    with pytest.raises(SchemaError) as raised:
+        read(path)
+    assert str(raised.value) == f"{path}:2: {message}"
+
+
+def _rebuilt(record, table):
+    """``record`` built again by its constructor from its own attributes."""
+    return type(record)(**{field.name: getattr(record, field.name) for field in table})
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_reader_builds_what_the_constructor_builds(name):
+    """Each record a reader builds in one step equals the constructor's
+    record of its attributes, with the same attribute order and a key-sharing
+    instance dict of the same size."""
+    table, _, _, read = BUILT[name]
+    records = read(SOURCES[name])
+    records = records.entries if isinstance(records, Lexicon) else records
+    assert len(records) > 10
+    for record in records:
+        built = _rebuilt(record, table)
+        assert record == built
+        assert list(vars(record)) == list(vars(built)) == [field.name for field in table]
+        assert sys.getsizeof(vars(record)) == sys.getsizeof(vars(built))
+
+
 def test_constructor_takes_an_int_for_a_float_as_the_reader_does():
     token = AnnotatedToken("so", pause_before_s=1, start_s=0, end_s=2)
     assert (token.pause_before_s, token.start_s, token.end_s) == (1, 0, 2)
@@ -503,3 +568,13 @@ def test_records_keep_key_sharing_instance_dicts(name):
               "pause": DATA / "replication_pauses.jsonl", "entry": DATA / "lexicon.jsonl"}[name]
     for record in (make(**fields), _read_one(read, source)):
         assert sys.getsizeof(vars(record)) < sys.getsizeof(dict(vars(record)))
+
+
+def test_unflagged_tokens_share_one_empty_flag_set():
+    # one empty frozenset per token would cost 216 bytes and a tracked object each
+    read = read_transcript(SOURCES["token"])
+    unflagged = [token.flags for token in read if not token.flags]
+    unflagged += [AnnotatedToken("so").flags, AnnotatedToken("go", flags=[]).flags]
+    assert len(unflagged) > 10
+    assert all(flags is unflagged[0] for flags in unflagged)
+    assert AnnotatedToken("so", flags=["coordination"]).flags == {"coordination"}

@@ -2,6 +2,7 @@
 stay in step with the package."""
 
 import ast
+import dataclasses
 import importlib
 import io
 import json
@@ -142,3 +143,38 @@ def test_bench_row_counters_see_every_row(monkeypatch):
         ("pausecue.fragments", "written"): len(records) + len(tokens),
         ("pausecue.pauses", "written"): len(inventory),
     }
+
+
+def test_bench_span_hooks_see_every_fragmentize_call(monkeypatch):
+    # the harness times these stages by patching the attributes SPANS names;
+    # fragmentize must reach each through that attribute, as often as the
+    # per-token pass does the work, or a traced run would misreport it
+    spans = {ast.literal_eval(entry.elts[2]): (ast.literal_eval(entry.elts[0]),
+                                               ast.literal_eval(entry.elts[1]))
+             for entry in _worker_tables()["SPANS"].elts}
+    calls, matched = Counter(), []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            result = fn(*args, **kwargs)
+            if name == "lexicon.match_span" and result is not None:
+                matched.append(result[0].token_class)
+            return result
+        return wrapper
+
+    for name in ("lexicon.match_span", "lexicon.judge_cue_use", "fragments.align"):
+        module, _, cls = spans[name][0].partition(":")
+        owner = importlib.import_module(module)
+        owner = getattr(owner, cls) if cls else owner
+        monkeypatch.setattr(owner, spans[name][1], counted(name, vars(owner)[spans[name][1]]))
+    # one of its three cue-phrase matches is not utterance-initial
+    transcript = ROOT / "tests" / "fixtures" / "directions_resume.jsonl"
+    tokens = [dataclasses.replace(token, start_s=0.5 * i)
+              for i, token in enumerate(fragments.read_transcript(transcript))]
+    inventory = [pauses.PauseRecord(start_s=0.5 * i - 0.3, raw_duration_s=0.3) for i in (3, 10)]
+    frags = fragments.fragmentize(tokens, inventory, lexicon.bundled_lexicon())
+    assert calls["lexicon.match_span"] == len(tokens)
+    assert calls["lexicon.judge_cue_use"] == matched.count("cue_phrase") > 0
+    assert calls["fragments.align"] == 1
+    assert {tokens.index(f.tokens[0]) for f in frags if f.pause_before_s == 0.3} >= {3, 10}
