@@ -105,7 +105,7 @@ class ClassifierConfig:
     when the previous fragment primed a pop.  lstar_threshold is the
     proportion of accented tokens that must carry L* before the
     parenthetical reading fires (an interpretation knob, not an observed
-    constant).  weights may omit a row but may name no key outside
+    constant).  weights (a copy) may omit a row but may name no key outside
     ROW_KEYS.  items holds one shared EvidenceItem per evidence row, built
     with the config, which rejects every number load_weights would reject.
     """
@@ -117,6 +117,7 @@ class ClassifierConfig:
     items: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", dict(self.weights))
         for key in self.weights:
             if key not in ROW_KEYS:
                 raise ValueError(f"unknown weight key {key!r}")
@@ -170,13 +171,19 @@ def load_weights(path: str | Path) -> ClassifierConfig:
     return ClassifierConfig(weights=weights, **extras)
 
 
+def _number(value: float) -> str:
+    """``value`` as ``:g`` writes it if that reads back the same, else its repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def write_weights(target: Target, config: ClassifierConfig) -> None:
     lines = ["# evidence-row weights"]
-    lines += [f"{key} = {config.weight(key):g}" for key in ROW_KEYS]
+    lines += [f"{key} = {_number(config.weight(key))}" for key in ROW_KEYS]
     lines += ["# bonuses and thresholds",
-              f"candidate_bonus = {config.candidate_bonus:g}",
-              f"impending_bonus = {config.impending_bonus:g}",
-              f"lstar_threshold = {config.lstar_threshold:g}"]
+              f"candidate_bonus = {_number(config.candidate_bonus)}",
+              f"impending_bonus = {_number(config.impending_bonus)}",
+              f"lstar_threshold = {_number(config.lstar_threshold)}"]
     with open_target(target) as fp:
         fp.write("\n".join(lines) + "\n")
 
@@ -269,7 +276,7 @@ def extract_evidence(prior: SpeechFragment | None,
         items.append(item["current", "prompt"])
     if current_function == "closure":
         items.append(item["current", "lexical_closure"])
-    if current.tokens[-1].phonation == "creaky":
+    if feats.creaky_final:
         items.append(item["current", "creaky_final"])
 
     if subsequent is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -66,6 +66,7 @@ class FocusingOperation:
 
     kind: OpKind
     pop_count: int = 0
+    pushes: int = field(init=False, repr=False, compare=False)  # 1 for Initiate and Replace
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, OpKind):
@@ -77,11 +78,7 @@ class FocusingOperation:
         elif self.pop_count < 1:
             raise MalformedOperation(f"{self.kind.value} must have pop_count >= 1, "
                                      f"got {self.pop_count}")
-
-    @functools.cached_property
-    def pushes(self) -> int:
-        """1 for Initiate and Replace, else 0; worked out once per operation."""
-        return 1 if self.kind in (OpKind.INITIATE, OpKind.REPLACE) else 0
+        object.__setattr__(self, "pushes", int(self.kind in (OpKind.INITIATE, OpKind.REPLACE)))
 
     @property
     def pops(self) -> int:

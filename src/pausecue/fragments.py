@@ -117,17 +117,20 @@ class TokenFeatures(NamedTuple):
 
     creaky: bool  # some token has creaky phonation
     creaky_before_last: bool  # some token other than the last one does
+    creaky_final: bool  # the last token does
     reduced_range: bool
     expanded_range: bool
     repetition: bool  # some token is flagged nonpronominal_repetition
     pronoun: bool  # some surface, lower-cased, is in PRONOUNS
     hstar: int  # tokens accented H*
     lstar: int  # tokens accented L*
+    topic: str  # the first non-empty token topic, else ""
 
 
 def _token_features(tokens: Sequence[AnnotatedToken]) -> TokenFeatures:
     creaky = hstar = lstar = 0
     reduced = expanded = repetition = pronoun = False
+    topic = ""
     for tok in tokens:
         if tok.phonation == "creaky":
             creaky += 1
@@ -145,21 +148,20 @@ def _token_features(tokens: Sequence[AnnotatedToken]) -> TokenFeatures:
             repetition = True
         if not pronoun and tok.surface.lower() in PRONOUNS:
             pronoun = True
+        topic = topic or tok.topic
     creaky_final = tokens[-1].phonation == "creaky"
-    return TokenFeatures(creaky > 0, creaky > creaky_final, reduced, expanded,
-                         repetition, pronoun, hstar, lstar)
+    return TokenFeatures(creaky > 0, creaky > creaky_final, creaky_final, reduced, expanded,
+                         repetition, pronoun, hstar, lstar, topic)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpeechFragment:
     """A token span opened by one fragment-initial token.
 
-    ``features`` is worked out on first read and kept, since the classifier
-    reads a fragment as the prior, current and subsequent neighbor in turn;
-    it assumes the tokens are not replaced afterwards.  The kept value is a
-    field left out of ``==`` and ``repr``; ``functools.cached_property``
-    would instead build an instance dict per fragment and, on Python 3.11,
-    take a lock shared by all instances on every first read.
+    ``features`` is found in one token pass when the fragment is made, and
+    serves the classifier as the prior, current and subsequent neighbor; it
+    is left out of ``==`` and ``repr``.  Fragments are frozen, so features
+    always match tokens: ``dataclasses.replace`` finds those of the new ones.
     """
 
     index: int
@@ -168,14 +170,14 @@ class SpeechFragment:
     initial_token_class: str
     initial_cue: CueEntry | None
     pause_before_s: float
-    _features: TokenFeatures | None = field(default=None, init=False, repr=False,
-                                            compare=False)
+    features: TokenFeatures = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tokens:
             raise ValueError("fragment must hold at least one token")
         if self.initial_token_class not in INITIAL_CLASSES:
             raise ValueError(f"bad initial class {self.initial_token_class!r}")
+        object.__setattr__(self, "features", _token_features(self.tokens))
 
     @property
     def surfaces(self) -> tuple[str, ...]:
@@ -183,16 +185,7 @@ class SpeechFragment:
 
     @property
     def topic(self) -> str:
-        for tok in self.tokens:
-            if tok.topic:
-                return tok.topic
-        return ""
-
-    @property
-    def features(self) -> TokenFeatures:
-        if self._features is None:
-            self._features = _token_features(self.tokens)
-        return self._features
+        return self.features.topic
 
     @property
     def final_boundary(self) -> str:
@@ -386,7 +379,9 @@ def fragments_to_tokens(fragments: Sequence[SpeechFragment]) -> list[AnnotatedTo
     """Flatten fragments back to a token sequence.
 
     Fragment-initial tokens carry the fragment's effective preceding pause,
-    so re-running fragmentize on the result reproduces the same fragments.
+    so re-running fragmentize on the result with the same pause records
+    reproduces the same fragments; without them, an annotated pause that a
+    record overrode inside a fragment comes back and may split it.
     """
     tokens: list[AnnotatedToken] = []
     for frag in fragments:

@@ -3,15 +3,18 @@
 ``fragmentize`` normalizes every token's surface, and for every position
 works out the boundary test before it knows whether the lexicon matched and
 rounds the preceding pause once in the boundary test and again for the
-unfilled-pause test.  It serves only as the oracle the differential tests
-compare ``pausecue.fragments.fragmentize`` against.
+unfilled-pause test.  ``token_features`` works a fragment's features out from
+scratch: the eight of the one token pass, the topic by a second walk and
+the last token's phonation by a third test.  Both serve only as oracles the
+differential tests compare ``pausecue.fragments`` against.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from pausecue.fragments import (AnnotatedToken, EmptyTranscript, SpeechFragment,
+from pausecue import fragments
+from pausecue.fragments import (PRONOUNS, AnnotatedToken, EmptyTranscript, SpeechFragment,
                                 _align_pauses)
 from pausecue.lexicon import (CueContext, CueEntry, Lexicon, bundled_lexicon, judge_cue_use,
                               normalize)
@@ -97,3 +100,55 @@ def fragmentize(transcript: Sequence[AnnotatedToken],
             pause_before_s=pause_before[start],
         ))
     return fragments
+
+
+class TokenFeatures(NamedTuple):
+    """What the classifier reads off a fragment's tokens, found in one pass."""
+
+    creaky: bool  # some token has creaky phonation
+    creaky_before_last: bool  # some token other than the last one does
+    reduced_range: bool
+    expanded_range: bool
+    repetition: bool  # some token is flagged nonpronominal_repetition
+    pronoun: bool  # some surface, lower-cased, is in PRONOUNS
+    hstar: int  # tokens accented H*
+    lstar: int  # tokens accented L*
+
+
+def _token_features(tokens: Sequence[AnnotatedToken]) -> TokenFeatures:
+    creaky = hstar = lstar = 0
+    reduced = expanded = repetition = pronoun = False
+    for tok in tokens:
+        if tok.phonation == "creaky":
+            creaky += 1
+        pitch_range = tok.pitch_range
+        if pitch_range == "reduced":
+            reduced = True
+        elif pitch_range == "expanded":
+            expanded = True
+        accent = tok.accent
+        if accent == "Lstar":
+            lstar += 1
+        elif accent == "Hstar":
+            hstar += 1
+        if tok.flags and "nonpronominal_repetition" in tok.flags:
+            repetition = True
+        if not pronoun and tok.surface.lower() in PRONOUNS:
+            pronoun = True
+    creaky_final = tokens[-1].phonation == "creaky"
+    return TokenFeatures(creaky > 0, creaky > creaky_final, reduced, expanded,
+                         repetition, pronoun, hstar, lstar)
+
+
+def topic(tokens: Sequence[AnnotatedToken]) -> str:
+    for tok in tokens:
+        if tok.topic:
+            return tok.topic
+    return ""
+
+
+def token_features(tokens: Sequence[AnnotatedToken]) -> fragments.TokenFeatures:
+    """``pausecue.fragments.TokenFeatures`` of ``tokens``, each value found on its own."""
+    return fragments.TokenFeatures(**_token_features(tokens)._asdict(),
+                                   creaky_final=tokens[-1].phonation == "creaky",
+                                   topic=topic(tokens))

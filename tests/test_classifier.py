@@ -573,6 +573,58 @@ def test_weights_roundtrip(tmp_path):
     assert repr(again) == repr(config) and "items" not in repr(config)
 
 
+@pytest.mark.parametrize("changes, text", [
+    ({"weights": {**DEFAULT_CONFIG.weights, "prior_pop": 1.2345678}}, "prior_pop = 1.2345678"),
+    ({"lstar_threshold": 0.1 + 0.2}, "lstar_threshold = 0.30000000000000004"),
+    ({"candidate_bonus": 1e-300}, "candidate_bonus = 1e-300"),
+])
+def test_weights_roundtrip_keeps_every_digit(tmp_path, changes, text):
+    # :g keeps six significant digits; a value it would round is written in full
+    config = replace(DEFAULT_CONFIG, **changes)
+    path = tmp_path / "weights.conf"
+    write_weights(path, config)
+    assert text in path.read_text().splitlines()
+    assert load_weights(path) == config
+
+
+def test_default_weights_are_written_as_g():
+    buf = io.StringIO()
+    write_weights(buf, DEFAULT_CONFIG)
+    assert buf.getvalue().splitlines()[1:] == [
+        *(f"{key} = 1" for key in ROW_KEYS), "# bonuses and thresholds",
+        "candidate_bonus = 2", "impending_bonus = 2", "lstar_threshold = 0.5"]
+
+
+IN_RANGE = st.floats(-1e15, 1e15, allow_nan=False, allow_infinity=False)
+
+
+@given(weights=st.fixed_dictionaries({key: st.floats(0.0, 1e15, exclude_min=True)
+                                      for key in ROW_KEYS}),
+       candidate_bonus=IN_RANGE, impending_bonus=IN_RANGE, lstar_threshold=IN_RANGE)
+@settings(settings.get_profile("fuzz"))
+def test_weights_roundtrip_over_in_range_values(tmp_path_factory, weights, candidate_bonus,
+                                                impending_bonus, lstar_threshold):
+    config = ClassifierConfig(weights=weights, candidate_bonus=candidate_bonus,
+                              impending_bonus=impending_bonus,
+                              lstar_threshold=lstar_threshold)
+    path = tmp_path_factory.mktemp("weights") / "weights.conf"
+    write_weights(path, config)
+    again = load_weights(path)
+    assert again == config
+    assert again.items == config.items
+
+
+def test_config_keeps_its_own_weights():
+    # a caller editing its dict afterwards must reach neither weight() nor items
+    weights = {"prior_pop": 3.0}
+    config = ClassifierConfig(weights=weights)
+    weights["prior_pop"] = -5.0
+    assert config.weight("prior_pop") == 3.0
+    assert config.items["prior", "falling_final"].weight == 3.0
+    assert config == ClassifierConfig(weights={"prior_pop": 3.0})
+    assert repr(config) == repr(ClassifierConfig(weights={"prior_pop": 3.0}))
+
+
 def test_configs_with_equal_weights_compare_equal():
     assert ClassifierConfig() == DEFAULT_CONFIG
     assert ClassifierConfig(weights=dict(DEFAULT_CONFIG.weights)) == DEFAULT_CONFIG

@@ -98,6 +98,23 @@ def test_malformed_operations_rejected(op):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("op, pushes, text", [
+    (INITIATE, 1, "FocusingOperation(kind=<OpKind.INITIATE: 'Initiate'>, pop_count=0)"),
+    (RETAIN, 0, "FocusingOperation(kind=<OpKind.RETAIN: 'Retain'>, pop_count=0)"),
+    (ret(2), 0, "FocusingOperation(kind=<OpKind.RETURN: 'Return'>, pop_count=2)"),
+    (rep(3), 1, "FocusingOperation(kind=<OpKind.REPLACE: 'Replace'>, pop_count=3)"),
+])
+def test_pushes_is_set_when_the_operation_is_made(op, pushes, text):
+    assert op.pushes == pushes
+    assert segments_affected(op) == op.pop_count + pushes
+    # pushes follows from kind, so it stays out of repr, == and hash
+    assert repr(op) == text
+    assert op == FocusingOperation(op.kind, op.pop_count)
+    assert hash(op) == hash((op.kind, op.pop_count))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.pushes = 1 - pushes
+
+
 def test_apply_is_pure():
     stack = apply(FocusStack.empty(), INITIATE, 0)
     once = apply(stack, INITIATE, 1)

@@ -1,6 +1,8 @@
 """Fragment boundaries, class precedence, pause alignment and coding."""
 
+import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 import fragments_oracle
 import pauses_oracle as oracle
 from pausecue import fragments
+from pausecue.classifier import segment_discourse
 from pausecue.focus import FocusingOperation, OpKind, segments_affected
-from pausecue.fragments import (ACCENTS, BOUNDARIES, TOKEN_FLAGS, AnnotatedToken, CodedRecord,
+from pausecue.fragments import (ACCENTS, BOUNDARIES, PHONATIONS, PITCH_RANGES, TOKEN_FLAGS,
+                                AnnotatedToken, CodedRecord,
                                 EmptyTranscript, LengthMismatch, MisalignedPause, code,
                                 fragmentize, fragments_to_tokens, read_coded,
                                 read_transcript, write_coded, write_coded_tsv,
@@ -19,6 +23,7 @@ from pausecue.jsonl import SchemaError
 from pausecue.lexicon import CueEntry, Lexicon, bundled_lexicon
 from pausecue.pauses import PauseRecord, round_tenth
 
+FIXTURES = Path(__file__).parent / "fixtures"
 INITIATE = FocusingOperation(OpKind.INITIATE)
 RETAIN = FocusingOperation(OpKind.RETAIN)
 
@@ -246,6 +251,9 @@ def transcripts_with_pauses(draw):
     tokens = [tok(draw(st.sampled_from(SURFACES)), speaker=draw(st.sampled_from("AB")),
                   accent=draw(st.sampled_from(ACCENTS)),
                   boundary=draw(st.sampled_from(BOUNDARIES)),
+                  phonation=draw(st.sampled_from(PHONATIONS)),
+                  pitch_range=draw(st.sampled_from(PITCH_RANGES)),
+                  topic=draw(st.sampled_from(["", "", "t1", "t2"])),
                   flags=draw(st.frozensets(st.sampled_from(TOKEN_FLAGS))),
                   pause_before_s=draw(PAUSE_S), start_s=float(i) if timed else None)
               for i in range(n)]
@@ -265,11 +273,50 @@ def test_fragmentize_equals_the_per_position_oracle(lexicon, case):
     expected = fragments_oracle.fragmentize(tokens, pauses, lexicon)
     assert got == expected
     assert all(a.initial_cue is b.initial_cue for a, b in zip(got, expected))
+    # == leaves features out, so they are checked against a from-scratch pass
+    assert [f.features for f in got] == \
+        [fragments_oracle.token_features(f.tokens) for f in got]
+    assert [f.topic for f in got] == [fragments_oracle.topic(f.tokens) for f in got]
+
+
+def test_token_features_are_found_once_per_fragment(monkeypatch):
+    # fragmentize finds them; the classifier reads every fragment three times
+    # (prior, current, subsequent) and must not find them again
+    seen = []
+
+    def counted(tokens):
+        seen.append(tokens)
+        return token_features(tokens)
+
+    token_features = fragments._token_features
+    monkeypatch.setattr(fragments, "_token_features", counted)
+    frags = fragmentize(read_transcript(FIXTURES / "directions_resume.jsonl"))
+    segment_discourse(frags)
+    assert len(frags) > 2
+    assert seen == [f.tokens for f in frags]
+
+
+def test_fragments_are_frozen():
+    frag, = fragmentize([tok("go", topic="route"), tok("it", phonation="creaky")])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        frag.tokens = (tok("left"),)
+    assert (frag.features.pronoun, frag.features.creaky_final, frag.topic) == \
+        (True, True, "route")
+    again = dataclasses.replace(frag, tokens=(tok("left", pitch_range="reduced"),
+                                              tok("there", topic="hall")))
+    assert again.features == fragments_oracle.token_features(again.tokens)
+    assert (again.features.pronoun, again.features.reduced_range, again.topic) == \
+        (False, True, "hall")
+    assert frag.topic == "route"
 
 
 # ---------------------------------------------------------------------------
 # fixed point
 # ---------------------------------------------------------------------------
+
+def coarse(frags):
+    return [(f.index, f.initial_token_class, f.surfaces, f.pause_before_s) for f in frags]
+
 
 VOCAB = ["so", "ok", "um", "you", "go", "left", "now", "and", "the", "wall"]
 
@@ -283,10 +330,29 @@ def test_refragmentizing_serialized_output_is_fixed_point(specs):
     tokens = [tok(s, pause_before_s=p, boundary=b) for s, p, b in specs]
     frags = fragmentize(tokens)
     again = fragmentize(fragments_to_tokens(frags))
-    assert [(f.index, f.initial_token_class, f.surfaces, f.pause_before_s)
-            for f in again] == \
-           [(f.index, f.initial_token_class, f.surfaces, f.pause_before_s)
-            for f in frags]
+    assert coarse(again) == coarse(frags)
+
+
+@pytest.mark.parametrize("lexicon", [bundled_lexicon(), CUSTOM], ids=["bundled", "custom"])
+@given(case=transcripts_with_pauses())
+@settings(settings.get_profile("fuzz"))
+def test_refragmentizing_with_the_same_pause_records_is_fixed_point(lexicon, case):
+    tokens, pauses = case
+    frags = fragmentize(tokens, pauses, lexicon)
+    assert coarse(fragmentize(fragments_to_tokens(frags), pauses, lexicon)) == coarse(frags)
+
+
+def test_refragmentizing_needs_the_pause_records():
+    # a detected 0.04 s pause overrides the 0.5 s annotated before "left",
+    # which is not fragment-initial and so keeps its annotation when flattened
+    tokens = [tok("go", start_s=0.0), tok("left", start_s=1.0, pause_before_s=0.5),
+              tok("there", start_s=2.0)]
+    pauses = [PauseRecord(start_s=0.96, raw_duration_s=0.04)]
+    frags = fragmentize(tokens, pauses)
+    flat = fragments_to_tokens(frags)
+    assert len(frags) == 1
+    assert len(fragmentize(flat)) == 2
+    assert coarse(fragmentize(flat, pauses)) == coarse(frags)
 
 
 # ---------------------------------------------------------------------------
