@@ -105,31 +105,34 @@ class ClassifierConfig:
     when the previous fragment primed a pop.  lstar_threshold is the
     proportion of accented tokens that must carry L* before the
     parenthetical reading fires (an interpretation knob, not an observed
-    constant).  weights (a copy) may omit a row but may name no key outside
-    ROW_KEYS.  items holds one shared EvidenceItem per evidence row, built
-    with the config, which rejects every number load_weights would reject.
+    constant).  weights may omit a row but may name no key outside
+    ROW_KEYS; the config keeps its own copy holding every row, so configs
+    that weigh each row alike compare equal.  items holds one shared
+    EvidenceItem per evidence row, built with the config, which rejects
+    every number load_weights would reject.
     """
 
-    weights: dict = dc_field(default_factory=lambda: {key: 1.0 for key in ROW_KEYS})
+    weights: dict = dc_field(default_factory=dict)
     candidate_bonus: float = 2.0
     impending_bonus: float = 2.0
     lstar_threshold: float = 0.5
     items: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", dict(self.weights))
         for key in self.weights:
             if key not in ROW_KEYS:
                 raise ValueError(f"unknown weight key {key!r}")
         for key in ("candidate_bonus", "impending_bonus", "lstar_threshold"):
             if not -MAX_MAGNITUDE <= getattr(self, key) <= MAX_MAGNITUDE:
                 raise ValueError(f"{key} {IN_RANGE}")
+        object.__setattr__(self, "weights",
+                           {key: float(self.weights.get(key, 1.0)) for key in ROW_KEYS})
         object.__setattr__(self, "items", {
-            (source, feature): EvidenceItem(source, feature, primitive, self.weight(row_key))
+            (source, feature): EvidenceItem(source, feature, primitive, self.weights[row_key])
             for (source, feature), (row_key, primitive) in TABLE_ROWS.items()})
 
     def weight(self, row_key: str) -> float:
-        return float(self.weights.get(row_key, 1.0))
+        return self.weights[row_key]
 
 
 DEFAULT_CONFIG = ClassifierConfig()
@@ -139,8 +142,8 @@ def load_weights(path: str | Path) -> ClassifierConfig:
     """Read a ``key = value`` text config; unknown or repeated keys, values
     that are not finite and row weights that are not positive are rejected."""
     extras = dict(vars(DEFAULT_CONFIG))
-    weights = dict(extras.pop("weights"))
-    del extras["items"]  # built from the weights, not read
+    del extras["weights"], extras["items"]  # the rows are read; the items built from them
+    weights = {}
     seen = set()
     # undecodable bytes turn into U+FFFD, which no key or number accepts
     with open(path, encoding="utf-8", errors="replace") as fp:
@@ -151,7 +154,7 @@ def load_weights(path: str | Path) -> ClassifierConfig:
             if "=" not in line:
                 raise SchemaError("expected 'key = value'", line=lineno, path=path)
             key, _, value = (part.strip() for part in line.partition("="))
-            if key not in weights and key not in extras:
+            if key not in ROW_KEYS and key not in extras:
                 raise SchemaError(f"unknown key {key!r}", line=lineno, path=path)
             if key in seen:
                 raise SchemaError(f"duplicate key {key!r}", line=lineno, path=path)

@@ -16,6 +16,7 @@ import argparse
 import sys
 from itertools import islice
 from pathlib import Path
+from typing import Callable
 
 from . import classifier, fragments, pauses, replication, report
 from .focus import FocusEngineError, write_trace
@@ -215,14 +216,26 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pausecue",
-        description="Segment annotated spoken transcripts with a focus-space stack, "
-                    "measure unfilled pauses, and regenerate the published statistics.")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _CommandParser:
+    """One command's parser, built and filled only when that command is parsed.
 
-    p = sub.add_parser("pauses", help="detect unfilled pauses in a mono PCM WAV file")
+    ``build_parser`` makes one per command (the ``parser_class`` of its
+    subparsers), so a ``main`` call builds two ``ArgumentParser`` objects,
+    the top-level one and its command's, not one per command.  argparse asks
+    a subparser only to ``parse_known_args``: the top-level help lists each
+    command from the ``help`` given to ``add_parser``.
+    """
+
+    def __init__(self, *, options: Callable[[argparse.ArgumentParser], None], **kwargs):
+        self.options, self.kwargs = options, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        self.options(parser)
+        return parser.parse_known_args(args, namespace)
+
+
+def _pauses_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("wav")
     p.add_argument("--out", default=".", help="output directory, or - for stdout")
     defaults = pauses.DEFAULT_CONFIG
@@ -234,21 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="analysis frame length in ms (default %(default)g)")
     p.set_defaults(func=cmd_pauses)
 
-    for name, help_text, func in (
-            ("segment", "classify focusing operations and print the segment tree",
-             cmd_segment),
-            ("code", "fragment a transcript and write coded records", cmd_code)):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("transcript")
-        p.add_argument("--pauses", default=None, help="detected pause JSONL to align")
-        p.add_argument("--functions", default=None,
-                       help="annotator prior/subsequent function labels (JSONL)")
-        p.add_argument("--lexicon", default=None, help="alternative marker lexicon")
-        p.add_argument("--weights", default=None, help="classifier weight config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("stats", help="regenerate tables and tests from coded records")
+def _transcript_options(p: argparse.ArgumentParser, func: Callable) -> None:
+    p.add_argument("transcript")
+    p.add_argument("--pauses", default=None, help="detected pause JSONL to align")
+    p.add_argument("--functions", default=None,
+                   help="annotator prior/subsequent function labels (JSONL)")
+    p.add_argument("--lexicon", default=None, help="alternative marker lexicon")
+    p.add_argument("--weights", default=None, help="classifier weight config file")
+    p.add_argument("--out", default=".", help="output directory")
+    p.set_defaults(func=func)
+
+
+def _stats_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("coded")
     p.add_argument("--pauses", default=None,
                    help="measured pause inventory for the duration histogram")
@@ -256,12 +267,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output file, or - for stdout")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("replicate", help="check the bundled corpus against the "
-                                         "published tables")
+
+def _replicate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", default=None,
                    help="directory holding replication_records.jsonl and "
                         "replication_pauses.jsonl (default: bundled)")
     p.set_defaults(func=cmd_replicate)
+
+
+#: Each command: its name, its line in the top-level help, and what adds its options.
+COMMANDS = (
+    ("pauses", "detect unfilled pauses in a mono PCM WAV file", _pauses_options),
+    ("segment", "classify focusing operations and print the segment tree",
+     lambda p: _transcript_options(p, cmd_segment)),
+    ("code", "fragment a transcript and write coded records",
+     lambda p: _transcript_options(p, cmd_code)),
+    ("stats", "regenerate tables and tests from coded records", _stats_options),
+    ("replicate", "check the bundled corpus against the published tables",
+     _replicate_options),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pausecue",
+        description="Segment annotated spoken transcripts with a focus-space stack, "
+                    "measure unfilled pauses, and regenerate the published statistics.")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, help_text, options in COMMANDS:
+        sub.add_parser(name, help=help_text, options=options)
     return parser
 
 

@@ -11,6 +11,7 @@ constraints: the mappings are suggestive, not deterministic.
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass
 from importlib import resources
@@ -201,8 +202,13 @@ def write_lexicon(target: Target, lexicon: Lexicon) -> None:
     write_jsonl(target, rows(ENTRY_FIELDS, lexicon.entries))
 
 
+@functools.cache
 def bundled_lexicon() -> Lexicon:
-    """The replication lexicon shipped with the package."""
+    """The replication lexicon shipped with the package.
+
+    Read on the first call; every later call returns the same ``Lexicon``,
+    which callers must treat as read-only.
+    """
     ref = resources.files("pausecue").joinpath("data/lexicon.jsonl")
     with resources.as_file(ref) as path:
         return load_lexicon(path)

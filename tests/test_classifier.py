@@ -632,6 +632,36 @@ def test_configs_with_equal_weights_compare_equal():
         != DEFAULT_CONFIG
 
 
+@pytest.mark.parametrize("weights", [{}, {"prior_pop": 1.0}, {"current_push": 1}])
+def test_configs_that_weigh_every_row_alike_compare_equal(weights):
+    # a row left out weighs 1, so naming it at 1 or leaving it out is one config
+    config = ClassifierConfig(weights=weights)
+    assert config == DEFAULT_CONFIG
+    assert config.weights == DEFAULT_CONFIG.weights
+    assert repr(config) == repr(DEFAULT_CONFIG)
+
+
+@pytest.mark.parametrize("weights", [{"prior_pop": 3.0}, {"current_pop": 0.5, "subsequent_pop": 7}])
+def test_a_config_naming_some_rows_roundtrips_to_equal(tmp_path, weights):
+    config = ClassifierConfig(weights=weights)
+    path = tmp_path / "weights.conf"
+    write_weights(path, config)
+    again = load_weights(path)
+    assert again == config
+    assert again.items == config.items
+    buf = io.StringIO()
+    write_weights(buf, ClassifierConfig(weights={**DEFAULT_CONFIG.weights, **weights}))
+    assert path.read_text() == buf.getvalue()
+
+
+def test_config_checks_keys_then_bonuses_then_weights():
+    # the unknown key is found before a bad bonus, and a bad bonus before a bad weight
+    with pytest.raises(ValueError, match="^unknown weight key 'prior_pops'$"):
+        ClassifierConfig(weights={"prior_pops": 0.0}, candidate_bonus=math.nan)
+    with pytest.raises(ValueError, match="^candidate_bonus must be finite"):
+        ClassifierConfig(weights={"prior_pop": 0.0}, candidate_bonus=math.nan)
+
+
 def test_config_rejects_a_non_positive_weight_when_built():
     # the items are built with the config, so a bad row weight fails at once,
     # not when its row first fires

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, RATE, build_signal
-from pausecue.cli import main
+from pausecue.cli import COMMANDS, build_parser, main
 from pausecue.pauses import BLOCK_SAMPLES, write_wav
 from pausecue import replication
 
@@ -204,6 +204,24 @@ def test_reader_steps_are_generated_on_first_read():
     assert run_fresh("from pausecue import cli; from pausecue.jsonl import _compiled; "
                      "n = _compiled.cache_info().currsize; cli.bundled_lexicon(); "
                      "print(n, _compiled.cache_info().currsize)") == "0 1"
+
+
+def test_a_call_builds_only_its_command_parser_and_reads_the_lexicon_once(tmp_path):
+    # import builds no parser and reads no lexicon; each code call builds the
+    # top-level parser and the code parser, and only the first reads the
+    # bundled lexicon
+    assert run_fresh(
+        "import argparse, sys; from pausecue import cli, lexicon; built = []; "
+        "init = argparse.ArgumentParser.__init__; "
+        "argparse.ArgumentParser.__init__ = "
+        "lambda self, **kw: built.append(kw['prog']) or init(self, **kw); "
+        "n = lexicon.bundled_lexicon.cache_info().currsize; loads = []; "
+        "load = lexicon.load_lexicon; "
+        "lexicon.load_lexicon = lambda path: loads.append(path) or load(path); "
+        "before = list(built); codes = [cli.main(sys.argv[1:]) for _ in range(2)]; "
+        "print(before, n, len(loads), built, codes)",
+        "code", str(FIXTURES / "directions_intro.jsonl"), "--out", str(tmp_path)) \
+        == "[] 0 1 ['pausecue', 'pausecue code', 'pausecue', 'pausecue code'] [0, 0]"
 
 
 def test_pauses_in_a_fresh_interpreter_writes_the_same_bytes(tmp_path, capsys):
@@ -532,3 +550,88 @@ def test_replicate_detects_perturbed_pause(tmp_path, capsys, corpus_dir):
 def test_replicate_missing_corpus_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "replicate", "--corpus", str(tmp_path / "nowhere"))
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# a parser per call, one bundled lexicon per process
+# ---------------------------------------------------------------------------
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as helped:
+        main(["--help"])
+    assert helped.value.code == 0
+    words = " ".join(capsys.readouterr().out.split())  # the help wraps at the terminal
+    assert words.startswith("usage: pausecue [-h] {pauses,segment,code,stats,replicate} ...")
+    for name, help_text, _ in COMMANDS:
+        assert f" {name} {help_text} " in words
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in COMMANDS])
+def test_command_help_shows_its_options(capsys, name):
+    with pytest.raises(SystemExit) as helped:
+        main([name, "--help"])
+    assert helped.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: pausecue {name} [-h] ")
+    transcript = ["--pauses", "--functions", "--lexicon", "--weights", "--out"]
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("  --")] == {
+        "pauses": ["--out", "--threshold-db", "--min-silence", "--frame-ms"],
+        "segment": transcript, "code": transcript,
+        "stats": ["--pauses", "--format", "--out"], "replicate": ["--corpus"]}[name]
+
+def test_repeated_calls_carry_no_state(tmp_path, capsys):
+    transcript, gaps = tmp_path / "timed.jsonl", tmp_path / "gaps.jsonl"
+    transcript.write_text(TIMED)
+    gaps.write_text(ON_LEFT)
+    out = tmp_path / "out"
+    coded = out / "timed.coded.jsonl"
+
+    def code_then_stats():
+        outputs = [run(capsys, "code", str(transcript), "--pauses", str(gaps),
+                       "--out", str(out)),
+                   coded.read_bytes(), coded.with_suffix(".tsv").read_bytes(),
+                   run(capsys, "stats", str(coded), "--pauses", str(gaps))]
+        assert outputs[0][0] == outputs[3][0] == 0
+        return outputs
+
+    def failed_calls():
+        with pytest.raises(SystemExit) as missing:
+            main(["stats"])
+        assert missing.value.code == 2
+        assert "required: coded" in capsys.readouterr().err
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as bad_format:
+                main(["stats", str(coded), "--format", "xml"])
+            assert bad_format.value.code == 2
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1] and "invalid choice: 'xml'" in messages[0]
+        with pytest.raises(SystemExit) as helped:
+            main(["--help"])
+        assert helped.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pausecue ")
+
+    first = code_then_stats()
+    failed_calls()
+    assert code_then_stats() == first
+    parser, argv = build_parser(), ["code", str(transcript), "--pauses", str(gaps)]
+    assert vars(parser.parse_args(argv)) == vars(parser.parse_args(argv))
+
+
+def test_a_lexicon_file_is_read_on_every_call(tmp_path, capsys):
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text("".join('{"surface": "%s"}\n' % word
+                                  for word in ("now", "you", "go", "left")))
+    lexicon = tmp_path / "lexicon.jsonl"
+
+    def coded_with(rows, path=lexicon):
+        path.write_text(rows)
+        code, out, err = run(capsys, "code", str(transcript), "--lexicon", str(path),
+                             "--out", str(tmp_path / "out"))
+        assert code == 0
+        return (tmp_path / "out" / "t.coded.jsonl").read_text()
+
+    before = coded_with(LEXICON_ROW % ("now", "[]"))
+    after = coded_with(LEXICON_ROW % ("okay", "[]"))
+    assert after != before
+    assert after == coded_with(LEXICON_ROW % ("okay", "[]"), tmp_path / "fresh.jsonl")

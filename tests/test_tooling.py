@@ -128,6 +128,7 @@ def test_bench_row_counters_see_every_row(monkeypatch):
     records = fragments.read_coded(data / replication.RECORDS_FILE)
     tokens = fragments.read_transcript(transcript)
     inventory = pauses.read_pauses(data / replication.PAUSES_FILE)
+    lexicon.bundled_lexicon.cache_clear()  # read it again, through the patched reader
     lexicon.bundled_lexicon()
     fragments.write_coded(io.StringIO(), records)
     fragments.write_transcript(io.StringIO(), tokens)
