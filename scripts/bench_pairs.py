@@ -162,6 +162,8 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit(f"{out_path.name} was measured with another {', '.join(differ)}; "
                              f"remove it or choose another --pr")
         report["results"] = previous["results"]
+    if args.scratch is not None:
+        Path(args.scratch).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.scratch) as tmp:
         base_dir = Path(tmp) / "base"
         _export(base_sha, base_dir)

@@ -67,6 +67,9 @@ TABLE_ROWS: dict[tuple[str, str], tuple[str, str]] = {
 ROW_KEYS = ("prior_pop", "prior_null", "current_push", "current_pop",
             "current_impending", "subsequent_pop")
 
+#: The ClassifierConfig values other than the row weights, each a weights-file key.
+SETTING_KEYS = ("candidate_bonus", "impending_bonus", "lstar_threshold")
+
 SUBORDINATORS = frozenset(
     "if who whom whose which where when while that".split())
 
@@ -122,7 +125,7 @@ class ClassifierConfig:
         for key in self.weights:
             if key not in ROW_KEYS:
                 raise ValueError(f"unknown weight key {key!r}")
-        for key in ("candidate_bonus", "impending_bonus", "lstar_threshold"):
+        for key in SETTING_KEYS:
             if not -MAX_MAGNITUDE <= getattr(self, key) <= MAX_MAGNITUDE:
                 raise ValueError(f"{key} {IN_RANGE}")
         object.__setattr__(self, "weights",
@@ -141,8 +144,7 @@ DEFAULT_CONFIG = ClassifierConfig()
 def load_weights(path: str | Path) -> ClassifierConfig:
     """Read a ``key = value`` text config; unknown or repeated keys, values
     that are not finite and row weights that are not positive are rejected."""
-    extras = dict(vars(DEFAULT_CONFIG))
-    del extras["weights"], extras["items"]  # the rows are read; the items built from them
+    extras = {key: getattr(DEFAULT_CONFIG, key) for key in SETTING_KEYS}
     weights = {}
     seen = set()
     # undecodable bytes turn into U+FFFD, which no key or number accepts
@@ -183,10 +185,8 @@ def _number(value: float) -> str:
 def write_weights(target: Target, config: ClassifierConfig) -> None:
     lines = ["# evidence-row weights"]
     lines += [f"{key} = {_number(config.weight(key))}" for key in ROW_KEYS]
-    lines += ["# bonuses and thresholds",
-              f"candidate_bonus = {_number(config.candidate_bonus)}",
-              f"impending_bonus = {_number(config.impending_bonus)}",
-              f"lstar_threshold = {_number(config.lstar_threshold)}"]
+    lines.append("# bonuses and thresholds")
+    lines += [f"{key} = {_number(getattr(config, key))}" for key in SETTING_KEYS]
     with open_target(target) as fp:
         fp.write("\n".join(lines) + "\n")
 

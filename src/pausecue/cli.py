@@ -45,13 +45,13 @@ FUNCTION_FIELDS = (
 
 
 def _lexicon_from(args: argparse.Namespace) -> Lexicon:
-    if getattr(args, "lexicon", None):
+    if args.lexicon:
         return load_lexicon(args.lexicon)
     return bundled_lexicon()
 
 
 def _config_from(args: argparse.Namespace) -> classifier.ClassifierConfig:
-    if getattr(args, "weights", None):
+    if args.weights:
         return classifier.load_weights(args.weights)
     return classifier.DEFAULT_CONFIG
 
@@ -73,7 +73,7 @@ def _read_functions(path: str | None, n: int) -> list[tuple[str, str]] | None:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    directory = Path(getattr(args, "out", None) or ".")
+    directory = Path(args.out)
     directory.mkdir(parents=True, exist_ok=True)
     return directory
 
@@ -132,14 +132,14 @@ def _record_line(path: str, index: int) -> int | None:
 
 def _segment_pipeline(args: argparse.Namespace):
     tokens = fragments.read_transcript(args.transcript)
-    pause_records = pauses.read_pauses(args.pauses) if getattr(args, "pauses", None) else None
+    pause_records = pauses.read_pauses(args.pauses) if args.pauses else None
     lexicon = _lexicon_from(args)
     try:
         frags = fragments.fragmentize(tokens, pause_records, lexicon)
     except fragments.MisalignedPause as exc:
         path = args.pauses if exc.blamed == "pauses" else args.transcript
         raise SchemaError(str(exc), line=_record_line(path, exc.index), path=path) from exc
-    functions = _read_functions(getattr(args, "functions", None), len(frags))
+    functions = _read_functions(args.functions, len(frags))
     result = classifier.segment_discourse(frags, functions=functions,
                                           config=_config_from(args))
     return frags, functions, result

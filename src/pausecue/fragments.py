@@ -204,7 +204,7 @@ CODED_FIELDS = (
     Field("initial_token", str, ""),
     Field("operation", dict, of=OPERATION_FIELDS),
     Field("embedding_depth", int, minimum=1),
-    Field("segments_affected", int),
+    Field("segments_affected", int, None),  # absent: the operation's pops plus pushes
     Field("prior_function", str, "topical", choices=FUNCTION_LABELS),
     Field("subsequent_function", str, "topical", choices=FUNCTION_LABELS),
     Field("turn_position", str, "continuing", choices=TURN_POSITIONS),
@@ -224,8 +224,6 @@ class CodedRecord:
     True exactly when initial_constituent is not "unmarked"; None derives
     each so, and any other value is rejected.
     """
-
-    segments_affected: int | None = None  # required in files, derived by constructors
 
     def __post_init__(self) -> None:
         op = self.operation

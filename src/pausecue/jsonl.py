@@ -9,7 +9,8 @@ reader's type test and domain rules.  Each table is also compiled, on first
 use, into a row checker, which ``validate`` runs on the rows read, and a
 row maker, which ``rows`` runs on the records written.  A reader checks and
 builds each record in one step, so no test runs twice on a row read; a
-record built in code is still checked by its constructor.
+record built in code is still checked by its constructor, and both end in
+the class's hook, so the two store the same record for the same values.
 """
 
 from __future__ import annotations
@@ -163,8 +164,7 @@ def _compiled(table: tuple[Field, ...], record: type | None = None) -> Callable:
                                                   for i, field in enumerate(table)))
         return _define(lines, env)
     frozen, rules, convert = record._record
-    env.update(_new=object.__new__, _set=object.__setattr__, R=record, _rules=rules,
-               SchemaError=SchemaError)
+    env.update(_new=object.__new__, R=record, _rules=rules, SchemaError=SchemaError)
     for i, field in enumerate(table):
         if field.name in convert:
             env[f"X{i}"] = convert[field.name]
@@ -213,33 +213,34 @@ def record_class(table: Sequence[Field], *, frozen: bool = False,
 
     The fields are the table's, in its order, with its defaults; those from
     the first one with a default onward are keyword-only.  Each is annotated
-    with its table kind, the type a file holds.  A field that the class body
-    annotates keeps the body's annotation and default.  The ``__post_init__``
-    runs the record check, then the class's own ``__post_init__``.  The
-    check runs the reader's tests in table order on the record's attributes,
-    skipping None where the field's default is None: the type test of every
-    str, int, float and bool field and the domain rules of every field.  It
-    raises ValueError with the message the reader gives after ``path:line: ``.
-    ``convert`` maps a field to the function ``validate`` calls as
-    ``f(value, path, lineno)`` to turn its checked value in a file into the
-    attribute.
+    with its table kind, the type a file holds.  The ``__post_init__`` runs
+    the record check, then the class's own one, the only place that derives
+    or converts a value for readers and constructors alike.  The check runs
+    the reader's tests in table order on the record's attributes, skipping
+    None where the field's default is None: the type test of every str, int,
+    float and bool field, which widens an int to float as the reader does,
+    and the domain rules of every field.  It raises ValueError with the
+    message the reader gives after ``path:line: ``.  ``convert`` maps a field
+    to the function ``validate`` calls as ``f(value, path, lineno)`` to turn
+    its checked file value into the attribute.  Only the coded operation
+    needs it: a file holds an object and a constructor is given the built
+    operation, which a hook could tell apart only by its type.
     """
     table = tuple(table)
 
     def make(cls: type) -> type:
-        own = vars(cls).get("__annotations__", {})
         rules = vars(cls).get("__post_init__")
         env = {**_HELPERS, "path": None, "lineno": 0, "_rules": rules}
-        annotations, kw_only, lines = {}, False, ["def f(self):"]
+        kw_only, lines = False, ["def f(self):"]
         for i, field in enumerate(table):
-            name = field.name
-            default = vars(cls).get(name, REQUIRED) if name in own else field.default
+            name, kind, default = field.name, field.kind, field.default
             kw_only = kw_only or default is not REQUIRED
-            annotations[name] = own.get(name, field.kind)
             setattr(cls, name, dataclasses.field(
                 default=dataclasses.MISSING if default is REQUIRED else default, kw_only=kw_only))
             test, domain = _field_tests(i, field, env)
-            body = [*test, *domain] if field.kind in (str, int, float, bool) else domain
+            if kind is float:  # reached only by an int that _reject widened
+                test.append(f"    _set(self, {name!r}, v{i})")
+            body = [*test, *domain] if kind in (str, int, float, bool) else domain
             if body:
                 lines.append(f"    v{i} = self.{name}")
                 if default is None:
@@ -247,7 +248,7 @@ def record_class(table: Sequence[Field], *, frozen: bool = False,
                 indent = "        " if default is None else "    "
                 lines += [indent + line for line in body]
         lines.append("    return None" if rules is None else "    _rules(self)")
-        cls.__annotations__ = annotations
+        cls.__annotations__ = {field.name: field.kind for field in table}
         cls.__post_init__ = _define(lines, env)
         cls._record = (frozen, rules, convert or {})
         return dataclasses.dataclass(cls, frozen=frozen)
@@ -305,7 +306,7 @@ def _fail(message: str, path: str | Path | None, lineno: int) -> NoReturn:
 
 #: The globals every generated checker starts from.
 _HELPERS = {"_MISSING": REQUIRED, "_reject": _reject, "_bad_element": _bad_element,
-            "_bad_value": _bad_value}
+            "_bad_value": _bad_value, "_set": object.__setattr__}
 
 
 @contextmanager

@@ -24,7 +24,6 @@ from .jsonl import (Field, SchemaError, Target, iter_jsonl, record_class, rows, 
 
 TOKEN_CLASSES = ("cue_phrase", "acknowledgment", "filled_pause")
 ORDINAL_RANKS = ("first", "subsequent")
-RULES = ("position", "conjunction_test", "intonation", "none")
 
 _STRIP = string.punctuation.replace("'", "").replace("-", "")
 
@@ -51,21 +50,22 @@ ENTRY_FIELDS = (
 )
 
 
-@record_class(ENTRY_FIELDS, frozen=True, convert={
-    "candidate_ops": lambda names, path, lineno: frozenset(map(OpKind, names)),
-    "variants": lambda forms, path, lineno: tuple(forms)})
+@record_class(ENTRY_FIELDS, frozen=True)
 class CueEntry:
     """One lexicon row.
 
     candidate_ops is the nonempty set of focusing operations the marker tends
-    to signal.  ordinal_rank distinguishes first uses of ordinal phrases
-    (which open a segment) from subsequent uses (which replace one).
-    corpus_derived marks sets read off the observed distribution rather than
-    the marker's conversational role.  An empty display derives the
-    capitalized surface.
+    to signal, kept as a frozenset of OpKind, and variants is kept as a
+    tuple, whatever collection each is given as.  ordinal_rank distinguishes
+    first uses of ordinal phrases (which open a segment) from subsequent uses
+    (which replace one).  corpus_derived marks sets read off the observed
+    distribution rather than the marker's conversational role.  An empty
+    display derives the capitalized surface.
     """
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "candidate_ops", frozenset(map(OpKind, self.candidate_ops)))
+        object.__setattr__(self, "variants", tuple(self.variants))
         if not self.display:
             object.__setattr__(self, "display", self.surface.capitalize())
         if not self.candidate_ops:
@@ -82,15 +82,12 @@ class DuplicateSurface(ValueError):
 
 @dataclass(frozen=True)
 class CueJudgment:
-    """Outcome of the cue/non-cue cascade; rule_fired is ``none`` only when
-    the judgment fell through to the positional default."""
+    """Outcome of the cue/non-cue cascade; rule_fired is ``position``,
+    ``conjunction_test``, ``intonation``, or ``none`` when the judgment fell
+    through to the positional default."""
 
     is_cue: bool
     rule_fired: str
-
-    def __post_init__(self) -> None:
-        if self.rule_fired not in RULES:
-            raise ValueError(f"bad rule {self.rule_fired!r}")
 
 
 @dataclass(frozen=True)

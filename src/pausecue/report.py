@@ -20,12 +20,12 @@ def _fmt_p(p: float) -> str:
     return f"p = {p:.3f}".replace("0.", ".", 1)
 
 
-def _grid(header: list[str], body: list[list[str]], indent: str = "  ") -> list[str]:
+def _grid(header: list[str], body: list[list[str]]) -> list[str]:
     widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]
     lines = []
     for row in [header] + body:
         cells = [row[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(row[1:], widths[1:])]
-        lines.append(indent + "  ".join(cells).rstrip())
+        lines.append("  " + "  ".join(cells).rstrip())
     return lines
 
 
@@ -35,8 +35,8 @@ def _mean_cell(stat: CellStat | None, decimals: int) -> str:
     return f"{stat.mean:.{decimals}f} {stat.count:>3d}"
 
 
-def _means_grid(table: GroupedMeans, decimals: int, all_label: str = "ALL") -> list[str]:
-    header = [""] + list(table.col_order) + [all_label]
+def _means_grid(table: GroupedMeans, decimals: int) -> list[str]:
+    header = [""] + list(table.col_order) + ["ALL"]
     body = []
     for row in table.row_order:
         cells = [_mean_cell(table.cell(row, col), decimals) for col in table.col_order]
@@ -44,7 +44,7 @@ def _means_grid(table: GroupedMeans, decimals: int, all_label: str = "ALL") -> l
         body.append([row] + cells)
     margin = [_mean_cell(table.col_margins.get(col), decimals) for col in table.col_order]
     margin.append(_mean_cell(table.grand, decimals))
-    body.append([all_label] + margin)
+    body.append(["ALL"] + margin)
     return _grid(header, body)
 
 

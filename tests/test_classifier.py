@@ -3,7 +3,7 @@
 import io
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -711,6 +711,22 @@ def test_weights_reject_unknown_key(tmp_path):
     path.write_text("bogus_key = 2\n")
     with pytest.raises(ValueError, match="bogus_key"):
         load_weights(path)
+
+
+def test_weights_file_keys_are_the_rows_and_the_settings(tmp_path):
+    buf = io.StringIO()
+    write_weights(buf, DEFAULT_CONFIG)
+    keys = [line.partition(" = ")[0] for line in buf.getvalue().splitlines()
+            if not line.startswith("#")]
+    assert keys == [*ROW_KEYS, *classifier.SETTING_KEYS]
+    settings_keys = {f.name for f in fields(ClassifierConfig) if f.init} - {"weights"}
+    assert settings_keys == set(classifier.SETTING_KEYS)
+    # weights and items are config fields, but no weights-file key names them
+    path = tmp_path / "weights.conf"
+    for key in ("weights", "items"):
+        path.write_text(f"{key} = 2\n")
+        with pytest.raises(ValueError, match=f"^{path}:1: unknown key {key!r}$"):
+            load_weights(path)
 
 
 def test_row_weight_scales_evidence(tmp_path):

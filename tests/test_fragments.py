@@ -1,6 +1,7 @@
 """Fragment boundaries, class precedence, pause alignment and coding."""
 
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -515,6 +516,22 @@ def test_coded_record_derives_the_columns_left_out():
     # the other columns default as in CODED_FIELDS
     assert (record.prior_function, record.subsequent_function, record.turn_position,
             record.initial_token) == ("topical", "topical", "continuing", "")
+
+
+@pytest.mark.parametrize("given", ["absent", "null"])
+def test_coded_line_without_segments_affected_reads_as_code_makes_it(tmp_path, given):
+    frags = fragmentize([tok("so"), tok("um"), tok("on", pause_before_s=0.4)])
+    records = code(frags, [INITIATE, FocusingOperation(OpKind.REPLACE, 1), RETAIN])
+    path = tmp_path / "coded.jsonl"
+    write_coded(path, records)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    for row in rows:
+        if given == "absent":
+            del row["segments_affected"]
+        else:
+            row["segments_affected"] = None
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert read_coded(path) == records
 
 
 def test_code_derives_segments_affected_and_marked():

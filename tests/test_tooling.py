@@ -74,6 +74,29 @@ def test_bench_pairs_summarises_result_lines():
     assert summary["metrics"]["peak_rss_mb"]["wins"] == 1
 
 
+def test_bench_pairs_makes_a_missing_scratch_directory(tmp_path, monkeypatch):
+    bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    exported = []
+
+    def export(sha, dest):
+        dest.mkdir(parents=True)
+        exported.append(dest)
+
+    spec = {"run_seconds": 1, "end_to_end": [{"name": "op_ms", "better": "lower"}],
+            "per_layer": []}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    for name, value in {"ROOT": tmp_path, "_git": lambda *args: "abc",
+                        "_working_tree": lambda: "tree", "_export": export,
+                        "_run": lambda *args: json.loads(_result_line(1.0, 50.0))}.items():
+        monkeypatch.setitem(bench["main"].__globals__, name, value)
+    scratch = tmp_path / "new" / "scratch"
+    assert bench["main"](["--pr", "t", "--workloads", "w", "--seeds", "1-2",
+                          "--scratch", str(scratch)]) == 0
+    assert scratch.is_dir() and exported[0].parent.parent == scratch
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["results"]["w"]["trace0"]["seeds"] == [1, 2]
+
+
 def _worker_tables() -> dict:
     """The literal hook tables of ``perfbench/worker.py``, read without importing it."""
     tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8"))
