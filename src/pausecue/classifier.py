@@ -191,8 +191,7 @@ def write_weights(target: Target, config: ClassifierConfig) -> None:
         fp.write("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Ranked outcome for one fragment.
 
     operation is the argmax of alternatives.  low_confidence marks the

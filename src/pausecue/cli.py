@@ -18,7 +18,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable
 
-from . import classifier, fragments, pauses, replication, report
+from . import classifier, fragments, pauses, report
 from .focus import FocusEngineError, write_trace
 from .jsonl import Field, SchemaError, iter_jsonl, validate
 from .lexicon import Lexicon, MissingAnnotation, bundled_lexicon, load_lexicon
@@ -195,6 +195,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
+    from . import replication  # only this command needs it; the others start without it
+
     try:
         records, pause_records = replication.load_bundled(args.corpus)
     except FileNotFoundError as exc:

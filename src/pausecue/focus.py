@@ -189,8 +189,7 @@ def segments_affected(op: FocusingOperation) -> int:
     return op.pop_count + op.pushes
 
 
-@dataclass(frozen=True)
-class LinguisticTree:
+class LinguisticTree(NamedTuple):
     """Hierarchical segment structure recovered from an operation trace.
 
     nodes maps space id to its final state (closed_at set if it was popped);

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import functools
 import string
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .focus import OP_KINDS, OpKind
 from .jsonl import (Field, SchemaError, Target, iter_jsonl, record_class, rows, validate,
@@ -56,7 +55,8 @@ class CueEntry:
 
     candidate_ops is the nonempty set of focusing operations the marker tends
     to signal, kept as a frozenset of OpKind, and variants is kept as a
-    tuple, whatever collection each is given as.  ordinal_rank distinguishes
+    tuple, in the order given, or sorted when given as a set, whose order
+    would change with the hash seed.  ordinal_rank distinguishes
     first uses of ordinal phrases (which open a segment) from subsequent uses
     (which replace one).  corpus_derived marks sets read off the observed
     distribution rather than the marker's conversational role.  An empty
@@ -65,7 +65,9 @@ class CueEntry:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "candidate_ops", frozenset(map(OpKind, self.candidate_ops)))
-        object.__setattr__(self, "variants", tuple(self.variants))
+        variants = self.variants
+        object.__setattr__(self, "variants", tuple(
+            sorted(variants) if isinstance(variants, (set, frozenset)) else variants))
         if not self.display:
             object.__setattr__(self, "display", self.surface.capitalize())
         if not self.candidate_ops:
@@ -80,8 +82,7 @@ class DuplicateSurface(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class CueJudgment:
+class CueJudgment(NamedTuple):
     """Outcome of the cue/non-cue cascade; rule_fired is ``position``,
     ``conjunction_test``, ``intonation``, or ``none`` when the judgment fell
     through to the positional default."""
@@ -90,8 +91,7 @@ class CueJudgment:
     rule_fired: str
 
 
-@dataclass(frozen=True)
-class CueContext:
+class CueContext(NamedTuple):
     """Annotations available for judging one candidate span.
 
     utterance_initial is required.  coordination is only meaningful for the

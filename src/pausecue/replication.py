@@ -15,9 +15,9 @@ pauses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .focus import operation
 from .fragments import ROW_LABELS, CodedRecord, read_coded, write_coded
@@ -151,8 +151,7 @@ def write_corpus(directory: str | Path) -> tuple[Path, Path]:
 # Checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -16,8 +16,7 @@ The Pearson p-value uses the transform t = r sqrt((n-2) / (1-r^2)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .focus import OP_KINDS, OpKind
 from .fragments import ROW_LABELS, CodedRecord
@@ -123,15 +122,13 @@ def t_cdf(t: float, df: int) -> float:
 # Result containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CellStat:
+class CellStat(NamedTuple):
     mean: float
     count: int
     sd: float | None = None
 
 
-@dataclass(frozen=True)
-class GroupedMeans:
+class GroupedMeans(NamedTuple):
     """Cell means with count-weighted row, column and grand margins."""
 
     cells: dict[tuple[str, str], CellStat]
@@ -148,32 +145,29 @@ class GroupedMeans:
         return {
             "rows": list(self.row_order),
             "cols": list(self.col_order),
-            "cells": {row: {col: dict(vars(self.cells[(row, col)]))
+            "cells": {row: {col: self.cells[(row, col)]._asdict()
                             for col in self.col_order if (row, col) in self.cells}
                       for row in self.row_order},
-            "row_margins": {row: dict(vars(stat)) for row, stat in self.row_margins.items()},
-            "col_margins": {col: dict(vars(stat)) for col, stat in self.col_margins.items()},
-            "grand": dict(vars(self.grand)),
+            "row_margins": {row: stat._asdict() for row, stat in self.row_margins.items()},
+            "col_margins": {col: stat._asdict() for col, stat in self.col_margins.items()},
+            "grand": self.grand._asdict(),
         }
 
 
-@dataclass(frozen=True)
-class AnovaResult:
+class AnovaResult(NamedTuple):
     F: float
     df_between: int
     df_within: int
     p: float
 
 
-@dataclass(frozen=True)
-class CorrResult:
+class CorrResult(NamedTuple):
     r: float
     n: int
     p: float
 
 
-@dataclass(frozen=True)
-class TTestResult:
+class TTestResult(NamedTuple):
     t: float
     df: int
     p: float
@@ -235,8 +229,7 @@ def _margins(cells: Mapping[tuple[str, str], Sequence[float]],
 # Distribution panels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CountPanel:
+class CountPanel(NamedTuple):
     cells: dict[tuple[str, str], int]
     row_order: tuple[str, ...]
     col_order: tuple[str, ...]
@@ -260,8 +253,7 @@ class CountPanel:
                           for row in self.row_order}}
 
 
-@dataclass(frozen=True)
-class PausePanel:
+class PausePanel(NamedTuple):
     """Histogram of reported pause durations at 0.1 s bins by position."""
 
     bins: tuple[float, ...]
@@ -282,8 +274,7 @@ class PausePanel:
         }
 
 
-@dataclass(frozen=True)
-class DistributionTables:
+class DistributionTables(NamedTuple):
     operation_marked: CountPanel
     token_position: CountPanel
     pause_panel: PausePanel
@@ -511,8 +502,7 @@ def t_test_pooled(a: Sequence[float], b: Sequence[float]) -> TTestResult:
 # Full report assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StatsReport:
+class StatsReport(NamedTuple):
     n_records: int
     excluded_records: int
     distributions: DistributionTables
@@ -522,7 +512,7 @@ class StatsReport:
     anova: AnovaResult | None
     correlation: CorrResult | None
     t_test: TTestResult | None
-    notes: list[str] = dc_field(default_factory=list)
+    notes: list[str]
     config_note: str = ""
 
     def to_dict(self) -> dict:
@@ -538,9 +528,9 @@ class StatsReport:
                 "marked_unmarked": self.by_marking.to_dict(),
             },
             "tests": {
-                "anova": dict(vars(self.anova)) if self.anova else None,
-                "pearson": dict(vars(self.correlation)) if self.correlation else None,
-                "t_test": dict(vars(self.t_test)) if self.t_test else None,
+                "anova": self.anova._asdict() if self.anova else None,
+                "pearson": self.correlation._asdict() if self.correlation else None,
+                "t_test": self.t_test._asdict() if self.t_test else None,
             },
             "notes": list(self.notes),
         }

@@ -199,6 +199,51 @@ def test_import_does_not_load_numpy():
     assert run_fresh("import sys, pausecue; print('numpy' in sys.modules)") == "False"
 
 
+#: Runs ``main`` on each argument list in one new interpreter and prints, after
+#: the import and after each command, whether pausecue.replication was loaded.
+FRESH_COMMANDS = """\
+import contextlib, io, json, sys
+from pausecue.cli import main
+seen = [["import", 0, "pausecue.replication" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    seen.append([argv[0], code, "pausecue.replication" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_only_replicate_loads_the_replication_module(tmp_path):
+    intro = FIXTURES / "directions_intro.jsonl"
+    commands = [["segment", str(intro), "--out", str(tmp_path)],
+                ["code", str(intro), "--out", str(tmp_path)],
+                ["stats", str(tmp_path / "directions_intro.coded.jsonl"), "--format", "json"],
+                ["replicate"]]
+    assert json.loads(run_fresh(FRESH_COMMANDS, json.dumps(commands))) == [
+        ["import", 0, False], ["segment", 0, False], ["code", 0, False],
+        ["stats", 0, False], ["replicate", 0, True]]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # the same relative paths in each run, so the report's config line agrees too
+    commands = [["code", str(FIXTURES / "directions_resume.jsonl"), "--out", "out"],
+                ["stats", "out/directions_resume.coded.jsonl", "--format", "json",
+                 "--out", "out/report.json"]]
+    outputs = []
+    for seed in ("1", "2"):
+        cwd = tmp_path / f"seed{seed}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-c", FRESH_COMMANDS, json.dumps(commands)],
+                              capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert [code for _, code, _ in json.loads(done.stdout)] == [0, 0, 0]
+        outputs.append({path.name: path.read_bytes() for path in (cwd / "out").iterdir()})
+    assert sorted(outputs[0]) == ["directions_resume.coded.jsonl",
+                                  "directions_resume.coded.tsv", "report.json"]
+    assert outputs[0] == outputs[1]
+
+
 def test_reader_steps_are_generated_on_first_read():
     # start-up generates no reader step; the lexicon load generates its own
     assert run_fresh("from pausecue import cli; from pausecue.jsonl import _compiled; "

@@ -231,6 +231,19 @@ def test_library_entry_derives_its_display(tmp_path):
     assert load_lexicon(path).entries == (entry,)
 
 
+def test_variants_given_as_a_set_are_sorted(tmp_path):
+    # a set's order changes with the hash seed; a list or tuple keeps its own
+    forms = ("so then", "soo", "sooo", "so so", "so now", "and so")
+    for given in ({"sooo", "so then", "soo", "so so", "so now", "and so"}, frozenset(forms)):
+        entry = CueEntry("so", candidate_ops=["Return"], variants=given)
+        assert entry.variants == tuple(sorted(forms))
+        path = tmp_path / "lexicon.jsonl"
+        write_lexicon(path, Lexicon([entry]))
+        assert load_lexicon(path).entries == (entry,)
+    for given in (list(forms), forms):
+        assert CueEntry("so", candidate_ops=["Return"], variants=given).variants == forms
+
+
 def test_empty_candidate_ops_rejected():
     with pytest.raises(ValueError):
         CueEntry(surface="x", gloss="", candidate_ops=frozenset())

@@ -1,5 +1,5 @@
-"""The bundled corpus files, the example scripts and the bench harness's hooks
-stay in step with the package."""
+"""The bundled corpus files, the example scripts, the bench harness's hooks and
+the public names and value-type fields stay in step with the package."""
 
 import ast
 import dataclasses
@@ -202,3 +202,44 @@ def test_bench_span_hooks_see_every_fragmentize_call(monkeypatch):
     assert calls["lexicon.judge_cue_use"] == matched.count("cue_phrase") > 0
     assert calls["fragments.align"] == 1
     assert {tokens.index(f.tokens[0]) for f in frags if f.pause_before_s == 0.3} >= {3, 10}
+
+
+#: The value types that are named tuples, with the fields and defaults they
+#: had as dataclasses, which the audit log, the JSON report and library
+#: callers see.  StatsReport.notes alone lost its default (a new empty list).
+NAMED_TUPLES = {
+    "stats.CellStat": (("mean", "count", "sd"), {"sd": None}),
+    "stats.GroupedMeans": (("cells", "row_margins", "col_margins", "grand", "row_order",
+                            "col_order"), {}),
+    "stats.AnovaResult": (("F", "df_between", "df_within", "p"), {}),
+    "stats.CorrResult": (("r", "n", "p"), {}),
+    "stats.TTestResult": (("t", "df", "p", "mean_a", "mean_b", "sd_a", "sd_b", "n_a", "n_b"),
+                          {}),
+    "stats.CountPanel": (("cells", "row_order", "col_order"), {}),
+    "stats.PausePanel": (("bins", "counts", "totals", "averages"), {}),
+    "stats.DistributionTables": (("operation_marked", "token_position", "pause_panel"), {}),
+    "stats.StatsReport": (("n_records", "excluded_records", "distributions", "by_operation",
+                           "by_token_and_operation", "by_marking", "anova", "correlation",
+                           "t_test", "notes", "config_note"), {"config_note": ""}),
+    "classifier.Classification": (
+        ("operation", "score", "alternatives", "evidence_used", "low_confidence",
+         "singleton_boosted", "tie_break_applied", "prior_disagreement"),
+        {"low_confidence": False, "singleton_boosted": False, "tie_break_applied": False,
+         "prior_disagreement": False}),
+    "lexicon.CueJudgment": (("is_cue", "rule_fired"), {}),
+    "lexicon.CueContext": (("utterance_initial", "coordination", "accents",
+                            "own_intonational_phrase"),
+                           {"coordination": None, "accents": None,
+                            "own_intonational_phrase": None}),
+    "replication.CheckResult": (("name", "passed", "detail"), {}),
+    "focus.LinguisticTree": (("nodes", "parent", "depths", "order", "open_ids"), {}),
+}
+
+
+def test_value_types_keep_their_fields():
+    for target, (fields, defaults) in NAMED_TUPLES.items():
+        module, _, name = target.partition(".")
+        cls = getattr(importlib.import_module(f"pausecue.{module}"), name)
+        assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls), target
+        assert (cls._fields, cls._field_defaults) == (fields, defaults), target
+
