@@ -34,8 +34,7 @@ from typing import NamedTuple, Sequence
 from .focus import (FocusStack, FocusingOperation, LinguisticTree, OpKind,
                     TIE_ORDER, apply, build_tree, operation)
 from .fragments import SpeechFragment
-from .jsonl import (MAX_MAGNITUDE, SCHEMA_VERSION, SchemaError, Target, open_target,
-                    write_jsonl)
+from .jsonl import MAX_MAGNITUDE, SCHEMA_VERSION, SchemaError, Target, write_jsonl
 
 #: (source, feature) -> (config row key, stack primitive).
 TABLE_ROWS: dict[tuple[str, str], tuple[str, str]] = {
@@ -134,9 +133,6 @@ class ClassifierConfig:
             (source, feature): EvidenceItem(source, feature, primitive, self.weights[row_key])
             for (source, feature), (row_key, primitive) in TABLE_ROWS.items()})
 
-    def weight(self, row_key: str) -> float:
-        return self.weights[row_key]
-
 
 DEFAULT_CONFIG = ClassifierConfig()
 
@@ -174,21 +170,6 @@ def load_weights(path: str | Path) -> ClassifierConfig:
             else:
                 weights[key] = number
     return ClassifierConfig(weights=weights, **extras)
-
-
-def _number(value: float) -> str:
-    """``value`` as ``:g`` writes it if that reads back the same, else its repr."""
-    text = f"{value:g}"
-    return text if float(text) == value else repr(value)
-
-
-def write_weights(target: Target, config: ClassifierConfig) -> None:
-    lines = ["# evidence-row weights"]
-    lines += [f"{key} = {_number(config.weight(key))}" for key in ROW_KEYS]
-    lines.append("# bonuses and thresholds")
-    lines += [f"{key} = {_number(getattr(config, key))}" for key in SETTING_KEYS]
-    with open_target(target) as fp:
-        fp.write("\n".join(lines) + "\n")
 
 
 class Classification(NamedTuple):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .jsonl import Field, SchemaError, Target, iter_jsonl, rows, validate, write_jsonl
+from .jsonl import Field, SchemaError, Target, rows, write_jsonl
 
 
 class FocusEngineError(Exception):
@@ -134,10 +134,6 @@ class FocusStack:
         return cls()
 
     @property
-    def top(self) -> FocusSpace | None:
-        return None if self.link is None else self.link[0]
-
-    @property
     def spaces(self) -> tuple[FocusSpace, ...]:
         """The open spaces, bottom to top, read off the links in O(depth)."""
         spaces = []
@@ -204,12 +200,6 @@ class LinguisticTree(NamedTuple):
     depths: dict[int, int]
     order: tuple[int, ...]
     open_ids: tuple[int, ...]
-
-    def depth(self, node_id: int) -> int:
-        return self.depths[node_id]
-
-    def roots(self) -> tuple[int, ...]:
-        return tuple(nid for nid in self.order if nid not in self.parent)
 
     def render(self) -> str:
         """Indented text rendering, one segment per line, indent = depth."""
@@ -311,8 +301,3 @@ def operation_from_row(row: dict, path: str | Path, lineno: int) -> FocusingOper
         return operation(row["kind"], row["pops"])
     except MalformedOperation as exc:
         raise SchemaError(str(exc), line=lineno, path=path) from exc
-
-
-def read_trace(path: str | Path) -> list[tuple[FocusingOperation, int]]:
-    return [(operation_from_row(row, path, lineno), row["index"])
-            for lineno, row in validate(iter_jsonl(path), TRACE_FIELDS, path)]

@@ -22,7 +22,7 @@ cue phrase, an acknowledgment form or a filled pause.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -90,9 +90,9 @@ TOKEN_FIELDS = (
     Field("pitch_range", str, "normal", choices=PITCH_RANGES),
     Field("pause_before_s", float, 0.0, minimum=0.0),
     Field("flags", list, (), of=str, choices=TOKEN_FLAGS),
-    Field("topic", str, "", omit_default=True),
-    Field("start_s", float, None, omit_default=True),
-    Field("end_s", float, None, omit_default=True),
+    Field("topic", str, ""),
+    Field("start_s", float, None),
+    Field("end_s", float, None),
 )
 
 
@@ -373,23 +373,6 @@ def fragmentize(transcript: Sequence[AnnotatedToken],
     return fragments
 
 
-def fragments_to_tokens(fragments: Sequence[SpeechFragment]) -> list[AnnotatedToken]:
-    """Flatten fragments back to a token sequence.
-
-    Fragment-initial tokens carry the fragment's effective preceding pause,
-    so re-running fragmentize on the result with the same pause records
-    reproduces the same fragments; without them, an annotated pause that a
-    record overrode inside a fragment comes back and may split it.
-    """
-    tokens: list[AnnotatedToken] = []
-    for frag in fragments:
-        for j, tok in enumerate(frag.tokens):
-            if j == 0 and tok.pause_before_s != frag.pause_before_s:
-                tok = replace(tok, pause_before_s=frag.pause_before_s)
-            tokens.append(tok)
-    return tokens
-
-
 # ---------------------------------------------------------------------------
 # Coding
 # ---------------------------------------------------------------------------
@@ -471,10 +454,6 @@ def read_transcript(path: str | Path) -> list[AnnotatedToken]:
     if not tokens:
         raise SchemaError("transcript holds no tokens", path=path)
     return tokens
-
-
-def write_transcript(target: Target, tokens: Iterable[AnnotatedToken]) -> None:
-    write_jsonl(target, rows(TOKEN_FIELDS, tokens))
 
 
 def read_coded(path: str | Path) -> list[CodedRecord]:

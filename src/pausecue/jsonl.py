@@ -50,8 +50,7 @@ class Field(NamedTuple):
     ``minimum`` is the inclusive lower bound of an int or float field.  A
     field without a default is required; a field whose default is None also
     accepts null, which skips its choices and minimum.  Ints widen to float;
-    bools are never numbers.  A field marked ``omit_default`` is left out of
-    written rows while it holds its default.
+    bools are never numbers.
     """
 
     name: str
@@ -60,7 +59,6 @@ class Field(NamedTuple):
     of: Any = None
     choices: Sequence[str] | None = None
     minimum: float | None = None
-    omit_default: bool = False
 
 
 #: ``json.loads`` without its per-call set-up; trailing content is checked by hand.
@@ -187,7 +185,7 @@ def _field_tests(i: int, field: Field, env: dict[str, Any]) -> tuple[list[str], 
     checks its magnitude.  Choices are tested as a frozenset, whose cost
     does not grow with a value's place in the list.
     """
-    _, kind, _, _, choices, minimum, _ = field
+    _, kind, _, _, choices, minimum = field
     v = f"v{i}"
     env[f"F{i}"], env[f"K{i}"] = field, kind
     if kind is float or kind is int:  # _reject returns the float of an int in range
@@ -322,46 +320,30 @@ def open_target(target: Target) -> Iterator[IO[str]]:
 def rows(table: Sequence[Field], records: Iterable[Any]) -> Iterator[dict]:
     """The row of each record: ``schema_version``, then ``table``'s fields in order.
 
-    Each field's value is the record attribute of the same name; a field
-    marked ``omit_default`` is left out while it holds its default.  A set
-    is written as a sorted list and a field with a nested table as an
-    object of that table's fields, without ``schema_version``.
+    Each field's value is the record attribute of the same name.  A set is
+    written as a sorted list and a field with a nested table as an object
+    of that table's fields, without ``schema_version``.
     """
     return map(_row_maker(tuple(table), True), records)
 
 
 @functools.cache
 def _row_maker(table: tuple[Field, ...], stamped: bool) -> Callable[[Any], dict]:
-    """One table's record-to-row function, built once: one block per field.
-
-    The fields before the first ``omit_default`` one form a dict literal;
-    each later field is stored in turn, only while it differs from its
-    default if it is marked so.  Either way the keys keep table order.
-    """
+    """One table's record-to-row function, built once: one block per field,
+    then one dict literal of every field in table order."""
     env: dict[str, Any] = {"_SETS": (set, frozenset)}
-    head = ["def f(record):"]
+    lines = ["def f(record):"]
     literal = [f"'schema_version': {SCHEMA_VERSION!r}"] if stamped else []
-    tail: list[str] = []
     for i, field in enumerate(table):
         v = f"v{i}"
-        block = [f"{v} = record.{field.name}"]
+        lines.append(f"    {v} = record.{field.name}")
         if field.kind is dict and field.of is not None:
             env[f"M{i}"] = _row_maker(tuple(field.of), False)
-            block.append(f"{v} = M{i}({v})")
+            lines.append(f"    {v} = M{i}({v})")
         elif field.kind is list:
-            block += [f"if isinstance({v}, _SETS):", f"    {v} = sorted({v})"]
-        if field.omit_default:
-            env[f"D{i}"] = field.default
-            block[1:] = [f"if {v} != D{i}:", *("    " + line for line in block[1:])]
-            block.append(f"    row[{field.name!r}] = {v}")
-        elif tail:
-            block.append(f"row[{field.name!r}] = {v}")
-        else:
-            literal.append(f"{field.name!r}: {v}")
-            head += ["    " + line for line in block]
-            continue
-        tail += ["    " + line for line in block]
-    return _define([*head, "    row = {%s}" % ", ".join(literal), *tail, "    return row"], env)
+            lines += [f"    if isinstance({v}, _SETS):", f"        {v} = sorted({v})"]
+        literal.append(f"{field.name!r}: {v}")
+    return _define([*lines, "    return {%s}" % ", ".join(literal)], env)
 
 
 def write_jsonl(target: Target, rows: Iterable[dict]) -> None:

@@ -18,8 +18,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .focus import OP_KINDS, OpKind
-from .jsonl import (Field, SchemaError, Target, iter_jsonl, record_class, rows, validate,
-                    write_jsonl)
+from .jsonl import Field, SchemaError, iter_jsonl, record_class, validate
 
 TOKEN_CLASSES = ("cue_phrase", "acknowledgment", "filled_pause")
 ORDINAL_RANKS = ("first", "subsequent")
@@ -42,10 +41,10 @@ ENTRY_FIELDS = (
     Field("candidate_ops", list, of=str, choices=OP_KINDS),
     Field("token_class", str, "cue_phrase", choices=TOKEN_CLASSES),
     Field("display", str, ""),  # empty: the capitalized surface
-    Field("ordinal_rank", str, None, choices=ORDINAL_RANKS, omit_default=True),
-    Field("connective", bool, False, omit_default=True),
-    Field("corpus_derived", bool, False, omit_default=True),
-    Field("variants", list, (), of=str, omit_default=True),
+    Field("ordinal_rank", str, None, choices=ORDINAL_RANKS),
+    Field("connective", bool, False),
+    Field("corpus_derived", bool, False),
+    Field("variants", list, (), of=str),
 )
 
 
@@ -60,7 +59,9 @@ class CueEntry:
     first uses of ordinal phrases (which open a segment) from subsequent uses
     (which replace one).  corpus_derived marks sets read off the observed
     distribution rather than the marker's conversational role.  An empty
-    display derives the capitalized surface.
+    display derives the capitalized surface.  The surface and every variant
+    must keep a word once normalized: a form that normalizes to "" could
+    never match, or would match a bare punctuation token.
     """
 
     def __post_init__(self) -> None:
@@ -72,6 +73,10 @@ class CueEntry:
             object.__setattr__(self, "display", self.surface.capitalize())
         if not self.candidate_ops:
             raise ValueError(f"entry {self.surface!r} has empty candidate_ops")
+        for form in (self.surface, *self.variants):
+            if not normalize(form):
+                raise ValueError(f"entry {self.surface!r}: form {form!r} has no word "
+                                 "once normalized")
 
 
 class DuplicateSurface(ValueError):
@@ -143,9 +148,6 @@ class Lexicon:
                 return entry, width
         return None
 
-    def surfaces(self) -> frozenset[str]:
-        return frozenset(normalize(e.surface) for e in self.entries)
-
 
 def judge_cue_use(entry: CueEntry, context: CueContext) -> CueJudgment:
     """Cue/non-cue cascade for one candidate span.
@@ -193,10 +195,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
         return Lexicon(entries)
     except DuplicateSurface as exc:
         raise SchemaError(str(exc), line=lines[exc.position], path=path) from exc
-
-
-def write_lexicon(target: Target, lexicon: Lexicon) -> None:
-    write_jsonl(target, rows(ENTRY_FIELDS, lexicon.entries))
 
 
 @functools.cache

@@ -8,9 +8,9 @@ relative, detection is invariant to uniform gain changes.  Files with no
 usable dynamic range between the 5th and 95th percentile (all speech, or all
 silence) yield no pauses.
 
-Only the functions that touch samples import numpy (``write_wav``,
-``frame_energy``, ``detect_pauses`` and the block reader behind
-``read_wav``), so the text-side commands never load it.
+Only the functions that touch samples import numpy (``frame_energy``,
+``detect_pauses`` and the block reader behind ``read_wav``), so the
+text-side commands never load it.
 
 Silences shorter than ``min_silence_s`` are discarded: they cannot round to
 a nonzero tenth of a second and are usually articulation.  A silence lying
@@ -197,18 +197,6 @@ def _blocks(wav: wave.Wave_read, path: str | Path) -> Iterator[np.ndarray]:
             yield block
         if read < wav.getnframes():
             raise UnsupportedFormat(f"{path}: truncated WAV")
-
-
-def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
-    """Write float samples in [-1, 1] as 16-bit PCM mono (test fixtures, demos)."""
-    import numpy as np
-    clipped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
-    ints = (clipped * 32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as wav:
-        wav.setnchannels(1)
-        wav.setsampwidth(2)
-        wav.setframerate(sample_rate)
-        wav.writeframes(ints.tobytes())
 
 
 def frame_energy(samples: np.ndarray | Iterator[np.ndarray], sample_rate: int,

@@ -101,21 +101,12 @@ def f_sf(f: float, df1: int, df2: int) -> float:
     return reg_inc_beta(df2 / 2.0, df1 / 2.0, x)
 
 
-def f_cdf(f: float, df1: int, df2: int) -> float:
-    return 1.0 - f_sf(f, df1, df2)
-
-
 def t_two_sided(t: float, df: int) -> float:
     """Two-sided p-value for Student's t."""
     if t == 0:
         return 1.0
     x = df / (df + t * t)
     return reg_inc_beta(df / 2.0, 0.5, x)
-
-
-def t_cdf(t: float, df: int) -> float:
-    p = t_two_sided(abs(t), df) / 2.0
-    return 1.0 - p if t >= 0 else p
 
 
 # ---------------------------------------------------------------------------

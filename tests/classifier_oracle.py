@@ -23,7 +23,7 @@ from pausecue.fragments import PRONOUNS, SpeechFragment
 def _item(source: str, feature: str, config: ClassifierConfig) -> EvidenceItem:
     row_key, primitive = TABLE_ROWS[(source, feature)]
     return EvidenceItem(source=source, feature=feature, primitive=primitive,
-                        weight=config.weight(row_key))
+                        weight=config.weights[row_key])
 
 
 def _has_creaky(frag: SpeechFragment) -> bool:

@@ -1,4 +1,5 @@
 import math
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import settings
 
 from pausecue import replication
-from pausecue.pauses import write_wav
+from pausecue.focus import TRACE_FIELDS, operation_from_row
+from pausecue.jsonl import iter_jsonl, validate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -35,6 +37,23 @@ def build_signal(segments, rate=RATE, amplitude=0.15):
         else:
             raise ValueError(kind)
     return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def write_wav(path, samples, sample_rate):
+    """Write float samples in [-1, 1] as 16-bit PCM mono."""
+    ints = (np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0) * 32767.0).astype("<i2")
+    with wave.open(str(path), "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(sample_rate)
+        wav.writeframes(ints.tobytes())
+
+
+def read_trace(path):
+    """The (operation, fragment index) pairs of a trace file, as written by
+    ``write_trace``."""
+    return [(operation_from_row(row, path, lineno), row["index"])
+            for lineno, row in validate(iter_jsonl(path), TRACE_FIELDS, path)]
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ def validate(rows, table, path):
 
 def _check(obj, table, path, lineno, strings):
     out = {}
-    for name, kind, default, of, choices, minimum, _ in table:
+    for name, kind, default, of, choices, minimum in table:
         value = obj.get(name, REQUIRED)
         if value is REQUIRED or value is None and default is None:
             if default is REQUIRED:
@@ -72,19 +72,16 @@ def _row_maker(table, stamped):
     names = tuple(field.name for field in table)
     keys = ("schema_version", *names) if stamped else names
     get = attrgetter(*names)
-    fixes = tuple((field.name, field.default if field.omit_default else REQUIRED,
+    fixes = tuple((field.name,
                    _row_maker(field.of, False) if field.kind is dict and field.of else None)
-                  for field in table
-                  if field.omit_default or field.kind is list or field.kind is dict)
+                  for field in table if field.kind is list or field.kind is dict)
 
     def make(record):
         values = get(record)
         row = dict(zip(keys, (SCHEMA_VERSION, *values) if stamped else values))
-        for name, default, nested in fixes:
+        for name, nested in fixes:
             value = row[name]
-            if value == default:
-                del row[name]
-            elif nested is not None:
+            if nested is not None:
                 row[name] = nested(value)
             elif isinstance(value, (set, frozenset)):
                 row[name] = sorted(value)

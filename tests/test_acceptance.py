@@ -11,17 +11,17 @@ import random
 import pytest
 
 import focus_oracle
-from conftest import FIXTURES, RATE, build_signal
+from conftest import FIXTURES, RATE, build_signal, write_wav
 from pausecue import replication
 from pausecue.classifier import segment_discourse
 from pausecue.focus import FocusStack, FocusingOperation, OpKind, apply, build_tree
 from pausecue.fragments import fragmentize, read_transcript
 from pausecue.lexicon import CueContext, bundled_lexicon, judge_cue_use
 from pausecue.pauses import detect_pauses, frame_energy
-from pausecue.stats import (anova_one_way, compute_report, f_cdf,
+from pausecue.stats import (anova_one_way, compute_report, f_sf,
                             marked_unmarked_table, mean_pause_by_operation,
                             mean_pause_by_token_and_operation, pearson,
-                            t_cdf, t_test_pooled)
+                            t_test_pooled, t_two_sided)
 from test_focus import naive_depth_trajectory, random_valid_trace
 from test_stats import f_pdf, oracle_anova, oracle_pearson, oracle_t_pooled, t_pdf
 
@@ -120,11 +120,11 @@ def test_c4_oracle_equivalence():
     for df1, df2 in ((2, 8), (3, 96), (5, 30)):
         for stat in (0.4, 1.3, 3.7):
             numeric = quad(f_pdf, 0, stat, args=(df1, df2), limit=200)[0]
-            assert abs(f_cdf(stat, df1, df2) - numeric) <= 1e-6
+            assert abs(1 - f_sf(stat, df1, df2) - numeric) <= 1e-6
     for df in (4, 24, 96):
         for stat in (0.3, 1.58, 2.9):
             numeric = 0.5 + quad(t_pdf, 0, stat, args=(df,), limit=200)[0]
-            assert abs(t_cdf(stat, df) - numeric) <= 1e-6
+            assert abs(1 - t_two_sided(stat, df) / 2 - numeric) <= 1e-6
     print("PASS criterion 4: oracle agreement at 1e-9, CDFs at 1e-6")
 
 
@@ -172,7 +172,7 @@ def test_c6_worked_example_segmentation():
 # ---------------------------------------------------------------------------
 
 def test_c7_pause_detection(tmp_path):
-    from pausecue.pauses import read_wav, write_wav
+    from pausecue.pauses import read_wav
 
     segments = [("noise", 0.3, 0.0008), ("tone", 0.4), ("silence", 0.18),
                 ("tone", 0.4), ("silence", 0.42), ("tone", 0.4),

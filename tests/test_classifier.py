@@ -14,7 +14,7 @@ from pausecue import classifier
 from pausecue.classifier import (DEFAULT_CONFIG, ROW_KEYS, ClassifierConfig, EvidenceItem,
                                  TABLE_ROWS, classify, extract_evidence,
                                  load_weights, resolve_pop_count,
-                                 segment_discourse, write_audit, write_weights)
+                                 segment_discourse, write_audit)
 from pausecue.focus import FocusingOperation, OpKind, apply, FocusStack, operation
 from pausecue.fragments import ACCENTS, AnnotatedToken, SpeechFragment, fragmentize
 from pausecue.lexicon import bundled_lexicon
@@ -311,7 +311,8 @@ def test_anchored_pops_from_a_stack_2000_deep():
     stack = FocusStack.empty()
     for (op, i), fragment in zip(result.trace, frags):
         stack = apply(stack, op, i, label=fragment.topic or f"fragment-{i}")
-        tops.append((op.kind, stack.top.dsp_label, stack.top.opened_at, stack.depth))
+        top = stack.link[0]
+        tops.append((op.kind, top.dsp_label, top.opened_at, stack.depth))
     assert result.trace[return_deep][0].pop_count > 1000
     assert tops[return_deep] == (OpKind.RETURN, "deep", deep_open, deep_open + 1)
     # the Replace closes the old "deep" space too and opens its successor
@@ -367,7 +368,7 @@ def test_six_fragment_synthetic_trace():
     # the Replace at the top level closes the opening space and opens a sibling
     assert tree.nodes[0].closed_at == 5
     assert tree.open_ids == (2,)
-    assert tree.depth(1) == 2
+    assert tree.depths[1] == 2
 
 
 def test_trace_always_replays(corpus_records):
@@ -511,7 +512,7 @@ def test_evidence_items_are_the_configs_own():
         prior = frags[i - 1] if i else None
         for it in extract_evidence(prior, current, None, config=config):
             assert it is config.items[it.source, it.feature]
-            assert it.weight == config.weight(TABLE_ROWS[it.source, it.feature][0])
+            assert it.weight == config.weights[TABLE_ROWS[it.source, it.feature][0]]
 
 
 def test_label_replay_covers_deep_stacks_and_anchored_pops():
@@ -560,6 +561,12 @@ def test_classification_is_deterministic():
 # weights config
 # ---------------------------------------------------------------------------
 
+def write_weights(path, config):
+    """A weights file naming every key of ``config``, each value in full."""
+    values = {**config.weights, **{key: getattr(config, key) for key in classifier.SETTING_KEYS}}
+    path.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+
+
 def test_weights_roundtrip(tmp_path):
     config = ClassifierConfig(weights={**DEFAULT_CONFIG.weights, "prior_pop": 2.5},
                               candidate_bonus=3.0, impending_bonus=1.5,
@@ -579,20 +586,11 @@ def test_weights_roundtrip(tmp_path):
     ({"candidate_bonus": 1e-300}, "candidate_bonus = 1e-300"),
 ])
 def test_weights_roundtrip_keeps_every_digit(tmp_path, changes, text):
-    # :g keeps six significant digits; a value it would round is written in full
+    # a value that :g would round reads back in full
     config = replace(DEFAULT_CONFIG, **changes)
     path = tmp_path / "weights.conf"
-    write_weights(path, config)
-    assert text in path.read_text().splitlines()
+    path.write_text(text + "\n")
     assert load_weights(path) == config
-
-
-def test_default_weights_are_written_as_g():
-    buf = io.StringIO()
-    write_weights(buf, DEFAULT_CONFIG)
-    assert buf.getvalue().splitlines()[1:] == [
-        *(f"{key} = 1" for key in ROW_KEYS), "# bonuses and thresholds",
-        "candidate_bonus = 2", "impending_bonus = 2", "lstar_threshold = 0.5"]
 
 
 IN_RANGE = st.floats(-1e15, 1e15, allow_nan=False, allow_infinity=False)
@@ -615,11 +613,11 @@ def test_weights_roundtrip_over_in_range_values(tmp_path_factory, weights, candi
 
 
 def test_config_keeps_its_own_weights():
-    # a caller editing its dict afterwards must reach neither weight() nor items
+    # a caller editing its dict afterwards must reach neither weights nor items
     weights = {"prior_pop": 3.0}
     config = ClassifierConfig(weights=weights)
     weights["prior_pop"] = -5.0
-    assert config.weight("prior_pop") == 3.0
+    assert config.weights["prior_pop"] == 3.0
     assert config.items["prior", "falling_final"].weight == 3.0
     assert config == ClassifierConfig(weights={"prior_pop": 3.0})
     assert repr(config) == repr(ClassifierConfig(weights={"prior_pop": 3.0}))
@@ -649,9 +647,6 @@ def test_a_config_naming_some_rows_roundtrips_to_equal(tmp_path, weights):
     again = load_weights(path)
     assert again == config
     assert again.items == config.items
-    buf = io.StringIO()
-    write_weights(buf, ClassifierConfig(weights={**DEFAULT_CONFIG.weights, **weights}))
-    assert path.read_text() == buf.getvalue()
 
 
 def test_config_checks_keys_then_bonuses_then_weights():
@@ -693,7 +688,7 @@ def test_config_rejects_an_unknown_weight_key(key):
         ClassifierConfig(weights={key: 5.0})
     with pytest.raises(ValueError, match=f"^unknown weight key {key!r}$"):
         ClassifierConfig(weights={**DEFAULT_CONFIG.weights, key: 5.0})
-    assert ClassifierConfig(weights={"prior_pop": 5.0}).weight("current_pop") == 1.0
+    assert ClassifierConfig(weights={"prior_pop": 5.0}).weights["current_pop"] == 1.0
 
 
 def test_weights_start_from_the_default_config(tmp_path):
@@ -702,8 +697,8 @@ def test_weights_start_from_the_default_config(tmp_path):
     assert load_weights(path) == DEFAULT_CONFIG
     path.write_text("prior_pop = 3\ncandidate_bonus = 4\n")
     config = load_weights(path)
-    assert (config.weight("prior_pop"), config.candidate_bonus) == (3.0, 4.0)
-    assert DEFAULT_CONFIG.weight("prior_pop") == 1.0  # the default is copied, not edited
+    assert (config.weights["prior_pop"], config.candidate_bonus) == (3.0, 4.0)
+    assert DEFAULT_CONFIG.weights["prior_pop"] == 1.0  # the default is copied, not edited
 
 
 def test_weights_reject_unknown_key(tmp_path):
@@ -714,15 +709,14 @@ def test_weights_reject_unknown_key(tmp_path):
 
 
 def test_weights_file_keys_are_the_rows_and_the_settings(tmp_path):
-    buf = io.StringIO()
-    write_weights(buf, DEFAULT_CONFIG)
-    keys = [line.partition(" = ")[0] for line in buf.getvalue().splitlines()
-            if not line.startswith("#")]
-    assert keys == [*ROW_KEYS, *classifier.SETTING_KEYS]
+    path = tmp_path / "weights.conf"
+    path.write_text("".join(f"{key} = 2\n" for key in (*ROW_KEYS, *classifier.SETTING_KEYS)))
+    config = load_weights(path)
+    assert set(config.weights.values()) == {2.0}
+    assert [getattr(config, key) for key in classifier.SETTING_KEYS] == [2.0] * 3
     settings_keys = {f.name for f in fields(ClassifierConfig) if f.init} - {"weights"}
     assert settings_keys == set(classifier.SETTING_KEYS)
     # weights and items are config fields, but no weights-file key names them
-    path = tmp_path / "weights.conf"
     for key in ("weights", "items"):
         path.write_text(f"{key} = 2\n")
         with pytest.raises(ValueError, match=f"^{path}:1: unknown key {key!r}$"):

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, RATE, build_signal
+from conftest import FIXTURES, RATE, build_signal, write_wav
 from pausecue.cli import COMMANDS, build_parser, main
-from pausecue.pauses import BLOCK_SAMPLES, write_wav
+from pausecue.pauses import BLOCK_SAMPLES
 from pausecue import replication
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -225,23 +225,28 @@ def test_only_replicate_loads_the_replication_module(tmp_path):
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
-    # the same relative paths in each run, so the report's config line agrees too
+    # the same relative paths in each run, so the report's config line agrees
+    # too; the bundled corpus gives the report eleven token rows to order
     commands = [["code", str(FIXTURES / "directions_resume.jsonl"), "--out", "out"],
                 ["stats", "out/directions_resume.coded.jsonl", "--format", "json",
-                 "--out", "out/report.json"]]
+                 "--out", "out/report.json"],
+                ["stats", "records.jsonl", "--format", "json", "--out", "out/corpus.json"]]
     outputs = []
-    for seed in ("1", "2"):
+    for seed in ("1", "2", "3"):
         cwd = tmp_path / f"seed{seed}"
         cwd.mkdir()
+        shutil.copy(DATA / replication.RECORDS_FILE, cwd / "records.jsonl")
         env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
         done = subprocess.run([sys.executable, "-c", FRESH_COMMANDS, json.dumps(commands)],
                               capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert [code for _, code, _ in json.loads(done.stdout)] == [0, 0, 0]
+        assert [code for _, code, _ in json.loads(done.stdout)] == [0, 0, 0, 0]
         outputs.append({path.name: path.read_bytes() for path in (cwd / "out").iterdir()})
-    assert sorted(outputs[0]) == ["directions_resume.coded.jsonl",
+    assert sorted(outputs[0]) == ["corpus.json", "directions_resume.coded.jsonl",
                                   "directions_resume.coded.tsv", "report.json"]
-    assert outputs[0] == outputs[1]
+    tables = json.loads(outputs[0]["corpus.json"])["tables"]
+    assert len(tables["token_position_counts"]["rows"]) == 11
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_reader_steps_are_generated_on_first_read():

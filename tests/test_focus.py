@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focus_oracle
+from conftest import read_trace
 from pausecue.focus import (EmptyStackError, FocusEngineError, FocusStack,
                             FocusingOperation, MalformedOperation, OpKind, UnderflowError,
-                            apply, build_tree, operation_from_row, read_trace,
-                            segments_affected, write_trace)
+                            apply, build_tree, operation_from_row, segments_affected,
+                            write_trace)
 from pausecue.jsonl import SchemaError
 
 INITIATE = FocusingOperation(OpKind.INITIATE)
@@ -36,8 +37,8 @@ def test_initiate_pushes_one():
     stack = apply(FocusStack.empty(), INITIATE, 0)
     stack2 = apply(stack, INITIATE, 1)
     assert stack2.depth == 2
-    assert stack2.top.id != stack.top.id
-    assert stack2.spaces[0].id == stack.top.id  # old top still beneath
+    assert stack2.spaces[-1].id != stack.spaces[-1].id
+    assert stack2.spaces[0].id == stack.spaces[-1].id  # old top still beneath
 
 
 def test_retain_is_identity_on_spaces():
@@ -45,8 +46,8 @@ def test_retain_is_identity_on_spaces():
     retained = apply(stack, RETAIN, 1)
     assert retained.spaces == stack.spaces
     tree = build_tree([(INITIATE, 0), (RETAIN, 1)])
-    assert tree.open_ids == (stack.top.id,)  # the retained space stays open
-    assert tree.nodes[stack.top.id].closed_at is None
+    assert tree.open_ids == (stack.spaces[-1].id,)  # the retained space stays open
+    assert tree.nodes[stack.spaces[-1].id].closed_at is None
 
 
 def test_replace_pops_two_then_pushes():
@@ -55,20 +56,20 @@ def test_replace_pops_two_then_pushes():
     stack = apply(apply(FocusStack.empty(), INITIATE, 0), INITIATE, 1)
     replaced = apply(stack, rep(2), 2)
     assert replaced.depth == 1
-    assert replaced.top.id == 2
-    assert replaced.top.opened_at == 2
+    assert replaced.spaces[-1].id == 2
+    assert replaced.spaces[-1].opened_at == 2
     tree = build_tree([(INITIATE, 0), (INITIATE, 1), (rep(2), 2)])
     assert [tree.nodes[i].closed_at for i in (0, 1)] == [2, 2]
     assert tree.open_ids == (2,)
-    assert tree.roots() == (0, 2) and tree.depth(2) == 1
+    assert tree.parent == {1: 0} and tree.depths[2] == 1
 
 
 def test_return_reexposes_previous_space():
     stack = apply(apply(FocusStack.empty(), INITIATE, 0), INITIATE, 1)
     returned = apply(stack, ret(1), 2)
     assert returned.depth == 1
-    assert returned.top.id == 0
-    assert returned.top.closed_at is None
+    assert returned.spaces[-1].id == 0
+    assert returned.spaces[-1].closed_at is None
 
 
 def test_underflow_and_empty_stack_errors():
@@ -191,15 +192,15 @@ def test_segments_affected():
 def test_tree_three_nested_initiates():
     tree = build_tree([(INITIATE, 0), (INITIATE, 1), (INITIATE, 2)])
     assert len(tree.nodes) == 3
-    assert [tree.depth(i) for i in (0, 1, 2)] == [1, 2, 3]
+    assert [tree.depths[i] for i in (0, 1, 2)] == [1, 2, 3]
     assert tree.parent == {1: 0, 2: 1}
     assert tree.open_ids == (0, 1, 2)
 
 
 def test_tree_single_root():
     tree = build_tree([(INITIATE, 0)])
-    assert tree.roots() == (0,)
-    assert tree.depth(0) == 1
+    assert tree.parent == {}
+    assert tree.depths[0] == 1
 
 
 def test_tree_siblings_under_root():

@@ -14,13 +14,12 @@ import pauses_oracle as oracle
 from pausecue import fragments
 from pausecue.classifier import segment_discourse
 from pausecue.focus import FocusingOperation, OpKind, segments_affected
-from pausecue.fragments import (ACCENTS, BOUNDARIES, PHONATIONS, PITCH_RANGES, TOKEN_FLAGS,
-                                AnnotatedToken, CodedRecord,
+from pausecue.fragments import (ACCENTS, BOUNDARIES, PHONATIONS, PITCH_RANGES, TOKEN_FIELDS,
+                                TOKEN_FLAGS, AnnotatedToken, CodedRecord,
                                 EmptyTranscript, LengthMismatch, MisalignedPause, code,
-                                fragmentize, fragments_to_tokens, read_coded,
-                                read_transcript, write_coded, write_coded_tsv,
-                                write_transcript, TSV_COLUMNS)
-from pausecue.jsonl import SchemaError
+                                fragmentize, read_coded, read_transcript, write_coded,
+                                write_coded_tsv, TSV_COLUMNS)
+from pausecue.jsonl import SchemaError, rows, write_jsonl
 from pausecue.lexicon import CueEntry, Lexicon, bundled_lexicon
 from pausecue.pauses import PauseRecord, round_tenth
 
@@ -222,10 +221,10 @@ def test_alignment_tie_takes_earliest_start():
 # one pass against the per-position oracle
 # ---------------------------------------------------------------------------
 
-#: A lexicon with a punctuation-only variant, a multi-word marker sharing its
-#: first word with a one-word one, and one marker of each other class.
+#: A lexicon with a multi-word marker sharing its first word with a one-word
+#: one, and one marker of each other class.
 CUSTOM = Lexicon([
-    CueEntry(surface="well", candidate_ops=frozenset({OpKind.REPLACE}), variants=("...",)),
+    CueEntry(surface="well", candidate_ops=frozenset({OpKind.REPLACE})),
     CueEntry(surface="by the way", candidate_ops=frozenset({OpKind.INITIATE})),
     CueEntry(surface="by", candidate_ops=frozenset({OpKind.RETAIN}), connective=True),
     CueEntry(surface="hm", candidate_ops=frozenset({OpKind.RETAIN}),
@@ -319,6 +318,13 @@ def coarse(frags):
     return [(f.index, f.initial_token_class, f.surfaces, f.pause_before_s) for f in frags]
 
 
+def flatten(frags):
+    """The fragments' tokens in order, each fragment's first token carrying
+    the fragment's effective preceding pause."""
+    return [dataclasses.replace(tok, pause_before_s=frag.pause_before_s) if j == 0 else tok
+            for frag in frags for j, tok in enumerate(frag.tokens)]
+
+
 VOCAB = ["so", "ok", "um", "you", "go", "left", "now", "and", "the", "wall"]
 
 
@@ -330,7 +336,7 @@ VOCAB = ["so", "ok", "um", "you", "go", "left", "now", "and", "the", "wall"]
 def test_refragmentizing_serialized_output_is_fixed_point(specs):
     tokens = [tok(s, pause_before_s=p, boundary=b) for s, p, b in specs]
     frags = fragmentize(tokens)
-    again = fragmentize(fragments_to_tokens(frags))
+    again = fragmentize(flatten(frags))
     assert coarse(again) == coarse(frags)
 
 
@@ -340,7 +346,7 @@ def test_refragmentizing_serialized_output_is_fixed_point(specs):
 def test_refragmentizing_with_the_same_pause_records_is_fixed_point(lexicon, case):
     tokens, pauses = case
     frags = fragmentize(tokens, pauses, lexicon)
-    assert coarse(fragmentize(fragments_to_tokens(frags), pauses, lexicon)) == coarse(frags)
+    assert coarse(fragmentize(flatten(frags), pauses, lexicon)) == coarse(frags)
 
 
 def test_refragmentizing_needs_the_pause_records():
@@ -350,7 +356,7 @@ def test_refragmentizing_needs_the_pause_records():
               tok("there", start_s=2.0)]
     pauses = [PauseRecord(start_s=0.96, raw_duration_s=0.04)]
     frags = fragmentize(tokens, pauses)
-    flat = fragments_to_tokens(frags)
+    flat = flatten(frags)
     assert len(frags) == 1
     assert len(fragmentize(flat)) == 2
     assert coarse(fragmentize(flat, pauses)) == coarse(frags)
@@ -433,7 +439,7 @@ def test_transcript_roundtrip(tmp_path):
                   flags=frozenset({"turn_initial"}), topic="route"),
               tok("go", boundary="fall")]
     path = tmp_path / "transcript.jsonl"
-    write_transcript(path, tokens)
+    write_jsonl(path, rows(TOKEN_FIELDS, tokens))
     again = read_transcript(path)
     assert again == tokens
 

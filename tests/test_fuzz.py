@@ -19,12 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pauses_oracle
-from conftest import FIXTURES, RATE, build_signal
+from conftest import FIXTURES, RATE, build_signal, write_wav
 from pausecue import replication
-from pausecue.classifier import DEFAULT_CONFIG, write_weights
+from pausecue.classifier import ROW_KEYS
 from pausecue.cli import main
 from pausecue.fragments import MisalignedPause, read_transcript, write_coded
-from pausecue.pauses import read_pauses, write_pauses, write_wav
+from pausecue.pauses import read_pauses, write_pauses
 
 DATA = Path(__file__).parent.parent / "src" / "pausecue" / "data"
 
@@ -35,8 +35,10 @@ def _base_inputs() -> dict[str, bytes]:
     for i, token in enumerate(tokens):
         token["start_s"], token["end_s"] = i * 0.5, i * 0.5 + 0.3
     gaps = [{"start_s": i * 0.5 - 0.2, "raw_duration_s": 0.2} for i in (3, 7, 12)]
-    weights, coded, pauses = io.StringIO(), io.StringIO(), io.StringIO()
-    write_weights(weights, DEFAULT_CONFIG)
+    weights = ("# evidence-row weights\n" + "".join(f"{key} = 1\n" for key in ROW_KEYS)
+               + "# bonuses and thresholds\n"
+               "candidate_bonus = 2\nimpending_bonus = 2\nlstar_threshold = 0.5\n")
+    coded, pauses = io.StringIO(), io.StringIO()
     write_coded(coded, replication.build_records())
     write_pauses(pauses, replication.build_pauses())
     with tempfile.TemporaryDirectory() as tmp:
@@ -49,7 +51,7 @@ def _base_inputs() -> dict[str, bytes]:
         "functions.jsonl": b'{"fragment_index": 1, "prior": "closure", "subsequent": "repair"}\n'
                            b'{"fragment_index": 2, "prior": "repair"}\n',
         "lexicon.jsonl": (DATA / "lexicon.jsonl").read_bytes(),
-        "weights.conf": weights.getvalue().encode(),
+        "weights.conf": weights.encode(),
         "replication_records.jsonl": coded.getvalue().encode(),
         "replication_pauses.jsonl": pauses.getvalue().encode(),
         "speech.wav": wav_bytes,

@@ -28,16 +28,16 @@ from hypothesis import strategies as st
 
 import jsonl_oracle
 from pausecue.cli import FUNCTION_FIELDS
+from conftest import read_trace
 from pausecue.focus import (OP_KINDS, TRACE_FIELDS, FocusingOperation, OpKind, TraceStep,
-                            read_trace, segments_affected, write_trace)
+                            segments_affected, write_trace)
 from pausecue.fragments import (ACCENTS, BOUNDARIES, CODED_FIELDS, CONSTITUENTS,
                                 FUNCTION_LABELS, PHONATIONS, PITCH_RANGES, TOKEN_FIELDS,
                                 TOKEN_FLAGS, TURN_POSITIONS, AnnotatedToken, CodedRecord,
-                                read_coded, read_transcript, write_coded, write_transcript)
-from pausecue.jsonl import MAX_MAGNITUDE, REQUIRED, Field, SchemaError, rows, validate
+                                read_coded, read_transcript, write_coded)
+from pausecue.jsonl import MAX_MAGNITUDE, REQUIRED, Field, SchemaError, rows, validate, write_jsonl
 from pausecue.lexicon import (ENTRY_FIELDS, ORDINAL_RANKS, TOKEN_CLASSES, CueEntry,
-                              DuplicateSurface, Lexicon, bundled_lexicon, load_lexicon,
-                              write_lexicon)
+                              DuplicateSurface, Lexicon, load_lexicon)
 from pausecue.pauses import (POSITIONS, PAUSE_FIELDS, PauseRecord, read_pauses, round_tenth,
                              write_pauses)
 
@@ -112,10 +112,10 @@ def test_rows_follow_the_table():
 
     inner = (Field("kind", str), Field("count", int))
     table = (Field("count", int), Field("kind", str), Field("tags", list, (), of=str),
-             Field("words", list, (), of=str), Field("note", str, "", omit_default=True))
+             Field("words", list, (), of=str), Field("note", str, ""))
     record = Record()
-    assert list(rows(table, [record])) == [
-        {"schema_version": 1, "count": 3, "kind": "a", "tags": list("abcdefg"), "words": ()}]
+    assert list(rows(table, [record])) == [{"schema_version": 1, "count": 3, "kind": "a",
+                                            "tags": list("abcdefg"), "words": (), "note": ""}]
     record.note, record.nested = "n", Record()
     nested = (*table, Field("nested", dict, of=inner))
     [row] = rows(nested, [record])
@@ -127,7 +127,7 @@ def test_rows_follow_the_table():
 @given(tokens=transcripts())
 def test_transcript_read_write_round_trip(tmp_path_factory, tokens):
     path = tmp_path_factory.mktemp("tokens") / "t.jsonl"
-    write_transcript(path, tokens)
+    write_jsonl(path, rows(TOKEN_FIELDS, tokens))
     assert read_transcript(path) == tokens
 
 
@@ -163,7 +163,7 @@ def test_lexicon_read_write_round_trip(tmp_path_factory, entries):
     except DuplicateSurface:
         assume(False)
     path = tmp_path_factory.mktemp("lexicon") / "l.jsonl"
-    write_lexicon(path, lexicon)
+    write_jsonl(path, rows(ENTRY_FIELDS, lexicon.entries))
     assert load_lexicon(path).entries == lexicon.entries
 
 
@@ -188,40 +188,8 @@ def test_bundled_corpus_writes_back_byte_for_byte():
 
 
 def test_written_lines_keep_their_bytes():
-    plain = AnnotatedToken("so")
-    timed = AnnotatedToken("go", topic="route", flags=frozenset({"turn_initial", "coordination"}),
-                           start_s=1.5, end_s=2.0)
-    assert _written(write_transcript, [plain, timed]).decode().splitlines() == [
-        '{"schema_version": 1, "surface": "so", "speaker": "A", "accent": "unmarked", '
-        '"boundary": "none", "phonation": "normal", "pitch_range": "normal", '
-        '"pause_before_s": 0.0, "flags": []}',
-        '{"schema_version": 1, "surface": "go", "speaker": "A", "accent": "unmarked", '
-        '"boundary": "none", "phonation": "normal", "pitch_range": "normal", '
-        '"pause_before_s": 0.0, "flags": ["coordination", "turn_initial"], '
-        '"topic": "route", "start_s": 1.5, "end_s": 2.0}']
     assert _written(write_trace, [(FocusingOperation(OpKind.REPLACE, 1), 2)]) == \
         b'{"schema_version": 1, "index": 2, "kind": "Replace", "pops": 1}\n'
-
-
-def _ops_sorted(line: str) -> dict:
-    entry = json.loads(line)
-    entry["candidate_ops"].sort()
-    return entry
-
-
-def test_bundled_lexicon_is_stable_after_one_rewrite(tmp_path):
-    path = tmp_path / "lexicon.jsonl"
-    write_lexicon(path, bundled_lexicon())
-    first = path.read_bytes()
-    lines = first.decode().splitlines()
-    bundled = (DATA / "lexicon.jsonl").read_text().splitlines()
-    assert [json.loads(line) for line in lines] == [_ops_sorted(line) for line in bundled]
-    assert lines[9] == (
-        '{"schema_version": 1, "surface": "to begin with", "gloss": "ordinal, first in a '
-        'series", "candidate_ops": ["Initiate"], "token_class": "cue_phrase", '
-        '"display": "Ordinal", "ordinal_rank": "first"}')
-    write_lexicon(path, load_lexicon(path))
-    assert path.read_bytes() == first
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +219,7 @@ MUTATIONS = st.one_of(OVERSIZED, EDGES, st.sampled_from(BOUNDS), st.sampled_from
 
 def _valid_value(field: Field):
     """Values ``field`` accepts, as the JSON decoder gives them."""
-    _, kind, default, of, choices, minimum, _ = field
+    _, kind, default, of, choices, minimum = field
     words = st.sampled_from(choices) if choices else st.text(max_size=4) | st.sampled_from(LABELS)
     ints, floats = INDICES, NUMBERS
     if minimum is not None:

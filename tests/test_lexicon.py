@@ -1,14 +1,17 @@
 """Lexicon inventory, lookup normalization, and the cue/non-cue cascade."""
 
+import json
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexicon_oracle as oracle
 from pausecue.focus import OpKind
-from pausecue.lexicon import (CueContext, CueEntry, Lexicon, MissingAnnotation,
-                              bundled_lexicon, judge_cue_use, load_lexicon,
-                              normalize, write_lexicon)
+from pausecue.jsonl import SchemaError, rows, write_jsonl
+from pausecue.lexicon import (ENTRY_FIELDS, CueContext, CueEntry, Lexicon, MissingAnnotation,
+                              bundled_lexicon, judge_cue_use, load_lexicon, normalize)
 
 LEX = bundled_lexicon()
 
@@ -60,7 +63,7 @@ def test_inventory_is_exactly_the_replication_set():
         "oh", "to begin with", "in the first place", "first of all",
         "secondly", "finally", "ok", "sure", "uh-huh", "good", "um", "uh",
     }
-    assert LEX.surfaces() == expected
+    assert {normalize(entry.surface) for entry in LEX.entries} == expected
 
 
 def test_lookup_normalizes_case_and_punctuation():
@@ -88,11 +91,10 @@ def test_match_span_prefers_longest():
     assert LEX.match_span(surfaces, 3) is None
 
 
-#: A lexicon whose keys include "" (a punctuation-only variant), a double
-#: space (an inner punctuation word) and multi-word keys sharing first words.
+#: A lexicon whose keys include a double space (an inner punctuation word)
+#: and multi-word keys sharing first words.
 CUSTOM = Lexicon([
-    CueEntry(surface="well", gloss="", candidate_ops=frozenset({OpKind.REPLACE}),
-             variants=("...",)),
+    CueEntry(surface="well", gloss="", candidate_ops=frozenset({OpKind.REPLACE})),
     CueEntry(surface="by the way", gloss="", candidate_ops=frozenset({OpKind.INITIATE}),
              variants=("BY THE . WAY",)),
     CueEntry(surface="by", gloss="", candidate_ops=frozenset({OpKind.RETAIN})),
@@ -126,7 +128,7 @@ def test_match_span_counts_empty_surfaces_in_width():
     # span holds at most max_words tokens, so "by , the way" is not reached
     assert CUSTOM.match_span(surfaces, 0) == (CUSTOM.lookup("by"), 3)
     assert CUSTOM.match_span(surfaces, 1) == (CUSTOM.lookup("by"), 2)
-    assert CUSTOM.match_span(surfaces, 2) == (CUSTOM.lookup("well"), 1)
+    assert CUSTOM.match_span(surfaces, 2) is None
     assert CUSTOM.match_span(surfaces, 3) is None
 
 
@@ -134,6 +136,23 @@ def test_duplicate_surfaces_rejected():
     entry = LEX.lookup("so")
     with pytest.raises(ValueError):
         Lexicon([entry, entry])
+
+
+@pytest.mark.parametrize("form, variants, empty", [
+    (",", (), ","), ("", (), ""), ("well", ("...",), "..."), ("well", ("oh well", " ?! "), " ?! ")],
+    ids=["comma", "empty", "variant", "second-variant"])
+def test_forms_that_normalize_to_nothing_are_rejected(tmp_path, form, variants, empty):
+    # such a form could never match a word: alone in a lexicon it left
+    # max_words at 0, and beside other entries it matched bare punctuation
+    message = f"entry {form!r}: form {empty!r} has no word once normalized"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CueEntry(form, candidate_ops=["Return"], variants=variants)
+    path = tmp_path / "lexicon.jsonl"
+    path.write_text('{"surface": "so", "candidate_ops": ["Return"]}\n'
+                    + json.dumps({"surface": form, "candidate_ops": ["Return"],
+                                  "variants": list(variants)}) + "\n")
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+        load_lexicon(path)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +233,7 @@ def test_missing_annotation_raises():
 
 def test_lexicon_roundtrip(tmp_path):
     path = tmp_path / "lexicon.jsonl"
-    write_lexicon(path, LEX)
+    write_jsonl(path, rows(ENTRY_FIELDS, LEX.entries))
     again = load_lexicon(path)
     assert again.entries == LEX.entries
     assert set(again.lookup("so").candidate_ops) == {OpKind.RETURN, OpKind.REPLACE}
@@ -227,7 +246,7 @@ def test_library_entry_derives_its_display(tmp_path):
     assert CueEntry(surface="so", gloss="", candidate_ops=frozenset({OpKind.RETURN}),
                     display="SO").display == "SO"
     path = tmp_path / "lexicon.jsonl"
-    write_lexicon(path, Lexicon([entry]))
+    write_jsonl(path, rows(ENTRY_FIELDS, [entry]))
     assert load_lexicon(path).entries == (entry,)
 
 
@@ -238,7 +257,7 @@ def test_variants_given_as_a_set_are_sorted(tmp_path):
         entry = CueEntry("so", candidate_ops=["Return"], variants=given)
         assert entry.variants == tuple(sorted(forms))
         path = tmp_path / "lexicon.jsonl"
-        write_lexicon(path, Lexicon([entry]))
+        write_jsonl(path, rows(ENTRY_FIELDS, [entry]))
         assert load_lexicon(path).entries == (entry,)
     for given in (list(forms), forms):
         assert CueEntry("so", candidate_ops=["Return"], variants=given).variants == forms

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pauses_oracle as oracle
-from conftest import RATE, TONE_HZ, build_signal
+from conftest import RATE, TONE_HZ, build_signal, write_wav
 from pausecue import pauses
 from pausecue.pauses import (AudioFrameSeries, PauseConfig, PauseRecord, UnsupportedFormat,
                              detect_pauses, frame_energy, read_pauses, read_wav,
-                             round_tenth, write_pauses, write_wav)
+                             round_tenth, write_pauses)
 
 
 # ---------------------------------------------------------------------------

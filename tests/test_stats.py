@@ -13,11 +13,11 @@ from pausecue.fragments import CONSTITUENTS, CodedRecord
 from pausecue.focus import FocusingOperation, OpKind
 from pausecue.pauses import PauseRecord, round_tenth
 from pausecue.report import render_json, render_text
-from pausecue.stats import (ZeroVariance, anova_one_way, compute_report, f_cdf,
+from pausecue.stats import (ZeroVariance, anova_one_way, compute_report, f_sf,
                             grouped_means, marked_unmarked_table,
                             mean_pause_by_operation,
                             mean_pause_by_token_and_operation, pearson,
-                            reg_inc_beta, t_cdf, t_test_pooled, t_two_sided,
+                            reg_inc_beta, t_test_pooled, t_two_sided,
                             table_distributions)
 
 
@@ -212,18 +212,21 @@ def test_p_monotone_in_statistic():
 
 
 def test_cdfs_match_numerical_integration():
+    # the CDFs are read off the tails the statistics call: 1 - f_sf for F,
+    # half of t_two_sided beyond |t| on either side for t
     from scipy.integrate import quad
     for df1, df2 in ((1, 5), (3, 96), (2, 10), (6, 40)):
         for stat in (0.3, 1.0, 2.5, 7.31):
             numeric, err = quad(f_pdf, 0, stat, args=(df1, df2), limit=200)
             assert err < 1e-7
-            assert f_cdf(stat, df1, df2) == pytest.approx(numeric, abs=1e-6)
+            assert 1 - f_sf(stat, df1, df2) == pytest.approx(numeric, abs=1e-6)
     for df in (2, 10, 96):
         for stat in (-2.5, -0.7, 0.4, 1.58, 3.2):
             numeric, err = quad(t_pdf, 0, abs(stat), args=(df,), limit=200)
             assert err < 1e-7
+            tail = t_two_sided(stat, df) / 2
             expected = 0.5 + numeric if stat >= 0 else 0.5 - numeric
-            assert t_cdf(stat, df) == pytest.approx(expected, abs=1e-6)
+            assert (1 - tail if stat >= 0 else tail) == pytest.approx(expected, abs=1e-6)
 
 
 def test_known_reference_p_values():

@@ -154,7 +154,6 @@ def test_bench_row_counters_see_every_row(monkeypatch):
     lexicon.bundled_lexicon.cache_clear()  # read it again, through the patched reader
     lexicon.bundled_lexicon()
     fragments.write_coded(io.StringIO(), records)
-    fragments.write_transcript(io.StringIO(), tokens)
     pauses.write_pauses(io.StringIO(), inventory)
 
     def lines(*paths):
@@ -164,7 +163,7 @@ def test_bench_row_counters_see_every_row(monkeypatch):
         ("pausecue.fragments", "read"): lines(data / replication.RECORDS_FILE, transcript),
         ("pausecue.pauses", "read"): lines(data / replication.PAUSES_FILE),
         ("pausecue.lexicon", "read"): lines(data / "lexicon.jsonl"),
-        ("pausecue.fragments", "written"): len(records) + len(tokens),
+        ("pausecue.fragments", "written"): len(records),
         ("pausecue.pauses", "written"): len(inventory),
     }
 
@@ -243,3 +242,50 @@ def test_value_types_keep_their_fields():
         assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls), target
         assert (cls._fields, cls._field_defaults) == (fields, defaults), target
 
+
+
+#: Library definitions kept although nothing outside the tests calls them.
+UNUSED_ALLOWED = {
+    "lexicon.Lexicon.lookup": "the README documents it as the lookup of raw, "
+                              "unnormalized text",
+}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name) of each top-level function or class and each
+    method of a top-level class; dunder methods run without being named."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_library_definition_is_used_outside_the_tests():
+    # a name counts as used when the package, the scripts or the bench harness
+    # load it, import it, read it as an attribute or spell it as a string
+    # (Field names, the attributes the harness patches); a method shares its
+    # name's use with every other attribute of that name
+    used, library = set(), {}
+    for root in ("src/pausecue", "scripts", "perfbench"):
+        for path in sorted((ROOT / root).glob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            if root == "src/pausecue":
+                library[path.stem] = tree
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.update(node.name.split("."))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                        and node.value.isidentifier():
+                    used.add(node.value)
+    unused = {f"{module}.{qualified}" for module, tree in library.items()
+              for qualified, name in _definitions(tree) if name not in used}
+    assert unused == set(UNUSED_ALLOWED)
