@@ -177,9 +177,7 @@ def cmd_code(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    records = fragments.read_coded(args.coded)
-    if all(rec.pause_before_s is None for rec in records):
-        raise SchemaError("no record with a measured pause_before_s", path=args.coded)
+    records = fragments.read_measured(args.coded)
     pause_records = pauses.read_pauses(args.pauses) if args.pauses else None
     config_note = (f"input={args.coded} pauses={args.pauses or 'none'} "
                    f"format={args.format}")

@@ -284,7 +284,7 @@ OPERATION_FIELDS = (Field("kind", str, choices=OP_KINDS), Field("pops", int, 0))
 TRACE_FIELDS = (Field("index", int), *OPERATION_FIELDS)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def operation(kind: OpKind | str, pops: int) -> FocusingOperation:
     """The operation ``kind`` popping ``pops`` spaces.
 

@@ -460,6 +460,14 @@ def read_coded(path: str | Path) -> list[CodedRecord]:
     return [record for _, record in validate(iter_jsonl(path), CODED_FIELDS, path, CodedRecord)]
 
 
+def read_measured(path: str | Path) -> list[CodedRecord]:
+    """Read coded records for analysis, which needs at least one measured pause."""
+    records = read_coded(path)
+    if all(rec.pause_before_s is None for rec in records):
+        raise SchemaError("no record with a measured pause_before_s", path=path)
+    return records
+
+
 def write_coded(target: Target, records: Iterable[CodedRecord]) -> None:
     write_jsonl(target, rows(CODED_FIELDS, records))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import string
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -24,6 +23,9 @@ TOKEN_CLASSES = ("cue_phrase", "acknowledgment", "filled_pause")
 ORDINAL_RANKS = ("first", "subsequent")
 
 _STRIP = string.punctuation.replace("'", "").replace("-", "")
+
+#: The bundled lexicon and corpus: ``pausecue/data/`` beside the modules.
+DATA_DIR = Path(__file__).parent / "data"
 
 
 class MissingAnnotation(Exception):
@@ -199,11 +201,10 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
 @functools.cache
 def bundled_lexicon() -> Lexicon:
-    """The replication lexicon shipped with the package.
+    """The replication lexicon in ``pausecue/data/`` beside the modules.
 
-    Read on the first call; every later call returns the same ``Lexicon``,
-    which callers must treat as read-only.
+    The package must be installed as files.  Read on the first call; every
+    later call returns the same ``Lexicon``, which callers must treat as
+    read-only.
     """
-    ref = resources.files("pausecue").joinpath("data/lexicon.jsonl")
-    with resources.as_file(ref) as path:
-        return load_lexicon(path)
+    return load_lexicon(DATA_DIR / "lexicon.jsonl")

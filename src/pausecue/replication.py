@@ -15,12 +15,12 @@ pauses).
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
 from .focus import operation
-from .fragments import ROW_LABELS, CodedRecord, read_coded, write_coded
+from .fragments import ROW_LABELS, CodedRecord, read_measured, write_coded
+from .lexicon import DATA_DIR
 from .pauses import PauseRecord, read_pauses, write_pauses
 from .stats import (CANONICAL_TOKEN_ROWS, OP_ORDER, TAIL_TOKEN_ROWS, compute_report,
                     table_distributions)
@@ -124,16 +124,12 @@ def build_pauses() -> list[PauseRecord]:
 
 def load_bundled(corpus_dir: str | Path | None = None
                  ) -> tuple[list[CodedRecord], list[PauseRecord]]:
-    """Load the bundled corpus, or one from ``corpus_dir`` when given."""
-    if corpus_dir is not None:
-        base = Path(corpus_dir)
-        return read_coded(base / RECORDS_FILE), read_pauses(base / PAUSES_FILE)
-    package = resources.files("pausecue")
-    with resources.as_file(package.joinpath(f"data/{RECORDS_FILE}")) as path:
-        records = read_coded(path)
-    with resources.as_file(package.joinpath(f"data/{PAUSES_FILE}")) as path:
-        pauses = read_pauses(path)
-    return records, pauses
+    """Load the corpus in ``corpus_dir``, or the bundled one in ``pausecue/data/``.
+
+    The package must be installed as files.
+    """
+    base = DATA_DIR if corpus_dir is None else Path(corpus_dir)
+    return read_measured(base / RECORDS_FILE), read_pauses(base / PAUSES_FILE)
 
 
 def write_corpus(directory: str | Path) -> tuple[Path, Path]:

@@ -182,8 +182,7 @@ def _stat(values: Sequence[float]) -> CellStat:
 
 
 def grouped_means(cells: Mapping[tuple[str, str], Sequence[float]],
-                  row_order: Sequence[str] | None = None,
-                  col_order: Sequence[str] | None = None) -> GroupedMeans:
+                  row_order: Sequence[str], col_order: Sequence[str]) -> GroupedMeans:
     """Build a table of cell means from the values of each nonempty (row, col) cell.
 
     Absent cells stay absent rather than reading as zero.  Margins are
@@ -191,10 +190,6 @@ def grouped_means(cells: Mapping[tuple[str, str], Sequence[float]],
     """
     if not cells:
         raise ValueError("no values to aggregate")
-    if row_order is None:
-        row_order = sorted({row for row, _ in cells})
-    if col_order is None:
-        col_order = sorted({col for _, col in cells})
     # margins pool sorted runs, which sort as cheap merges
     ordered = {key: sorted(vals) for key, vals in cells.items()}
     return GroupedMeans(

@@ -199,6 +199,18 @@ def test_import_does_not_load_numpy():
     assert run_fresh("import sys, pausecue; print('numpy' in sys.modules)") == "False"
 
 
+def test_bundled_data_is_read_without_the_zip_import_machinery():
+    # -S keeps site's own imports out, so what is loaded is what pausecue loads
+    script = ("import sys, pausecue.cli; from pausecue import lexicon, replication; "
+              "lexicon.bundled_lexicon(); replication.load_bundled(); "
+              "print([m for m in ('importlib.resources', 'zipfile', 'tempfile') "
+              "if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 #: Runs ``main`` on each argument list in one new interpreter and prints, after
 #: the import and after each command, whether pausecue.replication was loaded.
 FRESH_COMMANDS = """\
@@ -224,28 +236,58 @@ def test_only_replicate_loads_the_replication_module(tmp_path):
         ["stats", 0, False], ["replicate", 0, True]]
 
 
+#: Three nested Initiates under the topics route, path and bench and one more
+#: under none; then "now" with a repeated "route" (a Replace anchored to the
+#: route space, popping three), and a "now" whose evidence favours Retain
+#: (its one candidate, Replace, wins by the singleton boost).
+ANCHORED = "".join(json.dumps({"surface": word, **attrs}) + "\n" for word, attrs in [
+    ("you", {"topic": "route"}), ("start", {}), ("at", {}), ("the", {}),
+    ("gate", {"boundary": "continuation_rise"}),
+    *[(word, {"pitch_range": "reduced", **attrs}) for word, attrs in [
+        ("where", {"pause_before_s": 0.3, "topic": "path"}), ("the", {}), ("path", {}),
+        ("narrows", {"boundary": "continuation_rise"}),
+        ("where", {"pause_before_s": 0.2, "topic": "bench"}), ("the", {}), ("bench", {}),
+        ("is", {"boundary": "continuation_rise"}),
+        ("which", {"pause_before_s": 0.2}), ("it", {"accent": "Lstar"}),
+        ("faces", {"accent": "Lstar", "boundary": "continuation_rise"})]],
+    ("now", {"pause_before_s": 0.5, "topic": "route"}), ("the", {}),
+    ("route", {"flags": ["nonpronominal_repetition"], "pitch_range": "expanded"}),
+    ("turns", {"boundary": "continuation_rise"}),
+    ("now", {"pause_before_s": 0.4}), ("wait", {"phonation": "creaky", "boundary": "fall"}),
+])
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # the same relative paths in each run, so the report's config line agrees
-    # too; the bundled corpus gives the report eleven token rows to order
+    # too; the bundled corpus gives the report eleven token rows to order, and
+    # the anchored transcript reaches a topic-anchored pop and the singleton boost
     commands = [["code", str(FIXTURES / "directions_resume.jsonl"), "--out", "out"],
                 ["stats", "out/directions_resume.coded.jsonl", "--format", "json",
                  "--out", "out/report.json"],
-                ["stats", "records.jsonl", "--format", "json", "--out", "out/corpus.json"]]
+                ["stats", "records.jsonl", "--format", "json", "--out", "out/corpus.json"],
+                ["segment", "anchored.jsonl", "--out", "out"]]
     outputs = []
     for seed in ("1", "2", "3"):
         cwd = tmp_path / f"seed{seed}"
         cwd.mkdir()
         shutil.copy(DATA / replication.RECORDS_FILE, cwd / "records.jsonl")
+        (cwd / "anchored.jsonl").write_text(ANCHORED)
         env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
         done = subprocess.run([sys.executable, "-c", FRESH_COMMANDS, json.dumps(commands)],
                               capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert [code for _, code, _ in json.loads(done.stdout)] == [0, 0, 0, 0]
+        assert [code for _, code, _ in json.loads(done.stdout)] == [0, 0, 0, 0, 0]
         outputs.append({path.name: path.read_bytes() for path in (cwd / "out").iterdir()})
-    assert sorted(outputs[0]) == ["corpus.json", "directions_resume.coded.jsonl",
+    assert sorted(outputs[0]) == ["anchored.audit.jsonl", "anchored.trace.jsonl",
+                                  "anchored.tree.txt", "corpus.json",
+                                  "directions_resume.coded.jsonl",
                                   "directions_resume.coded.tsv", "report.json"]
     tables = json.loads(outputs[0]["corpus.json"])["tables"]
     assert len(tables["token_position_counts"]["rows"]) == 11
+    audit = [json.loads(line) for line in outputs[0]["anchored.audit.jsonl"].splitlines()]
+    assert any(row["operation"]["kind"] in ("Return", "Replace") and row["operation"]["pops"] >= 2
+               for row in audit)
+    assert any(row["singleton_boosted"] for row in audit)
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -600,6 +642,19 @@ def test_replicate_detects_perturbed_pause(tmp_path, capsys, corpus_dir):
 def test_replicate_missing_corpus_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "replicate", "--corpus", str(tmp_path / "nowhere"))
     assert code == 2
+
+
+@pytest.mark.parametrize("unmeasured", [True, False], ids=["all-pauses-null", "empty-file"])
+def test_replicate_without_a_measured_pause_exits_2_as_stats_does(capsys, corpus_dir,
+                                                                   unmeasured):
+    records_path = corpus_dir / "replication_records.jsonl"
+    rows = [json.loads(l) for l in records_path.read_text().splitlines()] if unmeasured else []
+    for row in rows:
+        row["pause_before_s"] = None
+    records_path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    message = f"error: {records_path}: no record with a measured pause_before_s\n"
+    assert run(capsys, "replicate", "--corpus", str(corpus_dir)) == (2, "", message)
+    assert run(capsys, "stats", str(records_path)) == (2, "", message)
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,8 @@ def test_json_report_writes_infinite_f_as_null():
 
 
 def test_margins_are_count_weighted():
-    table = grouped_means({("A", "x"): [1.0, 3.0], ("A", "y"): [8.0], ("B", "x"): [4.0]})
+    table = grouped_means({("A", "x"): [1.0, 3.0], ("A", "y"): [8.0], ("B", "x"): [4.0]},
+                          row_order=("A", "B"), col_order=("x", "y"))
     assert table.cell("A", "x").mean == pytest.approx(2.0)
     assert table.row_margins["A"].mean == pytest.approx(4.0)   # (1+3+8)/3
     assert table.col_margins["x"].mean == pytest.approx(8 / 3)
