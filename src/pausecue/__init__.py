@@ -19,8 +19,6 @@ from .pauses import (AudioFrameSeries, PauseConfig, PauseRecord,
                      read_wav, round_tenth)
 from .stats import (AnovaResult, CorrResult, GroupedMeans, StatsReport,
                     TTestResult, ZeroVariance, anova_one_way, compute_report,
-                    marked_unmarked_table, mean_pause_by_operation,
-                    mean_pause_by_token_and_operation, pearson,
-                    table_distributions, t_test_pooled)
+                    pearson, table_distributions, t_test_pooled)
 
 __version__ = "0.1.0"

@@ -22,8 +22,7 @@ from .focus import operation
 from .fragments import ROW_LABELS, CodedRecord, read_measured, write_coded
 from .lexicon import DATA_DIR
 from .pauses import PauseRecord, read_pauses, write_pauses
-from .stats import (CANONICAL_TOKEN_ROWS, OP_ORDER, TAIL_TOKEN_ROWS, compute_report,
-                    table_distributions)
+from .stats import CANONICAL_TOKEN_ROWS, OP_ORDER, TAIL_TOKEN_ROWS, CellStat, compute_report
 
 RECORDS_FILE = "replication_records.jsonl"
 PAUSES_FILE = "replication_pauses.jsonl"
@@ -153,13 +152,24 @@ class CheckResult(NamedTuple):
     detail: str
 
 
+def _measured(value: CellStat | float | None) -> str:
+    """A measured mean (with its count, for a cell) as a failed check prints it."""
+    if value is None:
+        return "none"
+    if isinstance(value, CellStat):
+        return f"{value.mean:.3f}/n={value.count}"
+    return f"{value:.3f}"
+
+
 def run_checks(records, pauses) -> list[CheckResult]:
-    """Compare regenerated tables against the published values.
+    """Compare the tables of the report ``pausecue stats`` prints against the
+    published values.
 
     Cell means are checked to 0.005 after two-decimal rounding, margins and
     aggregates to 0.01; counts and degrees of freedom must match exactly.
     The published F, r and t magnitudes depend on unreleased per-record data
-    and are checked for degrees of freedom, sign and ordering only.
+    and are checked for degrees of freedom, sign and ordering only.  A
+    failed check states what was measured.
     """
     checks: list[CheckResult] = []
 
@@ -178,34 +188,34 @@ def run_checks(records, pauses) -> list[CheckResult]:
         f"{len(TOKEN_OPERATION_CELLS)} cells within 0.005"
         + (f"; mismatched: {bad + extra}" if bad or extra else ""))
 
-    table4 = report.by_operation
+    margins = report.by_operation.row_margins
     bad = []
     for op_name, expected in OPERATION_MEANS.items():
-        stat = table4.row_margins.get(op_name)
+        stat = margins.get(op_name)
         if stat is None or stat.count != OPERATION_COUNTS[op_name] \
                 or abs(stat.mean - expected) > 0.01:
-            bad.append(op_name)
+            bad.append(f"{op_name} {_measured(stat)} "
+                       f"(published {expected}/n={OPERATION_COUNTS[op_name]})")
     add("operation-margins", not bad,
         "per-operation means within 0.01 of published values"
-        + (f"; mismatched: {bad}" if bad else ""))
+        + (f"; mismatched: {', '.join(bad)}" if bad else ""))
 
-    table6 = report.by_marking
-    marked = table6.row_margins.get("Marked")
-    unmarked = table6.row_margins.get("Unmarked")
+    marked = report.by_marking.row_margins.get("Marked")
+    unmarked = report.by_marking.row_margins.get("Unmarked")
     ok = (marked is not None and unmarked is not None
           and marked.count == MARKED_N and unmarked.count == UNMARKED_N
           and abs(marked.mean - MARKED_MEAN) <= 0.01
           and abs(unmarked.mean - UNMARKED_MEAN) <= 0.01)
+    published = (f"marked {MARKED_MEAN}/n={MARKED_N}, unmarked {UNMARKED_MEAN}/n={UNMARKED_N} "
+                 "within 0.01")
     add("marked-unmarked-aggregates", ok,
-        f"marked {MARKED_MEAN}/n={MARKED_N}, unmarked {UNMARKED_MEAN}/n={UNMARKED_N} "
-        "within 0.01")
+        published if ok else f"marked {_measured(marked)}, unmarked {_measured(unmarked)}; "
+                             f"published {published}")
 
-    dist = table_distributions(records, pauses)
+    counts = report.distributions.operation_marked
     bad = [f"{op_name}/{mark}" for (op_name, mark), expected
-           in OPERATION_MARKED_COUNTS.items()
-           if dist.operation_marked.cell(op_name, mark) != expected]
-    ok = not bad and dist.operation_marked.total == 100
-    add("operation-marked-counts", ok,
+           in OPERATION_MARKED_COUNTS.items() if counts.cell(op_name, mark) != expected]
+    add("operation-marked-counts", not bad and counts.total == 100,
         "operation by marked/unmarked counts match exactly"
         + (f"; mismatched: {bad}" if bad else ""))
 
@@ -216,15 +226,22 @@ def run_checks(records, pauses) -> list[CheckResult]:
 
     t_test = report.t_test
     ok = t_test is not None and t_test.df == 98
-    add("t-df", ok, "pooled df 98 reported; the published analysis reports T(96)")
+    add("t-df", ok, "pooled df 98 reported; the published analysis reports T(96)" if ok
+        else f"pooled df {None if t_test is None else t_test.df}, expected 98; "
+             "the published analysis reports T(96)")
 
-    ok = (t_test is not None and t_test.mean_b > t_test.mean_a)
-    replace_margin = table4.row_margins.get("Replace")
-    others = [table4.row_margins.get(op_name) for op_name in ("Initiate", "Retain", "Return")]
-    ok = ok and replace_margin is not None and all(
-        o is not None and replace_margin.mean > o.mean for o in others)
+    marked_mean = None if t_test is None else t_test.mean_a
+    unmarked_mean = None if t_test is None else t_test.mean_b
+    replace = margins.get("Replace")
+    others = {op_name: margins.get(op_name) for op_name in ("Initiate", "Retain", "Return")}
+    ok = (t_test is not None and unmarked_mean > marked_mean
+          and replace is not None
+          and all(o is not None and replace.mean > o.mean for o in others.values()))
     add("directions", ok,
-        "unmarked mean exceeds marked; Replace mean exceeds every other operation")
+        "unmarked mean exceeds marked; Replace mean exceeds every other operation" if ok
+        else f"unmarked mean {_measured(unmarked_mean)} vs marked {_measured(marked_mean)}; "
+             f"Replace mean {_measured(replace)} vs "
+             + ", ".join(f"{op_name} {_measured(o)}" for op_name, o in others.items()))
 
     corr = report.correlation
     ok = corr is not None and corr.r > 0
@@ -232,15 +249,18 @@ def run_checks(records, pauses) -> list[CheckResult]:
         f"pause duration rises with segments affected (r = "
         f"{corr.r:.3f})" if corr is not None else "correlation not computed")
 
-    panel = dist.pause_panel
-    ok = (panel.totals.get("fragment_initial") == 41
-          and panel.totals.get("fragment_internal") == 62
-          and panel.averages.get("fragment_initial") is not None
-          and abs(panel.averages["fragment_initial"] - PAUSE_AVG_INITIAL) <= 0.01
-          and panel.averages.get("fragment_internal") is not None
-          and abs(panel.averages["fragment_internal"] - PAUSE_AVG_INTERNAL) <= 0.01)
+    panel = report.distributions.pause_panel
+    n_initial, n_internal = panel.totals["fragment_initial"], panel.totals["fragment_internal"]
+    avg_initial = panel.averages["fragment_initial"]
+    avg_internal = panel.averages["fragment_internal"]
+    ok = (n_initial == 41 and n_internal == 62
+          and avg_initial is not None and abs(avg_initial - PAUSE_AVG_INITIAL) <= 0.01
+          and avg_internal is not None and abs(avg_internal - PAUSE_AVG_INTERNAL) <= 0.01)
+    published = (f"41 initial pauses averaging {PAUSE_AVG_INITIAL}, 62 internal averaging "
+                 f"{PAUSE_AVG_INTERNAL}")
     add("pause-panel", ok,
-        f"41 initial pauses averaging {PAUSE_AVG_INITIAL}, 62 internal averaging "
-        f"{PAUSE_AVG_INTERNAL}")
+        published if ok else f"{n_initial} initial pauses averaging {_measured(avg_initial)}, "
+                             f"{n_internal} internal averaging {_measured(avg_internal)}; "
+                             f"published {published}")
 
     return checks

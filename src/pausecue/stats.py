@@ -326,71 +326,6 @@ def table_distributions(records: Sequence[CodedRecord],
     )
 
 
-def _measured(records: Sequence[CodedRecord]) -> list[CodedRecord]:
-    return [rec for rec in records if rec.pause_before_s is not None]
-
-
-class _PauseGroups:
-    """The measured pauses of a record set, grouped in one pass.
-
-    Holds the cell values of the three pause-mean tables, keyed by (row,
-    col); the per-operation cells, in record order, are also the ANOVA
-    groups.  The t-test and Pearson samples keep record order as well; the
-    segments affected stay ints, whose sums are as exact as their floats'.
-    Records without a measured pause are skipped.
-    """
-
-    def __init__(self, records: Iterable[CodedRecord]):
-        self.op_cells: dict[tuple[str, str], list[float]] = {}
-        self.token_cells: dict[tuple[str, str], list[float]] = {}
-        self.marking_cells: dict[tuple[str, str], list[float]] = {}
-        self.pauses: list[float] = []
-        self.affected: list[int] = []
-        self.marked: list[float] = []
-        self.unmarked: list[float] = []
-        for rec in records:
-            value = rec.pause_before_s
-            if value is None:
-                continue
-            kind = _KIND_NAME[rec.operation.kind]
-            self.op_cells.setdefault((kind, "ALL"), []).append(value)
-            self.token_cells.setdefault((rec.row_label(), kind), []).append(value)
-            mark = "Marked" if rec.marked else "Unmarked"
-            self.marking_cells.setdefault((mark, kind), []).append(value)
-            (self.marked if rec.marked else self.unmarked).append(value)
-            self.pauses.append(value)
-            self.affected.append(rec.segments_affected)
-
-    def by_operation(self) -> GroupedMeans:
-        return grouped_means(self.op_cells, row_order=OP_ORDER, col_order=("ALL",))
-
-    def by_token_and_operation(self) -> GroupedMeans:
-        rows = _token_rows(row for row, _ in self.token_cells)
-        return grouped_means(self.token_cells, row_order=rows, col_order=OP_ORDER)
-
-    def by_marking(self) -> GroupedMeans:
-        return grouped_means(self.marking_cells, row_order=("Marked", "Unmarked"),
-                             col_order=OP_ORDER)
-
-    def anova_groups(self) -> list[list[float]]:
-        return [self.op_cells[(op, "ALL")] for op in OP_ORDER if (op, "ALL") in self.op_cells]
-
-
-def mean_pause_by_operation(records: Sequence[CodedRecord]) -> GroupedMeans:
-    """Mean preceding pause per focusing operation (count and sd included)."""
-    return _PauseGroups(records).by_operation()
-
-
-def mean_pause_by_token_and_operation(records: Sequence[CodedRecord]) -> GroupedMeans:
-    """Mean preceding pause for each initial token and co-occurring operation."""
-    return _PauseGroups(records).by_token_and_operation()
-
-
-def marked_unmarked_table(records: Sequence[CodedRecord]) -> GroupedMeans:
-    """Mean preceding pause for marked and unmarked fragments by operation."""
-    return _PauseGroups(records).by_marking()
-
-
 # ---------------------------------------------------------------------------
 # Tests
 # ---------------------------------------------------------------------------
@@ -525,36 +460,68 @@ class StatsReport(NamedTuple):
 def compute_report(records: Sequence[CodedRecord],
                    pauses: Sequence[PauseRecord] | None = None,
                    config_note: str = "") -> StatsReport:
-    """Aggregate every table and test; degenerate inputs drop a test with a note."""
+    """Aggregate every table and test; degenerate inputs drop a test with a note.
+
+    The one place that groups pauses into tables: ``pausecue stats`` prints
+    the report and ``replication.run_checks`` checks it.
+    """
     if not records:
         raise ValueError("no records to analyze")
-    measured = _measured(records)
+    # One pass fills the cells of the three pause-mean tables, keyed by (row,
+    # col), and the samples of the three tests, skipping the records without
+    # a measured pause.  The per-operation cells, in record order, are also
+    # the ANOVA groups.  The t-test and Pearson samples keep record order as
+    # well; the segments affected stay ints, whose sums are as exact as their
+    # floats'.
+    measured: list[CodedRecord] = []
+    op_cells: dict[tuple[str, str], list[float]] = {}
+    token_cells: dict[tuple[str, str], list[float]] = {}
+    marking_cells: dict[tuple[str, str], list[float]] = {}
+    durations: list[float] = []
+    affected: list[int] = []
+    marked: list[float] = []
+    unmarked: list[float] = []
+    for rec in records:
+        value = rec.pause_before_s
+        if value is None:
+            continue
+        measured.append(rec)
+        kind = _KIND_NAME[rec.operation.kind]
+        op_cells.setdefault((kind, "ALL"), []).append(value)
+        token_cells.setdefault((rec.row_label(), kind), []).append(value)
+        mark = "Marked" if rec.marked else "Unmarked"
+        marking_cells.setdefault((mark, kind), []).append(value)
+        (marked if rec.marked else unmarked).append(value)
+        durations.append(value)
+        affected.append(rec.segments_affected)
     excluded = len(records) - len(measured)
     notes: list[str] = []
     if excluded:
         notes.append(f"{excluded} record(s) without a measured pause were excluded")
 
     distributions = table_distributions(measured, pauses)
-    groups = _PauseGroups(measured)
-    by_op = groups.by_operation()
-    by_token = groups.by_token_and_operation()
-    by_marking = groups.by_marking()
+    by_op = grouped_means(op_cells, row_order=OP_ORDER, col_order=("ALL",))
+    by_token = grouped_means(token_cells, row_order=_token_rows(row for row, _ in token_cells),
+                             col_order=OP_ORDER)
+    by_marking = grouped_means(marking_cells, row_order=("Marked", "Unmarked"),
+                               col_order=OP_ORDER)
 
     anova = None
     try:
-        anova = anova_one_way(groups.anova_groups())
+        anova = anova_one_way([op_cells[(op, "ALL")] for op in OP_ORDER
+                               if (op, "ALL") in op_cells])
     except ValueError as exc:
         notes.append(f"ANOVA skipped: {exc}")
 
     correlation = None
     try:
-        correlation = pearson(groups.affected, groups.pauses)
+        correlation = pearson(affected, durations)
     except (ValueError, ZeroVariance) as exc:
         notes.append(f"correlation skipped: {exc}")
 
     t_test = None
     try:
-        t_test = t_test_pooled(groups.marked, groups.unmarked)
+        t_test = t_test_pooled(marked, unmarked)
     except (ValueError, ZeroVariance) as exc:
         notes.append(f"marked/unmarked t-test skipped: {exc}")
     if t_test is not None:

@@ -18,9 +18,7 @@ from pausecue.focus import FocusStack, FocusingOperation, OpKind, apply, build_t
 from pausecue.fragments import fragmentize, read_transcript
 from pausecue.lexicon import CueContext, bundled_lexicon, judge_cue_use
 from pausecue.pauses import detect_pauses, frame_energy
-from pausecue.stats import (anova_one_way, compute_report, f_sf,
-                            marked_unmarked_table, mean_pause_by_operation,
-                            mean_pause_by_token_and_operation, pearson,
+from pausecue.stats import (anova_one_way, compute_report, f_sf, pearson,
                             t_test_pooled, t_two_sided)
 from test_focus import naive_depth_trajectory, random_valid_trace
 from test_stats import f_pdf, oracle_anova, oracle_pearson, oracle_t_pooled, t_pdf
@@ -32,20 +30,21 @@ from test_stats import f_pdf, oracle_anova, oracle_pearson, oracle_t_pooled, t_p
 
 def test_c1_table_mean_replication(bundled_corpus):
     records, _ = bundled_corpus
-    table5 = mean_pause_by_token_and_operation(records)
+    report = compute_report(records)
+    table5 = report.by_token_and_operation
     for (row, op), (mean, count) in replication.TOKEN_OPERATION_CELLS.items():
         stat = table5.cell(row, op)
         assert stat is not None, (row, op)
         assert stat.count == count
         assert abs(round(stat.mean, 2) - mean) <= 0.005
 
-    table4 = mean_pause_by_operation(records)
+    table4 = report.by_operation
     for op, expected in replication.OPERATION_MEANS.items():
         stat = table4.row_margins[op]
         assert stat.count == replication.OPERATION_COUNTS[op]
         assert abs(stat.mean - expected) <= 0.01
 
-    table6 = marked_unmarked_table(records)
+    table6 = report.by_marking
     marked = table6.row_margins["Marked"]
     unmarked = table6.row_margins["Unmarked"]
     assert marked.count == 44 and abs(marked.mean - 0.24) <= 0.01
@@ -85,7 +84,7 @@ def test_c3_df_fidelity_and_directions(bundled_corpus):
     # not reproducible from cell-mean reconstruction
     assert report.t_test.mean_b > report.t_test.mean_a  # unmarked > marked
     assert report.correlation.r > 0
-    table4 = mean_pause_by_operation(records)
+    table4 = report.by_operation
     replace = table4.row_margins["Replace"].mean
     for op in ("Initiate", "Retain", "Return"):
         assert replace > table4.row_margins[op].mean

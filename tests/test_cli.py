@@ -657,6 +657,48 @@ def test_replicate_without_a_measured_pause_exits_2_as_stats_does(capsys, corpus
     assert run(capsys, "stats", str(records_path)) == (2, "", message)
 
 
+def test_replicate_checks_the_report_stats_prints(capsys, corpus_dir):
+    # both count only the records with a measured pause
+    records_path = corpus_dir / "replication_records.jsonl"
+    rows = [json.loads(l) for l in records_path.read_text().splitlines()]
+    rows[0]["pause_before_s"] = None  # a marked And/Initiate record
+    records_path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    code, out, err = run(capsys, "stats", str(records_path), "--format", "json")
+    counts = json.loads(out)["tables"]["operation_marked_counts"]["cells"]
+    assert (code, counts["Initiate"]["marked"]) == (0, 12)
+    assert sum(n for row in counts.values() for n in row.values()) == 99
+    code, out, err = run(capsys, "replicate", "--corpus", str(corpus_dir))
+    assert code == 1
+    lines = out.splitlines()
+    assert ("FAIL operation-marked-counts: operation by marked/unmarked counts match "
+            "exactly; mismatched: ['Initiate/marked']") in lines
+    # a failed check states what was measured, not the published target
+    assert ("FAIL operation-margins: per-operation means within 0.01 of published values; "
+            "mismatched: Initiate 0.320/n=22 (published 0.3217/n=23)") in lines
+    assert ("FAIL marked-unmarked-aggregates: marked 0.232/n=43, unmarked 0.332/n=56; "
+            "published marked 0.24/n=44, unmarked 0.33/n=56 within 0.01") in lines
+    assert "FAIL t-df: pooled df 97, expected 98; the published analysis reports T(96)" in lines
+
+
+def test_replicate_fail_lines_state_what_was_measured(capsys, corpus_dir):
+    (corpus_dir / "replication_pauses.jsonl").write_text("")
+    code, out, err = run(capsys, "replicate", "--corpus", str(corpus_dir))
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "FAIL pause-panel: 0 initial pauses averaging none, 0 internal averaging none; "
+        "published 41 initial pauses averaging 0.422, 62 internal averaging 0.224",
+        "8 passed, 1 failed"]
+    records_path = corpus_dir / "replication_records.jsonl"
+    rows = [json.loads(l) for l in records_path.read_text().splitlines()]
+    for row in rows:
+        row["pause_before_s"] = 2.0 - row["pause_before_s"]  # reverses every ordering
+    records_path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    code, out, err = run(capsys, "replicate", "--corpus", str(corpus_dir))
+    assert ("FAIL directions: unmarked mean 1.668 vs marked 1.763; Replace mean "
+            "1.350/n=11 vs Initiate 1.675/n=23, Retain 1.789/n=55, Return 1.745/n=11"
+            ) in out.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # a parser per call, one bundled lexicon per process
 # ---------------------------------------------------------------------------

@@ -14,11 +14,8 @@ from pausecue.focus import FocusingOperation, OpKind
 from pausecue.pauses import PauseRecord, round_tenth
 from pausecue.report import render_json, render_text
 from pausecue.stats import (ZeroVariance, anova_one_way, compute_report, f_sf,
-                            grouped_means, marked_unmarked_table,
-                            mean_pause_by_operation,
-                            mean_pause_by_token_and_operation, pearson,
-                            reg_inc_beta, t_test_pooled, t_two_sided,
-                            table_distributions)
+                            grouped_means, pearson, reg_inc_beta, t_test_pooled,
+                            t_two_sided, table_distributions)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +275,7 @@ def test_margins_are_count_weighted():
 
 def test_single_record_margins():
     records = [make_record(0, "So", "Retain", 0, 0.3)]
-    table = mean_pause_by_token_and_operation(records)
+    table = compute_report(records).by_token_and_operation
     assert table.cell("So", "Retain").mean == pytest.approx(0.3)
     assert table.row_margins["So"].mean == pytest.approx(0.3)
     assert table.col_margins["Retain"].mean == pytest.approx(0.3)
@@ -287,7 +284,7 @@ def test_single_record_margins():
 
 def test_all_zero_pauses():
     records = [make_record(i, "And", "Retain", 0, 0.0) for i in range(4)]
-    table = mean_pause_by_operation(records)
+    table = compute_report(records).by_operation
     assert table.row_margins["Retain"].mean == 0.0
 
 
@@ -295,8 +292,8 @@ def test_permutation_invariance(corpus_records):
     rng = random.Random(3)
     shuffled = list(corpus_records)
     rng.shuffle(shuffled)
-    base = mean_pause_by_token_and_operation(corpus_records)
-    perm = mean_pause_by_token_and_operation(shuffled)
+    base = compute_report(corpus_records).by_token_and_operation
+    perm = compute_report(shuffled).by_token_and_operation
     assert base.cells == perm.cells
     assert base.grand == perm.grand
     dist_a = table_distributions(corpus_records)
@@ -333,7 +330,7 @@ def test_pause_histogram_uses_inventory(corpus_records, corpus_pauses):
 
 
 def test_operation_means(corpus_records):
-    table = mean_pause_by_operation(corpus_records)
+    table = compute_report(corpus_records).by_operation
     replace = table.row_margins["Replace"]
     assert replace.mean == pytest.approx(0.65, abs=1e-9)
     assert replace.count == 11
@@ -343,7 +340,7 @@ def test_operation_means(corpus_records):
 
 
 def test_token_table_margins(corpus_records):
-    table = mean_pause_by_token_and_operation(corpus_records)
+    table = compute_report(corpus_records).by_token_and_operation
     so = table.row_margins["So"]
     assert so.mean == pytest.approx(0.13, abs=1e-9)
     assert so.count == 5
@@ -353,7 +350,7 @@ def test_token_table_margins(corpus_records):
 
 
 def test_marked_unmarked_aggregates(corpus_records):
-    table = marked_unmarked_table(corpus_records)
+    table = compute_report(corpus_records).by_marking
     marked = table.row_margins["Marked"]
     unmarked = table.row_margins["Unmarked"]
     assert marked.mean == pytest.approx(0.24, abs=0.01)
@@ -366,8 +363,8 @@ def test_marked_unmarked_aggregates(corpus_records):
 
 
 def test_marked_rows_recombine_from_token_cells(corpus_records):
-    token_table = mean_pause_by_token_and_operation(corpus_records)
-    marking_table = marked_unmarked_table(corpus_records)
+    report = compute_report(corpus_records)
+    token_table, marking_table = report.by_token_and_operation, report.by_marking
     for op in ("Initiate", "Retain", "Return", "Replace"):
         mass = 0.0
         count = 0
