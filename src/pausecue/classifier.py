@@ -27,14 +27,14 @@ Return, Replace).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .focus import (FocusStack, FocusingOperation, LinguisticTree, OpKind,
                     TIE_ORDER, apply, build_tree, operation)
 from .fragments import SpeechFragment
-from .jsonl import MAX_MAGNITUDE, SCHEMA_VERSION, SchemaError, Target, write_jsonl
+from .jsonl import MAX_MAGNITUDE, SCHEMA_VERSION, Frozen, SchemaError, Target, write_jsonl
 
 #: (source, feature) -> (config row key, stack primitive).
 TABLE_ROWS: dict[tuple[str, str], tuple[str, str]] = {
@@ -78,28 +78,26 @@ RETAIN, INITIATE, RETURN, REPLACE = (OpKind.RETAIN, OpKind.INITIATE, OpKind.RETU
 IN_RANGE = f"must be finite and at most {MAX_MAGNITUDE:g} in magnitude"
 
 
-@dataclass(frozen=True)
-class EvidenceItem:
-    source: str
-    feature: str
-    primitive: str
-    weight: float = 1.0
+class EvidenceItem(Frozen):
+    _fields = ("source", "feature", "primitive", "weight")
 
-    def __post_init__(self) -> None:
-        if (self.source, self.feature) not in TABLE_ROWS:
-            raise ValueError(f"unknown evidence row ({self.source}, {self.feature})")
-        expected = TABLE_ROWS[(self.source, self.feature)][1]
-        if self.primitive != expected:
-            raise ValueError(f"({self.source}, {self.feature}) maps to {expected}, "
-                             f"not {self.primitive}")
-        if self.weight <= 0:
+    def __init__(self, source: str, feature: str, primitive: str, weight: float = 1.0) -> None:
+        if (source, feature) not in TABLE_ROWS:
+            raise ValueError(f"unknown evidence row ({source}, {feature})")
+        expected = TABLE_ROWS[(source, feature)][1]
+        if primitive != expected:
+            raise ValueError(f"({source}, {feature}) maps to {expected}, not {primitive}")
+        if weight <= 0:
             raise ValueError("weight must be positive")
-        if not self.weight <= MAX_MAGNITUDE:  # also NaN
+        if not weight <= MAX_MAGNITUDE:  # also NaN
             raise ValueError(f"weight {IN_RANGE}")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "feature", feature)
+        object.__setattr__(self, "primitive", primitive)
+        object.__setattr__(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
+class ClassifierConfig(Frozen):
     """Evidence-row weights and classifier bonuses.
 
     All rows start at weight 1.  candidate_bonus multiplies the scores of a
@@ -111,26 +109,28 @@ class ClassifierConfig:
     ROW_KEYS; the config keeps its own copy holding every row, so configs
     that weigh each row alike compare equal.  items holds one shared
     EvidenceItem per evidence row, built with the config, which rejects
-    every number load_weights would reject.
+    every number load_weights would reject; it is left out of ``==``,
+    ``hash`` and ``repr``.  A config is unhashable, as its weights are.
     """
 
-    weights: dict = dc_field(default_factory=dict)
-    candidate_bonus: float = 2.0
-    impending_bonus: float = 2.0
-    lstar_threshold: float = 0.5
-    items: dict = dc_field(init=False, repr=False, compare=False)
+    _fields = ("weights", "candidate_bonus", "impending_bonus", "lstar_threshold")
 
-    def __post_init__(self) -> None:
-        for key in self.weights:
+    def __init__(self, weights: Mapping[str, float] = MappingProxyType({}),
+                 candidate_bonus: float = 2.0, impending_bonus: float = 2.0,
+                 lstar_threshold: float = 0.5) -> None:
+        for key in weights:
             if key not in ROW_KEYS:
                 raise ValueError(f"unknown weight key {key!r}")
-        for key in SETTING_KEYS:
-            if not -MAX_MAGNITUDE <= getattr(self, key) <= MAX_MAGNITUDE:
+        for key, value in zip(SETTING_KEYS, (candidate_bonus, impending_bonus, lstar_threshold)):
+            if not -MAX_MAGNITUDE <= value <= MAX_MAGNITUDE:
                 raise ValueError(f"{key} {IN_RANGE}")
-        object.__setattr__(self, "weights",
-                           {key: float(self.weights.get(key, 1.0)) for key in ROW_KEYS})
+        weights = {key: float(weights.get(key, 1.0)) for key in ROW_KEYS}
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "candidate_bonus", candidate_bonus)
+        object.__setattr__(self, "impending_bonus", impending_bonus)
+        object.__setattr__(self, "lstar_threshold", lstar_threshold)
         object.__setattr__(self, "items", {
-            (source, feature): EvidenceItem(source, feature, primitive, self.weights[row_key])
+            (source, feature): EvidenceItem(source, feature, primitive, weights[row_key])
             for (source, feature), (row_key, primitive) in TABLE_ROWS.items()})
 
 

@@ -201,8 +201,11 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         print(f"error: replication corpus not found: {exc}", file=sys.stderr)
         return EXIT_INPUT
     checks = replication.run_checks(records, pause_records)
+    # the checks, as stats, count only the records with a measured pause
+    excluded = sum(1 for record in records if record.pause_before_s is None)
     print(f"replication checks on {'bundled corpus' if args.corpus is None else args.corpus} "
-          f"({len(records)} records, {len(pause_records)} pauses)")
+          f"({len(records) - excluded} records, {len(pause_records)} pauses"
+          + (f"; excluded without measured pause: {excluded})" if excluded else ")"))
     failed = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

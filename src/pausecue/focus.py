@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .jsonl import Field, SchemaError, Target, rows, write_jsonl
+from .jsonl import Field, Frozen, SchemaError, Target, rows, write_jsonl
 
 
 class FocusEngineError(Exception):
@@ -55,30 +54,30 @@ OP_KINDS = tuple(kind.value for kind in OpKind)
 TIE_ORDER = {OpKind.RETAIN: 0, OpKind.INITIATE: 1, OpKind.RETURN: 2, OpKind.REPLACE: 3}
 
 
-@dataclass(frozen=True)
-class FocusingOperation:
+class FocusingOperation(Frozen):
     """One focusing operation with an explicit pop count.
 
     Initiate and Retain never pop; Return and Replace pop at least once.
     Construction raises MalformedOperation otherwise, so every operation
-    that exists is well-formed.
+    that exists is well-formed.  ``pushes`` follows from ``kind``, so it
+    stays out of ``==``, ``hash`` and ``repr``.
     """
 
-    kind: OpKind
-    pop_count: int = 0
-    pushes: int = field(init=False, repr=False, compare=False)  # 1 for Initiate and Replace
+    _fields = ("kind", "pop_count")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, OpKind):
-            raise MalformedOperation(f"unknown operation kind {self.kind!r}")
-        if self.kind in (OpKind.INITIATE, OpKind.RETAIN):
-            if self.pop_count != 0:
-                raise MalformedOperation(f"{self.kind.value} must have pop_count 0, "
-                                         f"got {self.pop_count}")
-        elif self.pop_count < 1:
-            raise MalformedOperation(f"{self.kind.value} must have pop_count >= 1, "
-                                     f"got {self.pop_count}")
-        object.__setattr__(self, "pushes", int(self.kind in (OpKind.INITIATE, OpKind.REPLACE)))
+    def __init__(self, kind: OpKind, pop_count: int = 0) -> None:
+        if not isinstance(kind, OpKind):
+            raise MalformedOperation(f"unknown operation kind {kind!r}")
+        if kind in (OpKind.INITIATE, OpKind.RETAIN):
+            if pop_count != 0:
+                raise MalformedOperation(f"{kind.value} must have pop_count 0, "
+                                         f"got {pop_count}")
+        elif pop_count < 1:
+            raise MalformedOperation(f"{kind.value} must have pop_count >= 1, "
+                                     f"got {pop_count}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "pop_count", pop_count)
+        object.__setattr__(self, "pushes", int(kind in (OpKind.INITIATE, OpKind.REPLACE)))
 
     @property
     def pops(self) -> int:
@@ -86,8 +85,7 @@ class FocusingOperation:
         return self.pop_count
 
 
-@dataclass(frozen=True, slots=True)
-class FocusSpace:
+class FocusSpace(Frozen):
     """One discourse segment's attentional record.
 
     closed_at is the fragment index at which the space was popped; it stays
@@ -95,16 +93,17 @@ class FocusSpace:
     closure is reported, never fabricated.
     """
 
-    id: int
-    dsp_label: str = ""
-    opened_at: int = 0
-    closed_at: int | None = None
+    __slots__ = _fields = ("id", "dsp_label", "opened_at", "closed_at")
 
-    def __post_init__(self) -> None:
-        if self.closed_at is not None and self.closed_at <= self.opened_at:
+    def __init__(self, id: int, dsp_label: str = "", opened_at: int = 0,
+                 closed_at: int | None = None) -> None:
+        if closed_at is not None and closed_at <= opened_at:
             raise MalformedOperation(
-                f"space {self.id}: closed_at {self.closed_at} must exceed "
-                f"opened_at {self.opened_at}")
+                f"space {id}: closed_at {closed_at} must exceed opened_at {opened_at}")
+        _set_id(self, id)
+        _set_dsp_label(self, dsp_label)
+        _set_opened_at(self, opened_at)
+        _set_closed_at(self, closed_at)
 
 
 #: One link of a focus stack: the space on top and the link beneath it,
@@ -112,8 +111,7 @@ class FocusSpace:
 Link = tuple[FocusSpace, "Link"] | None
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class FocusStack:
+class FocusStack(Frozen):
     """Immutable stack state: a persistent linked stack of the open spaces.
 
     ``link`` is the top link ``(space, rest)``, where ``rest`` is the link
@@ -125,9 +123,12 @@ class FocusStack:
     ``next_id``, never through the nested links, so they work at any depth.
     """
 
-    link: Link = None
-    depth: int = 0
-    next_id: int = 0
+    __slots__ = _fields = ("link", "depth", "next_id")
+
+    def __init__(self, link: Link = None, depth: int = 0, next_id: int = 0) -> None:
+        _set_link(self, link)
+        _set_depth(self, depth)
+        _set_next_id(self, next_id)
 
     @classmethod
     def empty(cls) -> "FocusStack":
@@ -153,6 +154,14 @@ class FocusStack:
 
     def __repr__(self) -> str:
         return f"FocusStack(spaces={self.spaces!r}, next_id={self.next_id!r})"
+
+
+#: The slot setters that the two constructors above store through, since
+#: assignment is refused: cheaper than ``object.__setattr__`` on a push.
+_set_id, _set_dsp_label, _set_opened_at, _set_closed_at = (
+    vars(FocusSpace)[name].__set__ for name in FocusSpace.__slots__)
+_set_link, _set_depth, _set_next_id = (
+    vars(FocusStack)[name].__set__ for name in FocusStack.__slots__)
 
 
 def apply(stack: FocusStack, op: FocusingOperation, fragment_index: int,

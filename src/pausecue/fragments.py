@@ -22,14 +22,13 @@ cue phrase, an acknowledgment form or a filled pause.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .focus import (OPERATION_FIELDS, FocusingOperation, FocusStack, apply,
                     operation_from_row, segments_affected)
-from .jsonl import (Field, SchemaError, Target, iter_jsonl, open_target, record_class,
-                    rows, validate, write_jsonl)
+from .jsonl import (Field, Frozen, SchemaError, Target, iter_jsonl, open_target,
+                    record_class, rows, validate, write_jsonl)
 from .lexicon import CueContext, CueEntry, Lexicon, bundled_lexicon, judge_cue_use, normalize
 from .pauses import PauseRecord, round_tenth
 
@@ -154,30 +153,33 @@ def _token_features(tokens: Sequence[AnnotatedToken]) -> TokenFeatures:
                          repetition, pronoun, hstar, lstar, topic)
 
 
-@dataclass(frozen=True)
-class SpeechFragment:
+class SpeechFragment(Frozen):
     """A token span opened by one fragment-initial token.
 
     ``features`` is found in one token pass when the fragment is made, and
     serves the classifier as the prior, current and subsequent neighbor; it
-    is left out of ``==`` and ``repr``.  Fragments are frozen, so features
-    always match tokens: ``dataclasses.replace`` finds those of the new ones.
+    is left out of ``==``, ``hash`` and ``repr``.  Fragments are frozen, so
+    features always match tokens: a fragment with other tokens is a new
+    ``SpeechFragment``, whose constructor finds their features.
     """
 
-    index: int
-    speaker: str
-    tokens: tuple[AnnotatedToken, ...]
-    initial_token_class: str
-    initial_cue: CueEntry | None
-    pause_before_s: float
-    features: TokenFeatures = field(init=False, repr=False, compare=False)
+    _fields = ("index", "speaker", "tokens", "initial_token_class", "initial_cue",
+               "pause_before_s")
 
-    def __post_init__(self) -> None:
-        if not self.tokens:
+    def __init__(self, index: int, speaker: str, tokens: tuple[AnnotatedToken, ...],
+                 initial_token_class: str, initial_cue: CueEntry | None,
+                 pause_before_s: float) -> None:
+        if not tokens:
             raise ValueError("fragment must hold at least one token")
-        if self.initial_token_class not in INITIAL_CLASSES:
-            raise ValueError(f"bad initial class {self.initial_token_class!r}")
-        object.__setattr__(self, "features", _token_features(self.tokens))
+        if initial_token_class not in INITIAL_CLASSES:
+            raise ValueError(f"bad initial class {initial_token_class!r}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "speaker", speaker)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "initial_token_class", initial_token_class)
+        object.__setattr__(self, "initial_cue", initial_cue)
+        object.__setattr__(self, "pause_before_s", pause_before_s)
+        object.__setattr__(self, "features", _token_features(tokens))
 
     @property
     def surfaces(self) -> tuple[str, ...]:

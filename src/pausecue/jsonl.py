@@ -4,18 +4,19 @@ All record files are JSON Lines: one object per line, blank lines ignored.
 Writers stamp a ``schema_version`` field; readers tolerate its absence so
 hand-written fixtures stay terse.  Each record type is declared once, as a
 table of ``Field`` specs.  ``record_class`` makes the record's class from
-its table: a dataclass of the table's fields whose constructor runs the
-reader's type test and domain rules.  Each table is also compiled, on first
-use, into a row checker, which ``validate`` runs on the rows read, and a
-row maker, which ``rows`` runs on the records written.  A reader checks and
-builds each record in one step, so no test runs twice on a row read; a
-record built in code is still checked by its constructor, and both end in
-the class's hook, so the two store the same record for the same values.
+its table: one generated source gives it a constructor of the table's
+fields that runs the reader's type test and domain rules, and its ``==``
+and ``repr``.  Each table is also compiled, on first use, into a row
+checker, which ``validate`` runs on the rows read, and a row maker, which
+``rows`` runs on the records written.  A reader checks and builds each
+record in one step, so no test runs twice on a row read; a record built in
+code is still checked by its constructor, and both end in the class's hook,
+so the two store the same record for the same values.  ``Frozen`` is the
+base of the immutable classes that no table declares.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 from contextlib import contextmanager
@@ -123,7 +124,7 @@ def _define(lines: list[str], env: dict[str, Any]) -> Callable:
 def _compiled(table: tuple[Field, ...], record: type | None = None) -> Callable:
     """One table's row checker, or with ``record`` its reader step, built once.
 
-    The source is generated field by field, as ``dataclasses`` builds
+    The source is generated field by field, as ``record_class`` builds
     ``__init__``, because a loop that unpacks each field and dispatches on
     its kind for every row costs most of a reader.  A block reads the value,
     handles absence and null, and checks the type, the magnitude, the list
@@ -137,7 +138,7 @@ def _compiled(table: tuple[Field, ...], record: type | None = None) -> Callable:
     for i, field in enumerate(table):
         name, kind, default, of, *_ = field
         v = f"v{i}"
-        body, domain = _field_tests(i, field, env)
+        body, domain = _field_tests(i, field, env, v)
         if kind is str:
             body.append(f"{v} = share({v}, {v})")
         elif kind is dict and of is not None:
@@ -177,8 +178,9 @@ def _compiled(table: tuple[Field, ...], record: type | None = None) -> Callable:
     return _define(lines, env)
 
 
-def _field_tests(i: int, field: Field, env: dict[str, Any]) -> tuple[list[str], list[str]]:
-    """The type test and the domain rules of field ``i`` on its value ``v{i}``.
+def _field_tests(i: int, field: Field, env: dict[str, Any],
+                 v: str) -> tuple[list[str], list[str]]:
+    """The type test and the domain rules of field ``i`` on its value, the variable ``v``.
 
     Each test calls a helper on a failure, which builds the message; without
     a path it raises a plain ValueError.  The type test of a number also
@@ -186,7 +188,6 @@ def _field_tests(i: int, field: Field, env: dict[str, Any]) -> tuple[list[str], 
     does not grow with a value's place in the list.
     """
     _, kind, _, _, choices, minimum = field
-    v = f"v{i}"
     env[f"F{i}"], env[f"K{i}"] = field, kind
     if kind is float or kind is int:  # _reject returns the float of an int in range
         test = [f"if type({v}) is not K{i} or not "
@@ -205,51 +206,112 @@ def _field_tests(i: int, field: Field, env: dict[str, Any]) -> tuple[list[str], 
     return test, domain
 
 
+class Frozen:
+    """Base of the immutable classes: assigning or deleting any attribute
+    raises AttributeError, so a constructor sets each one through
+    ``object.__setattr__`` (or a slot's own ``__set__``).
+
+    ``_fields`` names the constructor's arguments, in order, each kept as
+    the attribute of its name; any other attribute is derived from them.
+    ``==`` holds between two instances of one class whose fields are equal,
+    ``hash`` and ``repr`` read the same fields, and a pickle or a copy is
+    made again by the constructor, so it runs the same checks.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value: Any) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def record_class(table: Sequence[Field], *, frozen: bool = False,
                  convert: dict[str, Callable] | None = None) -> Callable[[type], type]:
-    """Make the decorated class the dataclass of ``table``'s records.
+    """Make the decorated class the class of ``table``'s records.
 
-    The fields are the table's, in its order, with its defaults; those from
-    the first one with a default onward are keyword-only.  Each is annotated
-    with its table kind, the type a file holds.  The ``__post_init__`` runs
-    the record check, then the class's own one, the only place that derives
-    or converts a value for readers and constructors alike.  The check runs
-    the reader's tests in table order on the record's attributes, skipping
-    None where the field's default is None: the type test of every str, int,
-    float and bool field, which widens an int to float as the reader does,
-    and the domain rules of every field.  It raises ValueError with the
-    message the reader gives after ``path:line: ``.  ``convert`` maps a field
-    to the function ``validate`` calls as ``f(value, path, lineno)`` to turn
-    its checked file value into the attribute.  Only the coded operation
-    needs it: a file holds an object and a constructor is given the built
-    operation, which a hook could tell apart only by its type.
+    One source is generated and compiled per class.  Its ``__init__`` takes
+    the table's fields, in its order, with its defaults; those from the
+    first one with a default onward are keyword-only.  It runs the reader's
+    tests in table order on its arguments, skipping None where the field's
+    default is None: the type test of every str, int, float and bool field,
+    which widens an int to float as the reader does, and the domain rules of
+    every field.  A failure raises ValueError with the message the reader
+    gives after ``path:line: ``.  It then sets the attributes in table
+    order, so instance dicts share their keys, and last runs the class's own
+    ``__post_init__``, the only place that derives or converts a value for
+    readers and constructors alike.  ``__eq__`` compares the fields of two
+    records of the class, and ``__repr__`` shows them.  A ``frozen`` class
+    refuses assignment, as ``Frozen`` does, and hashes its fields; any other
+    is unhashable.  ``convert`` maps a field to the function ``validate``
+    calls as ``f(value, path, lineno)`` to turn its checked file value into
+    the attribute.  Only the coded operation needs it: a file holds an
+    object and a constructor is given the built operation, which a hook
+    could tell apart only by its type.
     """
     table = tuple(table)
 
     def make(cls: type) -> type:
         rules = vars(cls).get("__post_init__")
         env = {**_HELPERS, "path": None, "lineno": 0, "_rules": rules}
-        kw_only, lines = False, ["def f(self):"]
+        names = [field.name for field in table]
+        params, tests = ["self"], []
         for i, field in enumerate(table):
             name, kind, default = field.name, field.kind, field.default
-            kw_only = kw_only or default is not REQUIRED
-            setattr(cls, name, dataclasses.field(
-                default=dataclasses.MISSING if default is REQUIRED else default, kw_only=kw_only))
-            test, domain = _field_tests(i, field, env)
-            if kind is float:  # reached only by an int that _reject widened
-                test.append(f"    _set(self, {name!r}, v{i})")
+            if default is REQUIRED:
+                params.append(name)
+            else:
+                params += [f"{name}=D{i}"] if "*" in params else ["*", f"{name}=D{i}"]
+                env[f"D{i}"] = default
+            test, domain = _field_tests(i, field, env, name)
             body = [*test, *domain] if kind in (str, int, float, bool) else domain
-            if body:
-                lines.append(f"    v{i} = self.{name}")
-                if default is None:
-                    lines.append(f"    if v{i} is not None:")
-                indent = "        " if default is None else "    "
-                lines += [indent + line for line in body]
-        lines.append("    return None" if rules is None else "    _rules(self)")
-        cls.__annotations__ = {field.name: field.kind for field in table}
-        cls.__post_init__ = _define(lines, env)
+            if body and default is None:
+                body = [f"if {name} is not None:", *("    " + line for line in body)]
+            tests += body
+        ours = "".join(f"self.{name}," for name in names)
+        theirs = "".join(f"other.{name}," for name in names)
+        lines = [f"def __init__({', '.join(params)}):", *("    " + line for line in tests),
+                 *(f"    _set(self, {name!r}, {name})" if frozen else f"    self.{name} = {name}"
+                   for name in names),
+                 *(["    _rules(self)"] if rules is not None else []),
+                 "def __eq__(self, other):",
+                 "    if other.__class__ is self.__class__:",
+                 f"        return ({ours}) == ({theirs})",
+                 "    return NotImplemented",
+                 "def __repr__(self):",
+                 "    return self.__class__.__qualname__ + f'(%s)'"
+                 % ", ".join(f"{name}={{self.{name}!r}}" for name in names)]
+        if frozen:
+            lines += ["def __hash__(self):", f"    return hash(({ours}))"]
+            cls.__setattr__, cls.__delattr__ = Frozen.__setattr__, Frozen.__delattr__
+        exec("\n".join(lines), env)
+        cls.__hash__ = None
+        for method in ("__init__", "__eq__", "__repr__", "__hash__"):
+            if method in env:
+                env[method].__qualname__ = f"{cls.__qualname__}.{method}"
+                setattr(cls, method, env[method])
         cls._record = (frozen, rules, convert or {})
-        return dataclasses.dataclass(cls, frozen=frozen)
+        return cls
     return make
 
 

@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 import wave
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .jsonl import Field, Target, iter_jsonl, record_class, rows, validate, write_jsonl
+from .jsonl import Field, Frozen, Target, iter_jsonl, record_class, rows, validate, write_jsonl
 
 POSITIONS = ("fragment_initial", "fragment_internal")
 
@@ -56,24 +55,24 @@ class BadPauseConfig(ValueError):
         self.field = field
 
 
-@dataclass(frozen=True)
-class PauseConfig:
+class PauseConfig(Frozen):
     """Detection settings: ``threshold_db`` and ``min_silence_s`` must be
     finite and ``frame_ms`` must lie in (0, ``MAX_FRAME_MS``]."""
 
-    threshold_db: float = 10.0
-    min_silence_s: float = 0.05
-    frame_ms: float = 10.0
+    _fields = ("threshold_db", "min_silence_s", "frame_ms")
 
-    def __post_init__(self) -> None:
-        for field in ("threshold_db", "min_silence_s"):
-            value = getattr(self, field)
+    def __init__(self, threshold_db: float = 10.0, min_silence_s: float = 0.05,
+                 frame_ms: float = 10.0) -> None:
+        for field, value in (("threshold_db", threshold_db), ("min_silence_s", min_silence_s)):
             if not math.isfinite(value):
                 raise BadPauseConfig(field, f"{value} is not a finite number")
         try:
-            _check_frame_ms(self.frame_ms)
+            _check_frame_ms(frame_ms)
         except UnsupportedFormat as exc:
             raise BadPauseConfig("frame_ms", str(exc)) from None
+        object.__setattr__(self, "threshold_db", threshold_db)
+        object.__setattr__(self, "min_silence_s", min_silence_s)
+        object.__setattr__(self, "frame_ms", frame_ms)
 
 
 DEFAULT_CONFIG = PauseConfig()
@@ -122,14 +121,19 @@ class PauseRecord:
         return self.start_s + self.raw_duration_s
 
 
-@dataclass(frozen=True, eq=False)
-class AudioFrameSeries:
+class AudioFrameSeries(Frozen):
     """Per-frame RMS energies over a mono signal."""
 
-    sample_rate: int
-    frame_ms: float
-    energies: np.ndarray
-    n_samples: int
+    _fields = ("sample_rate", "frame_ms", "energies", "n_samples")
+    __eq__ = object.__eq__  # identity: ``==`` on the energies is elementwise
+    __hash__ = object.__hash__
+
+    def __init__(self, sample_rate: int, frame_ms: float, energies: np.ndarray,
+                 n_samples: int) -> None:
+        object.__setattr__(self, "sample_rate", sample_rate)
+        object.__setattr__(self, "frame_ms", frame_ms)
+        object.__setattr__(self, "energies", energies)
+        object.__setattr__(self, "n_samples", n_samples)
 
 
 #: Samples per block read from a WAV file (about 4 s at 16 kHz).

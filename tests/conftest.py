@@ -1,3 +1,4 @@
+import inspect
 import math
 import wave
 from pathlib import Path
@@ -15,6 +16,14 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: The input fuzz runs the same bounded set of examples on every run.
 settings.register_profile("fuzz", derandomize=True, database=None, deadline=None,
                           max_examples=150)
+
+
+def rebuilt(obj, **changes):
+    """A new object of ``obj``'s class, made by its constructor from ``obj``'s
+    attributes of the constructor's parameter names, with ``changes``."""
+    params = inspect.signature(type(obj)).parameters
+    return type(obj)(**{**{name: getattr(obj, name) for name in params}, **changes})
+
 
 RATE = 16000
 TONE_HZ = 400.0  # an integer number of cycles per 10 ms frame at 16 kHz

@@ -10,7 +10,6 @@ them again.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from pausecue.focus import (EmptyStackError, FocusEngineError, FocusingOperation,
@@ -48,7 +47,8 @@ def apply(stack: HistoryStack, op: FocusingOperation, fragment_index: int,
     spaces = list(stack.spaces)
     popped: list[FocusSpace] = []
     for _ in range(op.pop_count):
-        popped.append(dataclasses.replace(spaces.pop(), closed_at=fragment_index))
+        space = spaces.pop()
+        popped.append(FocusSpace(space.id, space.dsp_label, space.opened_at, fragment_index))
 
     pushed: FocusSpace | None = None
     next_id = stack.next_id

@@ -1,15 +1,16 @@
 """Evidence extraction, operation scoring, and discourse segmentation."""
 
+import inspect
 import io
 import math
 import random
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classifier_oracle as oracle
+from conftest import rebuilt
 from pausecue import classifier
 from pausecue.classifier import (DEFAULT_CONFIG, ROW_KEYS, ClassifierConfig, EvidenceItem,
                                  TABLE_ROWS, classify, extract_evidence,
@@ -474,8 +475,8 @@ def test_classifier_equals_oracle_under_generated_configs(seed, n, labelled, con
     rng = random.Random(seed)
     # every token accented, some creaky and some capitalized, so the L* share
     # and its threshold, creak on the last token and case all come into play
-    frags = [replace(f, tokens=tuple(
-        replace(t, accent=rng.choice(ACCENTS), surface=rng.choice([t.surface, t.surface.title()]),
+    frags = [rebuilt(f, tokens=tuple(
+        rebuilt(t, accent=rng.choice(ACCENTS), surface=rng.choice([t.surface, t.surface.title()]),
                 phonation=rng.choice(["normal"] * 5 + ["creaky"]))
         for t in f.tokens)) for f in random_fragments(rng, n)]
     functions = None
@@ -587,7 +588,7 @@ def test_weights_roundtrip(tmp_path):
 ])
 def test_weights_roundtrip_keeps_every_digit(tmp_path, changes, text):
     # a value that :g would round reads back in full
-    config = replace(DEFAULT_CONFIG, **changes)
+    config = rebuilt(DEFAULT_CONFIG, **changes)
     path = tmp_path / "weights.conf"
     path.write_text(text + "\n")
     assert load_weights(path) == config
@@ -714,7 +715,7 @@ def test_weights_file_keys_are_the_rows_and_the_settings(tmp_path):
     config = load_weights(path)
     assert set(config.weights.values()) == {2.0}
     assert [getattr(config, key) for key in classifier.SETTING_KEYS] == [2.0] * 3
-    settings_keys = {f.name for f in fields(ClassifierConfig) if f.init} - {"weights"}
+    settings_keys = set(inspect.signature(ClassifierConfig).parameters) - {"weights"}
     assert settings_keys == set(classifier.SETTING_KEYS)
     # weights and items are config fields, but no weights-file key names them
     for key in ("weights", "items"):

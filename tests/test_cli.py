@@ -156,34 +156,41 @@ def test_pauses_threshold_beyond_float_range_finds_no_pause(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# numpy is loaded by the audio path only
+# numpy is loaded by the audio path only, dataclasses and inspect by no path
 # ---------------------------------------------------------------------------
 
+#: Modules that neither ``import pausecue`` nor a text command loads: numpy
+#: serves the audio path alone, and dataclasses and inspect would cost
+#: every start.
+UNLOADED = ("numpy", "dataclasses", "inspect")
+LOADED = f"[m for m in {UNLOADED!r} if m in sys.modules]"
 #: Runs ``main`` on the arguments in a new interpreter, then prints its exit
-#: code and whether numpy was loaded.
+#: code and which of UNLOADED were loaded.
 FRESH_MAIN = ("import sys; from pausecue.cli import main; code = main(sys.argv[1:]); "
-              "print(code, 'numpy' in sys.modules)")
+              f"print(code, {LOADED})")
 DATA = SRC / "pausecue" / "data"
 
 
-def run_fresh(script, *argv):
+def run_fresh(script, *argv, flags=()):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+    done = subprocess.run([sys.executable, *flags, "-c", script, *argv], capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["segment", "{intro}"], id="segment"),
-    pytest.param(["code", "{intro}"], id="code"),
-    pytest.param(["code", "{timed}", "--pauses", "{gaps}"], id="code-pauses"),
-    pytest.param(["stats", "{records}", "--pauses", "{inventory}"], id="stats-pauses"),
-    pytest.param(["stats", "{records}", "--pauses", "{inventory}", "--format", "json"],
+@pytest.mark.parametrize("argv, flags", [
+    pytest.param(["segment", "{intro}"], (), id="segment"),
+    pytest.param(["code", "{intro}"], (), id="code"),
+    pytest.param(["code", "{timed}", "--pauses", "{gaps}"], (), id="code-pauses"),
+    # -S keeps site's own imports out, which could hide one that pausecue makes
+    pytest.param(["code", "{timed}", "--pauses", "{gaps}"], ("-S",), id="code-pauses-no-site"),
+    pytest.param(["stats", "{records}", "--pauses", "{inventory}"], (), id="stats-pauses"),
+    pytest.param(["stats", "{records}", "--pauses", "{inventory}", "--format", "json"], (),
                  id="stats-pauses-json"),
-    pytest.param(["replicate"], id="replicate"),
+    pytest.param(["replicate"], (), id="replicate"),
 ])
-def test_text_commands_do_not_load_numpy(tmp_path, argv):
+def test_text_commands_do_not_load_numpy(tmp_path, argv, flags):
     (tmp_path / "timed.jsonl").write_text(TIMED)
     (tmp_path / "gaps.jsonl").write_text(ON_LEFT)
     files = {"intro": FIXTURES / "directions_intro.jsonl", "timed": tmp_path / "timed.jsonl",
@@ -192,11 +199,11 @@ def test_text_commands_do_not_load_numpy(tmp_path, argv):
     argv = [arg.format(**files) for arg in argv]
     if argv[0] in ("segment", "code"):
         argv += ["--out", str(tmp_path)]
-    assert run_fresh(FRESH_MAIN, *argv) == "0 False"
+    assert run_fresh(FRESH_MAIN, *argv, flags=flags) == "0 []"
 
 
 def test_import_does_not_load_numpy():
-    assert run_fresh("import sys, pausecue; print('numpy' in sys.modules)") == "False"
+    assert run_fresh(f"import sys, pausecue; print({LOADED})") == "[]"
 
 
 def test_bundled_data_is_read_without_the_zip_import_machinery():
@@ -321,8 +328,8 @@ def test_pauses_in_a_fresh_interpreter_writes_the_same_bytes(tmp_path, capsys):
     write_wav(path, build_signal(TWO_TONES), RATE)
     code, out, err = run(capsys, "pauses", str(path), "--out", str(tmp_path / "here"))
     assert code == 0
-    assert run_fresh(FRESH_MAIN, "pauses", str(path), "--out", str(tmp_path / "fresh")) \
-        == "0 True"
+    fresh = run_fresh(FRESH_MAIN, "pauses", str(path), "--out", str(tmp_path / "fresh"))
+    assert fresh.startswith("0 ['numpy'")  # numpy itself loads inspect
     written = (tmp_path / "here" / "speech.pauses.jsonl").read_bytes()
     assert written.count(b"\n") == 1
     assert (tmp_path / "fresh" / "speech.pauses.jsonl").read_bytes() == written
@@ -670,6 +677,10 @@ def test_replicate_checks_the_report_stats_prints(capsys, corpus_dir):
     code, out, err = run(capsys, "replicate", "--corpus", str(corpus_dir))
     assert code == 1
     lines = out.splitlines()
+    # the header names the excluded record as stats does
+    assert lines[0] == (f"replication checks on {corpus_dir} (99 records, 103 pauses; "
+                        "excluded without measured pause: 1)")
+    assert "FAIL anova-df: got (3, 95)" in lines
     assert ("FAIL operation-marked-counts: operation by marked/unmarked counts match "
             "exactly; mismatched: ['Initiate/marked']") in lines
     # a failed check states what was measured, not the published target

@@ -1,6 +1,5 @@
 """Fragment boundaries, class precedence, pause alignment and coding."""
 
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 import fragments_oracle
 import pauses_oracle as oracle
+from conftest import rebuilt
 from pausecue import fragments
 from pausecue.classifier import segment_discourse
 from pausecue.focus import FocusingOperation, OpKind, segments_affected
@@ -298,12 +298,13 @@ def test_token_features_are_found_once_per_fragment(monkeypatch):
 
 def test_fragments_are_frozen():
     frag, = fragmentize([tok("go", topic="route"), tok("it", phonation="creaky")])
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    tokens = frag.tokens
+    with pytest.raises(AttributeError):
         frag.tokens = (tok("left"),)
+    assert frag.tokens is tokens
     assert (frag.features.pronoun, frag.features.creaky_final, frag.topic) == \
         (True, True, "route")
-    again = dataclasses.replace(frag, tokens=(tok("left", pitch_range="reduced"),
-                                              tok("there", topic="hall")))
+    again = rebuilt(frag, tokens=(tok("left", pitch_range="reduced"), tok("there", topic="hall")))
     assert again.features == fragments_oracle.token_features(again.tokens)
     assert (again.features.pronoun, again.features.reduced_range, again.topic) == \
         (False, True, "hall")
@@ -321,7 +322,7 @@ def coarse(frags):
 def flatten(frags):
     """The fragments' tokens in order, each fragment's first token carrying
     the fragment's effective preceding pause."""
-    return [dataclasses.replace(tok, pause_before_s=frag.pause_before_s) if j == 0 else tok
+    return [rebuilt(tok, pause_before_s=frag.pause_before_s) if j == 0 else tok
             for frag in frags for j, tok in enumerate(frag.tokens)]
 
 

@@ -13,7 +13,7 @@ out of range and a bad value with the reader's message.  A record its
 constructor builds is the record read back from its row.
 """
 
-import dataclasses
+import inspect
 import io
 import json
 import math
@@ -570,13 +570,14 @@ RECORD_TABLES = [pytest.param(make, table, id=name)
 
 @pytest.mark.parametrize("make, table", RECORD_TABLES)
 def test_record_defaults_equal_the_table_defaults(make, table):
-    fields = dataclasses.fields(make)
-    assert [f.name for f in fields] == [field.name for field in table]
+    params = list(inspect.signature(make).parameters.values())
+    assert [param.name for param in params] == [field.name for field in table]
     first_default = min(i for i, field in enumerate(table) if field.default is not REQUIRED)
-    for i, (declared, field) in enumerate(zip(fields, table)):
-        default = REQUIRED if declared.default is dataclasses.MISSING else declared.default
+    for i, (declared, field) in enumerate(zip(params, table)):
+        default = REQUIRED if declared.default is inspect.Parameter.empty else declared.default
         assert default == field.default, field.name
-        assert declared.kw_only is (i >= first_default), field.name
+        assert (declared.kind is inspect.Parameter.KEYWORD_ONLY) is (i >= first_default), \
+            field.name
 
 
 def _read_one(read, path):

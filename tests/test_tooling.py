@@ -10,6 +10,7 @@ import runpy
 from collections import Counter
 from pathlib import Path
 
+from conftest import rebuilt
 from pausecue import fragments, lexicon, pauses, replication
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -194,7 +195,7 @@ def test_bench_span_hooks_see_every_fragmentize_call(monkeypatch):
         monkeypatch.setattr(owner, spans[name][1], counted(name, vars(owner)[spans[name][1]]))
     # one of its three cue-phrase matches is not utterance-initial
     transcript = ROOT / "tests" / "fixtures" / "directions_resume.jsonl"
-    tokens = [dataclasses.replace(token, start_s=0.5 * i)
+    tokens = [rebuilt(token, start_s=0.5 * i)
               for i, token in enumerate(fragments.read_transcript(transcript))]
     inventory = [pauses.PauseRecord(start_s=0.5 * i - 0.3, raw_duration_s=0.3) for i in (3, 10)]
     frags = fragments.fragmentize(tokens, inventory, lexicon.bundled_lexicon())
