@@ -22,7 +22,7 @@ from . import classifier, fragments, pauses, report
 from .focus import FocusEngineError, write_trace
 from .jsonl import Field, SchemaError, iter_jsonl, validate
 from .lexicon import Lexicon, MissingAnnotation, bundled_lexicon, load_lexicon
-from .stats import compute_report
+from .stats import compute_report, ordered_sum
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -110,7 +110,8 @@ def cmd_pauses(args: argparse.Namespace) -> int:
         pauses.write_pauses(out_path, records)
         print(f"wrote {out_path}")
         summary_fp = sys.stdout
-    mean = sum(r.reported_duration_s for r in records) / len(records) if records else 0.0
+    mean = (ordered_sum(r.reported_duration_s for r in records) / len(records)
+            if records else 0.0)
     print(f"pauses: {len(records)}  mean reported duration: {mean:.2f} s  "
           f"(threshold_db={config.threshold_db:g} min_silence={config.min_silence_s:g} "
           f"frame_ms={config.frame_ms:g})", file=summary_fp)

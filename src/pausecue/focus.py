@@ -121,11 +121,23 @@ class FocusStack(Frozen):
     state is ever copied or changed.  ``spaces`` rebuilds the bottom-to-top
     tuple in O(depth); equality, hashing and ``repr`` go through it and
     ``next_id``, never through the nested links, so they work at any depth.
+    The constructor walks the links once and raises MalformedOperation
+    unless each is a ``(FocusSpace, rest)`` pair and ``depth`` counts them;
+    ``apply`` makes its results without the walk, as they agree by
+    construction.
     """
 
     __slots__ = _fields = ("link", "depth", "next_id")
 
     def __init__(self, link: Link = None, depth: int = 0, next_id: int = 0) -> None:
+        count, rest = 0, link
+        while rest is not None:
+            if not isinstance(rest, tuple) or len(rest) != 2 \
+                    or not isinstance(rest[0], FocusSpace):
+                raise MalformedOperation(f"stack link {count} is not a (FocusSpace, link) pair")
+            count, rest = count + 1, rest[1]
+        if depth != count:
+            raise MalformedOperation(f"stack depth {depth!r} disagrees with its {count} links")
         _set_link(self, link)
         _set_depth(self, depth)
         _set_next_id(self, next_id)
@@ -156,12 +168,21 @@ class FocusStack(Frozen):
         return f"FocusStack(spaces={self.spaces!r}, next_id={self.next_id!r})"
 
 
-#: The slot setters that the two constructors above store through, since
+#: The slot setters that the two classes above store through, since
 #: assignment is refused: cheaper than ``object.__setattr__`` on a push.
 _set_id, _set_dsp_label, _set_opened_at, _set_closed_at = (
     vars(FocusSpace)[name].__set__ for name in FocusSpace.__slots__)
 _set_link, _set_depth, _set_next_id = (
     vars(FocusStack)[name].__set__ for name in FocusStack.__slots__)
+
+
+def _stack(link: Link, depth: int, next_id: int) -> FocusStack:
+    """A stack of ``depth`` links, made without the constructor's walk."""
+    stack = object.__new__(FocusStack)
+    _set_link(stack, link)
+    _set_depth(stack, depth)
+    _set_next_id(stack, next_id)
+    return stack
 
 
 def apply(stack: FocusStack, op: FocusingOperation, fragment_index: int,
@@ -185,8 +206,8 @@ def apply(stack: FocusStack, op: FocusingOperation, fragment_index: int,
         link = link[1]
     if op.pushes:
         space = FocusSpace(stack.next_id, label, fragment_index)
-        return FocusStack((space, link), depth - pops + 1, stack.next_id + 1)
-    return FocusStack(link, depth - pops, stack.next_id) if pops else stack
+        return _stack((space, link), depth - pops + 1, stack.next_id + 1)
+    return _stack(link, depth - pops, stack.next_id) if pops else stack
 
 
 def segments_affected(op: FocusingOperation) -> int:

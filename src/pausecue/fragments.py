@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .focus import (OPERATION_FIELDS, FocusingOperation, FocusStack, apply,
                     operation_from_row, segments_affected)
-from .jsonl import (Field, Frozen, SchemaError, Target, iter_jsonl, open_target,
+from .jsonl import (Field, Frozen, Record, SchemaError, Target, iter_jsonl, open_target,
                     record_class, rows, validate, write_jsonl)
 from .lexicon import CueContext, CueEntry, Lexicon, bundled_lexicon, judge_cue_use, normalize
 from .pauses import PauseRecord, round_tenth
@@ -96,7 +96,7 @@ TOKEN_FIELDS = (
 
 
 @record_class(TOKEN_FIELDS)
-class AnnotatedToken:
+class AnnotatedToken(Record):
     """One transcript token with its prosodic annotations.
 
     pause_before_s is the annotated silent interval preceding the token.
@@ -215,7 +215,7 @@ CODED_FIELDS = (
 
 
 @record_class(CODED_FIELDS, convert={"operation": operation_from_row})
-class CodedRecord:
+class CodedRecord(Record):
     """The per-fragment coding row used for statistics.
 
     initial_token carries the display label of the opening marker (for

@@ -3,16 +3,16 @@
 All record files are JSON Lines: one object per line, blank lines ignored.
 Writers stamp a ``schema_version`` field; readers tolerate its absence so
 hand-written fixtures stay terse.  Each record type is declared once, as a
-table of ``Field`` specs.  ``record_class`` makes the record's class from
-its table: one generated source gives it a constructor of the table's
-fields that runs the reader's type test and domain rules, and its ``==``
-and ``repr``.  Each table is also compiled, on first use, into a row
-checker, which ``validate`` runs on the rows read, and a row maker, which
-``rows`` runs on the records written.  A reader checks and builds each
-record in one step, so no test runs twice on a row read; a record built in
-code is still checked by its constructor, and both end in the class's hook,
-so the two store the same record for the same values.  ``Frozen`` is the
-base of the immutable classes that no table declares.
+table of ``Field`` specs.  ``record_class`` compiles the record's
+constructor from its table, which runs the reader's type test and domain
+rules.  Each table is also compiled, on first use, into a row checker,
+which ``validate`` runs on the rows read, and a row maker, which ``rows``
+runs on the records written.  A reader checks and builds each record in
+one step, so no test runs twice on a row read; a record built in code is
+still checked by its constructor, and both end in the class's hook, so
+the two store the same record for the same values.  Every value class
+takes its ``==`` and ``repr`` from ``Record``, and an immutable one its
+hash and its refusal of assignment from ``Frozen``.
 """
 
 from __future__ import annotations
@@ -206,20 +206,19 @@ def _field_tests(i: int, field: Field, env: dict[str, Any],
     return test, domain
 
 
-class Frozen:
-    """Base of the immutable classes: assigning or deleting any attribute
-    raises AttributeError, so a constructor sets each one through
-    ``object.__setattr__`` (or a slot's own ``__set__``).
+class Record:
+    """Base of every value class.
 
     ``_fields`` names the constructor's arguments, in order, each kept as
     the attribute of its name; any other attribute is derived from them.
     ``==`` holds between two instances of one class whose fields are equal,
-    ``hash`` and ``repr`` read the same fields, and a pickle or a copy is
-    made again by the constructor, so it runs the same checks.
+    and ``repr`` shows the fields.  A record may be changed, so it is
+    unhashable; ``Frozen`` is the immutable, hashable kind.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -229,15 +228,26 @@ class Frozen:
             return self._values() == other._values()  # type: ignore[attr-defined]
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._values())
-
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({shown})"
 
+
+class Frozen(Record):
+    """Base of the immutable classes: assigning or deleting any attribute
+    raises AttributeError, so a constructor sets each one through
+    ``object.__setattr__`` (or a slot's own ``__set__``).  ``hash`` reads
+    the fields, and a pickle or a copy is made again by the constructor,
+    given every field by keyword, so it runs the same checks.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __reduce__(self) -> tuple:
-        return self.__class__, self._values()
+        return functools.partial(self.__class__, **dict(zip(self._fields, self._values()))), ()
 
     def __setattr__(self, name: str, value: Any) -> NoReturn:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -246,35 +256,35 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def record_class(table: Sequence[Field], *, frozen: bool = False,
+def record_class(table: Sequence[Field], *,
                  convert: dict[str, Callable] | None = None) -> Callable[[type], type]:
-    """Make the decorated class the class of ``table``'s records.
+    """Make the decorated ``Record`` or ``Frozen`` class the class of ``table``'s records.
 
-    One source is generated and compiled per class.  Its ``__init__`` takes
-    the table's fields, in its order, with its defaults; those from the
-    first one with a default onward are keyword-only.  It runs the reader's
-    tests in table order on its arguments, skipping None where the field's
-    default is None: the type test of every str, int, float and bool field,
-    which widens an int to float as the reader does, and the domain rules of
-    every field.  A failure raises ValueError with the message the reader
-    gives after ``path:line: ``.  It then sets the attributes in table
-    order, so instance dicts share their keys, and last runs the class's own
-    ``__post_init__``, the only place that derives or converts a value for
-    readers and constructors alike.  ``__eq__`` compares the fields of two
-    records of the class, and ``__repr__`` shows them.  A ``frozen`` class
-    refuses assignment, as ``Frozen`` does, and hashes its fields; any other
-    is unhashable.  ``convert`` maps a field to the function ``validate``
-    calls as ``f(value, path, lineno)`` to turn its checked file value into
-    the attribute.  Only the coded operation needs it: a file holds an
-    object and a constructor is given the built operation, which a hook
-    could tell apart only by its type.
+    Its ``_fields`` are the table's names, and its ``__init__`` is generated
+    and compiled.  That takes the table's fields, in its order, with its
+    defaults; those from the first one with a default onward are
+    keyword-only.  It runs the reader's tests in table order on its
+    arguments, skipping None where the field's default is None: the type
+    test of every str, int, float and bool field, which widens an int to
+    float as the reader does, and the domain rules of every field.  A
+    failure raises ValueError with the message the reader gives after
+    ``path:line: ``.  It then sets the attributes in table order, so
+    instance dicts share their keys, through ``object.__setattr__`` in a
+    ``Frozen`` class, and last runs the class's own ``__post_init__``, the
+    only place that derives or converts a value for readers and
+    constructors alike.  ``convert`` maps a field to the function
+    ``validate`` calls as ``f(value, path, lineno)`` to turn its checked
+    file value into the attribute.  Only the coded operation needs it: a
+    file holds an object and a constructor is given the built operation,
+    which a hook could tell apart only by its type.
     """
     table = tuple(table)
 
     def make(cls: type) -> type:
         rules = vars(cls).get("__post_init__")
+        frozen = issubclass(cls, Frozen)
         env = {**_HELPERS, "path": None, "lineno": 0, "_rules": rules}
-        names = [field.name for field in table]
+        cls._fields = names = tuple(field.name for field in table)
         params, tests = ["self"], []
         for i, field in enumerate(table):
             name, kind, default = field.name, field.kind, field.default
@@ -288,28 +298,13 @@ def record_class(table: Sequence[Field], *, frozen: bool = False,
             if body and default is None:
                 body = [f"if {name} is not None:", *("    " + line for line in body)]
             tests += body
-        ours = "".join(f"self.{name}," for name in names)
-        theirs = "".join(f"other.{name}," for name in names)
-        lines = [f"def __init__({', '.join(params)}):", *("    " + line for line in tests),
-                 *(f"    _set(self, {name!r}, {name})" if frozen else f"    self.{name} = {name}"
-                   for name in names),
-                 *(["    _rules(self)"] if rules is not None else []),
-                 "def __eq__(self, other):",
-                 "    if other.__class__ is self.__class__:",
-                 f"        return ({ours}) == ({theirs})",
-                 "    return NotImplemented",
-                 "def __repr__(self):",
-                 "    return self.__class__.__qualname__ + f'(%s)'"
-                 % ", ".join(f"{name}={{self.{name}!r}}" for name in names)]
-        if frozen:
-            lines += ["def __hash__(self):", f"    return hash(({ours}))"]
-            cls.__setattr__, cls.__delattr__ = Frozen.__setattr__, Frozen.__delattr__
-        exec("\n".join(lines), env)
-        cls.__hash__ = None
-        for method in ("__init__", "__eq__", "__repr__", "__hash__"):
-            if method in env:
-                env[method].__qualname__ = f"{cls.__qualname__}.{method}"
-                setattr(cls, method, env[method])
+        exec("\n".join([f"def __init__({', '.join(params)}):",
+                        *("    " + line for line in tests),
+                        *(f"    _set(self, {name!r}, {name})" if frozen
+                          else f"    self.{name} = {name}" for name in names),
+                        *(["    _rules(self)"] if rules is not None else [])]), env)
+        cls.__init__ = env["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
         cls._record = (frozen, rules, convert or {})
         return cls
     return make

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .focus import OP_KINDS, OpKind
-from .jsonl import Field, SchemaError, iter_jsonl, record_class, validate
+from .jsonl import Field, Frozen, SchemaError, iter_jsonl, record_class, validate
 
 TOKEN_CLASSES = ("cue_phrase", "acknowledgment", "filled_pause")
 ORDINAL_RANKS = ("first", "subsequent")
@@ -50,8 +50,8 @@ ENTRY_FIELDS = (
 )
 
 
-@record_class(ENTRY_FIELDS, frozen=True)
-class CueEntry:
+@record_class(ENTRY_FIELDS)
+class CueEntry(Frozen):
     """One lexicon row.
 
     candidate_ops is the nonempty set of focusing operations the marker tends

@@ -27,7 +27,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .jsonl import Field, Frozen, Target, iter_jsonl, record_class, rows, validate, write_jsonl
+from .jsonl import (Field, Frozen, Record, Target, iter_jsonl, record_class, rows, validate,
+                    write_jsonl)
 
 POSITIONS = ("fragment_initial", "fragment_internal")
 
@@ -97,7 +98,7 @@ PAUSE_FIELDS = (
 
 
 @record_class(PAUSE_FIELDS)
-class PauseRecord:
+class PauseRecord(Record):
     """One measured unfilled pause.
 
     reported_duration_s is raw_duration_s rounded to the nearest tenth of a

@@ -182,11 +182,13 @@ def run_checks(records, pauses) -> list[CheckResult]:
     for (row, op_name), (mean, count) in sorted(TOKEN_OPERATION_CELLS.items()):
         stat = table5.cell(row, op_name)
         if stat is None or stat.count != count or abs(round(stat.mean, 2) - mean) > 0.005:
-            bad.append(f"{row}/{op_name}")
-    extra = [key for key in table5.cells if key not in TOKEN_OPERATION_CELLS]
-    add("token-operation-cells", not bad and not extra,
+            bad.append(f"{row}/{op_name} {_measured(stat)} (published {mean:.2f}/n={count})")
+    bad += [f"{row}/{op_name} {_measured(stat)} (published none)"
+            for (row, op_name), stat in table5.cells.items()
+            if (row, op_name) not in TOKEN_OPERATION_CELLS]
+    add("token-operation-cells", not bad,
         f"{len(TOKEN_OPERATION_CELLS)} cells within 0.005"
-        + (f"; mismatched: {bad + extra}" if bad or extra else ""))
+        + (f"; mismatched: {', '.join(bad)}" if bad else ""))
 
     margins = report.by_operation.row_margins
     bad = []
@@ -213,16 +215,19 @@ def run_checks(records, pauses) -> list[CheckResult]:
                              f"published {published}")
 
     counts = report.distributions.operation_marked
-    bad = [f"{op_name}/{mark}" for (op_name, mark), expected
-           in OPERATION_MARKED_COUNTS.items() if counts.cell(op_name, mark) != expected]
-    add("operation-marked-counts", not bad and counts.total == 100,
+    bad = [f"{op_name}/{mark} {counts.cell(op_name, mark)} (published {expected})"
+           for (op_name, mark), expected in OPERATION_MARKED_COUNTS.items()
+           if counts.cell(op_name, mark) != expected]
+    if counts.total != 100:
+        bad.append(f"total {counts.total} (published 100)")
+    add("operation-marked-counts", not bad,
         "operation by marked/unmarked counts match exactly"
-        + (f"; mismatched: {bad}" if bad else ""))
+        + (f"; mismatched: {', '.join(bad)}" if bad else ""))
 
     anova = report.anova
-    ok = anova is not None and (anova.df_between, anova.df_within) == (3, 96)
-    add("anova-df", ok,
-        "df (3, 96)" if ok else f"got {None if anova is None else (anova.df_between, anova.df_within)}")
+    df = None if anova is None else (anova.df_between, anova.df_within)
+    add("anova-df", df == (3, 96), "df (3, 96)" if df == (3, 96)
+        else f"got {df}, expected (3, 96)")
 
     t_test = report.t_test
     ok = t_test is not None and t_test.df == 98
@@ -246,8 +251,8 @@ def run_checks(records, pauses) -> list[CheckResult]:
     corr = report.correlation
     ok = corr is not None and corr.r > 0
     add("correlation-sign", ok,
-        f"pause duration rises with segments affected (r = "
-        f"{corr.r:.3f})" if corr is not None else "correlation not computed")
+        f"pause duration rises with segments affected (r = {corr.r:.3f})" if ok
+        else f"r = {_measured(None if corr is None else corr.r)}, expected > 0")
 
     panel = report.distributions.pause_panel
     n_initial, n_internal = panel.totals["fragment_initial"], panel.totals["fragment_internal"]

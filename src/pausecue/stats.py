@@ -16,6 +16,8 @@ The Pearson p-value uses the transform t = r sqrt((n-2) / (1-r^2)).
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .focus import OP_KINDS, OpKind
@@ -27,6 +29,17 @@ CANONICAL_TOKEN_ROWS = ("And", "But", "Now", "Oh", "So", "Well", "Y'know", "Ordi
 TAIL_TOKEN_ROWS = tuple(ROW_LABELS.values())
 #: An operation kind's name; the enum's ``.value`` property is slower per record.
 _KIND_NAME = {kind: kind.value for kind in OpKind}
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The sum of ``values`` added left to right from int 0.
+
+    Built-in ``sum`` adds so only before Python 3.12, which made its float
+    sums compensated: their last digits round otherwise.  Every float sum
+    that reaches an output goes through here, so the outputs keep their
+    bytes on every interpreter; sums of ints are exact and keep ``sum``.
+    """
+    return reduce(add, values, 0)
 
 
 class ZeroVariance(Exception):
@@ -174,10 +187,10 @@ def _stat(values: Sequence[float]) -> CellStat:
     # summing in sorted order keeps aggregates identical under permutation
     ordered = sorted(values)
     n = len(ordered)
-    mean = sum(ordered) / n
+    mean = ordered_sum(ordered) / n
     sd = None
     if n >= 2:
-        sd = math.sqrt(sum((v - mean) ** 2 for v in ordered) / (n - 1))
+        sd = math.sqrt(ordered_sum((v - mean) ** 2 for v in ordered) / (n - 1))
     return CellStat(mean=mean, count=n, sd=sd)
 
 
@@ -354,11 +367,11 @@ def anova_one_way(groups: Sequence[Sequence[float]]) -> AnovaResult:
             return AnovaResult(F=0.0, df_between=df_between, df_within=df_within, p=1.0)
         return AnovaResult(F=math.inf, df_between=df_between, df_within=df_within, p=0.0)
 
-    sums = [sum(g) for g in groups]
+    sums = [ordered_sum(g) for g in groups]
     means = [total / len(g) for total, g in zip(sums, groups)]
-    grand = sum(sums) / n_total
-    ss_between = sum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
-    ss_within = sum(sum((x - m) ** 2 for x in g) for g, m in zip(groups, means))
+    grand = ordered_sum(sums) / n_total
+    ss_between = ordered_sum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
+    ss_within = ordered_sum(ordered_sum((x - m) ** 2 for x in g) for g, m in zip(groups, means))
     if ss_within == 0.0:  # spread too small to square without underflow
         if ss_between == 0.0:
             return AnovaResult(F=0.0, df_between=df_between, df_within=df_within, p=1.0)
@@ -377,13 +390,13 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrResult:
         raise ValueError("need at least three pairs")
     if min(x) == max(x) or min(y) == max(y):
         raise ZeroVariance("correlation undefined for constant samples")
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((v - mx) ** 2 for v in x)
-    syy = sum((v - my) ** 2 for v in y)
+    mx = ordered_sum(x) / n
+    my = ordered_sum(y) / n
+    sxx = ordered_sum((v - mx) ** 2 for v in x)
+    syy = ordered_sum((v - my) ** 2 for v in y)
     if sxx == 0.0 or syy == 0.0:  # spread too small to square without underflow
         raise ZeroVariance("correlation undefined for constant samples")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxy = ordered_sum((a - mx) * (b - my) for a, b in zip(x, y))
     r = sxy / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
@@ -401,10 +414,10 @@ def t_test_pooled(a: Sequence[float], b: Sequence[float]) -> TTestResult:
             raise ZeroVariance("pooled variance is zero and the means agree")
         raise ZeroVariance("pooled variance is zero")
     na, nb = len(a), len(b)
-    ma = sum(a) / na
-    mb = sum(b) / nb
-    ssa = sum((v - ma) ** 2 for v in a)
-    ssb = sum((v - mb) ** 2 for v in b)
+    ma = ordered_sum(a) / na
+    mb = ordered_sum(b) / nb
+    ssa = ordered_sum((v - ma) ** 2 for v in a)
+    ssb = ordered_sum((v - mb) ** 2 for v in b)
     df = na + nb - 2
     pooled_var = (ssa + ssb) / df
     if pooled_var == 0.0:  # spread too small to square without underflow

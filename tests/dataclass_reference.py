@@ -104,6 +104,16 @@ class FocusStack:
 
     spaces = focus.FocusStack.spaces
 
+    def __post_init__(self) -> None:
+        count, rest = 0, self.link
+        while rest is not None:
+            if not isinstance(rest, tuple) or len(rest) != 2 \
+                    or not isinstance(rest[0], focus.FocusSpace):
+                raise MalformedOperation(f"stack link {count} is not a (FocusSpace, link) pair")
+            count, rest = count + 1, rest[1]
+        if self.depth != count:
+            raise MalformedOperation(f"stack depth {self.depth!r} disagrees with its {count} links")
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FocusStack):
             return NotImplemented

@@ -13,8 +13,8 @@ import pytest
 
 from conftest import FIXTURES, RATE, build_signal, write_wav
 from pausecue.cli import COMMANDS, build_parser, main
-from pausecue.pauses import BLOCK_SAMPLES
-from pausecue import replication
+from pausecue.pauses import BLOCK_SAMPLES, PauseRecord
+from pausecue import pauses, replication
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -41,6 +41,19 @@ def test_pauses_on_three_gap_fixture(tmp_path, capsys):
     lines = (tmp_path / "speech.pauses.jsonl").read_text().splitlines()
     assert len(lines) == 3
     assert json.loads(lines[0])["reported_duration_s"] == pytest.approx(0.3)
+
+
+def test_pauses_summary_mean_adds_in_order(tmp_path, capsys, monkeypatch):
+    # in order the durations sum to 1.1 and the mean to 0.275, printed 0.28; a
+    # compensated sum (built-in sum from Python 3.12) gives 1.0999999999999999
+    found = [PauseRecord(start_s=float(i), raw_duration_s=d) for i, d in
+             enumerate([0.0, 0.1, 0.3, 0.7])]
+    monkeypatch.setattr(pauses, "detect_pauses", lambda frames, config: found)
+    path = tmp_path / "speech.wav"
+    write_wav(path, build_signal([("tone", 0.4)]), RATE)
+    code, out, err = run(capsys, "pauses", str(path), "--out", str(tmp_path))
+    assert code == 0
+    assert "pauses: 4  mean reported duration: 0.28 s  " in out
 
 
 def test_pauses_stdout_streaming(tmp_path, capsys):
@@ -296,6 +309,83 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
                for row in audit)
     assert any(row["singleton_boosted"] for row in audit)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+#: Prints a candidate interpreter's implementation, version and executable.
+PROBE = "import sys; print(sys.implementation.name, *sys.version_info[:3], sys.executable)"
+
+
+def other_interpreters():
+    """{version: executable} of every CPython 3.10-3.13 interpreter on PATH
+    or under pyenv that runs, other than the one running the tests."""
+    candidates = [Path(directory) / f"python3.{minor}" for minor in range(10, 14)
+                  for directory in os.get_exec_path()]
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    candidates += sorted(pyenv.glob("versions/3.1[0-3].*/bin/python3"))
+    ours = f"{sys.version_info[0]}.{sys.version_info[1]}.{sys.version_info[2]}"
+    found = {}
+    for path in candidates:
+        if not path.is_file():
+            continue
+        try:  # a pyenv shim of a version that is not selected exits nonzero
+            done = subprocess.run([str(path), "-c", PROBE], capture_output=True, text=True,
+                                  timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        fields = done.stdout.split()
+        if done.returncode or len(fields) != 5 or fields[0] != "cpython":
+            continue
+        version = ".".join(fields[1:4])
+        if (3, 10) <= (int(fields[1]), int(fields[2])) <= (3, 13) and version != ours:
+            found.setdefault(version, fields[4])
+    return found
+
+
+def test_other_interpreters_write_the_same_bytes(tmp_path):
+    # Python 3.12 made sum() of floats compensated; the reports add in one
+    # order on every interpreter, so they match the goldens byte for byte
+    found = other_interpreters()
+    if not found:
+        pytest.skip("no other CPython 3.10-3.13 interpreter is installed")
+    print("interpreters:", ", ".join(f"{v} ({path})" for v, path in found.items()))
+    commands = [[command, str(FIXTURES / name), "--out", "out"]
+                for command in ("segment", "code")
+                for name in ("directions_intro.jsonl", "directions_resume.jsonl")]
+    commands += [["stats", str(DATA / replication.RECORDS_FILE), "--pauses",
+                  str(DATA / replication.PAUSES_FILE), "--format", form,
+                  "--out", f"out/report.{form}"] for form in ("text", "json")]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    runs = {}
+    for version, executable in {"running": sys.executable, **found}.items():
+        cwd = tmp_path / version
+        cwd.mkdir()
+        runs[version] = subprocess.Popen(
+            [executable, "-c", FRESH_COMMANDS, json.dumps(commands)], cwd=cwd, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    outputs = {}
+    try:
+        for version, process in runs.items():
+            out, err = process.communicate(timeout=300)
+            assert process.returncode == 0, f"{version}: {err}"
+            assert [code for _, code, _ in json.loads(out)[1:]] == [0] * 6, version
+            outputs[version] = {path.name: path.read_bytes()
+                                for path in sorted((tmp_path / version / "out").iterdir())}
+    finally:  # a failure or a timeout leaves no interpreter running
+        for process in runs.values():
+            process.kill()
+            process.communicate()
+    golden = {"report.text": (GOLDEN / "replication_report.txt").read_bytes(),
+              "report.json": (GOLDEN / "replication_report.json").read_bytes()}
+    for version, files in outputs.items():
+        for name, expected in golden.items():  # the config footer names the input paths
+            assert _without_config(files.pop(name)) == _without_config(expected), \
+                f"{version}: {name} differs from the golden"
+        assert files == outputs["running"], f"{version}: segment or code output differs"
+
+
+def _without_config(report: bytes) -> list[bytes]:
+    return [line for line in report.splitlines(keepends=True)
+            if not line.startswith((b"config:", b'  "config": '))]
 
 
 def test_reader_steps_are_generated_on_first_read():
@@ -680,9 +770,10 @@ def test_replicate_checks_the_report_stats_prints(capsys, corpus_dir):
     # the header names the excluded record as stats does
     assert lines[0] == (f"replication checks on {corpus_dir} (99 records, 103 pauses; "
                         "excluded without measured pause: 1)")
-    assert "FAIL anova-df: got (3, 95)" in lines
+    assert "FAIL anova-df: got (3, 95), expected (3, 96)" in lines
     assert ("FAIL operation-marked-counts: operation by marked/unmarked counts match "
-            "exactly; mismatched: ['Initiate/marked']") in lines
+            "exactly; mismatched: Initiate/marked 12 (published 13), total 99 (published 100)"
+            ) in lines
     # a failed check states what was measured, not the published target
     assert ("FAIL operation-margins: per-operation means within 0.01 of published values; "
             "mismatched: Initiate 0.320/n=22 (published 0.3217/n=23)") in lines
@@ -708,6 +799,17 @@ def test_replicate_fail_lines_state_what_was_measured(capsys, corpus_dir):
     assert ("FAIL directions: unmarked mean 1.668 vs marked 1.763; Replace mean "
             "1.350/n=11 vs Initiate 1.675/n=23, Retain 1.789/n=55, Return 1.745/n=11"
             ) in out.splitlines()
+    for row in rows:  # the longer the pause, the fewer segments affected
+        row["pause_before_s"] = {0: 1.0, 1: 0.5, 2: 0.0}[row["segments_affected"]]
+    records_path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    code, out, err = run(capsys, "replicate", "--corpus", str(corpus_dir))
+    lines = out.splitlines()
+    assert "FAIL correlation-sign: r = -1.000, expected > 0" in lines
+    cells, = [line for line in lines if line.startswith("FAIL token-operation-cells: ")]
+    assert cells.startswith("FAIL token-operation-cells: 24 cells within 0.005; mismatched: "
+                            "Acknowledgment/Initiate 0.500/n=1 (published 0.10/n=1), ")
+    assert ", And/Initiate 0.500/n=3 (published 0.43/n=3), " in cells
+    assert cells.count("(published ") == 24
 
 
 # ---------------------------------------------------------------------------

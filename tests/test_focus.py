@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import focus_oracle
 from conftest import read_trace
-from pausecue.focus import (EmptyStackError, FocusEngineError, FocusStack,
+from pausecue.focus import (EmptyStackError, FocusEngineError, FocusSpace, FocusStack,
                             FocusingOperation, MalformedOperation, OpKind, UnderflowError,
                             apply, build_tree, operation_from_row, segments_affected,
                             write_trace)
@@ -152,6 +152,26 @@ def test_apply_shares_links_and_stores_depth():
     for state in (stack, initiated, apply(stack, ret(6), 6), FocusStack.empty()):
         assert state.depth == len(links(state)) == len(state.spaces)
     assert [space.id for space in stack.spaces] == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("link, depth, message", [
+    (None, 2, "stack depth 2 disagrees with its 0 links"),
+    ((FocusSpace(0), None), 0, "stack depth 0 disagrees with its 1 links"),
+    (("space", None), 1, "stack link 0 is not a \\(FocusSpace, link\\) pair"),
+    ((FocusSpace(0), (FocusSpace(1),)), 2, "stack link 1 is not a "),
+], ids=["too-deep", "too-shallow", "not-a-space", "not-a-pair"])
+def test_a_stack_whose_depth_is_not_its_links_is_refused(link, depth, message):
+    with pytest.raises(MalformedOperation, match=f"^{message}"):
+        FocusStack(link, depth)
+
+
+def test_a_stack_built_by_hand_equals_the_one_apply_builds():
+    applied = apply(apply(FocusStack(), INITIATE, 0), INITIATE, 1)
+    by_hand = FocusStack(applied.link, 2, 2)
+    assert by_hand == applied and by_hand.link is applied.link
+    assert apply(by_hand, ret(2), 2) == FocusStack(None, 0, 2)
+    with pytest.raises(UnderflowError, match="pops 3 but depth is 2"):
+        apply(by_hand, ret(3), 2)
 
 
 def test_deep_stack_compares_hashes_prints_and_drops(monkeypatch):

@@ -14,8 +14,8 @@ from pausecue.focus import FocusingOperation, OpKind
 from pausecue.pauses import PauseRecord, round_tenth
 from pausecue.report import render_json, render_text
 from pausecue.stats import (ZeroVariance, anova_one_way, compute_report, f_sf,
-                            grouped_means, pearson, reg_inc_beta, t_test_pooled,
-                            t_two_sided, table_distributions)
+                            grouped_means, ordered_sum, pearson, reg_inc_beta,
+                            t_test_pooled, t_two_sided, table_distributions)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +160,24 @@ def test_t_constant_samples_with_inexact_mean():
 def test_pearson_constant_sample_with_inexact_mean():
     with pytest.raises(ZeroVariance):
         pearson([1.0, 2.0, 3.0], [0.1] * 3)
+
+
+#: Added left to right from 0, the 1.0 is lost beside 1e16 and the sum is
+#: 0.0; a compensated sum, which built-in ``sum`` is from Python 3.12, keeps it.
+CANCELLING = [1e16, 1.0, -1e16]
+
+
+def test_float_sums_add_left_to_right_on_every_interpreter():
+    assert ordered_sum(CANCELLING) == 0.0
+    assert ordered_sum([]) == 0 and type(ordered_sum([])) is int  # as sum() starts
+    table = grouped_means({("a", "x"): CANCELLING, ("b", "x"): [1.0, 2.0]}, ["a", "b"], ["x"])
+    assert table.cell("a", "x").mean == table.row_margins["a"].mean == 0.0
+    assert table.grand.mean == 0.4  # sorted -1e16, 1.0, 1.0, 2.0, 1e16: only 2.0 is kept
+    t = t_test_pooled(CANCELLING, [0.0, 1.0])
+    assert (t.mean_a, t.mean_b) == (0.0, 0.5)
+    # group sums 0.0 and 1.0, so the grand mean is 0.2 and ss_between 0.3; the
+    # within sum of squares is 2e32, and F = 0.3 / (2e32 / 3)
+    assert anova_one_way([CANCELLING, [0.0, 1.0]]).F == pytest.approx(4.5e-33, rel=1e-9)
 
 
 def test_randomized_oracle_agreement():

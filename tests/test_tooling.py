@@ -292,3 +292,51 @@ def test_every_library_definition_is_used_outside_the_tests():
     unused = {f"{module}.{qualified}" for module, tree in library.items()
               for qualified, name in _definitions(tree) if name not in used}
     assert unused == set(UNUSED_ALLOWED)
+
+
+#: The only classes in the package that define ``==``, ``hash`` or ``repr``, and why.
+VALUE_METHOD_OWNERS = {
+    "jsonl.Record": "== and repr of every value class, read off its fields; a record "
+                    "may be changed, so it is unhashable",
+    "jsonl.Frozen": "the hash of an immutable value class, read off its fields",
+    "focus.FocusStack": "compares and shows its spaces, not its nested links, so it "
+                        "works at any depth",
+    "pauses.AudioFrameSeries": "identity, since == on the energies is elementwise",
+}
+VALUE_METHODS = ("__eq__", "__hash__", "__repr__")
+
+
+def test_one_base_gives_every_value_class_its_methods():
+    from pausecue.jsonl import Frozen, Record
+    for cls in (fragments.AnnotatedToken, fragments.CodedRecord, pauses.PauseRecord,
+                lexicon.CueEntry):
+        assert (cls.__eq__, cls.__repr__) == (Record.__eq__, Record.__repr__), cls
+    assert lexicon.CueEntry.__hash__ is Frozen.__hash__
+    src = ROOT / "src" / "pausecue"
+    owners = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        # written: a def or an assignment of one of the names in a class body
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    names = ([item.name] if isinstance(item, ast.FunctionDef) else
+                             [t.id for t in item.targets if isinstance(t, ast.Name)]
+                             if isinstance(item, ast.Assign) else [])
+                    owners.update(f"{path.stem}.{node.name}" for name in names
+                                  if name in VALUE_METHODS)
+            # generated: source text or a method name spelled as a string
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert not any(name in node.value for name in VALUE_METHODS), \
+                    f"{path.name}:{node.lineno}"
+        # generated or patched on at run time: a method whose code is the package's
+        module = importlib.import_module(
+            "pausecue" if path.stem == "__init__" else f"pausecue.{path.stem}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                for name in VALUE_METHODS:
+                    code = getattr(vars(cls).get(name), "__code__", None)
+                    if code is not None and (code.co_filename == "<string>"
+                                             or Path(code.co_filename).parent == src):
+                        owners.add(f"{path.stem}.{cls.__name__}")
+    assert owners == set(VALUE_METHOD_OWNERS)

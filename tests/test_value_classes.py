@@ -94,8 +94,6 @@ GOOD = {name: st.fixed_dictionaries(values) for name, values in {
     "FocusingOperation": {"kind": _choice(list(OpKind)), "pop_count": SMALL},
     "FocusSpace": {"id": SMALL, "dsp_label": TEXT, "opened_at": SMALL,
                    "closed_at": st.none() | SMALL},
-    "FocusStack": {"link": st.lists(SPACES, max_size=3).map(_links), "depth": SMALL,
-                   "next_id": SMALL},
     "PauseConfig": {"threshold_db": st.floats(-100, 100) | EDGES,
                     "min_silence_s": st.floats(0, 1) | EDGES,
                     "frame_ms": st.floats(-1, 2000) | SMALL | EDGES},
@@ -118,6 +116,11 @@ GOOD["EvidenceItem"] = st.builds(
     lambda row, weight: {"source": row[0][0], "feature": row[0][1], "primitive": row[1][1],
                          "weight": weight},
     st.sampled_from(list(TABLE_ROWS.items())), st.floats(-1, 1e16) | SMALL | EDGES)
+#: Mostly a depth that counts the links, which the constructor requires.
+GOOD["FocusStack"] = st.builds(
+    lambda spaces, off, next_id: {"link": _links(spaces), "depth": len(spaces) + off,
+                                  "next_id": next_id},
+    st.lists(SPACES, max_size=3), st.sampled_from([0, 0, 0, 1, -1]), SMALL)
 #: Attributes each class derives, which its constructor takes no argument for.
 DERIVED = {"FocusingOperation": ("pushes",), "SpeechFragment": ("features",),
            "ClassifierConfig": ("items",)}
