@@ -390,7 +390,7 @@ def segment_discourse(fragments: Sequence[SpeechFragment],
         raise ValueError(f"{len(fragments)} fragments vs {len(functions)} "
                          "function-label pairs")
 
-    stack = FocusStack.empty()
+    stack = FocusStack()
     trace: list[tuple[FocusingOperation, int]] = []
     classifications: list[Classification] = []
     lookahead = False

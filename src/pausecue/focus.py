@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .jsonl import Field, Frozen, SchemaError, Target, rows, write_jsonl
 
@@ -112,39 +112,40 @@ Link = tuple[FocusSpace, "Link"] | None
 
 
 class FocusStack(Frozen):
-    """Immutable stack state: a persistent linked stack of the open spaces.
+    """Immutable stack state: the open spaces, bottom to top, and the id the
+    next pushed space gets.
 
-    ``link`` is the top link ``(space, rest)``, where ``rest`` is the link
-    beneath (None below the bottom space); ``depth`` is the number of links.
-    ``apply`` walks only the links it pops and adds at most one, so a state
-    shares every link beneath its top with the states it came from, and no
-    state is ever copied or changed.  ``spaces`` rebuilds the bottom-to-top
-    tuple in O(depth); equality, hashing and ``repr`` go through it and
-    ``next_id``, never through the nested links, so they work at any depth.
-    The constructor walks the links once and raises MalformedOperation
-    unless each is a ``(FocusSpace, rest)`` pair and ``depth`` counts them;
-    ``apply`` makes its results without the walk, as they agree by
-    construction.
+    Construction raises MalformedOperation unless every space is a
+    FocusSpace, their ids rise strictly from bottom to top and ``next_id``
+    exceeds the top id; ``apply`` keeps all three.  The state is kept as a
+    persistent linked stack: ``link`` is the top link ``(space, rest)``,
+    where ``rest`` is the link beneath (None below the bottom space), and
+    ``depth`` is the number of links.  ``apply`` walks only the links it pops
+    and adds at most one, so a state shares every link beneath its top with
+    the states it came from, and no state is ever copied or changed.
+    ``==``, ``hash``, ``repr`` and pickling read only ``spaces`` and
+    ``next_id``; ``spaces`` walks the links in a loop, so a stack of any
+    depth compares, prints and pickles.
     """
 
-    __slots__ = _fields = ("link", "depth", "next_id")
+    __slots__ = ("link", "depth", "next_id")
+    _fields = ("spaces", "next_id")
 
-    def __init__(self, link: Link = None, depth: int = 0, next_id: int = 0) -> None:
-        count, rest = 0, link
-        while rest is not None:
-            if not isinstance(rest, tuple) or len(rest) != 2 \
-                    or not isinstance(rest[0], FocusSpace):
-                raise MalformedOperation(f"stack link {count} is not a (FocusSpace, link) pair")
-            count, rest = count + 1, rest[1]
-        if depth != count:
-            raise MalformedOperation(f"stack depth {depth!r} disagrees with its {count} links")
+    def __init__(self, spaces: Iterable[FocusSpace] = (), next_id: int = 0) -> None:
+        link, depth, below = None, 0, None
+        for space in spaces:
+            if not isinstance(space, FocusSpace):
+                raise MalformedOperation(f"stack space {depth} is not a FocusSpace")
+            if below is not None and not below.id < space.id:
+                raise MalformedOperation(f"stack space {depth} has id {space.id!r}, "
+                                         f"not above {below.id!r}")
+            link, depth, below = (space, link), depth + 1, space
+        if below is not None and not below.id < next_id:
+            raise MalformedOperation(f"stack next_id {next_id!r} is not above "
+                                     f"the top id {below.id!r}")
         _set_link(self, link)
         _set_depth(self, depth)
         _set_next_id(self, next_id)
-
-    @classmethod
-    def empty(cls) -> "FocusStack":
-        return cls()
 
     @property
     def spaces(self) -> tuple[FocusSpace, ...]:
@@ -156,17 +157,6 @@ class FocusStack(Frozen):
             spaces.append(space)
         return tuple(reversed(spaces))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FocusStack):
-            return NotImplemented
-        return (self.next_id, self.spaces) == (other.next_id, other.spaces)
-
-    def __hash__(self) -> int:
-        return hash((self.spaces, self.next_id))
-
-    def __repr__(self) -> str:
-        return f"FocusStack(spaces={self.spaces!r}, next_id={self.next_id!r})"
-
 
 #: The slot setters that the two classes above store through, since
 #: assignment is refused: cheaper than ``object.__setattr__`` on a push.
@@ -177,7 +167,7 @@ _set_link, _set_depth, _set_next_id = (
 
 
 def _stack(link: Link, depth: int, next_id: int) -> FocusStack:
-    """A stack of ``depth`` links, made without the constructor's walk."""
+    """A stack of ``depth`` links, made without the constructor's checks."""
     stack = object.__new__(FocusStack)
     _set_link(stack, link)
     _set_depth(stack, depth)
@@ -271,7 +261,7 @@ def build_tree(trace: Trace) -> LinguisticTree:
         raise MalformedOperation(f"trace index 0: first operation must be Initiate, "
                                  f"got {first_op.kind.value}")
 
-    stack = FocusStack.empty()
+    stack = FocusStack()
     nodes: dict[int, FocusSpace] = {}
     parent: dict[int, int] = {}
     depths: dict[int, int] = {}

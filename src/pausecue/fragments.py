@@ -404,7 +404,7 @@ def code(fragments: Sequence[SpeechFragment],
         raise LengthMismatch(f"{len(fragments)} fragments vs {len(functions)} function labels")
 
     records: list[CodedRecord] = []
-    stack = FocusStack.empty()
+    stack = FocusStack()
     for i, (frag, op) in enumerate(zip(fragments, ops)):
         stack = apply(stack, op, i)
         # A discourse-final Return can empty the stack; the fragment then

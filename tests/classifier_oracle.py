@@ -199,7 +199,7 @@ def classify(evidence: Sequence[EvidenceItem],
 
 
 def segment_discourse(fragments, *, functions=None, config=DEFAULT_CONFIG):
-    stack = FocusStack.empty()
+    stack = FocusStack()
     trace = []
     classifications = []
     lookahead = False

@@ -96,34 +96,28 @@ class FocusSpace:
                 f"opened_at {self.opened_at}")
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class FocusStack:
-    link: focus.Link = None
-    depth: int = 0
+    spaces: tuple = ()
     next_id: int = 0
 
-    spaces = focus.FocusStack.spaces
-
     def __post_init__(self) -> None:
-        count, rest = 0, self.link
-        while rest is not None:
-            if not isinstance(rest, tuple) or len(rest) != 2 \
-                    or not isinstance(rest[0], focus.FocusSpace):
-                raise MalformedOperation(f"stack link {count} is not a (FocusSpace, link) pair")
-            count, rest = count + 1, rest[1]
-        if self.depth != count:
-            raise MalformedOperation(f"stack depth {self.depth!r} disagrees with its {count} links")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FocusStack):
-            return NotImplemented
-        return (self.next_id, self.spaces) == (other.next_id, other.spaces)
-
-    def __hash__(self) -> int:
-        return hash((self.spaces, self.next_id))
-
-    def __repr__(self) -> str:
-        return f"FocusStack(spaces={self.spaces!r}, next_id={self.next_id!r})"
+        spaces = tuple(self.spaces)
+        for i, space in enumerate(spaces):
+            if not isinstance(space, focus.FocusSpace):
+                raise MalformedOperation(f"stack space {i} is not a FocusSpace")
+            if i and not spaces[i - 1].id < space.id:
+                raise MalformedOperation(f"stack space {i} has id {space.id!r}, "
+                                         f"not above {spaces[i - 1].id!r}")
+        if spaces and not spaces[-1].id < self.next_id:
+            raise MalformedOperation(f"stack next_id {self.next_id!r} is not above "
+                                     f"the top id {spaces[-1].id!r}")
+        link = None
+        for space in spaces:
+            link = (space, link)
+        object.__setattr__(self, "spaces", spaces)
+        object.__setattr__(self, "link", link)
+        object.__setattr__(self, "depth", len(spaces))
 
 
 @dataclass(frozen=True)

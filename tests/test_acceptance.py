@@ -135,7 +135,7 @@ def test_c5_ten_thousand_random_traces():
     rng = random.Random(20240811)
     for _ in range(10_000):
         trace = random_valid_trace(rng)
-        stack = FocusStack.empty()
+        stack = FocusStack()
         depths = []
         for op, i in trace:
             stack = apply(stack, op, i)  # would raise on underflow

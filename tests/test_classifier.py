@@ -42,7 +42,7 @@ def item(source, feature, weight=1.0):
 
 def stack_of(*labels):
     """The stack that Initiates with these labels open, bottom to top."""
-    stack = FocusStack.empty()
+    stack = FocusStack()
     for i, label in enumerate(labels):
         stack = apply(stack, operation(OpKind.INITIATE, 0), i, label=label)
     return stack
@@ -309,7 +309,7 @@ def test_anchored_pops_from_a_stack_2000_deep():
     assert max(result.tree.depths.values()) >= 2000
     # replay with the labels segment_discourse gives and read the top space
     tops = []
-    stack = FocusStack.empty()
+    stack = FocusStack()
     for (op, i), fragment in zip(result.trace, frags):
         stack = apply(stack, op, i, label=fragment.topic or f"fragment-{i}")
         top = stack.link[0]
@@ -376,7 +376,7 @@ def test_trace_always_replays(corpus_records):
     frags = fragmentize([tok("ok"), tok("um"), tok("so"),
                          tok("you", pause_before_s=0.3), tok("go")])
     trace, tree, _ = segment_discourse(frags)
-    stack = FocusStack.empty()
+    stack = FocusStack()
     for op, i in trace:
         stack = apply(stack, op, i)
     assert stack.depth == len(tree.open_ids)
@@ -399,7 +399,7 @@ def test_emitted_traces_never_underflow(specs):
               for s, p, b, r, a in specs]
     frags = fragmentize(tokens)
     trace, tree, classifications = segment_discourse(frags)
-    stack = FocusStack.empty()
+    stack = FocusStack()
     for op, i in trace:
         stack = apply(stack, op, i)  # raises on any underflow
     assert len(classifications) == len(frags)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import test_golden
 from conftest import FIXTURES, RATE, build_signal, write_wav
 from pausecue.cli import COMMANDS, build_parser, main
 from pausecue.pauses import BLOCK_SAMPLES, PauseRecord
@@ -348,9 +349,8 @@ def test_other_interpreters_write_the_same_bytes(tmp_path):
     if not found:
         pytest.skip("no other CPython 3.10-3.13 interpreter is installed")
     print("interpreters:", ", ".join(f"{v} ({path})" for v, path in found.items()))
-    commands = [[command, str(FIXTURES / name), "--out", "out"]
-                for command in ("segment", "code")
-                for name in ("directions_intro.jsonl", "directions_resume.jsonl")]
+    commands = [test_golden.case_argv(command, case, Path("out") / case)
+                for case in test_golden.CASES for command in test_golden.COMMANDS]
     commands += [["stats", str(DATA / replication.RECORDS_FILE), "--pauses",
                   str(DATA / replication.PAUSES_FILE), "--format", form,
                   "--out", f"out/report.{form}"] for form in ("text", "json")]
@@ -362,25 +362,29 @@ def test_other_interpreters_write_the_same_bytes(tmp_path):
         runs[version] = subprocess.Popen(
             [executable, "-c", FRESH_COMMANDS, json.dumps(commands)], cwd=cwd, env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    outputs = {}
     try:
         for version, process in runs.items():
             out, err = process.communicate(timeout=300)
             assert process.returncode == 0, f"{version}: {err}"
-            assert [code for _, code, _ in json.loads(out)[1:]] == [0] * 6, version
-            outputs[version] = {path.name: path.read_bytes()
-                                for path in sorted((tmp_path / version / "out").iterdir())}
+            assert [code for _, code, _ in json.loads(out)[1:]] == [0] * len(commands), version
     finally:  # a failure or a timeout leaves no interpreter running
         for process in runs.values():
             process.kill()
             process.communicate()
-    golden = {"report.text": (GOLDEN / "replication_report.txt").read_bytes(),
-              "report.json": (GOLDEN / "replication_report.json").read_bytes()}
-    for version, files in outputs.items():
-        for name, expected in golden.items():  # the config footer names the input paths
-            assert _without_config(files.pop(name)) == _without_config(expected), \
+    reports = {"report.text": (GOLDEN / "replication_report.txt").read_bytes(),
+               "report.json": (GOLDEN / "replication_report.json").read_bytes()}
+    for version in runs:
+        out = tmp_path / version / "out"
+        for name, expected in reports.items():  # the config footer names the input paths
+            assert _without_config((out / name).read_bytes()) == _without_config(expected), \
                 f"{version}: {name} differs from the golden"
-        assert files == outputs["running"], f"{version}: segment or code output differs"
+        for case in test_golden.CASES:  # segment and code write into one directory
+            expected = {name: content for command in test_golden.COMMANDS
+                        for name, content in test_golden.golden(command, case).items()
+                        if name not in ("stdout", "stderr")}
+            test_golden.assert_same({path.name: path.read_bytes() for path in
+                                     sorted((out / case).iterdir())}, expected,
+                                    f"{version}: {case}")
 
 
 def _without_config(report: bytes) -> list[bytes]:

@@ -1,7 +1,9 @@
 """Stack engine: operation semantics, tree building, trace replay invariants."""
 
+import copy
 import gc
 import inspect
+import pickle
 import random
 import sys
 
@@ -34,7 +36,7 @@ def rep(pops=1):
 # ---------------------------------------------------------------------------
 
 def test_initiate_pushes_one():
-    stack = apply(FocusStack.empty(), INITIATE, 0)
+    stack = apply(FocusStack(), INITIATE, 0)
     stack2 = apply(stack, INITIATE, 1)
     assert stack2.depth == 2
     assert stack2.spaces[-1].id != stack.spaces[-1].id
@@ -42,7 +44,7 @@ def test_initiate_pushes_one():
 
 
 def test_retain_is_identity_on_spaces():
-    stack = apply(FocusStack.empty(), INITIATE, 0)
+    stack = apply(FocusStack(), INITIATE, 0)
     retained = apply(stack, RETAIN, 1)
     assert retained.spaces == stack.spaces
     tree = build_tree([(INITIATE, 0), (RETAIN, 1)])
@@ -53,7 +55,7 @@ def test_retain_is_identity_on_spaces():
 def test_replace_pops_two_then_pushes():
     # hand-simulated two-deep stack: both popped spaces close at the
     # replacing fragment's index, one fresh space remains
-    stack = apply(apply(FocusStack.empty(), INITIATE, 0), INITIATE, 1)
+    stack = apply(apply(FocusStack(), INITIATE, 0), INITIATE, 1)
     replaced = apply(stack, rep(2), 2)
     assert replaced.depth == 1
     assert replaced.spaces[-1].id == 2
@@ -65,7 +67,7 @@ def test_replace_pops_two_then_pushes():
 
 
 def test_return_reexposes_previous_space():
-    stack = apply(apply(FocusStack.empty(), INITIATE, 0), INITIATE, 1)
+    stack = apply(apply(FocusStack(), INITIATE, 0), INITIATE, 1)
     returned = apply(stack, ret(1), 2)
     assert returned.depth == 1
     assert returned.spaces[-1].id == 0
@@ -73,15 +75,15 @@ def test_return_reexposes_previous_space():
 
 
 def test_underflow_and_empty_stack_errors():
-    stack = apply(FocusStack.empty(), INITIATE, 0)
+    stack = apply(FocusStack(), INITIATE, 0)
     with pytest.raises(UnderflowError):
         apply(stack, ret(2), 1)
     with pytest.raises(UnderflowError):
         apply(stack, rep(2), 1)
     with pytest.raises(EmptyStackError):
-        apply(FocusStack.empty(), RETAIN, 0)
+        apply(FocusStack(), RETAIN, 0)
     with pytest.raises(EmptyStackError):
-        apply(FocusStack.empty(), ret(1), 0)
+        apply(FocusStack(), ret(1), 0)
 
 
 @pytest.mark.parametrize("op", [
@@ -118,7 +120,7 @@ def test_pushes_is_set_when_the_operation_is_made(op, pushes, text):
 
 
 def test_apply_is_pure():
-    stack = apply(FocusStack.empty(), INITIATE, 0)
+    stack = apply(FocusStack(), INITIATE, 0)
     once = apply(stack, INITIATE, 1)
     twice = apply(stack, INITIATE, 1)
     assert once == twice
@@ -136,7 +138,7 @@ def links(stack):
 
 def test_apply_shares_links_and_stores_depth():
     # fails on any apply that copies: each result must reuse the input's links
-    stack = FocusStack.empty()
+    stack = FocusStack()
     for i in range(6):
         stack = apply(stack, INITIATE, i)
     below = links(stack)
@@ -148,30 +150,53 @@ def test_apply_shares_links_and_stores_depth():
         assert apply(stack, ret(k), 6).link is rest  # the input's k-th link
         assert apply(stack, rep(k), 6).link[1] is rest
     # the traced benchmark pass reads ``depth`` on every result: stored, not counted
-    assert list(inspect.signature(FocusStack).parameters) == ["link", "depth", "next_id"]
-    for state in (stack, initiated, apply(stack, ret(6), 6), FocusStack.empty()):
+    assert list(inspect.signature(FocusStack).parameters) == ["spaces", "next_id"]
+    assert "depth" in FocusStack.__slots__
+    for state in (stack, initiated, apply(stack, ret(6), 6), FocusStack()):
         assert state.depth == len(links(state)) == len(state.spaces)
     assert [space.id for space in stack.spaces] == [0, 1, 2, 3, 4, 5]
 
 
-@pytest.mark.parametrize("link, depth, message", [
-    (None, 2, "stack depth 2 disagrees with its 0 links"),
-    ((FocusSpace(0), None), 0, "stack depth 0 disagrees with its 1 links"),
-    (("space", None), 1, "stack link 0 is not a \\(FocusSpace, link\\) pair"),
-    ((FocusSpace(0), (FocusSpace(1),)), 2, "stack link 1 is not a "),
-], ids=["too-deep", "too-shallow", "not-a-space", "not-a-pair"])
-def test_a_stack_whose_depth_is_not_its_links_is_refused(link, depth, message):
-    with pytest.raises(MalformedOperation, match=f"^{message}"):
-        FocusStack(link, depth)
+@pytest.mark.parametrize("spaces, next_id, message", [
+    (["space"], 1, "stack space 0 is not a FocusSpace"),
+    ([FocusSpace(0), (FocusSpace(1),)], 2, "stack space 1 is not a FocusSpace"),
+    ([FocusSpace(-1), FocusSpace(-1)], 0, "stack space 1 has id -1, not above -1"),
+    ([FocusSpace(0), FocusSpace(2), FocusSpace(1)], 3, "stack space 2 has id 1, not above 2"),
+    ([FocusSpace(0)], 0, "stack next_id 0 is not above the top id 0"),
+    ([FocusSpace(-3), FocusSpace(4)], -5, "stack next_id -5 is not above the top id 4"),
+], ids=["not-a-space", "a-link", "repeated-id", "falling-id", "reused-next-id",
+        "next-id-below"])
+def test_a_stack_that_breaks_the_rule_is_refused(spaces, next_id, message):
+    with pytest.raises(MalformedOperation, match=f"^{message}$"):
+        FocusStack(spaces, next_id)
+
+
+def test_no_stack_holds_two_spaces_of_one_id():
+    # an unchecked next_id would let the next push reuse an open space's id
+    with pytest.raises(MalformedOperation, match="next_id 0 is not above the top id 0"):
+        apply(FocusStack([FocusSpace(0)], 0), INITIATE, 1)
+    pushed = apply(FocusStack([FocusSpace(-7), FocusSpace(-2)], -1), INITIATE, 1)
+    assert [space.id for space in pushed.spaces] == [-7, -2, -1] and pushed.next_id == 0
 
 
 def test_a_stack_built_by_hand_equals_the_one_apply_builds():
     applied = apply(apply(FocusStack(), INITIATE, 0), INITIATE, 1)
-    by_hand = FocusStack(applied.link, 2, 2)
-    assert by_hand == applied and by_hand.link is applied.link
-    assert apply(by_hand, ret(2), 2) == FocusStack(None, 0, 2)
+    by_hand = FocusStack(applied.spaces, 2)
+    assert by_hand == applied and by_hand.depth == 2 and links(by_hand) == links(applied)
+    assert by_hand.spaces == applied.spaces and by_hand.link[0] is applied.link[0]
+    assert apply(by_hand, ret(2), 2) == FocusStack((), 2)
     with pytest.raises(UnderflowError, match="pops 3 but depth is 2"):
         apply(by_hand, ret(3), 2)
+
+
+def test_a_deep_stack_pickles_and_copies():
+    # a pickle of the nested links would recurse once per link
+    stack = FocusStack()
+    for i in range(100_000):
+        stack = apply(stack, INITIATE, i)
+    for copied in (pickle.loads(pickle.dumps(stack)), copy.copy(stack), copy.deepcopy(stack)):
+        assert copied == stack and copied.depth == 100_000
+        assert apply(copied, INITIATE, 100_000) == apply(stack, INITIATE, 100_000)
 
 
 def test_deep_stack_compares_hashes_prints_and_drops(monkeypatch):
@@ -179,7 +204,7 @@ def test_deep_stack_compares_hashes_prints_and_drops(monkeypatch):
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     built = []
     for _ in range(2):  # two equal stacks that share no link
-        stack = FocusStack.empty()
+        stack = FocusStack()
         for i in range(100_000):
             stack = apply(stack, INITIATE, i)
         built.append(stack)
@@ -344,7 +369,7 @@ def trace_strategy(draw):
 @given(trace_strategy())
 @settings(max_examples=150, deadline=None)
 def test_replay_matches_naive_simulator(trace):
-    stack = FocusStack.empty()
+    stack = FocusStack()
     depths = []
     for op, i in trace:
         stack = apply(stack, op, i)
@@ -360,6 +385,17 @@ def test_replay_matches_naive_simulator(trace):
     assert set(tree.open_ids) == {n.id for n in tree.nodes.values()
                                   if n.closed_at is None}
     assert tree == focus_oracle.build_tree(trace)
+
+
+@given(trace_strategy())
+@settings(max_examples=150, deadline=None)
+def test_every_stack_apply_builds_is_rebuilt_from_its_spaces(trace):
+    stack = FocusStack()
+    for op, i in trace:
+        stack = apply(stack, op, i)
+        rebuilt = FocusStack(stack.spaces, stack.next_id)
+        assert rebuilt == stack and hash(rebuilt) == hash(stack)
+        assert (rebuilt.depth, rebuilt.link) == (stack.depth, stack.link)
 
 
 def test_bulk_random_traces_replay_cleanly():

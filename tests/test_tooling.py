@@ -4,6 +4,7 @@ the public names and value-type fields stay in step with the package."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import io
 import json
 import runpy
@@ -299,8 +300,6 @@ VALUE_METHOD_OWNERS = {
     "jsonl.Record": "== and repr of every value class, read off its fields; a record "
                     "may be changed, so it is unhashable",
     "jsonl.Frozen": "the hash of an immutable value class, read off its fields",
-    "focus.FocusStack": "compares and shows its spaces, not its nested links, so it "
-                        "works at any depth",
     "pauses.AudioFrameSeries": "identity, since == on the energies is elementwise",
 }
 VALUE_METHODS = ("__eq__", "__hash__", "__repr__")
@@ -340,3 +339,21 @@ def test_one_base_gives_every_value_class_its_methods():
                                              or Path(code.co_filename).parent == src):
                         owners.add(f"{path.stem}.{cls.__name__}")
     assert owners == set(VALUE_METHOD_OWNERS)
+
+
+def test_every_value_class_keeps_the_record_contract():
+    # == and repr show the fields, hash reads them and a pickle rebuilds from
+    # them by keyword: each is a constructor argument, in the constructor's order
+    from pausecue.jsonl import Frozen, Record
+    found = {}
+    for path in sorted((ROOT / "src" / "pausecue").glob("*.py")):
+        module = importlib.import_module(
+            "pausecue" if path.stem == "__init__" else f"pausecue.{path.stem}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and issubclass(cls, Record) \
+                    and cls.__module__ == module.__name__ and cls not in (Record, Frozen):
+                found[cls.__name__] = cls
+    assert len(found) == 12, sorted(found)
+    for name, cls in found.items():
+        assert cls._fields == tuple(inspect.signature(cls).parameters), name
+    assert not hasattr(found["FocusStack"], "empty")  # FocusStack() is the one spelling

@@ -58,13 +58,6 @@ TOKENS = st.builds(AnnotatedToken, st.sampled_from(["so", "you", "left"]),
 SPACES = st.builds(FocusSpace, SMALL, TEXT, SMALL)
 
 
-def _links(spaces):
-    link = None
-    for space in spaces:
-        link = (space, link)
-    return link
-
-
 #: Good arguments of each class, by parameter name; ANY supplies the bad ones.
 GOOD = {name: st.fixed_dictionaries(values) for name, values in {
     "AnnotatedToken": {
@@ -116,14 +109,16 @@ GOOD["EvidenceItem"] = st.builds(
     lambda row, weight: {"source": row[0][0], "feature": row[0][1], "primitive": row[1][1],
                          "weight": weight},
     st.sampled_from(list(TABLE_ROWS.items())), st.floats(-1, 1e16) | SMALL | EDGES)
-#: Mostly a depth that counts the links, which the constructor requires.
+#: Mostly rising ids and a next_id above them, which the constructor requires.
 GOOD["FocusStack"] = st.builds(
-    lambda spaces, off, next_id: {"link": _links(spaces), "depth": len(spaces) + off,
-                                  "next_id": next_id},
-    st.lists(SPACES, max_size=3), st.sampled_from([0, 0, 0, 1, -1]), SMALL)
+    lambda spaces, rising, above: {
+        "spaces": sorted(spaces, key=lambda space: space.id) if rising else spaces,
+        "next_id": max([space.id for space in spaces], default=0) + above},
+    st.lists(SPACES, max_size=3, unique_by=lambda space: space.id) | st.lists(SPACES, max_size=3),
+    st.sampled_from([True, True, True, False]), st.sampled_from([1, 1, 2, 0]))
 #: Attributes each class derives, which its constructor takes no argument for.
-DERIVED = {"FocusingOperation": ("pushes",), "SpeechFragment": ("features",),
-           "ClassifierConfig": ("items",)}
+DERIVED = {"FocusingOperation": ("pushes",), "FocusStack": ("link", "depth"),
+           "SpeechFragment": ("features",), "ClassifierConfig": ("items",)}
 FROZEN = ["CueEntry", "FocusingOperation", "FocusSpace", "FocusStack", "PauseConfig",
           "AudioFrameSeries", "SpeechFragment", "EvidenceItem", "ClassifierConfig"]
 
