@@ -34,7 +34,8 @@ from typing import Mapping, NamedTuple, Sequence
 from .focus import (FocusStack, FocusingOperation, LinguisticTree, OpKind,
                     TIE_ORDER, apply, build_tree, operation)
 from .fragments import SpeechFragment
-from .jsonl import MAX_MAGNITUDE, SCHEMA_VERSION, Frozen, SchemaError, Target, write_jsonl
+from .jsonl import (IN_RANGE, MAX_MAGNITUDE, SCHEMA_VERSION, Frozen, SchemaError, Target,
+                    write_jsonl)
 
 #: (source, feature) -> (config row key, stack primitive).
 TABLE_ROWS: dict[tuple[str, str], tuple[str, str]] = {
@@ -63,19 +64,14 @@ TABLE_ROWS: dict[tuple[str, str], tuple[str, str]] = {
     ("subsequent", "cue_so_but_now_subsequent"): ("subsequent_pop", "pop"),
 }
 
-ROW_KEYS = ("prior_pop", "prior_null", "current_push", "current_pop",
-            "current_impending", "subsequent_pop")
-
-#: The ClassifierConfig values other than the row weights, each a weights-file key.
-SETTING_KEYS = ("candidate_bonus", "impending_bonus", "lstar_threshold")
+#: The config row keys, in the order of their first row.
+ROW_KEYS = tuple(dict.fromkeys(row_key for row_key, _ in TABLE_ROWS.values()))
 
 SUBORDINATORS = frozenset(
     "if who whom whose which where when while that".split())
 
 RETAIN, INITIATE, RETURN, REPLACE = (OpKind.RETAIN, OpKind.INITIATE, OpKind.RETURN,
                                      OpKind.REPLACE)
-
-IN_RANGE = f"must be finite and at most {MAX_MAGNITUDE:g} in magnitude"
 
 
 class EvidenceItem(Frozen):
@@ -133,6 +129,9 @@ class ClassifierConfig(Frozen):
             (source, feature): EvidenceItem(source, feature, primitive, weights[row_key])
             for (source, feature), (row_key, primitive) in TABLE_ROWS.items()})
 
+
+#: The ClassifierConfig values other than the row weights, each a weights-file key.
+SETTING_KEYS = ClassifierConfig._fields[1:]
 
 DEFAULT_CONFIG = ClassifierConfig()
 

@@ -21,7 +21,7 @@ from typing import Callable
 from . import classifier, fragments, pauses, report
 from .focus import FocusEngineError, write_trace
 from .jsonl import Field, SchemaError, iter_jsonl, validate
-from .lexicon import Lexicon, MissingAnnotation, bundled_lexicon, load_lexicon
+from .lexicon import MissingAnnotation, bundled_lexicon, load_lexicon
 from .stats import compute_report, ordered_sum
 
 EXIT_OK = 0
@@ -42,18 +42,6 @@ FUNCTION_FIELDS = (
     Field("prior", str, "topical", choices=fragments.FUNCTION_LABELS),
     Field("subsequent", str, "topical", choices=fragments.FUNCTION_LABELS),
 )
-
-
-def _lexicon_from(args: argparse.Namespace) -> Lexicon:
-    if args.lexicon:
-        return load_lexicon(args.lexicon)
-    return bundled_lexicon()
-
-
-def _config_from(args: argparse.Namespace) -> classifier.ClassifierConfig:
-    if args.weights:
-        return classifier.load_weights(args.weights)
-    return classifier.DEFAULT_CONFIG
 
 
 def _read_functions(path: str | None, n: int) -> list[tuple[str, str]] | None:
@@ -134,15 +122,15 @@ def _record_line(path: str, index: int) -> int | None:
 def _segment_pipeline(args: argparse.Namespace):
     tokens = fragments.read_transcript(args.transcript)
     pause_records = pauses.read_pauses(args.pauses) if args.pauses else None
-    lexicon = _lexicon_from(args)
+    lexicon = load_lexicon(args.lexicon) if args.lexicon else bundled_lexicon()
     try:
         frags = fragments.fragmentize(tokens, pause_records, lexicon)
     except fragments.MisalignedPause as exc:
         path = args.pauses if exc.blamed == "pauses" else args.transcript
         raise SchemaError(str(exc), line=_record_line(path, exc.index), path=path) from exc
     functions = _read_functions(args.functions, len(frags))
-    result = classifier.segment_discourse(frags, functions=functions,
-                                          config=_config_from(args))
+    config = classifier.load_weights(args.weights) if args.weights else classifier.DEFAULT_CONFIG
+    result = classifier.segment_discourse(frags, functions=functions, config=config)
     return frags, functions, result
 
 
@@ -201,11 +189,11 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(f"error: replication corpus not found: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    checks = replication.run_checks(records, pause_records)
-    # the checks, as stats, count only the records with a measured pause
-    excluded = sum(1 for record in records if record.pause_before_s is None)
+    stats_report = compute_report(records, pause_records)
+    checks = replication.run_checks(stats_report)
+    excluded = stats_report.excluded_records
     print(f"replication checks on {'bundled corpus' if args.corpus is None else args.corpus} "
-          f"({len(records) - excluded} records, {len(pause_records)} pauses"
+          f"({stats_report.n_records - excluded} records, {len(pause_records)} pauses"
           + (f"; excluded without measured pause: {excluded})" if excluded else ")"))
     failed = 0
     for check in checks:

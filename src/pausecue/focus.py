@@ -116,8 +116,9 @@ class FocusStack(Frozen):
     next pushed space gets.
 
     Construction raises MalformedOperation unless every space is a
-    FocusSpace, their ids rise strictly from bottom to top and ``next_id``
-    exceeds the top id; ``apply`` keeps all three.  The state is kept as a
+    FocusSpace, the ids and ``next_id`` are ints (not bools), the ids rise
+    strictly from bottom to top and ``next_id`` exceeds the top id;
+    ``apply`` keeps all of it.  The state is kept as a
     persistent linked stack: ``link`` is the top link ``(space, rest)``,
     where ``rest`` is the link beneath (None below the bottom space), and
     ``depth`` is the number of links.  ``apply`` walks only the links it pops
@@ -132,10 +133,14 @@ class FocusStack(Frozen):
     _fields = ("spaces", "next_id")
 
     def __init__(self, spaces: Iterable[FocusSpace] = (), next_id: int = 0) -> None:
+        if type(next_id) is not int:
+            raise MalformedOperation(f"stack next_id {next_id!r} is not an int")
         link, depth, below = None, 0, None
         for space in spaces:
             if not isinstance(space, FocusSpace):
                 raise MalformedOperation(f"stack space {depth} is not a FocusSpace")
+            if type(space.id) is not int:
+                raise MalformedOperation(f"stack space {depth} has id {space.id!r}, not an int")
             if below is not None and not below.id < space.id:
                 raise MalformedOperation(f"stack space {depth} has id {space.id!r}, "
                                          f"not above {below.id!r}")

@@ -30,6 +30,8 @@ SCHEMA_VERSION = 1
 #: Largest magnitude a number field may hold.  The bound also rejects NaN
 #: and infinities, and keeps the squares and sums of the statistics finite.
 MAX_MAGNITUDE = 1e15
+#: Why a number beyond that bound is refused, after the name of what holds it.
+IN_RANGE = f"must be finite and at most {MAX_MAGNITUDE:g} in magnitude"
 
 REQUIRED: Any = object()
 
@@ -247,13 +249,18 @@ class Frozen(Record):
         return hash(self._values())
 
     def __reduce__(self) -> tuple:
-        return functools.partial(self.__class__, **dict(zip(self._fields, self._values()))), ()
+        return _rebuilt, (self.__class__, self._values())
 
     def __setattr__(self, name: str, value: Any) -> NoReturn:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> NoReturn:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _rebuilt(cls: type, values: tuple) -> Frozen:
+    """A ``cls`` made by its constructor from its ``_fields``' values, each by keyword."""
+    return cls(**dict(zip(cls._fields, values)))
 
 
 def record_class(table: Sequence[Field], *,
@@ -325,8 +332,7 @@ def _reject(field: Field, value: Any, path: str | Path | None, lineno: int) -> f
             got = float(value)
         except OverflowError:  # beyond float range: shown as an int
             pass
-    _fail(f"field {name!r} must be finite and at most {MAX_MAGNITUDE:g} "
-          f"in magnitude (got {_shown(got)})", path, lineno)
+    _fail(f"field {name!r} {IN_RANGE} (got {_shown(got)})", path, lineno)
 
 
 def _shown(value: Any) -> str:

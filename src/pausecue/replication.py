@@ -18,11 +18,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from .focus import operation
+from .focus import OP_KINDS, operation
 from .fragments import ROW_LABELS, CodedRecord, read_measured, write_coded
 from .lexicon import DATA_DIR
 from .pauses import PauseRecord, read_pauses, write_pauses
-from .stats import CANONICAL_TOKEN_ROWS, OP_ORDER, TAIL_TOKEN_ROWS, CellStat, compute_report
+from .stats import CANONICAL_TOKEN_ROWS, TAIL_TOKEN_ROWS, CellStat, StatsReport
 
 RECORDS_FILE = "replication_records.jsonl"
 PAUSES_FILE = "replication_pauses.jsonl"
@@ -85,7 +85,7 @@ def build_records() -> list[CodedRecord]:
     records: list[CodedRecord] = []
     index = 0
     for row in ROW_ORDER:
-        for op_name in OP_ORDER:
+        for op_name in OP_KINDS:
             cell = TOKEN_OPERATION_CELLS.get((row, op_name))
             if cell is None:
                 continue
@@ -161,9 +161,9 @@ def _measured(value: CellStat | float | None) -> str:
     return f"{value:.3f}"
 
 
-def run_checks(records, pauses) -> list[CheckResult]:
-    """Compare the tables of the report ``pausecue stats`` prints against the
-    published values.
+def run_checks(report: StatsReport) -> list[CheckResult]:
+    """Compare the tables of ``report``, as ``pausecue stats`` prints it,
+    against the published values.
 
     Cell means are checked to 0.005 after two-decimal rounding, margins and
     aggregates to 0.01; counts and degrees of freedom must match exactly.
@@ -176,7 +176,6 @@ def run_checks(records, pauses) -> list[CheckResult]:
     def add(name: str, passed: bool, detail: str) -> None:
         checks.append(CheckResult(name=name, passed=passed, detail=detail))
 
-    report = compute_report(records, pauses)
     table5 = report.by_token_and_operation
     bad = []
     for (row, op_name), (mean, count) in sorted(TOKEN_OPERATION_CELLS.items()):

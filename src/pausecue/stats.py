@@ -24,7 +24,6 @@ from .focus import OP_KINDS, OpKind
 from .fragments import ROW_LABELS, CodedRecord
 from .pauses import PauseRecord, round_tenth
 
-OP_ORDER = OP_KINDS
 CANONICAL_TOKEN_ROWS = ("And", "But", "Now", "Oh", "So", "Well", "Y'know", "Ordinal")
 TAIL_TOKEN_ROWS = tuple(ROW_LABELS.values())
 #: An operation kind's name; the enum's ``.value`` property is slower per record.
@@ -329,7 +328,7 @@ def table_distributions(records: Sequence[CodedRecord],
                 for pos in totals}
 
     return DistributionTables(
-        operation_marked=CountPanel(cells=op_cells, row_order=OP_ORDER,
+        operation_marked=CountPanel(cells=op_cells, row_order=OP_KINDS,
                                     col_order=("marked", "unmarked")),
         token_position=CountPanel(cells=token_cells,
                                   row_order=_token_rows(row for row, _ in token_cells),
@@ -513,15 +512,15 @@ def compute_report(records: Sequence[CodedRecord],
         notes.append(f"{excluded} record(s) without a measured pause were excluded")
 
     distributions = table_distributions(measured, pauses)
-    by_op = grouped_means(op_cells, row_order=OP_ORDER, col_order=("ALL",))
+    by_op = grouped_means(op_cells, row_order=OP_KINDS, col_order=("ALL",))
     by_token = grouped_means(token_cells, row_order=_token_rows(row for row, _ in token_cells),
-                             col_order=OP_ORDER)
+                             col_order=OP_KINDS)
     by_marking = grouped_means(marking_cells, row_order=("Marked", "Unmarked"),
-                               col_order=OP_ORDER)
+                               col_order=OP_KINDS)
 
     anova = None
     try:
-        anova = anova_one_way([op_cells[(op, "ALL")] for op in OP_ORDER
+        anova = anova_one_way([op_cells[(op, "ALL")] for op in OP_KINDS
                                if (op, "ALL") in op_cells])
     except ValueError as exc:
         notes.append(f"ANOVA skipped: {exc}")

@@ -102,10 +102,14 @@ class FocusStack:
     next_id: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.next_id) is not int:
+            raise MalformedOperation(f"stack next_id {self.next_id!r} is not an int")
         spaces = tuple(self.spaces)
         for i, space in enumerate(spaces):
             if not isinstance(space, focus.FocusSpace):
                 raise MalformedOperation(f"stack space {i} is not a FocusSpace")
+            if type(space.id) is not int:
+                raise MalformedOperation(f"stack space {i} has id {space.id!r}, not an int")
             if i and not spaces[i - 1].id < space.id:
                 raise MalformedOperation(f"stack space {i} has id {space.id!r}, "
                                          f"not above {spaces[i - 1].id!r}")

@@ -8,10 +8,10 @@ must give exactly the same report.
 
 import math
 
-from pausecue.focus import OpKind
+from pausecue.focus import OP_KINDS, OpKind
 from pausecue.pauses import round_tenth
-from pausecue.stats import (CANONICAL_TOKEN_ROWS, OP_ORDER, TAIL_TOKEN_ROWS, AnovaResult,
-                            CellStat, CountPanel, DistributionTables, GroupedMeans,
+from pausecue.stats import (CANONICAL_TOKEN_ROWS, TAIL_TOKEN_ROWS, AnovaResult, CellStat,
+                            CountPanel, DistributionTables, GroupedMeans,
                             PausePanel, StatsReport, ZeroVariance, f_sf, pearson,
                             t_test_pooled)
 
@@ -73,7 +73,7 @@ def table_distributions(records, pauses):
         sums[position] += bin_s
     averages = {pos: (sums[pos] / totals[pos] if totals[pos] else None) for pos in totals}
     return DistributionTables(
-        operation_marked=CountPanel(cells=op_cells, row_order=OP_ORDER,
+        operation_marked=CountPanel(cells=op_cells, row_order=OP_KINDS,
                                     col_order=("marked", "unmarked")),
         token_position=CountPanel(cells=token_cells, row_order=token_rows(records),
                                   col_order=("initial", "internal")),
@@ -116,16 +116,16 @@ def compute_report(records, pauses=None, config_note=""):
 
     distributions = table_distributions(measured, pauses)
     by_op = grouped_means([(rec.operation.kind.value, "ALL", rec.pause_before_s)
-                           for rec in measured], OP_ORDER, ("ALL",))
+                           for rec in measured], OP_KINDS, ("ALL",))
     by_token = grouped_means([(rec.row_label(), rec.operation.kind.value, rec.pause_before_s)
-                              for rec in measured], token_rows(measured), OP_ORDER)
+                              for rec in measured], token_rows(measured), OP_KINDS)
     by_marking = grouped_means([("Marked" if rec.marked else "Unmarked",
                                  rec.operation.kind.value, rec.pause_before_s)
-                                for rec in measured], ("Marked", "Unmarked"), OP_ORDER)
+                                for rec in measured], ("Marked", "Unmarked"), OP_KINDS)
 
     anova = None
     groups = [[rec.pause_before_s for rec in measured if rec.operation.kind.value == op]
-              for op in OP_ORDER]
+              for op in OP_KINDS]
     try:
         anova = anova_one_way([g for g in groups if g])
     except ValueError as exc:

@@ -164,8 +164,12 @@ def test_apply_shares_links_and_stores_depth():
     ([FocusSpace(0), FocusSpace(2), FocusSpace(1)], 3, "stack space 2 has id 1, not above 2"),
     ([FocusSpace(0)], 0, "stack next_id 0 is not above the top id 0"),
     ([FocusSpace(-3), FocusSpace(4)], -5, "stack next_id -5 is not above the top id 4"),
+    ([], None, "stack next_id None is not an int"),
+    ([], 1.5, "stack next_id 1.5 is not an int"),
+    ([FocusSpace(0)], True, "stack next_id True is not an int"),
+    ([FocusSpace(0.5)], 1, "stack space 0 has id 0.5, not an int"),
 ], ids=["not-a-space", "a-link", "repeated-id", "falling-id", "reused-next-id",
-        "next-id-below"])
+        "next-id-below", "next-id-none", "next-id-float", "next-id-bool", "float-id"])
 def test_a_stack_that_breaks_the_rule_is_refused(spaces, next_id, message):
     with pytest.raises(MalformedOperation, match=f"^{message}$"):
         FocusStack(spaces, next_id)

@@ -1,24 +1,31 @@
-"""Golden outputs of ``segment`` and ``code``.
+"""Golden outputs of ``segment``, ``code``, ``pauses`` and ``replicate``.
 
-Each case runs one command in-process on a committed transcript, and every
-file it writes, its stdout and its stderr must match the files under
-``tests/golden/<command>/<case>/`` byte for byte.  The cases are the two
-fixtures and one more run of ``directions_intro`` with committed
-``--functions``, ``--weights`` and ``--lexicon`` inputs, which reach the
-acknowledgment, lexical-closure and prompt rows and a lexicon entry beyond
-the bundled ones.  The output directory is written as ``OUT`` in stdout and
-stderr.  A mismatch is shown as a unified diff.
+Each case runs one command in-process, and every file it writes, its stdout
+and its stderr must match the files under ``tests/golden/<command>/<case>/``
+byte for byte.  ``segment`` and ``code`` run on the two fixtures and on one
+more run of ``directions_intro`` with committed ``--functions``,
+``--weights`` and ``--lexicon`` inputs, which reach the acknowledgment,
+lexical-closure and prompt rows and a lexicon entry beyond the bundled
+ones; ``code`` also runs on a timed copy of ``directions_resume`` with two
+detected pauses.  ``pauses`` reads a short WAV built here, writing into a
+directory and to stdout, and ``replicate`` checks the bundled corpus and a
+copy with one unmeasured record.  The directory the command writes into,
+or reads its corpus from, is written as ``OUT`` in stdout and stderr.  A
+mismatch is shown as a unified diff.
 """
 
 import contextlib
 import difflib
 import io
+import shutil
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, RATE, build_signal, write_wav
 from pausecue.cli import main
+from pausecue.lexicon import DATA_DIR
+from pausecue.replication import PAUSES_FILE, RECORDS_FILE
 
 GOLDEN = Path(__file__).parent / "golden"
 OUT = "OUT"
@@ -33,22 +40,35 @@ CASES = {
         "--lexicon", "directions_intro.lexicon.jsonl"],
 }
 COMMANDS = ("segment", "code")
+#: The case only ``code`` runs: timed tokens and two pauses detected between
+#: them, one of 0.55 s less an ulp (reported 0.6 only through
+#: ``round_tenth``'s guard) and one of 0.12 s, which opens a fragment.
+CODE_CASES = {"directions_resume_pauses": [
+    "directions_resume.timed.jsonl", "--pauses", "directions_resume.pauses.jsonl"]}
+
+#: The recording the ``pauses`` cases read: silences of 0.25 s, measured an
+#: ulp short and reported 0.3 only through ``round_tenth``'s guard, 0.1 s
+#: (suspect: short and between two tones) and 0.4 s.
+SIGNAL = [("tone", 0.22), ("silence", 0.25), ("tone", 0.4), ("silence", 0.1),
+          ("tone", 0.3), ("silence", 0.4), ("tone", 0.25)]
 
 
 def case_argv(command: str, case: str, out: Path) -> list[str]:
     """The arguments of ``command`` on ``case``, writing into ``out``."""
     return [command, *(arg if arg.startswith("--") else str(FIXTURES / arg)
-                       for arg in CASES[case]), "--out", str(out)]
+                       for arg in {**CASES, **CODE_CASES}[case]), "--out", str(out)]
 
 
-def run_case(command: str, case: str, out: Path) -> dict[str, bytes]:
-    """Every file ``command`` writes on ``case``, by name, with its stdout
-    and stderr."""
+def run_case(argv: list[str], out: Path, code: int = 0) -> dict[str, bytes]:
+    """Every file ``main(argv)`` writes into ``out``, by name, with its stdout
+    and stderr; ``main`` must return ``code``."""
+    inputs = set(out.iterdir())
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(case_argv(command, case, out))
-    assert code == 0, stderr.getvalue()
-    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        returned = main(argv)
+    assert returned == code, stderr.getvalue()
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())
+             if path not in inputs}
     for name, text in (("stdout", stdout), ("stderr", stderr)):
         files[name] = text.getvalue().replace(str(out), OUT).encode()
     return files
@@ -70,7 +90,30 @@ def assert_same(produced: dict[str, bytes], expected: dict[str, bytes], where: s
             pytest.fail("".join(diff) or f"{where}/{name}: bytes differ", pytrace=False)
 
 
-@pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command, case", [
+    *((command, case) for case in CASES for command in COMMANDS),
+    *(("code", case) for case in CODE_CASES)])
 def test_output_matches_golden(command, case, tmp_path):
-    assert_same(run_case(command, case, tmp_path), golden(command, case), f"{command}/{case}")
+    assert_same(run_case(case_argv(command, case, tmp_path), tmp_path), golden(command, case),
+                f"{command}/{case}")
+
+
+@pytest.mark.parametrize("case", ["out_dir", "out_stdout"])
+def test_pauses_output_matches_golden(case, tmp_path):
+    wav = tmp_path / "short.wav"
+    write_wav(wav, build_signal(SIGNAL), RATE)
+    argv = ["pauses", str(wav), "--out", "-" if case == "out_stdout" else str(tmp_path)]
+    assert_same(run_case(argv, tmp_path), golden("pauses", case), f"pauses/{case}")
+
+
+@pytest.mark.parametrize("case", ["bundled", "one_unmeasured"])
+def test_replicate_output_matches_golden(case, tmp_path):
+    argv, code = ["replicate"], 0
+    if case == "one_unmeasured":  # the first record, a marked And/Initiate, loses its pause
+        shutil.copy(DATA_DIR / PAUSES_FILE, tmp_path)
+        records = (DATA_DIR / RECORDS_FILE).read_text(encoding="utf-8")
+        (tmp_path / RECORDS_FILE).write_text(
+            records.replace('"pause_before_s": 0.43', '"pause_before_s": null', 1),
+            encoding="utf-8")
+        argv, code = [*argv, "--corpus", str(tmp_path)], 1
+    assert_same(run_case(argv, tmp_path, code), golden("replicate", case), f"replicate/{case}")

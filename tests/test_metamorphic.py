@@ -11,6 +11,8 @@ named outputs unchanged, and needs no oracle for what those outputs are.
   each tie, exactly scaled.  Other factors are not intended to hold.
 * Idle lexicon entries: entries whose normalized forms share no word with
   the transcript change no output file, however many words they span.
+* Speaker renaming: renaming the speakers one to one changes no output
+  file.  A speaker is only ever compared with the one before.
 """
 
 import contextlib
@@ -48,6 +50,8 @@ TOKENS = st.fixed_dictionaries(
               "flags": st.lists(st.sampled_from(TOKEN_FLAGS), max_size=2, unique=True),
               "topic": st.sampled_from(["", "route", "hall"])})
 TRANSCRIPTS = st.lists(TOKENS, min_size=1, max_size=30)
+#: Names a renaming gives the speakers A and B, A and B among them.
+NAMES = ["A", "B", "C", "speaker 2", "\u00e9", ""]
 
 
 def outputs(directory: Path, argv: list[str]) -> dict[str, bytes]:
@@ -119,3 +123,22 @@ def test_lexicon_entries_that_match_no_word_change_no_output(tokens, extra, at):
         transcript = write_lines(tmp / "t.jsonl", tokens)
         lexicon = write_lines(tmp / "lexicon.jsonl", bundled[:at] + extra + bundled[at:])
         assert outputs(tmp, [transcript]) == outputs(tmp, [transcript, "--lexicon", lexicon])
+
+
+@RELATION
+@given(tokens=st.lists(TOKENS, min_size=2, max_size=30), at=st.integers(1, 29),
+       names=st.permutations(NAMES))
+def test_renaming_the_speakers_one_to_one_changes_no_output(tokens, at, names):
+    first = tokens[0].get("speaker", "A")  # a token without a speaker is A's
+    at = 1 + at % (len(tokens) - 1)
+    tokens = [*tokens[:at], {**tokens[at], "speaker": "B" if first == "A" else "A"},
+              *tokens[at + 1:]]  # both speakers talk
+    rename = {"A": names[0], "B": names[1]}
+    renamed = [{**token, "speaker": rename[token.get("speaker", "A")]} for token in tokens]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        runs = []
+        for name, rows in (("named", tokens), ("renamed", renamed)):
+            (tmp / name).mkdir()
+            runs.append(outputs(tmp, [write_lines(tmp / name / "t.jsonl", rows)]))
+    assert runs[0] == runs[1]
