@@ -75,21 +75,21 @@ RETAIN, INITIATE, RETURN, REPLACE = (OpKind.RETAIN, OpKind.INITIATE, OpKind.RETU
 
 
 class EvidenceItem(Frozen):
-    _fields = ("source", "feature", "primitive", "weight")
+    """One matched evidence row and its weight; ``primitive`` is looked up
+    in TABLE_ROWS, so it stays out of ``==``, ``hash`` and ``repr``."""
 
-    def __init__(self, source: str, feature: str, primitive: str, weight: float = 1.0) -> None:
+    _fields = ("source", "feature", "weight")
+
+    def __init__(self, source: str, feature: str, weight: float = 1.0) -> None:
         if (source, feature) not in TABLE_ROWS:
             raise ValueError(f"unknown evidence row ({source}, {feature})")
-        expected = TABLE_ROWS[(source, feature)][1]
-        if primitive != expected:
-            raise ValueError(f"({source}, {feature}) maps to {expected}, not {primitive}")
         if weight <= 0:
             raise ValueError("weight must be positive")
         if not weight <= MAX_MAGNITUDE:  # also NaN
             raise ValueError(f"weight {IN_RANGE}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "feature", feature)
-        object.__setattr__(self, "primitive", primitive)
+        object.__setattr__(self, "primitive", TABLE_ROWS[(source, feature)][1])
         object.__setattr__(self, "weight", weight)
 
 
@@ -126,8 +126,8 @@ class ClassifierConfig(Frozen):
         object.__setattr__(self, "impending_bonus", impending_bonus)
         object.__setattr__(self, "lstar_threshold", lstar_threshold)
         object.__setattr__(self, "items", {
-            (source, feature): EvidenceItem(source, feature, primitive, weights[row_key])
-            for (source, feature), (row_key, primitive) in TABLE_ROWS.items()})
+            row: EvidenceItem(*row, weights[row_key])
+            for row, (row_key, _) in TABLE_ROWS.items()})
 
 
 #: The ClassifierConfig values other than the row weights, each a weights-file key.
@@ -279,18 +279,18 @@ def extract_evidence(prior: SpeechFragment | None,
 # Classification
 # ---------------------------------------------------------------------------
 
-def resolve_pop_count(kind: OpKind, stack: FocusStack, *, topic: str = "",
-                      topic_anchored: bool = False) -> int:
+def resolve_pop_count(kind: OpKind, stack: FocusStack, *, topic: str = "") -> int:
     """How many spaces a Return or Replace pops.
 
-    With a repeated topic, the links are walked from the top to the nearest
-    open space labelled with it: a Return pops the spaces above that space
-    (at least one) and a Replace pops them and the space itself.  Otherwise
-    the evidence rarely says how many segments closed, so one pop is assumed.
+    A non-empty ``topic`` anchors the pop: the links are walked from the top
+    to the nearest open space labelled with it, and a Return pops the spaces
+    above that space (at least one) while a Replace pops them and the space
+    itself.  Otherwise the evidence rarely says how many segments closed, so
+    one pop is assumed.
     """
     if kind is not RETURN and kind is not REPLACE:
         return 0
-    if topic_anchored and topic:
+    if topic:
         link, above = stack.link, 0
         while link is not None and link[0].dsp_label != topic:
             link, above = link[1], above + 1
@@ -311,12 +311,12 @@ def classify(evidence: Sequence[EvidenceItem],
     With an empty stack only Initiate is feasible.  With no evidence at all
     the null operation Retain wins by default at score 0 and the result is
     flagged low-confidence.  Pop counts are read off the stack's open
-    spaces, so every alternative can be applied to it.
+    spaces, so every alternative can be applied to it; a repeated ``topic``
+    anchors them (see ``resolve_pop_count``).
     """
     # start at int 0 and add in evidence order, as sum() does: the audit
     # writes an empty total as 0
     pop_w = push_w = null_w = imp_w = 0
-    anchored = False
     for it in evidence:
         primitive = it.primitive
         if primitive == "pop":
@@ -327,8 +327,6 @@ def classify(evidence: Sequence[EvidenceItem],
             null_w += it.weight
         else:
             imp_w += it.weight
-        if it.feature == "nonpronominal_repetition" and it.source == "current":
-            anchored = True
 
     raw = {RETAIN: null_w + imp_w, INITIATE: push_w, RETURN: pop_w, REPLACE: pop_w + push_w}
     scores = dict(raw)
@@ -355,9 +353,7 @@ def classify(evidence: Sequence[EvidenceItem],
     tie_break = len(ranked_kinds) > 1 and scores[ranked_kinds[1]] == scores[top]
 
     alternatives = tuple([
-        (operation(kind, resolve_pop_count(kind, stack, topic=topic,
-                                           topic_anchored=anchored)),
-         scores[kind])
+        (operation(kind, resolve_pop_count(kind, stack, topic=topic)), scores[kind])
         for kind in ranked_kinds])
 
     # positional, in field order: eight keywords cost more to bind, once per fragment
@@ -380,8 +376,9 @@ def segment_discourse(fragments: Sequence[SpeechFragment],
 
     The first fragment necessarily opens the discourse (the stack is empty,
     so only Initiate is feasible).  Impending-pop evidence on one fragment
-    carries a lookahead bonus into the next.  The emitted trace always
-    replays cleanly through the stack engine.
+    carries a lookahead bonus into the next.  A pushed space is labelled
+    with its fragment's topic, which anchors the pops of a repetition.  The
+    emitted trace always replays cleanly through the stack engine.
     """
     if not fragments:
         raise ValueError("no fragments to segment")
@@ -415,11 +412,12 @@ def segment_discourse(fragments: Sequence[SpeechFragment],
                 and frag.initial_token_class == "cue_phrase":
             candidates = frag.initial_cue.candidate_ops
         topic = frag.topic
-        result = classify(evidence, candidates, stack, topic=topic,
+        result = classify(evidence, candidates, stack,
+                          topic=topic if frag.features.repetition else "",
                           lookahead_pop=lookahead, config=config)
         lookahead = any(it.primitive == "impending_pop" for it in evidence)
         op = result.operation
-        stack = apply(stack, op, i, label=topic or f"fragment-{i}")
+        stack = apply(stack, op, i, label=topic)
         trace.append((op, i))
         classifications.append(result)
 

@@ -88,15 +88,17 @@ class FocusingOperation(Frozen):
 class FocusSpace(Frozen):
     """One discourse segment's attentional record.
 
-    closed_at is the fragment index at which the space was popped; it stays
-    None for spaces still open when the trace ends.  Implicit discourse-final
-    closure is reported, never fabricated.
+    id is an int (not a bool).  closed_at is the fragment index at which the
+    space was popped; it stays None for spaces still open when the trace
+    ends.  Implicit discourse-final closure is reported, never fabricated.
     """
 
     __slots__ = _fields = ("id", "dsp_label", "opened_at", "closed_at")
 
     def __init__(self, id: int, dsp_label: str = "", opened_at: int = 0,
                  closed_at: int | None = None) -> None:
+        if type(id) is not int:
+            raise MalformedOperation(f"space id {id!r} is not an int")
         if closed_at is not None and closed_at <= opened_at:
             raise MalformedOperation(
                 f"space {id}: closed_at {closed_at} must exceed opened_at {opened_at}")
@@ -116,8 +118,8 @@ class FocusStack(Frozen):
     next pushed space gets.
 
     Construction raises MalformedOperation unless every space is a
-    FocusSpace, the ids and ``next_id`` are ints (not bools), the ids rise
-    strictly from bottom to top and ``next_id`` exceeds the top id;
+    FocusSpace, ``next_id`` is an int (not a bool), the ids rise strictly
+    from bottom to top and ``next_id`` exceeds the top id;
     ``apply`` keeps all of it.  The state is kept as a
     persistent linked stack: ``link`` is the top link ``(space, rest)``,
     where ``rest`` is the link beneath (None below the bottom space), and
@@ -139,8 +141,6 @@ class FocusStack(Frozen):
         for space in spaces:
             if not isinstance(space, FocusSpace):
                 raise MalformedOperation(f"stack space {depth} is not a FocusSpace")
-            if type(space.id) is not int:
-                raise MalformedOperation(f"stack space {depth} has id {space.id!r}, not an int")
             if below is not None and not below.id < space.id:
                 raise MalformedOperation(f"stack space {depth} has id {space.id!r}, "
                                          f"not above {below.id!r}")

@@ -156,17 +156,17 @@ def _token_features(tokens: Sequence[AnnotatedToken]) -> TokenFeatures:
 class SpeechFragment(Frozen):
     """A token span opened by one fragment-initial token.
 
-    ``features`` is found in one token pass when the fragment is made, and
-    serves the classifier as the prior, current and subsequent neighbor; it
-    is left out of ``==``, ``hash`` and ``repr``.  Fragments are frozen, so
-    features always match tokens: a fragment with other tokens is a new
-    ``SpeechFragment``, whose constructor finds their features.
+    ``speaker`` is the first token's, and ``features`` is found in one token
+    pass when the fragment is made; it serves the classifier as the prior,
+    current and subsequent neighbor.  Both are derived, so they are left out
+    of ``==``, ``hash`` and ``repr``.  Fragments are frozen, so both always
+    match the tokens: a fragment with other tokens is a new
+    ``SpeechFragment``, whose constructor derives them again.
     """
 
-    _fields = ("index", "speaker", "tokens", "initial_token_class", "initial_cue",
-               "pause_before_s")
+    _fields = ("index", "tokens", "initial_token_class", "initial_cue", "pause_before_s")
 
-    def __init__(self, index: int, speaker: str, tokens: tuple[AnnotatedToken, ...],
+    def __init__(self, index: int, tokens: tuple[AnnotatedToken, ...],
                  initial_token_class: str, initial_cue: CueEntry | None,
                  pause_before_s: float) -> None:
         if not tokens:
@@ -174,7 +174,7 @@ class SpeechFragment(Frozen):
         if initial_token_class not in INITIAL_CLASSES:
             raise ValueError(f"bad initial class {initial_token_class!r}")
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "speaker", speaker)
+        object.__setattr__(self, "speaker", tokens[0].speaker)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "initial_token_class", initial_token_class)
         object.__setattr__(self, "initial_cue", initial_cue)
@@ -229,6 +229,8 @@ class CodedRecord(Record):
 
     def __post_init__(self) -> None:
         op = self.operation
+        if not isinstance(op, FocusingOperation):
+            raise ValueError(f"field 'operation' has wrong type (got {type(op).__name__})")
         affected = segments_affected(op)
         if self.segments_affected is None:
             self.segments_affected = affected
@@ -363,15 +365,8 @@ def fragmentize(transcript: Sequence[AnnotatedToken],
     fragments: list[SpeechFragment] = []
     for k, (start, cls, entry) in enumerate(starts):
         end = starts[k + 1][0] if k + 1 < len(starts) else len(transcript)
-        tokens = tuple(transcript[start:end])
-        fragments.append(SpeechFragment(
-            index=k,
-            speaker=tokens[0].speaker,
-            tokens=tokens,
-            initial_token_class=cls,
-            initial_cue=entry,
-            pause_before_s=pause_before[start],
-        ))
+        fragments.append(SpeechFragment(k, tuple(transcript[start:end]), cls, entry,
+                                        pause_before[start]))
     return fragments
 
 

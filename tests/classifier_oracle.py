@@ -21,9 +21,8 @@ from pausecue.fragments import PRONOUNS, SpeechFragment
 
 
 def _item(source: str, feature: str, config: ClassifierConfig) -> EvidenceItem:
-    row_key, primitive = TABLE_ROWS[(source, feature)]
-    return EvidenceItem(source=source, feature=feature, primitive=primitive,
-                        weight=config.weights[row_key])
+    row_key, _ = TABLE_ROWS[(source, feature)]
+    return EvidenceItem(source=source, feature=feature, weight=config.weights[row_key])
 
 
 def _has_creaky(frag: SpeechFragment) -> bool:
@@ -224,7 +223,7 @@ def segment_discourse(fragments, *, functions=None, config=DEFAULT_CONFIG):
                           open_labels=[space.dsp_label for space in stack.spaces],
                           lookahead_pop=lookahead, config=config)
         lookahead = any(it.primitive == "impending_pop" for it in evidence)
-        stack = apply(stack, result.operation, i, label=frag.topic or f"fragment-{i}")
+        stack = apply(stack, result.operation, i, label=frag.topic)
         trace.append((result.operation, i))
         classifications.append(result)
     return SegmentationResult(trace=trace, tree=build_tree(trace),

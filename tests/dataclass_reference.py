@@ -90,6 +90,8 @@ class FocusSpace:
     closed_at: int | None = None
 
     def __post_init__(self) -> None:
+        if type(self.id) is not int:
+            raise MalformedOperation(f"space id {self.id!r} is not an int")
         if self.closed_at is not None and self.closed_at <= self.opened_at:
             raise MalformedOperation(
                 f"space {self.id}: closed_at {self.closed_at} must exceed "
@@ -108,8 +110,6 @@ class FocusStack:
         for i, space in enumerate(spaces):
             if not isinstance(space, focus.FocusSpace):
                 raise MalformedOperation(f"stack space {i} is not a FocusSpace")
-            if type(space.id) is not int:
-                raise MalformedOperation(f"stack space {i} has id {space.id!r}, not an int")
             if i and not spaces[i - 1].id < space.id:
                 raise MalformedOperation(f"stack space {i} has id {space.id!r}, "
                                          f"not above {spaces[i - 1].id!r}")
@@ -152,11 +152,11 @@ class AudioFrameSeries:
 @dataclass(frozen=True)
 class SpeechFragment:
     index: int
-    speaker: str
     tokens: tuple
     initial_token_class: str
     initial_cue: object
     pause_before_s: float
+    speaker: str = field(init=False, repr=False, compare=False)
     features: fragments.TokenFeatures = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -164,6 +164,7 @@ class SpeechFragment:
             raise ValueError("fragment must hold at least one token")
         if self.initial_token_class not in fragments.INITIAL_CLASSES:
             raise ValueError(f"bad initial class {self.initial_token_class!r}")
+        object.__setattr__(self, "speaker", self.tokens[0].speaker)
         object.__setattr__(self, "features", fragments._token_features(self.tokens))
 
 
@@ -171,20 +172,17 @@ class SpeechFragment:
 class EvidenceItem:
     source: str
     feature: str
-    primitive: str
     weight: float = 1.0
+    primitive: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.source, self.feature) not in TABLE_ROWS:
             raise ValueError(f"unknown evidence row ({self.source}, {self.feature})")
-        expected = TABLE_ROWS[(self.source, self.feature)][1]
-        if self.primitive != expected:
-            raise ValueError(f"({self.source}, {self.feature}) maps to {expected}, "
-                             f"not {self.primitive}")
         if self.weight <= 0:
             raise ValueError("weight must be positive")
         if not self.weight <= MAX_MAGNITUDE:  # also NaN
             raise ValueError(f"weight {IN_RANGE}")
+        object.__setattr__(self, "primitive", TABLE_ROWS[(self.source, self.feature)][1])
 
 
 @dataclass(frozen=True)
@@ -205,8 +203,8 @@ class ClassifierConfig:
         object.__setattr__(self, "weights",
                            {key: float(self.weights.get(key, 1.0)) for key in ROW_KEYS})
         object.__setattr__(self, "items", {
-            (source, feature): EvidenceItem(source, feature, primitive, self.weights[row_key])
-            for (source, feature), (row_key, primitive) in TABLE_ROWS.items()})
+            (source, feature): EvidenceItem(source, feature, self.weights[row_key])
+            for (source, feature), (row_key, _) in TABLE_ROWS.items()})
 
 
 #: Each library class and its reference, by the library class's name.

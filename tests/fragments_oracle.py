@@ -93,7 +93,6 @@ def fragmentize(transcript: Sequence[AnnotatedToken],
         tokens = tuple(transcript[start:end])
         fragments.append(SpeechFragment(
             index=k,
-            speaker=tokens[0].speaker,
             tokens=tokens,
             initial_token_class=cls,
             initial_cue=entry,

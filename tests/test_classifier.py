@@ -29,15 +29,14 @@ def tok(surface, **kw):
 
 def frag(surfaces, index=0, cue=None, cls="unmarked", **token_kw):
     tokens = tuple(tok(s, **token_kw) for s in surfaces)
-    return SpeechFragment(index=index, speaker="B", tokens=tokens,
+    return SpeechFragment(index=index, tokens=tokens,
                           initial_token_class=cls,
                           initial_cue=LEX.lookup(cue) if cue else None,
                           pause_before_s=0.0)
 
 
 def item(source, feature, weight=1.0):
-    return EvidenceItem(source=source, feature=feature,
-                        primitive=TABLE_ROWS[(source, feature)][1], weight=weight)
+    return EvidenceItem(source=source, feature=feature, weight=weight)
 
 
 def stack_of(*labels):
@@ -85,7 +84,7 @@ def test_pronoun_and_subordinator_detection():
 def test_many_lstar_needs_majority_of_accents():
     current = frag(["a", "b", "c"], index=0)
     tokens = (tok("a", accent="Lstar"), tok("b", accent="Lstar"), tok("c", accent="Hstar"))
-    current = SpeechFragment(index=0, speaker="B", tokens=tokens,
+    current = SpeechFragment(index=0, tokens=tokens,
                              initial_token_class="unmarked", initial_cue=None,
                              pause_before_s=0.0)
     features = {it.feature for it in extract_evidence(None, current, None)}
@@ -258,23 +257,40 @@ def test_pop_count_defaults_to_one():
 
 def test_topic_anchored_return_pops_to_above_match():
     stack = stack_of("route", "hallway", "aside")
-    assert resolve_pop_count(OpKind.RETURN, stack, topic="route", topic_anchored=True) == 2
-    assert resolve_pop_count(OpKind.REPLACE, stack, topic="route", topic_anchored=True) == 3
+    assert resolve_pop_count(OpKind.RETURN, stack, topic="route") == 2
+    assert resolve_pop_count(OpKind.REPLACE, stack, topic="route") == 3
 
 
 def test_topic_match_at_top_falls_back_to_single_pop():
     stack = stack_of("route", "aside")
-    assert resolve_pop_count(OpKind.RETURN, stack, topic="aside", topic_anchored=True) == 1
+    assert resolve_pop_count(OpKind.RETURN, stack, topic="aside") == 1
 
 
 def test_unanchored_topic_is_ignored():
-    stack = stack_of("route", "aside")
-    assert resolve_pop_count(OpKind.RETURN, stack, topic="route", topic_anchored=False) == 1
+    # a fragment anchors its pops at its topic only when it is flagged as a
+    # repetition; either way its expanded range argues a Return
+    opened = [frag(["it"], i, topic=topic) for i, topic in enumerate(["route", "", "", ""])]
+    for flags, pops in ((set(), 1), ({"nonpronominal_repetition"}, 2)):
+        last = frag(["left"], 4, topic="route", flags=flags, pitch_range="expanded")
+        trace = segment_discourse([*opened, last]).trace
+        assert trace[-1][0] == operation(OpKind.RETURN, pops)
+
+
+def test_a_topic_spelled_like_a_placeholder_anchors_only_a_space_with_that_topic():
+    # a space opened without a topic carries no label, so no topic can match it
+    for first_topic, pops in (("", 1), ("fragment-0", 2)):
+        tokens = [tok("it", pause_before_s=0.5, topic=first_topic)]
+        tokens += [tok("it", pause_before_s=0.5) for _ in range(3)]
+        tokens.append(tok("left", pause_before_s=0.5, topic="fragment-0",
+                          flags={"nonpronominal_repetition"}))
+        trace = segment_discourse(fragmentize(tokens)).trace
+        assert [op.kind for op, _ in trace[:3]] == [OpKind.INITIATE] * 3
+        assert trace[-1][0] == operation(OpKind.RETURN, pops)
 
 
 def test_anchored_pops_walk_to_the_nearest_open_space():
-    def pops(kind, stack, topic, anchored=True):
-        return resolve_pop_count(kind, stack, topic=topic, topic_anchored=anchored)
+    def pops(kind, stack, topic):
+        return resolve_pop_count(kind, stack, topic=topic)
 
     # the topmost of several spaces with the topic wins
     stack = stack_of("route", "route", "hallway", "aside")
@@ -285,7 +301,7 @@ def test_anchored_pops_walk_to_the_nearest_open_space():
     assert pops(OpKind.REPLACE, stack, "aside") == 1
     for kind in (OpKind.RETURN, OpKind.REPLACE):
         assert pops(kind, stack, "kitchen") == 1  # no open space has it
-        assert pops(kind, stack, "route", anchored=False) == 1
+        assert pops(kind, stack, "") == 1  # an empty topic anchors nothing
     assert pops(OpKind.INITIATE, stack, "route") == 0
 
 
@@ -301,7 +317,7 @@ def test_anchored_pops_from_a_stack_2000_deep():
     firsts.append((tok("route", topic="deep", **anchored), tok("it")))
     firsts += [(tok("it"),)] * 50
     firsts.append((tok("route", topic="bottom", **anchored),))
-    frags = [SpeechFragment(index=i, speaker="B", tokens=(*first, tok("here")),
+    frags = [SpeechFragment(index=i, tokens=(*first, tok("here")),
                             initial_token_class="unmarked", initial_cue=None,
                             pause_before_s=0.0)
              for i, first in enumerate(firsts)]
@@ -311,7 +327,7 @@ def test_anchored_pops_from_a_stack_2000_deep():
     tops = []
     stack = FocusStack()
     for (op, i), fragment in zip(result.trace, frags):
-        stack = apply(stack, op, i, label=fragment.topic or f"fragment-{i}")
+        stack = apply(stack, op, i, label=fragment.topic)
         top = stack.link[0]
         tops.append((op.kind, top.dsp_label, top.opened_at, stack.depth))
     assert result.trace[return_deep][0].pop_count > 1000
@@ -423,8 +439,9 @@ def random_fragments(rng, n):
         rest = [tok(rng.choice(["on", "left", "then"])) for _ in range(rng.randint(0, 2))]
         rest.append(tok("here", boundary=rng.choice(["none"] * 8 + ["fall",
                                                                    "continuation_rise"])))
+        first.speaker = rng.choice("AB")  # drawn here, as before, so the cases stay the same
         frags.append(SpeechFragment(
-            index=i, speaker=rng.choice("AB"), tokens=(first, *rest),
+            index=i, tokens=(first, *rest),
             initial_token_class="cue_phrase" if cue else "unmarked",
             initial_cue=LEX.lookup(cue) if cue else None, pause_before_s=0.0))
     return frags
@@ -671,7 +688,7 @@ def test_config_rejects_a_weight_out_of_range(value):
     with pytest.raises(ValueError, match="^weight must be finite and at most 1e"):
         ClassifierConfig(weights={**DEFAULT_CONFIG.weights, "prior_pop": value})
     with pytest.raises(ValueError, match="^weight must be finite and at most 1e"):
-        EvidenceItem("prior", "falling_final", "pop", value)
+        EvidenceItem("prior", "falling_final", value)
 
 
 @pytest.mark.parametrize("key", ["candidate_bonus", "impending_bonus", "lstar_threshold"])

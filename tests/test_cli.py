@@ -371,13 +371,10 @@ def test_other_interpreters_write_the_same_bytes(tmp_path):
         for process in runs.values():
             process.kill()
             process.communicate()
-    reports = {"report.text": (GOLDEN / "replication_report.txt").read_bytes(),
-               "report.json": (GOLDEN / "replication_report.json").read_bytes()}
     for version in runs:
         out = tmp_path / version / "out"
-        for name, expected in reports.items():  # the config footer names the input paths
-            assert _without_config((out / name).read_bytes()) == _without_config(expected), \
-                f"{version}: {name} differs from the golden"
+        assert_report_matches_golden(out / "report.text", "replication_report.txt", version)
+        assert_report_matches_golden(out / "report.json", "replication_report.json", version)
         for case in test_golden.CASES:  # segment and code write into one directory
             expected = {name: content for command in test_golden.COMMANDS
                         for name, content in test_golden.golden(command, case).items()
@@ -387,9 +384,16 @@ def test_other_interpreters_write_the_same_bytes(tmp_path):
                                     f"{version}: {case}")
 
 
-def _without_config(report: bytes) -> list[bytes]:
-    return [line for line in report.splitlines(keepends=True)
-            if not line.startswith((b"config:", b'  "config": '))]
+def assert_report_matches_golden(produced: Path, golden: str, where: str) -> None:
+    """The ``stats`` report ``produced`` is the golden file ``golden`` but for
+    the config footer, which names the input paths; a mismatch shows as a
+    unified diff."""
+    def without_config(report: bytes) -> bytes:
+        return b"".join(line for line in report.splitlines(keepends=True)
+                        if not line.startswith((b"config:", b'  "config": ')))
+
+    test_golden.assert_same({golden: without_config(produced.read_bytes())},
+                            {golden: without_config((GOLDEN / golden).read_bytes())}, where)
 
 
 def test_reader_steps_are_generated_on_first_read():
@@ -678,10 +682,7 @@ def test_stats_text_matches_golden(tmp_path, capsys, corpus_dir):
                          "--pauses", str(corpus_dir / "replication_pauses.jsonl"),
                          "--format", "text", "--out", str(out_file))
     assert code == 0
-    golden = (GOLDEN / "replication_report.txt").read_text()
-    produced = out_file.read_text()
-    # the config footer names the input paths; everything above it is golden
-    assert produced.split("config:")[0] == golden.split("config:")[0]
+    assert_report_matches_golden(out_file, "replication_report.txt", "stats")
 
 
 def test_stats_json_matches_golden(tmp_path, capsys, corpus_dir):
@@ -690,14 +691,7 @@ def test_stats_json_matches_golden(tmp_path, capsys, corpus_dir):
                          "--pauses", str(corpus_dir / "replication_pauses.jsonl"),
                          "--format", "json", "--out", str(out_file))
     assert code == 0
-
-    def without_config(text):
-        # the config field names the input paths; every other byte is golden
-        return [line for line in text.splitlines(keepends=True)
-                if not line.startswith('  "config": ')]
-
-    golden = (GOLDEN / "replication_report.json").read_text()
-    assert without_config(out_file.read_text()) == without_config(golden)
+    assert_report_matches_golden(out_file, "replication_report.json", "stats")
 
 
 def test_stats_json_is_parseable(capsys, corpus_dir):

@@ -167,12 +167,19 @@ def test_apply_shares_links_and_stores_depth():
     ([], None, "stack next_id None is not an int"),
     ([], 1.5, "stack next_id 1.5 is not an int"),
     ([FocusSpace(0)], True, "stack next_id True is not an int"),
-    ([FocusSpace(0.5)], 1, "stack space 0 has id 0.5, not an int"),
+    # the space refuses its id itself, while the stack is built from it
+    ((FocusSpace(i) for i in [0.5]), 1, "space id 0.5 is not an int"),
 ], ids=["not-a-space", "a-link", "repeated-id", "falling-id", "reused-next-id",
         "next-id-below", "next-id-none", "next-id-float", "next-id-bool", "float-id"])
 def test_a_stack_that_breaks_the_rule_is_refused(spaces, next_id, message):
     with pytest.raises(MalformedOperation, match=f"^{message}$"):
         FocusStack(spaces, next_id)
+
+
+@pytest.mark.parametrize("id", [0.5, 1.0, "x", True, None])
+def test_a_space_refuses_an_id_that_is_not_an_int(id):
+    with pytest.raises(MalformedOperation, match=f"^space id {id!r} is not an int$"):
+        FocusSpace(id)
 
 
 def test_no_stack_holds_two_spaces_of_one_id():

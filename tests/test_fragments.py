@@ -499,6 +499,15 @@ def test_coded_record_rejects_inconsistent_segments_affected(tmp_path):
     assert str(excinfo.value) == f"{path}:2: {message}"
 
 
+@pytest.mark.parametrize("operation", ["Initiate", {"kind": "Initiate", "pops": 0}, None])
+def test_coded_record_refuses_an_operation_that_is_not_one(operation):
+    # the reader builds the operation from its object; a constructor must be given one
+    with pytest.raises(ValueError, match=fr"^field 'operation' has wrong type "
+                                         fr"\(got {type(operation).__name__}\)$"):
+        CodedRecord(fragment_index=0, pause_before_s=0.1, initial_constituent="unmarked",
+                    embedding_depth=1, operation=operation)
+
+
 def test_coded_record_derives_marked_from_the_constituent():
     fields = dict(fragment_index=0, pause_before_s=0.1, initial_constituent="unmarked",
                   operation=FocusingOperation(OpKind.INITIATE, 0), embedding_depth=1,

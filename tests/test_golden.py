@@ -2,12 +2,13 @@
 
 Each case runs one command in-process, and every file it writes, its stdout
 and its stderr must match the files under ``tests/golden/<command>/<case>/``
-byte for byte.  ``segment`` and ``code`` run on the two fixtures and on one
-more run of ``directions_intro`` with committed ``--functions``,
+byte for byte.  ``segment`` and ``code`` run on the three fixtures and on
+one more run of ``directions_intro`` with committed ``--functions``,
 ``--weights`` and ``--lexicon`` inputs, which reach the acknowledgment,
 lexical-closure and prompt rows and a lexicon entry beyond the bundled
-ones; ``code`` also runs on a timed copy of ``directions_resume`` with two
-detected pauses.  ``pauses`` reads a short WAV built here, writing into a
+ones; in ``directions_anchored`` a repeated topic anchors a Return that
+pops two spaces and a Replace that pops three.  ``code`` also runs on a
+timed copy of ``directions_resume`` with two detected pauses.  ``pauses`` reads a short WAV built here, writing into a
 directory and to stdout, and ``replicate`` checks the bundled corpus and a
 copy with one unmeasured record.  The directory the command writes into,
 or reads its corpus from, is written as ``OUT`` in stdout and stderr.  A
@@ -34,6 +35,7 @@ OUT = "OUT"
 CASES = {
     "directions_intro": ["directions_intro.jsonl"],
     "directions_resume": ["directions_resume.jsonl"],
+    "directions_anchored": ["directions_anchored.jsonl"],
     "directions_intro_options": [
         "directions_intro.jsonl", "--functions", "directions_intro.functions.jsonl",
         "--weights", "directions_intro.weights.conf",

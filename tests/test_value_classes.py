@@ -94,7 +94,7 @@ GOOD = {name: st.fixed_dictionaries(values) for name, values in {
                          "energies": st.lists(st.floats(0, 1), max_size=3).map(tuple),
                          "n_samples": SMALL},
     "SpeechFragment": {
-        "index": SMALL, "speaker": TEXT,
+        "index": SMALL,
         "tokens": st.lists(TOKENS, max_size=3).map(tuple),
         "initial_token_class": _choice(INITIAL_CLASSES),
         "initial_cue": st.none() | st.sampled_from(bundled_lexicon().entries[:3]),
@@ -106,9 +106,8 @@ GOOD = {name: st.fixed_dictionaries(values) for name, values in {
         "lstar_threshold": st.floats(0, 1)},
 }.items()}
 GOOD["EvidenceItem"] = st.builds(
-    lambda row, weight: {"source": row[0][0], "feature": row[0][1], "primitive": row[1][1],
-                         "weight": weight},
-    st.sampled_from(list(TABLE_ROWS.items())), st.floats(-1, 1e16) | SMALL | EDGES)
+    lambda row, weight: {"source": row[0], "feature": row[1], "weight": weight},
+    st.sampled_from(list(TABLE_ROWS)), st.floats(-1, 1e16) | SMALL | EDGES)
 #: Mostly rising ids and a next_id above them, which the constructor requires.
 GOOD["FocusStack"] = st.builds(
     lambda spaces, rising, above: {
@@ -118,7 +117,8 @@ GOOD["FocusStack"] = st.builds(
     st.sampled_from([True, True, True, False]), st.sampled_from([1, 1, 2, 0]))
 #: Attributes each class derives, which its constructor takes no argument for.
 DERIVED = {"FocusingOperation": ("pushes",), "FocusStack": ("link", "depth"),
-           "SpeechFragment": ("features",), "ClassifierConfig": ("items",)}
+           "SpeechFragment": ("speaker", "features"), "EvidenceItem": ("primitive",),
+           "ClassifierConfig": ("items",)}
 FROZEN = ["CueEntry", "FocusingOperation", "FocusSpace", "FocusStack", "PauseConfig",
           "AudioFrameSeries", "SpeechFragment", "EvidenceItem", "ClassifierConfig"]
 
