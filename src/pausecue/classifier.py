@@ -75,8 +75,9 @@ RETAIN, INITIATE, RETURN, REPLACE = (OpKind.RETAIN, OpKind.INITIATE, OpKind.RETU
 
 
 class EvidenceItem(Frozen):
-    """One matched evidence row and its weight; ``primitive`` is looked up
-    in TABLE_ROWS, so it stays out of ``==``, ``hash`` and ``repr``."""
+    """One matched evidence row and its weight, kept as a float as
+    ClassifierConfig keeps its weights; ``primitive`` is looked up in
+    TABLE_ROWS, so it stays out of ``==``, ``hash`` and ``repr``."""
 
     _fields = ("source", "feature", "weight")
 
@@ -90,7 +91,7 @@ class EvidenceItem(Frozen):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "feature", feature)
         object.__setattr__(self, "primitive", TABLE_ROWS[(source, feature)][1])
-        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "weight", float(weight))
 
 
 class ClassifierConfig(Frozen):

@@ -18,11 +18,12 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable
 
-from . import classifier, fragments, pauses, report
+# Only what the parser and the first lexicon load need is imported here; each
+# command imports the rest of the package when it runs, so ``code`` never
+# loads ``stats`` and ``stats`` never loads ``classifier``.
 from .focus import FocusEngineError, write_trace
-from .jsonl import Field, SchemaError, iter_jsonl, validate
+from .jsonl import SchemaError, iter_jsonl, validate
 from .lexicon import MissingAnnotation, bundled_lexicon, load_lexicon
-from .stats import compute_report, ordered_sum
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -33,20 +34,27 @@ class OptionError(Exception):
     """A command-line option holds a value the command cannot use."""
 
 
-_INPUT_ERRORS = (SchemaError, OptionError, pauses.UnsupportedFormat, fragments.LengthMismatch,
-                 MissingAnnotation, FocusEngineError)
+def _input_errors() -> tuple[type[Exception], ...]:
+    """The errors that exit 2; built when one is caught, so no command
+    imports a module only to name its errors."""
+    from .fragments import LengthMismatch
+    from .pauses import UnsupportedFormat
+    return (SchemaError, OptionError, UnsupportedFormat, LengthMismatch, MissingAnnotation,
+            FocusEngineError)
 
-#: One ``--functions`` line: the annotator's labels around one fragment.
-FUNCTION_FIELDS = (
-    Field("fragment_index", int),
-    Field("prior", str, "topical", choices=fragments.FUNCTION_LABELS),
-    Field("subsequent", str, "topical", choices=fragments.FUNCTION_LABELS),
-)
+
+def compute_report(*args, **kwargs):
+    """``stats.compute_report``, imported when first called.  ``stats`` and
+    ``replicate`` call it by this module's name, which the bench tracer wraps."""
+    from .stats import compute_report
+    return compute_report(*args, **kwargs)
 
 
 def _read_functions(path: str | None, n: int) -> list[tuple[str, str]] | None:
     if path is None:
         return None
+    from .fragments import FUNCTION_FIELDS
+
     labels = [("topical", "topical")] * n
     seen = set()
     for lineno, row in validate(iter_jsonl(path), FUNCTION_FIELDS, path):
@@ -76,6 +84,8 @@ _PAUSE_OPTIONS = {"threshold_db": "--threshold-db", "min_silence_s": "--min-sile
 
 
 def cmd_pauses(args: argparse.Namespace) -> int:
+    from . import pauses
+
     try:
         config = pauses.PauseConfig(threshold_db=args.threshold_db,
                                     min_silence_s=args.min_silence,
@@ -98,7 +108,7 @@ def cmd_pauses(args: argparse.Namespace) -> int:
         pauses.write_pauses(out_path, records)
         print(f"wrote {out_path}")
         summary_fp = sys.stdout
-    mean = (ordered_sum(r.reported_duration_s for r in records) / len(records)
+    mean = (pauses.ordered_sum(r.reported_duration_s for r in records) / len(records)
             if records else 0.0)
     print(f"pauses: {len(records)}  mean reported duration: {mean:.2f} s  "
           f"(threshold_db={config.threshold_db:g} min_silence={config.min_silence_s:g} "
@@ -120,6 +130,8 @@ def _record_line(path: str, index: int) -> int | None:
 
 
 def _segment_pipeline(args: argparse.Namespace):
+    from . import classifier, fragments, pauses
+
     tokens = fragments.read_transcript(args.transcript)
     pause_records = pauses.read_pauses(args.pauses) if args.pauses else None
     lexicon = load_lexicon(args.lexicon) if args.lexicon else bundled_lexicon()
@@ -135,6 +147,8 @@ def _segment_pipeline(args: argparse.Namespace):
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
+    from . import classifier
+
     frags, _, result = _segment_pipeline(args)
     stem = Path(args.transcript).stem
     directory = _out_dir(args)
@@ -150,6 +164,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_code(args: argparse.Namespace) -> int:
+    from . import fragments
+
     frags, functions, result = _segment_pipeline(args)
     ops = [op for op, _ in result.trace]
     records = fragments.code(frags, ops, functions=functions)
@@ -166,6 +182,8 @@ def cmd_code(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import fragments, pauses, report
+
     records = fragments.read_measured(args.coded)
     pause_records = pauses.read_pauses(args.pauses) if args.pauses else None
     config_note = (f"input={args.coded} pauses={args.pauses or 'none'} "
@@ -182,7 +200,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
-    from . import replication  # only this command needs it; the others start without it
+    from . import replication
 
     try:
         records, pause_records = replication.load_bundled(args.corpus)
@@ -228,6 +246,8 @@ class _CommandParser:
 
 
 def _pauses_options(p: argparse.ArgumentParser) -> None:
+    from . import pauses
+
     p.add_argument("wav")
     p.add_argument("--out", default=".", help="output directory, or - for stdout")
     defaults = pauses.DEFAULT_CONFIG
@@ -296,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

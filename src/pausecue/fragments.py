@@ -45,6 +45,12 @@ INITIAL_CLASSES = ("unfilled_pause", "filled_pause", "cue_phrase",
 CONSTITUENTS = ("cue_phrase", "acknowledgment", "filled_pause", "unmarked")
 FUNCTION_LABELS = ("cue_phrase", "acknowledgment", "closure", "filled_pause",
                    "repair", "topical")
+#: One ``--functions`` line: the annotator's labels around one fragment.
+FUNCTION_FIELDS = (
+    Field("fragment_index", int),
+    Field("prior", str, "topical", choices=FUNCTION_LABELS),
+    Field("subsequent", str, "topical", choices=FUNCTION_LABELS),
+)
 TURN_POSITIONS = ("initiating", "continuing")
 
 #: Lower-cased surfaces that count as pronominal reference.

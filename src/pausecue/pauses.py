@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 import wave
 from contextlib import contextmanager
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -86,6 +88,17 @@ def round_tenth(x: float) -> float:
     as exact tenths (for example 0.35) round up as intended.
     """
     return math.floor(x * 10.0 + 0.5 + 1e-9) / 10.0
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The sum of ``values`` added left to right from int 0.
+
+    Built-in ``sum`` adds so only before Python 3.12, which made its float
+    sums compensated: their last digits round otherwise.  Every float sum
+    that reaches an output goes through here, so the outputs keep their
+    bytes on every interpreter; sums of ints are exact and keep ``sum``.
+    """
+    return reduce(add, values, 0)
 
 
 PAUSE_FIELDS = (

@@ -16,29 +16,16 @@ The Pearson p-value uses the transform t = r sqrt((n-2) / (1-r^2)).
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .focus import OP_KINDS, OpKind
 from .fragments import ROW_LABELS, CodedRecord
-from .pauses import PauseRecord, round_tenth
+from .pauses import PauseRecord, ordered_sum, round_tenth
 
 CANONICAL_TOKEN_ROWS = ("And", "But", "Now", "Oh", "So", "Well", "Y'know", "Ordinal")
 TAIL_TOKEN_ROWS = tuple(ROW_LABELS.values())
 #: An operation kind's name; the enum's ``.value`` property is slower per record.
 _KIND_NAME = {kind: kind.value for kind in OpKind}
-
-
-def ordered_sum(values: Iterable[float]) -> float:
-    """The sum of ``values`` added left to right from int 0.
-
-    Built-in ``sum`` adds so only before Python 3.12, which made its float
-    sums compensated: their last digits round otherwise.  Every float sum
-    that reaches an output goes through here, so the outputs keep their
-    bytes on every interpreter; sums of ints are exact and keep ``sum``.
-    """
-    return reduce(add, values, 0)
 
 
 class ZeroVariance(Exception):

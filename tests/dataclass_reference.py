@@ -183,6 +183,7 @@ class EvidenceItem:
         if not self.weight <= MAX_MAGNITUDE:  # also NaN
             raise ValueError(f"weight {IN_RANGE}")
         object.__setattr__(self, "primitive", TABLE_ROWS[(self.source, self.feature)][1])
+        object.__setattr__(self, "weight", float(self.weight))
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,15 @@ def test_pop_and_push_yield_replace():
     assert result.operation.kind is OpKind.REPLACE
 
 
+def test_an_item_keeps_its_weight_as_a_float():
+    # a bool or int weight would otherwise reach the audit as true or 1
+    result = classify([item("current", "pronominalization", True),
+                       item("prior", "falling_final", 2)], None, stack_of("a", "b"))
+    assert [type(it.weight) for it in result.evidence_used] == [float, float]
+    assert '"primitive": "push", "weight": 1.0}' in audit_text([result])
+    assert '"primitive": "pop", "weight": 2.0}' in audit_text([result])
+
+
 def test_empty_stack_forces_initiate():
     result = classify([item("prior", "falling_final")], None, stack_of())
     assert result.operation.kind is OpKind.INITIATE

@@ -205,15 +205,20 @@ def run_fresh(script, *argv, flags=()):
     pytest.param(["replicate"], (), id="replicate"),
 ])
 def test_text_commands_do_not_load_numpy(tmp_path, argv, flags):
+    assert run_fresh(FRESH_MAIN, *command_argv(tmp_path, argv), flags=flags) == "0 []"
+
+
+def command_argv(tmp_path, argv):
+    """``argv`` with its ``{name}`` placeholders naming input files written
+    under ``tmp_path``, and the output there."""
     (tmp_path / "timed.jsonl").write_text(TIMED)
     (tmp_path / "gaps.jsonl").write_text(ON_LEFT)
+    write_wav(tmp_path / "speech.wav", build_signal(TWO_TONES), RATE)
     files = {"intro": FIXTURES / "directions_intro.jsonl", "timed": tmp_path / "timed.jsonl",
              "gaps": tmp_path / "gaps.jsonl", "records": DATA / "replication_records.jsonl",
-             "inventory": DATA / "replication_pauses.jsonl"}
+             "inventory": DATA / "replication_pauses.jsonl", "wav": tmp_path / "speech.wav"}
     argv = [arg.format(**files) for arg in argv]
-    if argv[0] in ("segment", "code"):
-        argv += ["--out", str(tmp_path)]
-    assert run_fresh(FRESH_MAIN, *argv, flags=flags) == "0 []"
+    return argv + ["--out", str(tmp_path)] if argv[0] in ("segment", "code", "pauses") else argv
 
 
 def test_import_does_not_load_numpy():
@@ -255,6 +260,43 @@ def test_only_replicate_loads_the_replication_module(tmp_path):
     assert json.loads(run_fresh(FRESH_COMMANDS, json.dumps(commands))) == [
         ["import", 0, False], ["segment", 0, False], ["code", 0, False],
         ["stats", 0, False], ["replicate", 0, True]]
+
+
+#: What every call loads before its command runs: the parser and the bundled
+#: lexicon need these and nothing else.
+SETUP_MODULES = ["pausecue", "pausecue.cli", "pausecue.focus", "pausecue.jsonl",
+                 "pausecue.lexicon"]
+#: The modules a command loads beyond SETUP_MODULES.  The text side of
+#: ``segment`` and ``code`` loads no stats, report or replication; ``stats``
+#: no classifier; ``pauses`` nothing of the text side; ``replicate`` no
+#: classifier or report.
+TRANSCRIPT_MODULES = ["classifier", "fragments", "pauses"]
+COMMAND_MODULES = {"segment": TRANSCRIPT_MODULES, "code": TRANSCRIPT_MODULES,
+                   "stats": ["fragments", "pauses", "report", "stats"], "pauses": ["pauses"],
+                   "replicate": ["fragments", "pauses", "replication", "stats"]}
+PACKAGE_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'pausecue')"
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+def test_set_up_loads_only_the_parser_and_lexicon_modules(flags):
+    assert run_fresh(f"import sys, pausecue.cli; pausecue.cli.bundled_lexicon(); "
+                     f"print({PACKAGE_MODULES})", flags=flags) == str(SETUP_MODULES)
+
+
+@pytest.mark.parametrize("argv, flags", [
+    pytest.param(["segment", "{intro}"], (), id="segment"),
+    pytest.param(["code", "{intro}"], (), id="code"),
+    pytest.param(["code", "{timed}", "--pauses", "{gaps}"], (), id="code-pauses"),
+    pytest.param(["code", "{timed}", "--pauses", "{gaps}"], ("-S",), id="code-pauses-no-site"),
+    pytest.param(["stats", "{records}", "--pauses", "{inventory}"], (), id="stats-pauses"),
+    pytest.param(["pauses", "{wav}"], (), id="pauses"),
+    pytest.param(["replicate"], (), id="replicate"),
+])
+def test_each_command_loads_only_its_modules(tmp_path, argv, flags):
+    expected = sorted(SETUP_MODULES + [f"pausecue.{m}" for m in COMMAND_MODULES[argv[0]]])
+    assert run_fresh("import sys; from pausecue.cli import main; code = main(sys.argv[1:]); "
+                     f"print(code, {PACKAGE_MODULES})", *command_argv(tmp_path, argv),
+                     flags=flags) == f"0 {expected}"
 
 
 #: Three nested Initiates under the topics route, path and bench and one more

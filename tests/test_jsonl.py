@@ -27,14 +27,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jsonl_oracle
-from pausecue.cli import FUNCTION_FIELDS
 from conftest import read_trace
 from pausecue.focus import (OP_KINDS, TRACE_FIELDS, FocusingOperation, OpKind, TraceStep,
                             segments_affected, write_trace)
 from pausecue.fragments import (ACCENTS, BOUNDARIES, CODED_FIELDS, CONSTITUENTS,
-                                FUNCTION_LABELS, PHONATIONS, PITCH_RANGES, TOKEN_FIELDS,
-                                TOKEN_FLAGS, TURN_POSITIONS, AnnotatedToken, CodedRecord,
-                                read_coded, read_transcript, write_coded)
+                                FUNCTION_FIELDS, FUNCTION_LABELS, PHONATIONS, PITCH_RANGES,
+                                TOKEN_FIELDS, TOKEN_FLAGS, TURN_POSITIONS, AnnotatedToken,
+                                CodedRecord, read_coded, read_transcript, write_coded)
 from pausecue.jsonl import MAX_MAGNITUDE, REQUIRED, Field, SchemaError, rows, validate, write_jsonl
 from pausecue.lexicon import (ENTRY_FIELDS, ORDINAL_RANKS, TOKEN_CLASSES, CueEntry,
                               DuplicateSurface, Lexicon, load_lexicon)

@@ -7,9 +7,14 @@ import importlib
 import inspect
 import io
 import json
+import os
 import runpy
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from conftest import rebuilt
 from pausecue import fragments, lexicon, pauses, replication
@@ -247,10 +252,62 @@ def test_value_types_keep_their_fields():
 
 
 
+#: Every name ``pausecue`` has exported since it imported its submodules
+#: eagerly, by the submodule that defines it.
+EXPORTS = {
+    "classifier": ["ClassifierConfig", "Classification", "EvidenceItem", "classify",
+                   "extract_evidence", "segment_discourse"],
+    "focus": ["EmptyStackError", "FocusingOperation", "FocusSpace", "FocusStack",
+              "LinguisticTree", "MalformedOperation", "OpKind", "UnderflowError", "apply",
+              "build_tree", "segments_affected"],
+    "fragments": ["AnnotatedToken", "CodedRecord", "EmptyTranscript", "LengthMismatch",
+                  "MisalignedPause", "SpeechFragment", "code", "fragmentize"],
+    "lexicon": ["CueContext", "CueEntry", "CueJudgment", "Lexicon", "MissingAnnotation",
+                "bundled_lexicon", "judge_cue_use", "load_lexicon"],
+    "pauses": ["AudioFrameSeries", "PauseConfig", "PauseRecord", "UnsupportedFormat",
+               "detect_pauses", "frame_energy", "read_wav", "round_tenth"],
+    "stats": ["AnovaResult", "CorrResult", "GroupedMeans", "StatsReport", "TTestResult",
+              "ZeroVariance", "anova_one_way", "compute_report", "pearson",
+              "table_distributions", "t_test_pooled"],
+}
+#: In a new interpreter: the submodules ``import pausecue`` loads, then each
+#: submodule as a package attribute and each exported name through ``from
+#: pausecue import`` that is not the submodule's own object.
+RE_EXPORTS = """\
+import json, sys
+import pausecue
+loaded = [m for m in sys.modules if m.startswith("pausecue.")]
+wrong = []
+for module, names in json.loads(sys.argv[1]).items():
+    if getattr(pausecue, module) is not sys.modules[f"pausecue.{module}"]:
+        wrong.append(module)
+    for name in names:
+        scope = {}
+        exec(f"from pausecue import {name}", scope)
+        if scope[name] is not getattr(sys.modules[f"pausecue.{module}"], name):
+            wrong.append(name)
+print(json.dumps([loaded, wrong]))
+"""
+
+
+def test_the_package_exports_each_name_on_first_use():
+    done = subprocess.run([sys.executable, "-c", RE_EXPORTS, json.dumps(EXPORTS)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], []]
+    import pausecue
+    with pytest.raises(AttributeError, match="^module 'pausecue' has no attribute 'nope'$"):
+        pausecue.nope
+    with pytest.raises(ImportError, match="cannot import name 'ordered_sum'"):
+        exec("from pausecue import ordered_sum", {})
+
+
 #: Library definitions kept although nothing outside the tests calls them.
 UNUSED_ALLOWED = {
     "lexicon.Lexicon.lookup": "the README documents it as the lookup of raw, "
                               "unnormalized text",
+    "__init__.__getattr__": "PEP 562: the interpreter calls it for `from pausecue import X`",
 }
 
 
