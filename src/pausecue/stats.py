@@ -16,6 +16,7 @@ The Pearson p-value uses the transform t = r sqrt((n-2) / (1-r^2)).
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .focus import OP_KINDS, OpKind
@@ -50,25 +51,16 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even step, then the odd one
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d = 1.0 / (tiny if abs(d) < tiny else d)
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise ArithmeticError(f"incomplete beta did not converge (a={a}, b={b}, x={x})")
@@ -169,45 +161,49 @@ class TTestResult(NamedTuple):
     n_b: int
 
 
-def _stat(values: Sequence[float]) -> CellStat:
-    # summing in sorted order keeps aggregates identical under permutation
-    ordered = sorted(values)
-    n = len(ordered)
-    mean = ordered_sum(ordered) / n
-    sd = None
-    if n >= 2:
-        sd = math.sqrt(ordered_sum((v - mean) ** 2 for v in ordered) / (n - 1))
-    return CellStat(mean=mean, count=n, sd=sd)
+def _pooled(runs: Sequence[tuple[float, ...]], shared: dict) -> CellStat:
+    """The statistic of the pool of the sorted ``runs``, summed in sorted order
+    so that it holds under permutation.  ``shared`` maps each pool already
+    seen to its statistic, and a pool of the same values reuses it."""
+    ordered = runs[0] if len(runs) == 1 else tuple(sorted(chain.from_iterable(runs)))
+    stat = shared.get(ordered)
+    if stat is None:
+        n = len(ordered)
+        mean = ordered_sum(ordered) / n
+        sd = (math.sqrt(ordered_sum((v - mean) ** 2 for v in ordered) / (n - 1))
+              if n >= 2 else None)
+        stat = shared[ordered] = CellStat(mean=mean, count=n, sd=sd)
+    return stat
 
 
 def grouped_means(cells: Mapping[tuple[str, str], Sequence[float]],
-                  row_order: Sequence[str], col_order: Sequence[str]) -> GroupedMeans:
+                  row_order: Sequence[str], col_order: Sequence[str],
+                  shared: dict | None = None) -> GroupedMeans:
     """Build a table of cell means from the values of each nonempty (row, col) cell.
 
     Absent cells stay absent rather than reading as zero.  Margins are
     count-weighted, so permuting the input leaves every statistic unchanged.
+    ``compute_report`` passes its three tables one ``shared`` map, so a pool
+    that two of them hold is computed once.
     """
     if not cells:
         raise ValueError("no values to aggregate")
+    shared = {} if shared is None else shared
     # margins pool sorted runs, which sort as cheap merges
-    ordered = {key: sorted(vals) for key, vals in cells.items()}
+    ordered = {key: tuple(sorted(vals)) for key, vals in cells.items()}
+    rows: dict[str, list[tuple[float, ...]]] = {}
+    cols: dict[str, list[tuple[float, ...]]] = {}
+    for (row, col), vals in ordered.items():
+        rows.setdefault(row, []).append(vals)
+        cols.setdefault(col, []).append(vals)
     return GroupedMeans(
-        cells={key: _stat(vals) for key, vals in ordered.items()},
-        row_margins=_margins(ordered, 0),
-        col_margins=_margins(ordered, 1),
-        grand=_stat([v for vals in ordered.values() for v in vals]),
+        cells={key: _pooled([vals], shared) for key, vals in ordered.items()},
+        row_margins={row: _pooled(runs, shared) for row, runs in rows.items()},
+        col_margins={col: _pooled(runs, shared) for col, runs in cols.items()},
+        grand=_pooled(list(ordered.values()), shared),
         row_order=tuple(row_order),
         col_order=tuple(col_order),
     )
-
-
-def _margins(cells: Mapping[tuple[str, str], Sequence[float]],
-             axis: int) -> dict[str, CellStat]:
-    """Pool the cells of each row (axis 0) or column (axis 1)."""
-    pooled: dict[str, list[float]] = {}
-    for key, values in cells.items():
-        pooled.setdefault(key[axis], []).extend(values)
-    return {name: _stat(values) for name, values in pooled.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +495,12 @@ def compute_report(records: Sequence[CodedRecord],
         notes.append(f"{excluded} record(s) without a measured pause were excluded")
 
     distributions = table_distributions(measured, pauses)
-    by_op = grouped_means(op_cells, row_order=OP_KINDS, col_order=("ALL",))
-    by_token = grouped_means(token_cells, row_order=_token_rows(row for row, _ in token_cells),
-                             col_order=OP_KINDS)
-    by_marking = grouped_means(marking_cells, row_order=("Marked", "Unmarked"),
-                               col_order=OP_KINDS)
+    # each grand is every value, and the other tables' column margins are by_op's cells
+    shared: dict = {}
+    by_op = grouped_means(op_cells, OP_KINDS, ("ALL",), shared)
+    by_token = grouped_means(token_cells, _token_rows(row for row, _ in token_cells),
+                             OP_KINDS, shared)
+    by_marking = grouped_means(marking_cells, ("Marked", "Unmarked"), OP_KINDS, shared)
 
     anova = None
     try:

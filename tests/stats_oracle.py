@@ -3,10 +3,14 @@
 Each table is built on its own from (row, col, value) triples and each test
 sample by its own list comprehension, and the ANOVA recomputes a group mean
 for every element.  The production path groups the records in one pass and
-must give exactly the same report.
+must give exactly the same report.  Float sums add left to right from 0,
+as the report's do on every interpreter: built-in ``sum`` is compensated
+from Python 3.12.
 """
 
 import math
+from functools import reduce
+from operator import add
 
 from pausecue.focus import OP_KINDS, OpKind
 from pausecue.pauses import round_tenth
@@ -16,13 +20,17 @@ from pausecue.stats import (CANONICAL_TOKEN_ROWS, TAIL_TOKEN_ROWS, AnovaResult, 
                             t_test_pooled)
 
 
+def total(values):
+    return reduce(add, values, 0)
+
+
 def stat(values):
     ordered = sorted(values)
     n = len(ordered)
-    mean = sum(ordered) / n
+    mean = total(ordered) / n
     sd = None
     if n >= 2:
-        sd = math.sqrt(sum((v - mean) ** 2 for v in ordered) / (n - 1))
+        sd = math.sqrt(total((v - mean) ** 2 for v in ordered) / (n - 1))
     return CellStat(mean=mean, count=n, sd=sd)
 
 
@@ -93,9 +101,9 @@ def anova_one_way(groups):
         if len({g[0] for g in groups}) == 1:
             return AnovaResult(F=0.0, df_between=df_between, df_within=df_within, p=1.0)
         return AnovaResult(F=math.inf, df_between=df_between, df_within=df_within, p=0.0)
-    grand = sum(sum(g) for g in groups) / n_total
-    ss_between = sum(len(g) * (sum(g) / len(g) - grand) ** 2 for g in groups)
-    ss_within = sum(sum((x - sum(g) / len(g)) ** 2 for x in g) for g in groups)
+    grand = total(total(g) for g in groups) / n_total
+    ss_between = total(len(g) * (total(g) / len(g) - grand) ** 2 for g in groups)
+    ss_within = total(total((x - total(g) / len(g)) ** 2 for x in g) for g in groups)
     if ss_within == 0.0:
         f = 0.0 if ss_between == 0.0 else math.inf
         return AnovaResult(F=f, df_between=df_between, df_within=df_within,

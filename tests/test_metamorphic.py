@@ -1,8 +1,8 @@
 """Metamorphic relations over the command line (Chen, Cheung and Yiu, 1998).
 
-Each test runs ``segment`` and ``code`` in-process through ``cli.main`` on
-a drawn transcript twice, with inputs related in a way that must leave
-named outputs unchanged, and needs no oracle for what those outputs are.
+Each test runs ``segment`` and ``code``, or ``stats``, in-process through
+``cli.main`` on a drawn input twice, with inputs related in a way that must
+leave named outputs unchanged, and needs no oracle for what those outputs are.
 
 * Weight scale: multiplying every evidence-row weight by 2**k, k in
   [-4, 4], leaves the trace, the tree and the coded files unchanged.  Every
@@ -13,21 +13,30 @@ named outputs unchanged, and needs no oracle for what those outputs are.
   the transcript change no output file, however many words they span.
 * Speaker renaming: renaming the speakers one to one changes no output
   file.  A speaker is only ever compared with the one before.
+* Splitting a coded file: cutting it into its dialogues, each written
+  anew, and joining them in the same order changes no ``stats`` byte.  In
+  any other order the mean tables, the count panels and the pause panel
+  stay the same, since every mean sums its values in sorted order.  The
+  three tests sum in record order, so only their last bits may move, and
+  so may the histogram averages when they come from the records' own
+  pauses rather than a pause inventory.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pausecue.classifier import ROW_KEYS
 from pausecue.cli import main
-from pausecue.fragments import (ACCENTS, BOUNDARIES, FUNCTION_LABELS, PHONATIONS,
-                                PITCH_RANGES, TOKEN_FLAGS, fragmentize, read_transcript)
+from pausecue.fragments import (ACCENTS, BOUNDARIES, CONSTITUENTS, FUNCTION_LABELS,
+                                PHONATIONS, PITCH_RANGES, TOKEN_FLAGS, fragmentize, read_coded,
+                                read_transcript, write_coded)
 from pausecue.lexicon import DATA_DIR, TOKEN_CLASSES, bundled_lexicon
 
 RELATION = settings(settings.get_profile("fuzz"), max_examples=60)
@@ -142,3 +151,65 @@ def test_renaming_the_speakers_one_to_one_changes_no_output(tokens, at, names):
             (tmp / name).mkdir()
             runs.append(outputs(tmp, [write_lines(tmp / name / "t.jsonl", rows)]))
     assert runs[0] == runs[1]
+
+
+#: One coded row without its index: the fields ``stats`` reads, the others
+#: left to their defaults.  Few pause values make constant cells.
+CODED_ROWS = st.fixed_dictionaries(
+    {"pause_before_s": st.sampled_from([None, 0.0, -0.0, 0.1, 0.2, 0.3, 0.35, 0.7, 1.25]),
+     "initial_constituent": st.sampled_from(CONSTITUENTS),
+     "operation": st.sampled_from([{"kind": "Initiate", "pops": 0}, {"kind": "Retain", "pops": 0},
+                                   {"kind": "Return", "pops": 1}, {"kind": "Return", "pops": 2},
+                                   {"kind": "Replace", "pops": 1}]),
+     "embedding_depth": st.integers(1, 3)},
+    optional={"initial_token": st.sampled_from(["And", "So", "Now", "Anyway", ""])})
+PAUSE_ROWS = st.fixed_dictionaries(
+    {"start_s": st.just(0.0), "raw_duration_s": st.sampled_from([0.0, 0.06, 0.15, 0.3, 0.44]),
+     "position": st.sampled_from(["fragment_initial", "fragment_internal"])})
+
+
+def stats_outputs(coded: Path, pauses: str | None, forms=("text", "json")) -> dict[str, bytes]:
+    """Run ``stats`` on ``coded`` in each of ``forms``; every report's bytes."""
+    reports = {}
+    for form in forms:
+        report = coded.parent / f"report.{form}"
+        argv = ["stats", str(coded), "--format", form, "--out", str(report)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + (["--pauses", pauses] if pauses else [])) == 0
+        reports[form] = report.read_bytes()
+    return reports
+
+
+@RELATION
+@given(dialogues=st.lists(st.lists(CODED_ROWS, min_size=1, max_size=8), min_size=2, max_size=5),
+       pauses=st.none() | st.lists(PAUSE_ROWS, min_size=1, max_size=5), data=st.data())
+def test_splitting_a_coded_file_into_dialogues_keeps_every_mean_and_count(
+        dialogues, pauses, data):
+    assume(any(row["pause_before_s"] is not None for rows in dialogues for row in rows))
+    order = data.draw(st.permutations(range(len(dialogues))))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        coded = tmp / "coded.jsonl"
+        inventory = write_lines(tmp / "pauses.jsonl", pauses) if pauses is not None else None
+        write_lines(coded, [{"fragment_index": index, **row}
+                            for rows in dialogues for index, row in enumerate(rows)])
+        whole = stats_outputs(coded, inventory)
+        parts = []  # each dialogue, from its fragment 0, written on its own
+        for record in read_coded(coded):
+            if record.fragment_index == 0:
+                parts.append([])
+            parts[-1].append(record)
+        for k, records in enumerate(parts):
+            write_coded(tmp / f"part{k}.jsonl", records)
+        texts = [(tmp / f"part{k}.jsonl").read_text(encoding="utf-8") for k in range(len(parts))]
+        coded.write_text("".join(texts), encoding="utf-8")
+        assert stats_outputs(coded, inventory) == whole
+        coded.write_text("".join(texts[k] for k in order), encoding="utf-8")
+        permuted = stats_outputs(coded, inventory, forms=("json",))
+    tables = [json.loads(run["json"])["tables"] for run in (whole, permuted)]
+    if pauses is None:  # the records' own pauses are averaged in record order
+        before, after = (t["pause_histogram"].pop("averages") for t in tables)
+        assert before.keys() == after.keys()
+        assert all(math.isclose(before[k], after[k], rel_tol=1e-12) if before[k] is not None
+                   else after[k] is None for k in before)
+    assert json.dumps(tables[0], sort_keys=True) == json.dumps(tables[1], sort_keys=True)

@@ -3,9 +3,11 @@
 import json
 import math
 import random
+from functools import reduce
+from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stats_oracle
@@ -167,9 +169,30 @@ def test_pearson_constant_sample_with_inexact_mean():
 CANCELLING = [1e16, 1.0, -1e16]
 
 
+def bits(value):
+    """A sum's type and exact bits, which tell signed zeros and NaNs apart."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+#: Ints beyond a C long, every float (subnormals, infinities), signed zeros,
+#: +-1e308, and cancelling pairs, whose sums a compensated adder would change.
+SUMMAND = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(allow_nan=False),
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 0.1]))
+SUMMANDS = st.lists(st.one_of(SUMMAND.map(lambda v: [v]), SUMMAND.map(lambda v: [v, -v])),
+                    max_size=12).map(lambda chunks: [v for chunk in chunks for v in chunk])
+
+
+@settings(settings.get_profile("fuzz"))
+@given(values=SUMMANDS)
+def test_ordered_sum_adds_left_to_right_from_int_zero_bit_for_bit(values):
+    expected = bits(reduce(add, values, 0))
+    assert bits(ordered_sum(values)) == expected
+    assert bits(ordered_sum(iter(values))) == expected
+
+
 def test_float_sums_add_left_to_right_on_every_interpreter():
     assert ordered_sum(CANCELLING) == 0.0
-    assert ordered_sum([]) == 0 and type(ordered_sum([])) is int  # as sum() starts
+    assert bits(ordered_sum([])) == (int, 0)  # as sum() starts
     table = grouped_means({("a", "x"): CANCELLING, ("b", "x"): [1.0, 2.0]}, ["a", "b"], ["x"])
     assert table.cell("a", "x").mean == table.row_margins["a"].mean == 0.0
     assert table.grand.mean == 0.4  # sorted -1e16, 1.0, 1.0, 2.0, 1e16: only 2.0 is kept
@@ -441,22 +464,27 @@ def test_report_equals_oracle_on_corpus(corpus_records, corpus_pauses):
         assert report == stats_oracle.compute_report(corpus_records, pauses).to_dict()
 
 
-#: Repeated values make constant cells and groups; rounding keeps pauses realistic.
-PAUSE_VALUES = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.35, 1.0]),
+#: Repeated values make constant cells and groups; rounding keeps pauses
+#: realistic; -0.0 passes the readers' ``minimum=0.0`` rule.
+PAUSE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.35, 1.0]),
                          st.floats(0.0, 5.0).map(lambda v: round(v, 3)))
+#: Constituents of mixed, all marked and all unmarked record sets.
+MARKINGS = [CONSTITUENTS, [c for c in CONSTITUENTS if c != "unmarked"], ["unmarked"]]
 
 
 @st.composite
 def record_sets(draw):
-    """Records over a few operations, some unmeasured, some cells constant."""
+    """Records over a few operations, some unmeasured, some cells constant,
+    and some sets of one operation kind or of one marking only."""
     kinds = draw(st.lists(st.sampled_from(list(OpKind)), min_size=1, max_size=4,
                           unique=True))
+    constituents = draw(st.sampled_from(MARKINGS))
     constant = {kind: draw(PAUSE_VALUES) for kind in kinds if draw(st.booleans())}
     records = []
     for i in range(draw(st.integers(1, 24))):
         kind = draw(st.sampled_from(kinds))
         pops = 0 if kind in (OpKind.INITIATE, OpKind.RETAIN) else draw(st.integers(1, 3))
-        constituent = draw(st.sampled_from(CONSTITUENTS))
+        constituent = draw(st.sampled_from(constituents))
         token = draw(st.sampled_from(["And", "So", "Now", "Anyway", ""]))
         if draw(st.integers(0, 5)) == 0:
             pause = None
@@ -477,3 +505,24 @@ def record_sets(draw):
 def test_report_equals_oracle_on_generated_records(records, pauses):
     assert outcome(compute_report, records, pauses) == \
         outcome(stats_oracle.compute_report, records, pauses)
+
+
+@settings(settings.get_profile("fuzz"))
+@given(records=record_sets())
+def test_tables_sharing_pools_equal_tables_summing_each_pool_on_its_own(records):
+    assume(any(rec.pause_before_s is not None for rec in records))
+    report = compute_report(records)
+    oracle = stats_oracle.compute_report(records)  # every pool sorted and summed anew
+    unshared = report._replace(by_operation=oracle.by_operation,
+                               by_token_and_operation=oracle.by_token_and_operation,
+                               by_marking=oracle.by_marking)
+    assert render_json(report) == render_json(unshared)  # bytes show a signed zero
+    # a pool of the same values is one statistic: the grands are every value,
+    # by_operation's cells are its row margins, and its column margin is the
+    # grand and its cells the other tables' column margins
+    by_op, by_token, by_marking = (report.by_operation, report.by_token_and_operation,
+                                   report.by_marking)
+    assert by_op.grand is by_token.grand is by_marking.grand is by_op.col_margins["ALL"]
+    for (kind, _), stat in by_op.cells.items():
+        assert stat is by_op.row_margins[kind] is by_token.col_margins[kind] \
+            is by_marking.col_margins[kind]
