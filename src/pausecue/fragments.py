@@ -167,7 +167,9 @@ class SpeechFragment(Frozen):
     current and subsequent neighbor.  Both are derived, so they are left out
     of ``==``, ``hash`` and ``repr``.  Fragments are frozen, so both always
     match the tokens: a fragment with other tokens is a new
-    ``SpeechFragment``, whose constructor derives them again.
+    ``SpeechFragment``, whose constructor derives them again.  Its tokens
+    are ``AnnotatedToken`` records, which may be changed, so a fragment is
+    unhashable, as a ClassifierConfig is for its weights.
     """
 
     _fields = ("index", "tokens", "initial_token_class", "initial_cue", "pause_before_s")

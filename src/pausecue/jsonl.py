@@ -215,7 +215,7 @@ class Record:
     the attribute of its name; any other attribute is derived from them.
     ``==`` holds between two instances of one class whose fields are equal,
     and ``repr`` shows the fields.  A record may be changed, so it is
-    unhashable; ``Frozen`` is the immutable, hashable kind.
+    unhashable; ``Frozen`` is the immutable kind.
     """
 
     __slots__ = ()
@@ -238,9 +238,12 @@ class Record:
 class Frozen(Record):
     """Base of the immutable classes: assigning or deleting any attribute
     raises AttributeError, so a constructor sets each one through
-    ``object.__setattr__`` (or a slot's own ``__set__``).  ``hash`` reads
-    the fields, and a pickle or a copy is made again by the constructor,
-    given every field by keyword, so it runs the same checks.
+    ``object.__setattr__`` (or a slot's own ``__set__``).  ``hash`` is the
+    hash of the tuple of the fields' values, so it exists only when every
+    field value hashes: an instance that holds a mutable value, such as a
+    dict or a ``Record``, raises TypeError as that tuple does.  A pickle or a
+    copy is made again by the constructor, given every field by keyword, so
+    it runs the same checks.
     """
 
     __slots__ = ()

@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import math
 import wave
@@ -12,6 +13,7 @@ from pausecue.focus import TRACE_FIELDS, operation_from_row
 from pausecue.jsonl import iter_jsonl, validate
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src" / "pausecue"
 
 #: The input fuzz runs the same bounded set of examples on every run.
 settings.register_profile("fuzz", derandomize=True, database=None, deadline=None,
@@ -23,6 +25,20 @@ def rebuilt(obj, **changes):
     attributes of the constructor's parameter names, with ``changes``."""
     params = inspect.signature(type(obj)).parameters
     return type(obj)(**{**{name: getattr(obj, name) for name in params}, **changes})
+
+
+def value_classes():
+    """Every ``jsonl.Record`` subclass a module of ``src/pausecue`` defines, by
+    name: the value classes, found by a walk rather than listed."""
+    from pausecue.jsonl import Frozen, Record
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(
+            "pausecue" if path.stem == "__init__" else f"pausecue.{path.stem}")
+        found.update((cls.__name__, cls) for cls in vars(module).values()
+                     if isinstance(cls, type) and issubclass(cls, Record)
+                     and cls.__module__ == module.__name__ and cls not in (Record, Frozen))
+    return found
 
 
 RATE = 16000

@@ -10,15 +10,14 @@ them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from pausecue.focus import (EmptyStackError, FocusEngineError, FocusingOperation,
                             FocusSpace, LinguisticTree, MalformedOperation, OpKind,
                             UnderflowError)
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
+class HistoryEntry(NamedTuple):
     fragment_index: int
     operation: FocusingOperation
     pushed: FocusSpace | None
@@ -26,8 +25,7 @@ class HistoryEntry:
     top_id: int | None
 
 
-@dataclass(frozen=True)
-class HistoryStack:
+class HistoryStack(NamedTuple):
     spaces: tuple[FocusSpace, ...] = ()
     history: tuple[HistoryEntry, ...] = ()
     next_id: int = 0

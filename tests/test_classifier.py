@@ -172,6 +172,17 @@ def test_an_item_keeps_its_weight_as_a_float():
     assert '"primitive": "pop", "weight": 2.0}' in audit_text([result])
 
 
+def test_an_item_needs_a_row_of_the_table():
+    # a feature found under another source is not that source's row
+    with pytest.raises(ValueError, match=r"^unknown evidence row \(subsequent, falling_final\)$"):
+        EvidenceItem("subsequent", "falling_final")
+
+
+def test_an_item_and_a_config_keep_their_defaults():
+    assert EvidenceItem("prior", "falling_final") == EvidenceItem("prior", "falling_final", 1.0)
+    assert ClassifierConfig() == ClassifierConfig({}, 2.0, 2.0, 0.5)
+
+
 def test_empty_stack_forces_initiate():
     result = classify([item("prior", "falling_final")], None, stack_of())
     assert result.operation.kind is OpKind.INITIATE

@@ -182,6 +182,10 @@ def test_a_space_refuses_an_id_that_is_not_an_int(id):
         FocusSpace(id)
 
 
+def test_a_space_is_unlabelled_opened_at_0_and_open_by_default():
+    assert FocusSpace(3) == FocusSpace(3, "", 0, None)
+
+
 def test_no_stack_holds_two_spaces_of_one_id():
     # an unchecked next_id would let the next push reuse an open space's id
     with pytest.raises(MalformedOperation, match="next_id 0 is not above the top id 0"):

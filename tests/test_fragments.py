@@ -16,9 +16,9 @@ from pausecue.classifier import segment_discourse
 from pausecue.focus import FocusingOperation, OpKind, segments_affected
 from pausecue.fragments import (ACCENTS, BOUNDARIES, PHONATIONS, PITCH_RANGES, TOKEN_FIELDS,
                                 TOKEN_FLAGS, AnnotatedToken, CodedRecord,
-                                EmptyTranscript, LengthMismatch, MisalignedPause, code,
-                                fragmentize, read_coded, read_transcript, write_coded,
-                                write_coded_tsv, TSV_COLUMNS)
+                                EmptyTranscript, LengthMismatch, MisalignedPause,
+                                SpeechFragment, code, fragmentize, read_coded,
+                                read_transcript, write_coded, write_coded_tsv, TSV_COLUMNS)
 from pausecue.jsonl import SchemaError, rows, write_jsonl
 from pausecue.lexicon import CueEntry, Lexicon, bundled_lexicon
 from pausecue.pauses import PauseRecord, round_tenth
@@ -309,6 +309,20 @@ def test_fragments_are_frozen():
     assert (again.features.pronoun, again.features.reduced_range, again.topic) == \
         (False, True, "hall")
     assert frag.topic == "route"
+
+
+@pytest.mark.parametrize("tokens, initial_class, message", [
+    ((), "unmarked", "fragment must hold at least one token"),
+    ((tok("so"),), "cue", "bad initial class 'cue'"),
+], ids=["no-tokens", "unknown-class"])
+def test_a_fragment_needs_tokens_and_a_known_initial_class(tokens, initial_class, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SpeechFragment(0, tokens, initial_class, None, 0.0)
+
+
+def test_a_fragment_takes_its_speaker_from_its_first_token():
+    tokens = (tok("so", speaker="A"), tok("right", speaker="B"))
+    assert SpeechFragment(0, tokens, "cue_phrase", None, 0.0).speaker == "A"
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jsonl_oracle
-from conftest import read_trace
+from conftest import read_trace, value_classes
 from pausecue.focus import (OP_KINDS, TRACE_FIELDS, FocusingOperation, OpKind, TraceStep,
                             segments_affected, write_trace)
 from pausecue.fragments import (ACCENTS, BOUNDARIES, CODED_FIELDS, CONSTITUENTS,
@@ -347,6 +347,12 @@ SOURCES = {"token": FIXTURES / "directions_intro.jsonl",
 DOMAIN_FIELDS = [pytest.param(name, field, id=f"{name}-{field.name}")
                  for name, (table, *_) in BUILT.items() for field in table
                  if field.choices is not None or field.minimum is not None]
+
+
+def test_every_record_type_is_built():
+    # the record laws below cover every class that a table declares
+    assert {make for _, make, _, _ in BUILT.values()} == {
+        cls for cls in value_classes().values() if "_record" in vars(cls)}
 
 
 def test_every_domain_rule_is_covered():

@@ -2,7 +2,6 @@
 the public names and value-type fields stay in step with the package."""
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import io
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import rebuilt
+from conftest import rebuilt, value_classes
 from pausecue import fragments, lexicon, pauses, replication
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -247,7 +246,7 @@ def test_value_types_keep_their_fields():
     for target, (fields, defaults) in NAMED_TUPLES.items():
         module, _, name = target.partition(".")
         cls = getattr(importlib.import_module(f"pausecue.{module}"), name)
-        assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls), target
+        assert issubclass(cls, tuple) and not hasattr(cls, "__dataclass_fields__"), target
         assert (cls._fields, cls._field_defaults) == (fields, defaults), target
 
 
@@ -364,10 +363,11 @@ VALUE_METHODS = ("__eq__", "__hash__", "__repr__")
 
 def test_one_base_gives_every_value_class_its_methods():
     from pausecue.jsonl import Frozen, Record
-    for cls in (fragments.AnnotatedToken, fragments.CodedRecord, pauses.PauseRecord,
-                lexicon.CueEntry):
-        assert (cls.__eq__, cls.__repr__) == (Record.__eq__, Record.__repr__), cls
-    assert lexicon.CueEntry.__hash__ is Frozen.__hash__
+    for name, cls in value_classes().items():
+        if f"{cls.__module__.rpartition('.')[2]}.{name}" not in VALUE_METHOD_OWNERS:
+            assert (cls.__eq__, cls.__repr__, cls.__hash__) == (
+                Record.__eq__, Record.__repr__,
+                Frozen.__hash__ if issubclass(cls, Frozen) else None), name
     src = ROOT / "src" / "pausecue"
     owners = set()
     for path in sorted(src.glob("*.py")):
@@ -401,16 +401,26 @@ def test_one_base_gives_every_value_class_its_methods():
 def test_every_value_class_keeps_the_record_contract():
     # == and repr show the fields, hash reads them and a pickle rebuilds from
     # them by keyword: each is a constructor argument, in the constructor's order
-    from pausecue.jsonl import Frozen, Record
-    found = {}
-    for path in sorted((ROOT / "src" / "pausecue").glob("*.py")):
-        module = importlib.import_module(
-            "pausecue" if path.stem == "__init__" else f"pausecue.{path.stem}")
-        for cls in vars(module).values():
-            if isinstance(cls, type) and issubclass(cls, Record) \
-                    and cls.__module__ == module.__name__ and cls not in (Record, Frozen):
-                found[cls.__name__] = cls
+    found = value_classes()
     assert len(found) == 12, sorted(found)
     for name, cls in found.items():
-        assert cls._fields == tuple(inspect.signature(cls).parameters), name
+        params = inspect.signature(cls).parameters.values()
+        assert cls._fields == tuple(param.name for param in params), name
+        # a table's fields from the first default on are keyword-only (test_jsonl);
+        # a class declared by hand takes each field by position too
+        assert "_record" in vars(cls) or all(
+            param.kind is param.POSITIONAL_OR_KEYWORD for param in params), name
     assert not hasattr(found["FocusStack"], "empty")  # FocusStack() is the one spelling
+
+
+def test_no_test_module_keeps_a_second_copy_of_a_value_class():
+    # test_value_classes checks every value class by laws over the class
+    # itself; a copy declared beside it would be edited in step with the code
+    names = set(value_classes())
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            copied = (isinstance(node, ast.ClassDef) and node.name in names
+                      or isinstance(node, ast.Import)
+                      and any(alias.name == "dataclasses" for alias in node.names)
+                      or isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+            assert not copied, f"{path.name}:{node.lineno}"

@@ -1,34 +1,50 @@
-"""The package's value classes against their dataclass references.
+"""The laws every value class of the package keeps, each stated once.
 
-For each of the twelve classes, the same arguments give the library class
-and its reference in ``dataclass_reference`` the same attributes, in value
-and type, or the same exception type and message; their instances have the
-same ``==``, the same hash or unhashability, the same ``repr`` and the
-same attributes again after a pickle round trip.  The
-arguments are good, bad, missing, passed by keyword where the signature
-wants them by position, or unknown.  A frozen instance refuses assignment
-and deletion and keeps its value.
+The value classes are the ``jsonl.Record`` subclasses that a walk of
+``src/pausecue`` finds (``conftest.value_classes``), and each law runs over
+all of them, on instances made from drawn arguments:
+
+- ``==`` holds exactly when the ``_fields`` are equal, and ``repr`` shows
+  them, so no derived attribute counts for either; ``AudioFrameSeries``,
+  the one class with its own ``==`` (``test_tooling.VALUE_METHOD_OWNERS``),
+  compares by identity;
+- a ``Record`` that is not ``Frozen`` is unhashable, and a ``Frozen`` one
+  hashes as the tuple of its fields does, or raises ``TypeError`` as it does;
+- a ``Frozen`` instance refuses assignment and deletion and keeps its value;
+- a pickle or a copy holds the original's attributes, and a ``Frozen`` one
+  is made again by the constructor, so it runs the constructor's checks.
+
+Each class's own rules are example tests beside its other tests, and
+``test_jsonl`` states the law that the constructor and the reader of each
+record type agree.
 """
 
+import copy
 import inspect
 import math
-import operator
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dataclass_reference as ref
+from conftest import value_classes
 from pausecue.classifier import ROW_KEYS, TABLE_ROWS
 from pausecue.focus import OP_KINDS, FocusSpace, OpKind, operation
 from pausecue.fragments import (ACCENTS, BOUNDARIES, CONSTITUENTS, FUNCTION_LABELS,
                                 INITIAL_CLASSES, PHONATIONS, PITCH_RANGES, TOKEN_FLAGS,
                                 TURN_POSITIONS, AnnotatedToken)
+from pausecue.jsonl import Frozen
 from pausecue.lexicon import ORDINAL_RANKS, TOKEN_CLASSES, bundled_lexicon
 from pausecue.pauses import POSITIONS
+from test_tooling import VALUE_METHOD_OWNERS
 
-FUZZ = settings(settings.get_profile("fuzz"), max_examples=100)
+FUZZ = settings(settings.get_profile("fuzz"), max_examples=40)
+
+CLASSES = value_classes()
+FROZEN = [name for name, cls in CLASSES.items() if issubclass(cls, Frozen)]
+#: The classes that compare by identity: those with their own ``==``.
+IDENTITY = {owner.partition(".")[2] for owner in VALUE_METHOD_OWNERS} & set(CLASSES)
 
 #: Arguments of every kind, for any parameter: most of them bad for it.
 ANY = st.sampled_from([None, "", "x", "Return", 0, 1, -1, 2, 2.5, -0.5, 1e16, -1e16, math.nan,
@@ -115,16 +131,13 @@ GOOD["FocusStack"] = st.builds(
         "next_id": max([space.id for space in spaces], default=0) + above},
     st.lists(SPACES, max_size=3, unique_by=lambda space: space.id) | st.lists(SPACES, max_size=3),
     st.sampled_from([True, True, True, False]), st.sampled_from([1, 1, 2, 0]))
-#: Attributes each class derives, which its constructor takes no argument for.
-DERIVED = {"FocusingOperation": ("pushes",), "FocusStack": ("link", "depth"),
-           "SpeechFragment": ("speaker", "features"), "EvidenceItem": ("primitive",),
-           "ClassifierConfig": ("items",)}
-FROZEN = ["CueEntry", "FocusingOperation", "FocusSpace", "FocusStack", "PauseConfig",
-          "AudioFrameSeries", "SpeechFragment", "EvidenceItem", "ClassifierConfig"]
 
 
-def attributes(name):
-    return (*inspect.signature(ref.PAIRS[name][1]).parameters, *DERIVED.get(name, ()))
+def good(name):
+    """The good-argument strategy of class ``name``; a class the walk finds
+    without one fails every law, by name."""
+    assert name in GOOD, f"value class {name} has no argument strategy in GOOD"
+    return GOOD[name]
 
 
 @st.composite
@@ -133,8 +146,8 @@ def calls(draw, name):
     bad value, a missing argument, a keyword-only one passed by position or
     an unknown keyword.  Each is passed by position where it may be, by
     keyword or, if it has a default, not at all."""
-    params = list(inspect.signature(ref.PAIRS[name][1]).parameters.values())
-    values = draw(GOOD[name])
+    params = list(inspect.signature(CLASSES[name]).parameters.values())
+    values = draw(good(name))
     broken = draw(st.sampled_from([None, None, "bogus", *range(len(params))]))
     args, kwargs = [], {}
     for i, param in enumerate(params):
@@ -160,71 +173,101 @@ def outcome(fn, *args, **kwargs):
         return False, (type(exc), str(exc))
 
 
-def made(cls, call):
-    args, kwargs = call
-    return outcome(cls, *args, **kwargs)
+def fields(obj):
+    """The values of ``obj``'s ``_fields``, in order."""
+    return tuple(getattr(obj, name) for name in type(obj)._fields)
 
 
-def shape(value):
-    """``value`` as comparable data: an instance of one of the twelve classes
-    as its class name and attributes, containers element by element, and
-    anything else as its type and value."""
-    name = type(value).__name__
-    if name in ref.PAIRS and type(value) in ref.PAIRS[name]:
-        return name, tuple(shape(getattr(value, attr)) for attr in attributes(name))
-    if type(value) is dict:
-        return dict, {key: shape(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value), tuple(map(shape, value))
-    if isinstance(value, (set, frozenset)):
-        return type(value), frozenset(map(shape, value))
-    if type(value) is float and math.isnan(value):  # one NaN equals another copy of it
-        return float, "nan"
-    return type(value), value
+def state(obj):
+    """Every attribute ``obj`` holds, by name: its fields, then what it derives
+    from them (the attributes it holds that are not fields)."""
+    slots = [name for cls in type(obj).__mro__ for name in vars(cls).get("__slots__", ())]
+    held = [*type(obj)._fields, *getattr(obj, "__dict__", ()), *slots]
+    return {name: getattr(obj, name) for name in dict.fromkeys(held)}
 
 
-def pickled(obj):
-    return shape(pickle.loads(pickle.dumps(obj)))
+def alike(first, second):
+    """Instances of one class with the same attributes."""
+    return type(first) is type(second) and state(first) == state(second)
 
 
-def hashed(obj):
-    ok, value = outcome(hash, obj)
-    return ok, ("identity" if ok and value == object.__hash__(obj) else value)
+def neighbours(data, name):
+    """Instances of class ``name``: one made from good arguments, one from the
+    same arguments and one from arguments that differ in at most one, less
+    those the constructor refuses."""
+    cls = CLASSES[name]
+    values, others = data.draw(good(name)), data.draw(good(name))
+    changed = data.draw(st.sampled_from(cls._fields))
+    made = [outcome(cls, **call) for call in (values, values, {**values, changed: others[changed]})]
+    return [obj for ok, obj in made if ok]
 
 
 @FUZZ
-@pytest.mark.parametrize("name", list(ref.PAIRS))
+@pytest.mark.parametrize("name", CLASSES)
 @given(data=st.data())
-def test_a_class_behaves_as_its_dataclass_reference(name, data):
-    library, reference = ref.PAIRS[name]
-    first, second = data.draw(calls(name)), data.draw(calls(name))
-    ours, theirs = made(library, first), made(reference, first)
-    if not (ours[0] and theirs[0]):
-        assert ours == theirs  # the same exception type and message
-        return
-    ours, theirs = ours[1], theirs[1]
-    assert shape(ours) == shape(theirs)
-    assert outcome(repr, ours) == outcome(repr, theirs)
-    assert hashed(ours) == hashed(theirs)
-    assert outcome(pickled, ours) == outcome(pickled, theirs)
-    for call in (first, second):  # an equal instance, then perhaps another
-        (ok, mine), (_, reference_one) = made(library, call), made(reference, call)
-        if ok:
-            assert outcome(operator.eq, ours, mine) == outcome(operator.eq, theirs, reference_one)
-            assert outcome(operator.ne, ours, mine) == outcome(operator.ne, theirs, reference_one)
+def test_equality_and_repr_read_the_fields(name, data):
+    made = neighbours(data, name)
+    for obj in made:
+        shown = ", ".join(f"{field}={value!r}" for field, value in zip(obj._fields, fields(obj)))
+        assert repr(obj) == f"{type(obj).__qualname__}({shown})"
+        assert obj != fields(obj)  # an instance equals no other type's
+        for other in made:
+            same = obj is other if name in IDENTITY else fields(obj) == fields(other)
+            assert (obj == other, obj != other) == (same, not same)
+
+
+@FUZZ
+@pytest.mark.parametrize("name", CLASSES)
+@given(data=st.data())
+def test_only_a_frozen_instance_hashes_and_as_its_fields(name, data):
+    made = neighbours(data, name)
+    for obj in made:
+        if not issubclass(CLASSES[name], Frozen):
+            with pytest.raises(TypeError, match=f"^unhashable type: '{name}'$"):
+                hash(obj)
+        elif name in IDENTITY:
+            assert hash(obj) == object.__hash__(obj)
+        else:  # raises TypeError where a field value does not hash
+            assert outcome(hash, obj) == outcome(hash, fields(obj))
+        for other in made:
+            if obj == other and outcome(hash, obj)[0]:
+                assert hash(obj) == hash(other)
 
 
 @FUZZ
 @pytest.mark.parametrize("name", FROZEN)
 @given(data=st.data())
 def test_a_frozen_instance_refuses_assignment(name, data):
-    ok, obj = made(ref.PAIRS[name][0], data.draw(calls(name)))
+    args, kwargs = data.draw(calls(name))
+    ok, obj = outcome(CLASSES[name], *args, **kwargs)
     if not ok:
         return
-    before = shape(obj)
-    for attr in (*attributes(name), "bogus"):
+    before = state(obj)
+    for attr in (*before, "bogus"):
         with pytest.raises(AttributeError, match=f"^cannot assign to field {attr!r}$"):
             setattr(obj, attr, 1)
         with pytest.raises(AttributeError, match=f"^cannot delete field {attr!r}$"):
             delattr(obj, attr)
-    assert shape(obj) == before
+    assert state(obj) == before
+
+
+@FUZZ
+@pytest.mark.parametrize("name", CLASSES)
+@given(data=st.data())
+def test_a_pickle_or_a_copy_keeps_the_attributes_and_the_checks(name, data):
+    ok, obj = outcome(CLASSES[name], **data.draw(good(name)))
+    if not ok:
+        return
+    for again in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert alike(again, obj)
+    if name in FROZEN:  # the rebuild of a payload with one bad value
+        rebuild, (cls, values) = obj.__reduce__()
+        i = data.draw(st.sampled_from(range(len(values))))
+        values = (*values[:i], data.draw(ANY), *values[i + 1:])
+        ours = outcome(rebuild, cls, values)
+        theirs = outcome(cls, **dict(zip(cls._fields, values)))
+        if ours[0] and theirs[0]:
+            assert alike(ours[1], theirs[1])
+        else:
+            assert ours == theirs  # the same exception type and message
+
