@@ -57,10 +57,11 @@ TIE_ORDER = {OpKind.RETAIN: 0, OpKind.INITIATE: 1, OpKind.RETURN: 2, OpKind.REPL
 class FocusingOperation(Frozen):
     """One focusing operation with an explicit pop count.
 
-    Initiate and Retain never pop; Return and Replace pop at least once.
-    Construction raises MalformedOperation otherwise, so every operation
-    that exists is well-formed.  ``pushes`` follows from ``kind``, so it
-    stays out of ``==``, ``hash`` and ``repr``.
+    ``pop_count`` is an int (not a bool).  Initiate and Retain never pop;
+    Return and Replace pop at least once.  Construction raises
+    MalformedOperation otherwise, so every operation that exists is
+    well-formed.  ``pushes`` follows from ``kind``, so it stays out of
+    ``==``, ``hash`` and ``repr``.
     """
 
     _fields = ("kind", "pop_count")
@@ -68,6 +69,9 @@ class FocusingOperation(Frozen):
     def __init__(self, kind: OpKind, pop_count: int = 0) -> None:
         if not isinstance(kind, OpKind):
             raise MalformedOperation(f"unknown operation kind {kind!r}")
+        if type(pop_count) is not int:
+            raise MalformedOperation(f"{kind.value} must have an int pop_count, "
+                                     f"got {pop_count!r}")
         if kind in (OpKind.INITIATE, OpKind.RETAIN):
             if pop_count != 0:
                 raise MalformedOperation(f"{kind.value} must have pop_count 0, "
@@ -88,9 +92,11 @@ class FocusingOperation(Frozen):
 class FocusSpace(Frozen):
     """One discourse segment's attentional record.
 
-    id is an int (not a bool).  closed_at is the fragment index at which the
-    space was popped; it stays None for spaces still open when the trace
-    ends.  Implicit discourse-final closure is reported, never fabricated.
+    id and opened_at are ints (not bools) and dsp_label a str; construction
+    raises MalformedOperation otherwise.  closed_at is the fragment index at
+    which the space was popped, an int above opened_at; it stays None for
+    spaces still open when the trace ends.  Implicit discourse-final closure
+    is reported, never fabricated.
     """
 
     __slots__ = _fields = ("id", "dsp_label", "opened_at", "closed_at")
@@ -99,9 +105,16 @@ class FocusSpace(Frozen):
                  closed_at: int | None = None) -> None:
         if type(id) is not int:
             raise MalformedOperation(f"space id {id!r} is not an int")
-        if closed_at is not None and closed_at <= opened_at:
-            raise MalformedOperation(
-                f"space {id}: closed_at {closed_at} must exceed opened_at {opened_at}")
+        if not isinstance(dsp_label, str):
+            raise MalformedOperation(f"space {id}: dsp_label {dsp_label!r} is not a str")
+        if type(opened_at) is not int:
+            raise MalformedOperation(f"space {id}: opened_at {opened_at!r} is not an int")
+        if closed_at is not None:
+            if type(closed_at) is not int:
+                raise MalformedOperation(f"space {id}: closed_at {closed_at!r} is not an int")
+            if closed_at <= opened_at:
+                raise MalformedOperation(
+                    f"space {id}: closed_at {closed_at} must exceed opened_at {opened_at}")
         _set_id(self, id)
         _set_dsp_label(self, dsp_label)
         _set_opened_at(self, opened_at)
@@ -309,13 +322,15 @@ OPERATION_FIELDS = (Field("kind", str, choices=OP_KINDS), Field("pops", int, 0))
 TRACE_FIELDS = (Field("index", int), *OPERATION_FIELDS)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def operation(kind: OpKind | str, pops: int) -> FocusingOperation:
     """The operation ``kind`` popping ``pops`` spaces.
 
     Operations are frozen, so each distinct (kind, pops) is built and
     validated once and then shared; a malformed one raises
-    MalformedOperation and is never cached.
+    MalformedOperation and is never cached.  The cache keys on the types
+    too, since ``1``, ``1.0`` and ``True`` are equal keys otherwise: each
+    reaches the constructor's check once, and only the int is cached.
     """
     return FocusingOperation(OpKind(kind), pops)
 

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .focus import OP_KINDS, OpKind
 from .fragments import ROW_LABELS, CodedRecord
+from .jsonl import SCHEMA_VERSION
 from .pauses import PauseRecord, ordered_sum, round_tenth
 
 CANONICAL_TOKEN_ROWS = ("And", "But", "Now", "Oh", "So", "Well", "Y'know", "Ordinal")
@@ -433,7 +434,7 @@ class StatsReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "config": self.config_note,
             "n_records": self.n_records,
             "excluded_records": self.excluded_records,

@@ -17,7 +17,6 @@ from pausecue.cli import COMMANDS, build_parser, main
 from pausecue.pauses import BLOCK_SAMPLES, PauseRecord
 from pausecue import pauses, replication
 
-GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
 
 
@@ -31,19 +30,6 @@ def run(capsys, *argv):
 # pauses
 # ---------------------------------------------------------------------------
 
-def test_pauses_on_three_gap_fixture(tmp_path, capsys):
-    path = tmp_path / "speech.wav"
-    write_wav(path, build_signal([
-        ("tone", 0.4), ("silence", 0.3), ("tone", 0.4), ("silence", 0.5),
-        ("tone", 0.4), ("silence", 0.2), ("tone", 0.4)]), RATE)
-    code, out, err = run(capsys, "pauses", str(path), "--out", str(tmp_path))
-    assert code == 0
-    assert "pauses: 3" in out
-    lines = (tmp_path / "speech.pauses.jsonl").read_text().splitlines()
-    assert len(lines) == 3
-    assert json.loads(lines[0])["reported_duration_s"] == pytest.approx(0.3)
-
-
 def test_pauses_summary_mean_adds_in_order(tmp_path, capsys, monkeypatch):
     # in order the durations sum to 1.1 and the mean to 0.275, printed 0.28; a
     # compensated sum (built-in sum from Python 3.12) gives 1.0999999999999999
@@ -55,15 +41,6 @@ def test_pauses_summary_mean_adds_in_order(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "pauses", str(path), "--out", str(tmp_path))
     assert code == 0
     assert "pauses: 4  mean reported duration: 0.28 s  " in out
-
-
-def test_pauses_stdout_streaming(tmp_path, capsys):
-    path = tmp_path / "speech.wav"
-    write_wav(path, build_signal([("tone", 0.4), ("silence", 0.3), ("tone", 0.4)]), RATE)
-    code, out, err = run(capsys, "pauses", str(path), "--out", "-")
-    assert code == 0
-    assert json.loads(out.splitlines()[0])["start_s"] == pytest.approx(0.4, abs=0.02)
-    assert "pauses: 1" in err
 
 
 def test_pauses_rejects_empty_file(tmp_path, capsys):
@@ -393,9 +370,8 @@ def test_other_interpreters_write_the_same_bytes(tmp_path):
     print("interpreters:", ", ".join(f"{v} ({path})" for v, path in found.items()))
     commands = [test_golden.case_argv(command, case, Path("out") / case)
                 for case in test_golden.CASES for command in test_golden.COMMANDS]
-    commands += [["stats", str(DATA / replication.RECORDS_FILE), "--pauses",
-                  str(DATA / replication.PAUSES_FILE), "--format", form,
-                  "--out", f"out/report.{form}"] for form in ("text", "json")]
+    commands += [test_golden.stats_argv(case, f"out/stats.{case}")
+                 for case in test_golden.STATS_CASES]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     runs = {}
     for version, executable in {"running": sys.executable, **found}.items():
@@ -415,8 +391,10 @@ def test_other_interpreters_write_the_same_bytes(tmp_path):
             process.communicate()
     for version in runs:
         out = tmp_path / version / "out"
-        assert_report_matches_golden(out / "report.text", "replication_report.txt", version)
-        assert_report_matches_golden(out / "report.json", "replication_report.json", version)
+        for case, (name, _) in test_golden.STATS_CASES.items():
+            report = test_golden.named((out / f"stats.{case}").read_bytes(), test_golden.BUNDLED)
+            expected = test_golden.golden("stats", case)[name]
+            test_golden.assert_same({name: report}, {name: expected}, f"{version}: stats/{case}")
         for case in test_golden.CASES:  # segment and code write into one directory
             expected = {name: content for command in test_golden.COMMANDS
                         for name, content in test_golden.golden(command, case).items()
@@ -424,18 +402,6 @@ def test_other_interpreters_write_the_same_bytes(tmp_path):
             test_golden.assert_same({path.name: path.read_bytes() for path in
                                      sorted((out / case).iterdir())}, expected,
                                     f"{version}: {case}")
-
-
-def assert_report_matches_golden(produced: Path, golden: str, where: str) -> None:
-    """The ``stats`` report ``produced`` is the golden file ``golden`` but for
-    the config footer, which names the input paths; a mismatch shows as a
-    unified diff."""
-    def without_config(report: bytes) -> bytes:
-        return b"".join(line for line in report.splitlines(keepends=True)
-                        if not line.startswith((b"config:", b'  "config": ')))
-
-    test_golden.assert_same({golden: without_config(produced.read_bytes())},
-                            {golden: without_config((GOLDEN / golden).read_bytes())}, where)
 
 
 def test_reader_steps_are_generated_on_first_read():
@@ -478,21 +444,6 @@ def test_pauses_in_a_fresh_interpreter_writes_the_same_bytes(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # segment
 # ---------------------------------------------------------------------------
-
-def test_segment_worked_example_tree(tmp_path, capsys):
-    code, out, err = run(capsys, "segment", str(FIXTURES / "directions_intro.jsonl"),
-                         "--out", str(tmp_path))
-    assert code == 0
-    lines = out.splitlines()
-    indents = [len(l) - len(l.lstrip()) for l in lines if l.strip()]
-    assert max(indents) == 4  # three embedding levels
-    assert (tmp_path / "directions_intro.trace.jsonl").exists()
-    assert (tmp_path / "directions_intro.audit.jsonl").exists()
-    trace = [json.loads(l) for l in
-             (tmp_path / "directions_intro.trace.jsonl").read_text().splitlines()]
-    assert [row["kind"] for row in trace] == \
-        ["Initiate", "Replace", "Initiate", "Initiate"]
-
 
 def test_segment_single_fragment(tmp_path, capsys):
     transcript = tmp_path / "one.jsonl"
@@ -684,20 +635,6 @@ def test_trailing_content_after_object_is_extra_data(tmp_path, capsys, kind):
 # code
 # ---------------------------------------------------------------------------
 
-def test_code_writes_jsonl_and_tsv(tmp_path, capsys):
-    code, out, err = run(capsys, "code", str(FIXTURES / "directions_resume.jsonl"),
-                         "--out", str(tmp_path))
-    assert code == 0
-    rows = [json.loads(l) for l in
-            (tmp_path / "directions_resume.coded.jsonl").read_text().splitlines()]
-    assert [r["operation"]["kind"] for r in rows] == \
-        ["Initiate", "Initiate", "Return", "Retain"]
-    assert rows[2]["marked"] is True
-    tsv_lines = (tmp_path / "directions_resume.coded.tsv").read_text().splitlines()
-    assert len(tsv_lines) == 5
-    assert "fragments: 4" in err
-
-
 @pytest.mark.parametrize("content", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
 @pytest.mark.parametrize("command", ["code", "segment"])
 def test_transcript_without_tokens_names_file(tmp_path, capsys, command, content):
@@ -716,24 +653,6 @@ def corpus_dir(tmp_path):
     directory = tmp_path / "corpus"
     replication.write_corpus(directory)
     return directory
-
-
-def test_stats_text_matches_golden(tmp_path, capsys, corpus_dir):
-    out_file = tmp_path / "report.txt"
-    code, out, err = run(capsys, "stats", str(corpus_dir / "replication_records.jsonl"),
-                         "--pauses", str(corpus_dir / "replication_pauses.jsonl"),
-                         "--format", "text", "--out", str(out_file))
-    assert code == 0
-    assert_report_matches_golden(out_file, "replication_report.txt", "stats")
-
-
-def test_stats_json_matches_golden(tmp_path, capsys, corpus_dir):
-    out_file = tmp_path / "report.json"
-    code, out, err = run(capsys, "stats", str(corpus_dir / "replication_records.jsonl"),
-                         "--pauses", str(corpus_dir / "replication_pauses.jsonl"),
-                         "--format", "json", "--out", str(out_file))
-    assert code == 0
-    assert_report_matches_golden(out_file, "replication_report.json", "stats")
 
 
 def test_stats_json_is_parseable(capsys, corpus_dir):
@@ -757,13 +676,6 @@ def test_stats_empty_input_exits_2(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # replicate
 # ---------------------------------------------------------------------------
-
-def test_replicate_bundled_passes(capsys):
-    code, out, err = run(capsys, "replicate")
-    assert code == 0
-    assert "FAIL" not in out
-    assert "9 passed, 0 failed" in out
-
 
 def test_replicate_detects_perturbed_pause(tmp_path, capsys, corpus_dir):
     records_path = corpus_dir / "replication_records.jsonl"
@@ -795,7 +707,8 @@ def test_replicate_without_a_measured_pause_exits_2_as_stats_does(capsys, corpus
 
 
 def test_replicate_checks_the_report_stats_prints(capsys, corpus_dir):
-    # both count only the records with a measured pause
+    # stats counts only the records with a measured pause, as replicate does
+    # on the same corpus (tests/golden/replicate/one_unmeasured)
     records_path = corpus_dir / "replication_records.jsonl"
     rows = [json.loads(l) for l in records_path.read_text().splitlines()]
     rows[0]["pause_before_s"] = None  # a marked And/Initiate record
@@ -804,22 +717,6 @@ def test_replicate_checks_the_report_stats_prints(capsys, corpus_dir):
     counts = json.loads(out)["tables"]["operation_marked_counts"]["cells"]
     assert (code, counts["Initiate"]["marked"]) == (0, 12)
     assert sum(n for row in counts.values() for n in row.values()) == 99
-    code, out, err = run(capsys, "replicate", "--corpus", str(corpus_dir))
-    assert code == 1
-    lines = out.splitlines()
-    # the header names the excluded record as stats does
-    assert lines[0] == (f"replication checks on {corpus_dir} (99 records, 103 pauses; "
-                        "excluded without measured pause: 1)")
-    assert "FAIL anova-df: got (3, 95), expected (3, 96)" in lines
-    assert ("FAIL operation-marked-counts: operation by marked/unmarked counts match "
-            "exactly; mismatched: Initiate/marked 12 (published 13), total 99 (published 100)"
-            ) in lines
-    # a failed check states what was measured, not the published target
-    assert ("FAIL operation-margins: per-operation means within 0.01 of published values; "
-            "mismatched: Initiate 0.320/n=22 (published 0.3217/n=23)") in lines
-    assert ("FAIL marked-unmarked-aggregates: marked 0.232/n=43, unmarked 0.332/n=56; "
-            "published marked 0.24/n=44, unmarked 0.33/n=56 within 0.01") in lines
-    assert "FAIL t-df: pooled df 97, expected 98; the published analysis reports T(96)" in lines
 
 
 def test_replicate_fail_lines_state_what_was_measured(capsys, corpus_dir):

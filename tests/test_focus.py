@@ -3,8 +3,10 @@
 import copy
 import gc
 import inspect
+import math
 import pickle
 import random
+import re
 import sys
 
 import pytest
@@ -15,8 +17,8 @@ import focus_oracle
 from conftest import read_trace
 from pausecue.focus import (EmptyStackError, FocusEngineError, FocusSpace, FocusStack,
                             FocusingOperation, MalformedOperation, OpKind, UnderflowError,
-                            apply, build_tree, operation_from_row, segments_affected,
-                            write_trace)
+                            apply, build_tree, operation, operation_from_row,
+                            segments_affected, write_trace)
 from pausecue.jsonl import SchemaError
 
 INITIATE = FocusingOperation(OpKind.INITIATE)
@@ -93,12 +95,25 @@ def test_underflow_and_empty_stack_errors():
     (OpKind.REPLACE, 0, "Replace must have pop_count >= 1, got 0"),
     (OpKind.RETURN, -1, "Return must have pop_count >= 1, got -1"),
     ("Return", 1, "unknown operation kind 'Return'"),
+    (OpKind.RETURN, 1.5, "Return must have an int pop_count, got 1.5"),
+    (OpKind.REPLACE, math.nan, "Replace must have an int pop_count, got nan"),
+    (OpKind.RETURN, True, "Return must have an int pop_count, got True"),
 ])
 def test_malformed_operations_rejected(op):
     kind, pops, message = op
     with pytest.raises(MalformedOperation) as excinfo:
         FocusingOperation(kind, pops)
     assert str(excinfo.value) == message
+
+
+def test_operation_refuses_a_pop_count_equal_to_a_cached_int():
+    operation.cache_clear()
+    for _ in range(2):  # the second time round operation("Return", 1) is cached
+        for pops in (1.0, True):
+            with pytest.raises(MalformedOperation, match=f"^Return must have an int "
+                                                         f"pop_count, got {pops}$"):
+                operation("Return", pops)
+        assert operation("Return", 1).pop_count == 1
 
 
 @pytest.mark.parametrize("op, pushes, text", [
@@ -180,6 +195,19 @@ def test_a_stack_that_breaks_the_rule_is_refused(spaces, next_id, message):
 def test_a_space_refuses_an_id_that_is_not_an_int(id):
     with pytest.raises(MalformedOperation, match=f"^space id {id!r} is not an int$"):
         FocusSpace(id)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, math.nan), "dsp_label nan is not a str"),
+    ((0, "", "x", 3), "opened_at 'x' is not an int"),
+    ((0, "", 1.0), "opened_at 1.0 is not an int"),
+    ((0, "", False), "opened_at False is not an int"),
+    ((0, "", 0, 1.5), "closed_at 1.5 is not an int"),
+    ((0, "", 0, True), "closed_at True is not an int"),
+])
+def test_a_space_refuses_a_field_of_the_wrong_type(args, message):
+    with pytest.raises(MalformedOperation, match=f"^space 0: {re.escape(message)}$"):
+        FocusSpace(*args)
 
 
 def test_a_space_is_unlabelled_opened_at_0_and_open_by_default():

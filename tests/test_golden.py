@@ -1,4 +1,4 @@
-"""Golden outputs of ``segment``, ``code``, ``pauses`` and ``replicate``.
+"""Golden outputs of every command, the one place they are compared.
 
 Each case runs one command in-process, and every file it writes, its stdout
 and its stderr must match the files under ``tests/golden/<command>/<case>/``
@@ -8,11 +8,14 @@ one more run of ``directions_intro`` with committed ``--functions``,
 lexical-closure and prompt rows and a lexicon entry beyond the bundled
 ones; in ``directions_anchored`` a repeated topic anchors a Return that
 pops two spaces and a Replace that pops three.  ``code`` also runs on a
-timed copy of ``directions_resume`` with two detected pauses.  ``pauses`` reads a short WAV built here, writing into a
-directory and to stdout, and ``replicate`` checks the bundled corpus and a
-copy with one unmeasured record.  The directory the command writes into,
-or reads its corpus from, is written as ``OUT`` in stdout and stderr.  A
-mismatch is shown as a unified diff.
+timed copy of ``directions_resume`` with two detected pauses.  ``stats``
+runs on the bundled corpus in text and in JSON, against the whole of
+``tests/golden/replication_report.txt`` and ``.json``.  ``pauses`` reads a
+short WAV built here, writing into a directory and to stdout, and
+``replicate`` checks the bundled corpus and a copy with one unmeasured
+record.  The directory the command writes into, or reads its corpus from,
+is written as ``OUT``, and each input a case names as its name, in every
+output.  A mismatch is shown as a unified diff.
 """
 
 import contextlib
@@ -47,6 +50,14 @@ COMMANDS = ("segment", "code")
 #: ``round_tenth``'s guard) and one of 0.12 s, which opens a fragment.
 CODE_CASES = {"directions_resume_pauses": [
     "directions_resume.timed.jsonl", "--pauses", "directions_resume.pauses.jsonl"]}
+#: The ``stats`` cases on the bundled corpus, by format: where the report
+#: goes (a file, as the benchmark's preflight writes it, or stdout) and its
+#: golden, which stays where that preflight reads it.
+STATS_CASES = {"text": ("report.txt", "replication_report.txt"),
+               "json": ("stdout", "replication_report.json")}
+#: The inputs of ``stats``, written as the report's footer names them.
+RECORDS, INVENTORY = str(DATA_DIR / RECORDS_FILE), str(DATA_DIR / PAUSES_FILE)
+BUNDLED = {RECORDS: "bundled", INVENTORY: "bundled"}
 
 #: The recording the ``pauses`` cases read: silences of 0.25 s, measured an
 #: ulp short and reported 0.3 only through ``round_tenth``'s guard, 0.1 s
@@ -61,9 +72,16 @@ def case_argv(command: str, case: str, out: Path) -> list[str]:
                        for arg in {**CASES, **CODE_CASES}[case]), "--out", str(out)]
 
 
-def run_case(argv: list[str], out: Path, code: int = 0) -> dict[str, bytes]:
+def stats_argv(case: str, target: str) -> list[str]:
+    """``stats`` on the bundled corpus in the format ``case``, into ``target``."""
+    return ["stats", RECORDS, "--pauses", INVENTORY, "--format", case, "--out", target]
+
+
+def run_case(argv: list[str], out: Path, code: int = 0,
+             names: dict[str, str] | None = None) -> dict[str, bytes]:
     """Every file ``main(argv)`` writes into ``out``, by name, with its stdout
-    and stderr; ``main`` must return ``code``."""
+    and stderr, ``out`` written as OUT and each path in ``names`` as its name
+    throughout; ``main`` must return ``code``."""
     inputs = set(out.iterdir())
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -71,12 +89,24 @@ def run_case(argv: list[str], out: Path, code: int = 0) -> dict[str, bytes]:
     assert returned == code, stderr.getvalue()
     files = {path.name: path.read_bytes() for path in sorted(out.iterdir())
              if path not in inputs}
-    for name, text in (("stdout", stdout), ("stderr", stderr)):
-        files[name] = text.getvalue().replace(str(out), OUT).encode()
-    return files
+    files.update(stdout=stdout.getvalue().encode(), stderr=stderr.getvalue().encode())
+    names = {str(out): OUT, **(names or {})}
+    return {name: named(content, names) for name, content in files.items()}
+
+
+def named(content: bytes, names: dict[str, str]) -> bytes:
+    """``content`` with each path in ``names`` written as its name."""
+    for path, name in names.items():
+        content = content.replace(path.encode(), name.encode())
+    return content
 
 
 def golden(command: str, case: str) -> dict[str, bytes]:
+    """What ``command`` on ``case`` writes, by name."""
+    if command == "stats":  # the report, and a line naming it unless it is stdout
+        name, report = STATS_CASES[case]
+        return {"stdout": f"wrote {OUT}/{name}\n".encode(), "stderr": b"",
+                name: (GOLDEN / report).read_bytes()}
     return {path.name: path.read_bytes()
             for path in sorted((GOLDEN / command / case).iterdir())}
 
@@ -98,6 +128,13 @@ def assert_same(produced: dict[str, bytes], expected: dict[str, bytes], where: s
 def test_output_matches_golden(command, case, tmp_path):
     assert_same(run_case(case_argv(command, case, tmp_path), tmp_path), golden(command, case),
                 f"{command}/{case}")
+
+
+@pytest.mark.parametrize("case", STATS_CASES)
+def test_stats_output_matches_golden(case, tmp_path):
+    name = STATS_CASES[case][0]
+    argv = stats_argv(case, "-" if name == "stdout" else str(tmp_path / name))
+    assert_same(run_case(argv, tmp_path, names=BUNDLED), golden("stats", case), f"stats/{case}")
 
 
 @pytest.mark.parametrize("case", ["out_dir", "out_stdout"])
