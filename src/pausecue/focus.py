@@ -332,7 +332,11 @@ def operation(kind: OpKind | str, pops: int) -> FocusingOperation:
     too, since ``1``, ``1.0`` and ``True`` are equal keys otherwise: each
     reaches the constructor's check once, and only the int is cached.
     """
-    return FocusingOperation(OpKind(kind), pops)
+    try:
+        kind = OpKind(kind)
+    except ValueError:
+        raise MalformedOperation(f"unknown operation kind {kind!r}") from None
+    return FocusingOperation(kind, pops)
 
 
 def operation_from_row(row: dict, path: str | Path, lineno: int) -> FocusingOperation:

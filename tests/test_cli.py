@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import gc
 import json
 import os
 import shutil
@@ -660,10 +661,11 @@ def test_stats_json_is_parseable(capsys, corpus_dir):
                          "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["tests"]["anova"]["df_within"] == 96
-    assert payload["tables"]["mean_pause_by_operation"]["row_margins"]["Replace"]["mean"] \
-        == pytest.approx(0.65)
-    assert payload["tables"]["operation_marked_counts"]["cells"]["Retain"]["marked"] == 18
+    expected = json.loads((test_golden.GOLDEN / "replication_report.json").read_text())
+    # the config note, the notes and the histogram are the only parts a pause inventory sets
+    for report in (payload, expected):
+        del report["config"], report["notes"], report["tables"]["pause_histogram"]
+    assert payload == expected
 
 
 def test_stats_empty_input_exits_2(tmp_path, capsys):
@@ -832,3 +834,98 @@ def test_a_lexicon_file_is_read_on_every_call(tmp_path, capsys):
     after = coded_with(LEXICON_ROW % ("okay", "[]"))
     assert after != before
     assert after == coded_with(LEXICON_ROW % ("okay", "[]"), tmp_path / "fresh.jsonl")
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector: paused while ``main`` runs, the caller's state after
+# ---------------------------------------------------------------------------
+
+def _fail(args):
+    raise RuntimeError("a fault of the command itself")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv, ends", [
+    pytest.param(["replicate"], 0, id="exit-0"),
+    pytest.param(["stats", "{empty}"], 2, id="exit-2"),
+    pytest.param(["stats"], SystemExit, id="argparse-exit"),
+    pytest.param(["stats", "{empty}"], RuntimeError, id="command-raises"),
+])
+def test_main_gives_the_caller_back_its_collector(tmp_path, capsys, monkeypatch, argv, ends,
+                                                   enabled):
+    (tmp_path / "empty.jsonl").write_text("")
+    argv = [arg.format(empty=tmp_path / "empty.jsonl") for arg in argv]
+    if ends is RuntimeError:
+        monkeypatch.setattr("pausecue.cli.cmd_stats", _fail)
+    thresholds, was = gc.get_threshold(), gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if isinstance(ends, int):
+            assert main(argv) == ends
+            young = gc.get_count()[0]
+        else:
+            with pytest.raises(ends):
+                main(argv)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is enabled
+    assert gc.get_threshold() == thresholds
+    if enabled and isinstance(ends, int):
+        assert young == 0  # the collection main put off ran inside it, not in its caller
+
+
+def cyclic_garbage(argv):
+    """How many objects the ``main`` call leaves in unreachable cycles.
+
+    The collector is off while the call runs, as it would be for a caller
+    that turned it off, so nothing is freed before it is counted.
+    """
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    gc.garbage.clear()
+    try:
+        main(argv)
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        (gc.enable if was else gc.disable)()
+
+
+def tiled_inputs(directory, n):
+    """Inputs n times as long: the intro transcript and the replication corpus
+    tiled n times, and a WAV of 3n tone-and-silence pairs."""
+    replication.write_corpus(directory)
+    for name in (replication.RECORDS_FILE, replication.PAUSES_FILE):
+        path = directory / name
+        path.write_text(path.read_text() * n)
+    (directory / "t.jsonl").write_text((FIXTURES / "directions_intro.jsonl").read_text() * n)
+    write_wav(directory / "speech.wav", build_signal([("tone", 0.3), ("silence", 0.4)] * 3 * n),
+              RATE)
+    return {"corpus": directory, "records": directory / replication.RECORDS_FILE,
+            "inventory": directory / replication.PAUSES_FILE,
+            "transcript": directory / "t.jsonl", "wav": directory / "speech.wav",
+            "out": directory / "out"}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["segment", "{transcript}", "--out", "{out}"], id="segment"),
+    pytest.param(["code", "{transcript}", "--out", "{out}"], id="code"),
+    pytest.param(["stats", "{records}", "--pauses", "{inventory}"], id="stats"),
+    pytest.param(["pauses", "{wav}", "--out", "{out}"], id="pauses"),
+    pytest.param(["replicate", "--corpus", "{corpus}"], id="replicate"),
+])
+def test_a_command_leaves_no_more_cycles_on_a_longer_input(tmp_path, capsys, argv):
+    # the cycles a call leaves are its parsers', so the collector can stay
+    # paused in main however long the input is; the first call also counts
+    # what loading the command's modules leaves, and is not compared
+    counts = []
+    for k, n in enumerate((1, 1, 4)):
+        files = tiled_inputs(tmp_path / f"call{k}", n)
+        counts.append(cyclic_garbage([arg.format(**files) for arg in argv]))
+    capsys.readouterr()
+    assert counts[2] == counts[1]

@@ -116,6 +116,13 @@ def test_operation_refuses_a_pop_count_equal_to_a_cached_int():
         assert operation("Return", 1).pop_count == 1
 
 
+def test_operation_refuses_an_unknown_kind_as_the_constructor_does():
+    with pytest.raises(MalformedOperation, match="^unknown operation kind 'Bogus'$"):
+        operation("Bogus", 1)
+    with pytest.raises(SchemaError, match="^t.jsonl:7: unknown operation kind 'Bogus'$"):
+        operation_from_row({"kind": "Bogus", "pops": 1}, "t.jsonl", 7)
+
+
 @pytest.mark.parametrize("op, pushes, text", [
     (INITIATE, 1, "FocusingOperation(kind=<OpKind.INITIATE: 'Initiate'>, pop_count=0)"),
     (RETAIN, 0, "FocusingOperation(kind=<OpKind.RETAIN: 'Retain'>, pop_count=0)"),

@@ -13,6 +13,14 @@ leave named outputs unchanged, and needs no oracle for what those outputs are.
   the transcript change no output file, however many words they span.
 * Speaker renaming: renaming the speakers one to one changes no output
   file.  A speaker is only ever compared with the one before.
+* Prefix locality: cutting the transcript at the start of fragment k+2
+  leaves the trace, audit and coded lines of fragments 0..k unchanged.  A
+  fragment is classified from itself and its two neighbours, so fragment
+  k+1, which loses the one after it, may change.  The exact precondition is
+  that no lexicon match that begins before the cut runs past it, as "i mean"
+  does when the cut falls before "mean"; only the last ``max_words`` - 1
+  tokens before the cut can begin one.  Then the cut transcript has the same
+  fragment starts before the cut.
 * Pauses given two ways: a pause file that restates some of a timed
   transcript's whole-tenth pauses at their gaps, each measured and ending up
   to 0.04 s off, changes no output of ``code``.  The tokens start at least
@@ -41,7 +49,7 @@ from pausecue.cli import main
 from pausecue.fragments import (ACCENTS, BOUNDARIES, CONSTITUENTS, FUNCTION_LABELS,
                                 PHONATIONS, PITCH_RANGES, TOKEN_FLAGS, fragmentize, read_coded,
                                 read_transcript, write_coded)
-from pausecue.lexicon import DATA_DIR, TOKEN_CLASSES, bundled_lexicon
+from pausecue.lexicon import DATA_DIR, TOKEN_CLASSES, bundled_lexicon, normalize
 from test_golden import run_case
 
 RELATION = settings(settings.get_profile("fuzz"), max_examples=60)
@@ -156,6 +164,31 @@ def test_renaming_the_speakers_one_to_one_changes_no_output(tokens, at, names):
             (tmp / name).mkdir()
             runs.append(outputs(tmp, [write_lines(tmp / name / "t.jsonl", rows)]))
     assert runs[0] == runs[1]
+
+
+@RELATION
+@given(tokens=st.lists(TOKENS, min_size=3, max_size=30), data=st.data())
+def test_cutting_the_transcript_two_fragments_on_changes_no_earlier_fragment(tokens, data):
+    lexicon = bundled_lexicon()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        transcript = write_lines(tmp / "t.jsonl", tokens)
+        read = read_transcript(transcript)
+        fragments = fragmentize(read, None, lexicon)
+        assume(len(fragments) >= 3)
+        k = data.draw(st.integers(0, len(fragments) - 3))
+        cut = sum(len(fragment.tokens) for fragment in fragments[:k + 2])
+        surfaces = [normalize(token.surface) for token in read]
+        matches = {i: lexicon.match_span(surfaces, i)
+                   for i in range(max(0, cut - lexicon.max_words + 1), cut)}
+        assume(all(match is None or i + match[1] <= cut for i, match in matches.items()))
+        whole = outputs(tmp, [transcript])
+        (tmp / "cut").mkdir()
+        head = outputs(tmp, [write_lines(tmp / "cut" / "t.jsonl", tokens[:cut])])
+    # one line per fragment in each file, after the header line of the TSV
+    for name, lines in (("t.trace.jsonl", k + 1), ("t.audit.jsonl", k + 1),
+                        ("t.coded.jsonl", k + 1), ("t.coded.tsv", k + 2)):
+        assert head[name].splitlines()[:lines] == whole[name].splitlines()[:lines], name
 
 
 @st.composite
