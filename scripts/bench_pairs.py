@@ -13,13 +13,16 @@ next.  The last line each run prints is its result; the summary goes to
 every pair, so an interrupted session keeps what it ran.
 
 The file names the change by the git tree of the working tree, untracked
-files included and documents left out.  A later invocation adds its
-workloads and modes to an existing file only when the base, that tree, the
-host and the Python version are the same, and refuses otherwise, so every
-result in one file was measured on the same code.
+files included and documents left out.  A later invocation adds to an
+existing file only when the base, that tree, the host and the Python version
+are the same, and refuses otherwise, so every result in one file was
+measured on the same code.  It adds workloads, modes, and pairs on new seeds
+to a workload and mode the file holds; a seed the file already holds for
+that workload and mode is refused before anything runs.
 
-Per workload, trace mode and metric the file holds each side's median,
-quartiles and values, and how many pairs the change won in the direction
+Per workload and trace mode the file holds every pair's two result lines,
+and per metric, over all those pairs, each side's median, quartiles and
+values, and how many pairs the change won in the direction
 ``BENCHMARK.json`` gives for the metric.  It also holds the seeds, the failed
 ops of each side, the host and the Python version.  Nothing is judged here:
 the bounds stay in ``BENCHMARK.json``.
@@ -65,6 +68,7 @@ def summarise(pairs: list[tuple[int, dict, dict]], better: dict[str, str]) -> di
     ``better`` maps a metric name to "lower" or "higher".  A metric missing
     or null on either side of a pair leaves that pair out of the metric.  A
     win is a pair whose change value is strictly better than its base value.
+    The pairs themselves are kept under "pairs", for ``held_pairs``.
     """
     metrics = {}
     for name in sorted({name for _, base, change in pairs
@@ -87,7 +91,16 @@ def summarise(pairs: list[tuple[int, dict, dict]], better: dict[str, str]) -> di
                      "attempted": sum(pair[k]["attempted"] for pair in pairs)}
               for k, side in enumerate(SIDES, start=1)}
     return {"seeds": [seed for seed, _, _ in pairs], "failed_ops": failed,
-            "metrics": metrics}
+            "metrics": metrics,
+            "pairs": [{"seed": seed, "base": base, "change": change}
+                      for seed, base, change in pairs]}
+
+
+def held_pairs(results: dict, workload: str, mode: str) -> list[tuple[int, dict, dict]]:
+    """The ``(seed, base result, change result)`` pairs ``results`` holds for a
+    workload and trace mode, in the order they ran."""
+    return [(pair["seed"], pair["base"], pair["change"])
+            for pair in results.get(workload, {}).get(mode, {}).get("pairs", ())]
 
 
 def _git(*args: str) -> str:
@@ -144,6 +157,8 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in (*spec["end_to_end"], *spec["per_layer"])}
     seconds = spec["run_seconds"]
     seeds = seeds_from(args.seeds)
+    workloads = args.workloads.split(",")
+    traces = [int(trace) for trace in args.trace.split(",")]
     base_sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     out_path = ROOT / f"BENCH_{args.pr}.json"
     report = {
@@ -155,23 +170,30 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": seconds,
         "results": {},
     }
-    if out_path.exists():  # a later invocation adds workloads or modes to the file
+    if out_path.exists():  # a later invocation adds workloads, modes or seeds to the file
         previous = json.loads(out_path.read_text())
         differ = [key for key in report if key != "results" and previous.get(key) != report[key]]
         if differ:
             raise SystemExit(f"{out_path.name} was measured with another {', '.join(differ)}; "
                              f"remove it or choose another --pr")
         report["results"] = previous["results"]
+        for workload in workloads:
+            for trace in traces:
+                held = held_pairs(report["results"], workload, f"trace{trace}")
+                again = sorted({seed for seed, _, _ in held} & set(seeds))
+                if again:
+                    raise SystemExit(f"{out_path.name} already holds {workload} trace {trace} "
+                                     f"seeds {', '.join(map(str, again))}; choose other --seeds")
     if args.scratch is not None:
         Path(args.scratch).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.scratch) as tmp:
         base_dir = Path(tmp) / "base"
         _export(base_sha, base_dir)
         checkouts = {"base": base_dir, "change": ROOT}
-        for workload in args.workloads.split(","):
-            for trace in map(int, args.trace.split(",")):
-                pairs = []
-                for k, seed in enumerate(seeds):
+        for workload in workloads:
+            for trace in traces:
+                pairs = held_pairs(report["results"], workload, f"trace{trace}")
+                for k, seed in enumerate(seeds, start=len(pairs)):  # alternate on from them
                     order = SIDES if k % 2 == 0 else SIDES[::-1]
                     result = {side: _run(checkouts[side], workload, seed, seconds, trace)
                               for side in order}

@@ -227,13 +227,24 @@ def frame_energy(samples: np.ndarray | Iterator[np.ndarray], sample_rate: int,
     ``samples`` is one array, or an iterator of 1-D blocks such as
     ``read_wav`` yields; integer samples are 16-bit PCM.  A frame that spans
     two blocks is carried over, and only the energies are kept, so memory
-    beyond the current block is 8 bytes per frame.  ``frame_ms`` must lie in
-    (0, ``MAX_FRAME_MS``] and span at least one sample (see ``frame_step``).
+    beyond the current block is a float copy of it and 8 bytes per frame.
+    ``frame_ms`` must lie in (0, ``MAX_FRAME_MS``] and span at least one
+    sample (see ``frame_step``).
+
+    Each frame's sum of squares is one ``einsum`` pass, exact in any order
+    on 16-bit PCM: a square is k**2 * 2**-30 with k**2 <= 2**30, so in a
+    frame under 2**23 samples (any rate below 8.4 MHz) every partial sum is
+    a whole number of 2**-30 below 2**53, and only ``/ step`` and the root
+    round.  Floats off the 2**-15 grid may differ by an ulp or two.
     """
     import numpy as np
     if sample_rate < 8000:
         raise UnsupportedFormat(f"sample rate {sample_rate} below 8000 Hz")
     step = frame_step(sample_rate, frame_ms)
+
+    def rms(frames: np.ndarray) -> np.ndarray:  # one row per frame of ``step`` samples
+        return np.sqrt(np.einsum("ij,ij->i", frames, frames) / step)
+
     blocks = samples if isinstance(samples, Iterator) else (samples,)
     parts = [np.empty(0)]
     carry = np.empty(0)
@@ -243,16 +254,20 @@ def frame_energy(samples: np.ndarray | Iterator[np.ndarray], sample_rate: int,
         if block.ndim != 1:
             raise UnsupportedFormat("mono PCM required (1-D sample array)")
         if np.issubdtype(block.dtype, np.integer):
-            block = block.astype(np.float64) / 32768.0
+            block = block * (1.0 / 32768.0)  # exact: a power of two
         else:
             block = block.astype(np.float64)
         n += len(block)
         if len(carry):
-            block = np.concatenate((carry, block))
+            head = step - len(carry)
+            carry = np.concatenate((carry, block[:head]))
+            if len(carry) < step:  # the block ends inside the carried frame
+                continue
+            parts.append(rms(carry.reshape(1, step)))
+            block = block[head:]
         full = len(block) // step
-        chunk = block[:full * step].reshape(full, step)
-        parts.append(np.sqrt(np.mean(chunk * chunk, axis=1)))
-        carry = block[full * step:]
+        parts.append(rms(block[:full * step].reshape(full, step)))
+        carry = block[full * step:].copy()  # not a view that keeps the block alive
     if len(carry):
         parts.append(np.array([math.sqrt(float(np.mean(carry * carry)))]))
     return AudioFrameSeries(sample_rate=sample_rate, frame_ms=frame_ms,
@@ -271,8 +286,7 @@ def detect_pauses(frames: AudioFrameSeries,
     e = frames.energies
     if len(e) == 0:
         return []
-    floor = float(np.percentile(e, 5))
-    speech_ref = float(np.percentile(e, 95))
+    floor, speech_ref = np.percentile(e, (5, 95)).tolist()
     try:
         threshold = floor * 10.0 ** (config.threshold_db / 20.0)
     except OverflowError:  # a threshold beyond float range lies above any speech

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import pauses_oracle
 import test_golden
 from conftest import FIXTURES, RATE, build_signal, write_wav
 from pausecue.cli import COMMANDS, build_parser, main
@@ -42,6 +43,23 @@ def test_pauses_summary_mean_adds_in_order(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "pauses", str(path), "--out", str(tmp_path))
     assert code == 0
     assert "pauses: 4  mean reported duration: 0.28 s  " in out
+
+
+def test_pauses_across_blocks_writes_what_the_whole_file_oracle_writes(tmp_path, capsys):
+    # 10 s at 16 kHz is three blocks; a 10 ms frame carries 96 samples across
+    # the first boundary and 32 across the second, which a silence spans
+    path = tmp_path / "speech.wav"
+    cycle = [("tone", 0.7), ("noise", 0.2, 0.02), ("silence", 0.35), ("noise", 0.15, 0.003)]
+    write_wav(path, build_signal(cycle * 7 + [("tone", 0.2)]), RATE)
+    expected = tmp_path / "expected.jsonl"
+    samples, rate = pauses_oracle.read_wav(path)
+    assert (len(samples), -(-len(samples) // BLOCK_SAMPLES)) == (10 * RATE, 3)
+    found = pauses_oracle.detect_pauses(pauses_oracle.frame_energy(samples, rate))
+    assert len(found) == 7
+    pauses.write_pauses(expected, found)
+    code, out, err = run(capsys, "pauses", str(path), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert (tmp_path / "speech.pauses.jsonl").read_bytes() == expected.read_bytes()
 
 
 def test_pauses_rejects_empty_file(tmp_path, capsys):

@@ -161,6 +161,43 @@ def test_any_block_boundaries_give_same_energies(n, sizes, frame_ms, as_float):
     assert_same_frames(frame_energy(iter(split(samples, sizes)), RATE, frame_ms), expected)
 
 
+def full_range(n, seed=0):
+    """``n`` random samples over the whole 16-bit range, with a run of -32768
+    (whose square, 2**30, is the largest) and a run of 32767."""
+    samples = np.random.default_rng(seed).integers(-32768, 32768, size=n).astype("<i2")
+    samples[n // 6:n // 2] = -32768
+    samples[n // 2:5 * n // 6] = 32767
+    return samples
+
+
+@pytest.mark.parametrize("rate, frame_ms", [(RATE, 10.0), (44100, 33.3),
+                                            (48000, pauses.MAX_FRAME_MS)])
+def test_full_range_energies_equal_oracle_bit_for_bit(rate, frame_ms):
+    step = pauses.frame_step(rate, frame_ms)
+    samples = full_range(6 * step + 7, seed=rate)
+    expected = oracle.frame_energy(samples, rate, frame_ms)
+    assert 1.0 in expected.energies  # a whole frame of -32768
+    # after a long first block, blocks shorter than the carried remainder
+    # several times in a row, empty blocks among them
+    for sizes in ([step + step // 2, 1, 0, 2, 0, 3], [4096], [len(samples)]):
+        assert_same_frames(frame_energy(iter(split(samples, sizes)), rate, frame_ms), expected)
+    assert_same_frames(frame_energy(samples, rate, frame_ms), expected)
+    assert_same_frames(frame_energy(samples / 32768.0, rate, frame_ms), expected)
+
+
+@given(st.integers(0, 3000), st.lists(st.integers(0, 700), max_size=8),
+       st.sampled_from([7.0, 10.0, 33.3]), st.floats(1e-6, 1.0))
+@settings(settings.get_profile("fuzz"), max_examples=60)
+def test_off_grid_float_energies_agree_with_oracle_to_1e_15(n, sizes, frame_ms, scale):
+    # off the 2**-15 grid a frame's sum of squares is no longer exact, so its
+    # order of addition may move the last digit or two
+    samples = np.random.default_rng(n).standard_normal(n) * scale
+    expected = oracle.frame_energy(samples, RATE, frame_ms).energies
+    got = frame_energy(iter(split(samples, sizes)), RATE, frame_ms).energies
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("block", [1000, 1601, 65536])
 def test_streamed_wav_equals_whole_file(tmp_path, monkeypatch, block):
     path = tmp_path / "speech.wav"

@@ -104,6 +104,44 @@ def test_bench_pairs_makes_a_missing_scratch_directory(tmp_path, monkeypatch):
     assert report["results"]["w"]["trace0"]["seeds"] == [1, 2]
 
 
+def test_bench_pairs_adds_pairs_on_new_seeds_and_refuses_held_ones(tmp_path, monkeypatch):
+    bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    runs = []
+
+    def run(checkout, workload, seed, seconds, trace):
+        side = "base" if checkout.name == "base" else "change"
+        runs.append((seed, side))
+        return json.loads(_result_line(100.0 + seed if side == "base" else 90.0, 50.0))
+
+    spec = {"run_seconds": 1, "end_to_end": [{"name": "op_ms", "better": "lower"}],
+            "per_layer": []}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    for name, value in {"ROOT": tmp_path, "_git": lambda *args: "abc",
+                        "_working_tree": lambda: "tree",
+                        "_export": lambda sha, dest: dest.mkdir(parents=True),
+                        "_run": run}.items():
+        monkeypatch.setitem(bench["main"].__globals__, name, value)
+    argv = ["--pr", "t", "--workloads", "w", "--scratch", str(tmp_path / "scratch")]
+    assert bench["main"]([*argv, "--seeds", "1-2"]) == 0
+    assert bench["main"]([*argv, "--seeds", "3-4"]) == 0
+    path = tmp_path / "BENCH_t.json"
+    summary = json.loads(path.read_text())["results"]["w"]["trace0"]
+    assert summary["seeds"] == [1, 2, 3, 4]
+    assert [pair["seed"] for pair in summary["pairs"]] == [1, 2, 3, 4]
+    assert summary["pairs"][2]["base"]["metrics"]["op_ms"]["value"] == 103.0
+    op_ms = summary["metrics"]["op_ms"]
+    assert op_ms["base"]["values"] == [101.0, 102.0, 103.0, 104.0]
+    assert (op_ms["wins"], op_ms["pairs"], op_ms["base"]["median"]) == (4, 4, 102.5)
+    assert summary["failed_ops"]["change"] == {"failed": 0, "attempted": 40}
+    # the side that runs first alternates on from the pairs already held
+    assert runs == [(1, "base"), (1, "change"), (2, "change"), (2, "base"),
+                    (3, "base"), (3, "change"), (4, "change"), (4, "base")]
+    held = path.read_bytes()
+    with pytest.raises(SystemExit, match="already holds w trace 0 seeds 4; choose other"):
+        bench["main"]([*argv, "--seeds", "4-5"])
+    assert path.read_bytes() == held and len(runs) == 8
+
+
 def _worker_tables() -> dict:
     """The literal hook tables of ``perfbench/worker.py``, read without importing it."""
     tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8"))
