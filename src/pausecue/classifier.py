@@ -27,6 +27,7 @@ Return, Replace).
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii as _q
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -427,21 +428,26 @@ def segment_discourse(fragments: Sequence[SpeechFragment],
 
 
 def write_audit(target: Target, classifications: Sequence[Classification]) -> None:
-    """Classification audit log: alternatives and evidence, one line per fragment."""
-    rows = []
-    for i, cls in enumerate(classifications):
-        rows.append({
-            "schema_version": SCHEMA_VERSION,
-            "fragment_index": i,
-            "operation": {"kind": cls.operation.kind.value,
-                          "pops": cls.operation.pop_count},
-            "score": cls.score,
-            "alternatives": [[op.kind.value, op.pop_count, score]
-                             for op, score in cls.alternatives],
-            "evidence_used": [dict(vars(it)) for it in cls.evidence_used],
-            "low_confidence": cls.low_confidence,
-            "singleton_boosted": cls.singleton_boosted,
-            "tie_break_applied": cls.tie_break_applied,
-            "prior_disagreement": cls.prior_disagreement,
-        })
-    write_jsonl(target, rows)
+    """Classification audit log: alternatives and evidence, one line per
+    fragment, written by hand as ``json.dumps`` writes it, since no
+    ``Field`` kind states an array of kind, pops and score, or a list of
+    objects.  A score is the int 0 when no evidence was added, else a float
+    kept finite by the bounds on weights and bonuses; ``repr`` writes both."""
+    write_jsonl(target, map(_audit_line, range(len(classifications)), classifications))
+
+
+def _audit_line(i: int, cls: Classification) -> str:
+    op = cls.operation
+    alternatives = ", ".join([f"[{_q(alt.kind)}, {alt.pop_count}, {score!r}]"
+                              for alt, score in cls.alternatives])
+    evidence = ", ".join([f'{{"source": {_q(it.source)}, "feature": {_q(it.feature)}, '
+                          f'"primitive": {_q(it.primitive)}, "weight": {it.weight!r}}}'
+                          for it in cls.evidence_used])
+    return (f'{{"schema_version": {SCHEMA_VERSION}, "fragment_index": {i}, '
+            f'"operation": {{"kind": {_q(op.kind)}, "pops": {op.pop_count}}}, '
+            f'"score": {cls.score!r}, "alternatives": [{alternatives}], '
+            f'"evidence_used": [{evidence}], '
+            f'"low_confidence": {"true" if cls.low_confidence else "false"}, '
+            f'"singleton_boosted": {"true" if cls.singleton_boosted else "false"}, '
+            f'"tie_break_applied": {"true" if cls.tie_break_applied else "false"}, '
+            f'"prior_disagreement": {"true" if cls.prior_disagreement else "false"}}}\n')

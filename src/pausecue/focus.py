@@ -22,7 +22,7 @@ import functools
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .jsonl import Field, Frozen, SchemaError, Target, rows, write_jsonl
+from .jsonl import Field, Frozen, SchemaError, Target, lines, write_jsonl
 
 
 class FocusEngineError(Exception):
@@ -313,7 +313,7 @@ def build_tree(trace: Trace) -> LinguisticTree:
 # ---------------------------------------------------------------------------
 
 def write_trace(target: Target, trace: Trace) -> None:
-    write_jsonl(target, rows(TRACE_FIELDS, map(TraceStep._make, trace)))
+    write_jsonl(target, lines(TRACE_FIELDS, map(TraceStep._make, trace)))
 
 
 #: An operation as stored in traces and coded records.

@@ -27,8 +27,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .focus import (OPERATION_FIELDS, FocusingOperation, FocusStack, apply,
                     operation_from_row, segments_affected)
-from .jsonl import (Field, Frozen, Record, SchemaError, Target, iter_jsonl, open_target,
-                    record_class, rows, validate, write_jsonl)
+from .jsonl import (Field, Frozen, Record, SchemaError, Target, iter_jsonl, lines,
+                    open_target, record_class, validate, write_jsonl)
 from .lexicon import CueContext, CueEntry, Lexicon, bundled_lexicon, judge_cue_use, normalize
 from .pauses import PauseRecord, round_tenth
 
@@ -474,7 +474,7 @@ def read_measured(path: str | Path) -> list[CodedRecord]:
 
 
 def write_coded(target: Target, records: Iterable[CodedRecord]) -> None:
-    write_jsonl(target, rows(CODED_FIELDS, records))
+    write_jsonl(target, lines(CODED_FIELDS, records))
 
 
 #: Column order of the spreadsheet mirror: the nine coded fields.

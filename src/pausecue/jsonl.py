@@ -6,13 +6,14 @@ hand-written fixtures stay terse.  Each record type is declared once, as a
 table of ``Field`` specs.  ``record_class`` compiles the record's
 constructor from its table, which runs the reader's type test and domain
 rules.  Each table is also compiled, on first use, into a row checker,
-which ``validate`` runs on the rows read, and a row maker, which ``rows``
-runs on the records written.  A reader checks and builds each record in
-one step, so no test runs twice on a row read; a record built in code is
-still checked by its constructor, and both end in the class's hook, so
-the two store the same record for the same values.  Every value class
-takes its ``==`` and ``repr`` from ``Record``, and an immutable one its
-hash and its refusal of assignment from ``Frozen``.
+which ``validate`` runs on the rows read, and a line maker, which ``lines``
+runs on the records written, writing the line of a row without the row.
+A reader checks and builds each record in one step, so no test runs twice
+on a row read; a record built in code is still checked by its constructor,
+and both end in the class's hook, so the two store the same record for the
+same values.  Every value class takes its ``==`` and ``repr`` from
+``Record``, and an immutable one its hash and its refusal of assignment
+from ``Frozen``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, Union
 
@@ -383,37 +385,54 @@ def open_target(target: Target) -> Iterator[IO[str]]:
             yield fp
 
 
-def rows(table: Sequence[Field], records: Iterable[Any]) -> Iterator[dict]:
-    """The row of each record: ``schema_version``, then ``table``'s fields in order.
+def lines(table: Sequence[Field], records: Iterable[Any]) -> Iterator[str]:
+    """The JSON line of each record: ``schema_version``, then ``table``'s fields in order.
 
     Each field's value is the record attribute of the same name.  A set is
     written as a sorted list and a field with a nested table as an object
     of that table's fields, without ``schema_version``.
     """
-    return map(_row_maker(tuple(table), True), records)
+    return map(_line_maker(tuple(table)), records)
+
+
+#: Source that writes the value ``{}`` of each scalar kind as ``json.dumps`` does.
+_TEXT = {str: "_q({})", int: "_i({})", float: "_f({})", bool: '"true" if {} else "false"'}
 
 
 @functools.cache
-def _row_maker(table: tuple[Field, ...], stamped: bool) -> Callable[[Any], dict]:
-    """One table's record-to-row function, built once: one block per field,
-    then one dict literal of every field in table order."""
-    env: dict[str, Any] = {"_SETS": (set, frozenset)}
-    lines = ["def f(record):"]
-    literal = [f"'schema_version': {SCHEMA_VERSION!r}"] if stamped else []
-    for i, field in enumerate(table):
-        v = f"v{i}"
-        lines.append(f"    {v} = record.{field.name}")
-        if field.kind is dict and field.of is not None:
-            env[f"M{i}"] = _row_maker(tuple(field.of), False)
-            lines.append(f"    {v} = M{i}({v})")
-        elif field.kind is list:
-            lines += [f"    if isinstance({v}, _SETS):", f"        {v} = sorted({v})"]
-        literal.append(f"{field.name!r}: {v}")
-    return _define([*lines, "    return {%s}" % ", ".join(literal)], env)
+def _line_maker(table: tuple[Field, ...]) -> Callable[[Any], str]:
+    """One table's record-to-line function, built once: one f-string that
+    writes each field by one conversion, the bytes ``json.dumps`` writes of
+    the row.  A str goes through its escaper, ``encode_basestring_ascii``.
+    An int field holds an int, never a bool, and a float field a finite
+    float within ``MAX_MAGNITUDE``, which ``json.dumps`` writes as their
+    ``repr``.  A bool is ``true`` or ``false``, and a None where the
+    default is None ``null``.  Each value is read into a local first."""
+    env = {"_q": encode_basestring_ascii, "_i": int.__repr__, "_f": float.__repr__,
+           "_SETS": (set, frozenset)}
+    reads: list[str] = []
+
+    def members(table: tuple[Field, ...], record: str) -> str:
+        out = []
+        for name, kind, default, of, *_ in table:
+            reads.append(f"    v{len(reads)} = {record}.{name}")
+            value = f"v{len(reads) - 1}"
+            if kind is dict:
+                out.append(f'"{name}": {{{{%s}}}}' % members(tuple(of), value))
+                continue
+            expr = (f'"[" + ", ".join([{_TEXT[of].format("x")} for x in (sorted({value}) if '
+                    f'isinstance({value}, _SETS) else {value})]) + "]"' if kind is list
+                    else _TEXT[kind].format(value))
+            if default is None:
+                expr = f'"null" if {value} is None else {expr}'
+            out.append(f'"{name}": {{{expr}}}')
+        return ", ".join(out)
+
+    line = f'"schema_version": {SCHEMA_VERSION!r}, {members(table, "record")}'
+    return _define(["def f(record):", *reads, "    return f'{{%s}}\\n'" % line], env)
 
 
-def write_jsonl(target: Target, rows: Iterable[dict]) -> None:
-    """Write rows line by line; accepts a path or an open text handle."""
+def write_jsonl(target: Target, lines: Iterable[str]) -> None:
+    """Write lines as they are; accepts a path or an open text handle."""
     with open_target(target) as fp:
-        for row in rows:
-            fp.write(json.dumps(row) + "\n")
+        fp.writelines(lines)

@@ -30,7 +30,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .jsonl import (Field, Frozen, Record, Target, iter_jsonl, record_class, rows, validate,
+from .jsonl import (Field, Frozen, Record, Target, iter_jsonl, lines, record_class, validate,
                     write_jsonl)
 
 POSITIONS = ("fragment_initial", "fragment_internal")
@@ -325,7 +325,7 @@ def _inside_one_word(start_s: float, end_s: float,
 # ---------------------------------------------------------------------------
 
 def write_pauses(target: Target, records: Iterable[PauseRecord]) -> None:
-    write_jsonl(target, rows(PAUSE_FIELDS, records))
+    write_jsonl(target, lines(PAUSE_FIELDS, records))
 
 
 def read_pauses(path: str | Path) -> list[PauseRecord]:

@@ -5,19 +5,22 @@ straightforward versions.
 matched feature and scans a fragment's tokens once per feature and role;
 ``classify`` sums the evidence once per primitive; ``segment_discourse``
 rebuilds the list of open labels from the whole stack for every fragment,
-O(depth) each.  They serve only as the oracle the differential tests compare
+O(depth) each; ``write_audit`` builds each line's dict by hand and writes it
+with ``json.dumps``.  They serve only as the oracle the differential tests compare
 ``pausecue.classifier`` against, so they share nothing with it but its tables
 and record types.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Sequence
 
 from pausecue.classifier import (DEFAULT_CONFIG, SUBORDINATORS, TABLE_ROWS, Classification,
                                  ClassifierConfig, EvidenceItem, SegmentationResult)
 from pausecue.focus import TIE_ORDER, FocusStack, OpKind, apply, build_tree, operation
 from pausecue.fragments import PRONOUNS, SpeechFragment
+from pausecue.jsonl import SCHEMA_VERSION, open_target
 
 
 def _item(source: str, feature: str, config: ClassifierConfig) -> EvidenceItem:
@@ -228,3 +231,22 @@ def segment_discourse(fragments, *, functions=None, config=DEFAULT_CONFIG):
         classifications.append(result)
     return SegmentationResult(trace=trace, tree=build_tree(trace),
                               classifications=classifications)
+
+
+def write_audit(target, classifications):
+    with open_target(target) as fp:
+        for i, cls in enumerate(classifications):
+            fp.write(json.dumps({
+                "schema_version": SCHEMA_VERSION,
+                "fragment_index": i,
+                "operation": {"kind": cls.operation.kind.value,
+                              "pops": cls.operation.pop_count},
+                "score": cls.score,
+                "alternatives": [[op.kind.value, op.pop_count, score]
+                                 for op, score in cls.alternatives],
+                "evidence_used": [dict(vars(it)) for it in cls.evidence_used],
+                "low_confidence": cls.low_confidence,
+                "singleton_boosted": cls.singleton_boosted,
+                "tie_break_applied": cls.tie_break_applied,
+                "prior_disagreement": cls.prior_disagreement,
+            }) + "\n")

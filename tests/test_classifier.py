@@ -18,6 +18,7 @@ from pausecue.classifier import (DEFAULT_CONFIG, ROW_KEYS, ClassifierConfig, Evi
                                  segment_discourse, write_audit)
 from pausecue.focus import FocusingOperation, OpKind, apply, FocusStack, operation
 from pausecue.fragments import ACCENTS, AnnotatedToken, SpeechFragment, fragmentize
+from pausecue.jsonl import MAX_MAGNITUDE
 from pausecue.lexicon import bundled_lexicon
 
 LEX = bundled_lexicon()
@@ -488,20 +489,23 @@ def test_segment_discourse_equals_per_fragment_label_replay(seed, n, labelled):
     assert_same_as_label_replay(frags, functions)
 
 
-#: Row weights with no exact binary form, so a change of summation order shows.
-WEIGHTS = st.sampled_from([0.1, 0.7, 1.0, 3.3])
+#: Row weights with no exact binary form, so a change of summation order
+#: shows, and the bound; bonuses may reach either bound, where every score
+#: stays finite.
+WEIGHTS = st.sampled_from([0.1, 0.7, 1.0, 3.3, MAX_MAGNITUDE])
+BONUS_BOUNDS = st.sampled_from([-MAX_MAGNITUDE, MAX_MAGNITUDE])
 CONFIGS = st.builds(ClassifierConfig,
                     weights=st.fixed_dictionaries({key: WEIGHTS for key in ROW_KEYS}),
-                    candidate_bonus=st.sampled_from([0.1, 1.0, 2.0, 3.3]),
-                    impending_bonus=st.sampled_from([0.7, 1.0, 2.0, 3.3]),
+                    candidate_bonus=st.sampled_from([0.1, 1.0, 2.0, 3.3]) | BONUS_BOUNDS,
+                    impending_bonus=st.sampled_from([0.7, 1.0, 2.0, 3.3]) | BONUS_BOUNDS,
                     lstar_threshold=st.sampled_from([0.0, 0.3, 0.5, 0.9]))
 #: No feature fires on it, so it is classified at the int score 0.
 NEUTRAL = frag(["walk", "straight"])
 
 
-def audit_text(classifications):
+def audit_text(classifications, write=write_audit):
     buf = io.StringIO()
-    write_audit(buf, classifications)
+    write(buf, classifications)
     return buf.getvalue()
 
 
@@ -526,8 +530,10 @@ def test_classifier_equals_oracle_under_generated_configs(seed, n, labelled, con
         expected = oracle.segment_discourse(case, functions=fns, config=config)
         assert got.trace == expected.trace
         assert got.classifications == expected.classifications
+        assert all(math.isfinite(score) for cls in got.classifications
+                   for _, score in cls.alternatives)
         audits.append(audit_text(got.classifications))
-        assert audits[-1] == audit_text(expected.classifications)
+        assert audits[-1] == audit_text(expected.classifications, oracle.write_audit)
     assert '"score": 0,' in audits[0]
 
 

@@ -19,7 +19,7 @@ from pausecue.fragments import (ACCENTS, BOUNDARIES, PHONATIONS, PITCH_RANGES, T
                                 EmptyTranscript, LengthMismatch, MisalignedPause,
                                 SpeechFragment, code, fragmentize, read_coded,
                                 read_transcript, write_coded, write_coded_tsv, TSV_COLUMNS)
-from pausecue.jsonl import SchemaError, rows, write_jsonl
+from pausecue.jsonl import SchemaError, lines, write_jsonl
 from pausecue.lexicon import CueEntry, Lexicon, bundled_lexicon
 from pausecue.pauses import PauseRecord, round_tenth
 
@@ -454,7 +454,7 @@ def test_transcript_roundtrip(tmp_path):
                   flags=frozenset({"turn_initial"}), topic="route"),
               tok("go", boundary="fall")]
     path = tmp_path / "transcript.jsonl"
-    write_jsonl(path, rows(TOKEN_FIELDS, tokens))
+    write_jsonl(path, lines(TOKEN_FIELDS, tokens))
     again = read_transcript(path)
     assert again == tokens
 

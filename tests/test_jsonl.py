@@ -1,8 +1,9 @@
 """Rows are checked and written from the Field tables: contracts and round trips.
 
-The compiled row checker and row maker agree with the interpreted ones in
-``jsonl_oracle`` on every table: the same fields in the same order, or the
-same error message, on mutated rows; the same rows on generated records.
+The compiled row checker agrees with the interpreted one in ``jsonl_oracle``
+on every table: the same fields in the same order, or the same error
+message, on mutated rows.  The compiled line maker writes, on generated
+records, the line ``json.dumps`` writes of the interpreted row.
 Generated valid records of every type read back equal after writing; the
 bundled coded records and pauses read and write back to the same bytes.
 The bundled lexicon lists some ``candidate_ops`` in an order a set does not
@@ -34,7 +35,7 @@ from pausecue.fragments import (ACCENTS, BOUNDARIES, CODED_FIELDS, CONSTITUENTS,
                                 FUNCTION_FIELDS, FUNCTION_LABELS, PHONATIONS, PITCH_RANGES,
                                 TOKEN_FIELDS, TOKEN_FLAGS, TURN_POSITIONS, AnnotatedToken,
                                 CodedRecord, read_coded, read_transcript, write_coded)
-from pausecue.jsonl import MAX_MAGNITUDE, REQUIRED, Field, SchemaError, rows, validate, write_jsonl
+from pausecue.jsonl import MAX_MAGNITUDE, REQUIRED, Field, SchemaError, lines, validate, write_jsonl
 from pausecue.lexicon import (ENTRY_FIELDS, ORDINAL_RANKS, TOKEN_CLASSES, CueEntry,
                               DuplicateSurface, Lexicon, load_lexicon)
 from pausecue.pauses import (POSITIONS, PAUSE_FIELDS, PauseRecord, read_pauses, round_tenth,
@@ -49,6 +50,11 @@ NUMBERS = st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE)
 DURATIONS = st.floats(0, 1e6)
 INDICES = st.integers(-10**15, 10**15)
 WORDS = st.from_regex(r"[a-z][a-z'-]{0,6}( [a-z]{1,6})?", fullmatch=True)
+#: Any code point, lone surrogates (category Cs) included, as a JSON reader
+#: may give them, and the characters ``json`` escapes.
+CHARACTERS = st.characters(exclude_categories=()) | st.sampled_from('"\\\n\x00\x1f\x7f\u2028')
+#: Floats whose shortest repr takes each form: -0.0, subnormal, exponent and bound.
+FLOAT_EDGES = st.sampled_from([-0.0, 5e-324, 1e-7, MAX_MAGNITUDE, -MAX_MAGNITUDE])
 
 
 def _operation(kind: OpKind, pops: int) -> FocusingOperation:
@@ -65,13 +71,13 @@ def transcripts(draw):
         timed = draw(st.booleans())
         start += draw(DURATIONS) if timed else 0.0
         tokens.append(AnnotatedToken(
-            surface=draw(st.text(max_size=6)), speaker=draw(st.text(max_size=3)),
+            surface=draw(st.text(CHARACTERS, max_size=6)), speaker=draw(st.text(CHARACTERS, max_size=3)),
             accent=draw(st.sampled_from(ACCENTS)), boundary=draw(st.sampled_from(BOUNDARIES)),
             phonation=draw(st.sampled_from(PHONATIONS)),
             pitch_range=draw(st.sampled_from(PITCH_RANGES)),
             pause_before_s=draw(DURATIONS),
             flags=draw(st.frozensets(st.sampled_from(TOKEN_FLAGS))),
-            topic=draw(st.text(max_size=3)),
+            topic=draw(st.text(CHARACTERS, max_size=3)),
             start_s=start if timed else None,
             end_s=start + draw(DURATIONS) if timed and draw(st.booleans()) else None))
     return tokens
@@ -88,7 +94,7 @@ def coded_records(draw):
         prior_function=draw(st.sampled_from(FUNCTION_LABELS)),
         subsequent_function=draw(st.sampled_from(FUNCTION_LABELS)),
         turn_position=draw(st.sampled_from(TURN_POSITIONS)), marked=constituent != "unmarked",
-        initial_token=draw(st.text(max_size=6)))
+        initial_token=draw(st.text(CHARACTERS, max_size=6)))
 
 
 PAUSES = st.builds(lambda raw, **kw: PauseRecord(raw_duration_s=raw,
@@ -97,10 +103,10 @@ PAUSES = st.builds(lambda raw, **kw: PauseRecord(raw_duration_s=raw,
                    suspect=st.booleans())
 
 ENTRIES = st.builds(
-    CueEntry, surface=WORDS, gloss=st.text(max_size=6),
+    CueEntry, surface=WORDS, gloss=st.text(CHARACTERS, max_size=6),
     candidate_ops=st.frozensets(st.sampled_from(OpKind), min_size=1),
     ordinal_rank=st.none() | st.sampled_from(ORDINAL_RANKS),
-    token_class=st.sampled_from(TOKEN_CLASSES), display=st.text(max_size=6),
+    token_class=st.sampled_from(TOKEN_CLASSES), display=st.text(CHARACTERS, max_size=6),
     connective=st.booleans(), corpus_derived=st.booleans(),
     variants=st.lists(WORDS, max_size=2).map(tuple))
 
@@ -111,22 +117,24 @@ def test_rows_follow_the_table():
 
     inner = (Field("kind", str), Field("count", int))
     table = (Field("count", int), Field("kind", str), Field("tags", list, (), of=str),
-             Field("words", list, (), of=str), Field("note", str, ""))
+             Field("words", list, (), of=str), Field("note", str, None))
     record = Record()
-    assert list(rows(table, [record])) == [{"schema_version": 1, "count": 3, "kind": "a",
-                                            "tags": list("abcdefg"), "words": (), "note": ""}]
-    record.note, record.nested = "n", Record()
+    assert list(lines(table, [record])) == [
+        '{"schema_version": 1, "count": 3, "kind": "a", '
+        '"tags": ["a", "b", "c", "d", "e", "f", "g"], "words": [], "note": ""}\n']
+    record.note, record.nested = None, Record()
     nested = (*table, Field("nested", dict, of=inner))
-    [row] = rows(nested, [record])
-    assert list(row) == ["schema_version", "count", "kind", "tags", "words", "note", "nested"]
-    assert row["nested"] == {"kind": "a", "count": 3}
+    assert list(lines(nested, [record])) == [
+        '{"schema_version": 1, "count": 3, "kind": "a", '
+        '"tags": ["a", "b", "c", "d", "e", "f", "g"], "words": [], "note": null, '
+        '"nested": {"kind": "a", "count": 3}}\n']
 
 
 @FUZZ
 @given(tokens=transcripts())
 def test_transcript_read_write_round_trip(tmp_path_factory, tokens):
     path = tmp_path_factory.mktemp("tokens") / "t.jsonl"
-    write_jsonl(path, rows(TOKEN_FIELDS, tokens))
+    write_jsonl(path, lines(TOKEN_FIELDS, tokens))
     assert read_transcript(path) == tokens
 
 
@@ -162,7 +170,7 @@ def test_lexicon_read_write_round_trip(tmp_path_factory, entries):
     except DuplicateSurface:
         assume(False)
     path = tmp_path_factory.mktemp("lexicon") / "l.jsonl"
-    write_jsonl(path, rows(ENTRY_FIELDS, lexicon.entries))
+    write_jsonl(path, lines(ENTRY_FIELDS, lexicon.entries))
     assert load_lexicon(path).entries == lexicon.entries
 
 
@@ -219,11 +227,12 @@ MUTATIONS = st.one_of(OVERSIZED, EDGES, st.sampled_from(BOUNDS), st.sampled_from
 def _valid_value(field: Field):
     """Values ``field`` accepts, as the JSON decoder gives them."""
     _, kind, default, of, choices, minimum = field
-    words = st.sampled_from(choices) if choices else st.text(max_size=4) | st.sampled_from(LABELS)
-    ints, floats = INDICES, NUMBERS
+    words = (st.sampled_from(choices) if choices else
+             st.text(CHARACTERS, max_size=4) | st.sampled_from(LABELS))
+    ints, floats = INDICES, NUMBERS | FLOAT_EDGES
     if minimum is not None:
         ints = st.integers(math.ceil(minimum), 10**15)
-        floats = st.floats(minimum, MAX_MAGNITUDE)
+        floats = st.floats(minimum, MAX_MAGNITUDE) | FLOAT_EDGES.filter(lambda x: x >= minimum)
     if kind is dict:
         value = _valid_row(of)
     elif kind is list:
@@ -310,14 +319,16 @@ RECORDS = {"token": transcripts(), "coded": st.lists(coded_records(), max_size=3
 @pytest.mark.parametrize("name", TABLES)
 @given(data=st.data())
 def test_row_maker_agrees_with_the_interpreted_one(name, data):
+    """Each written line is ``json.dumps`` of the interpreted row: strings
+    with any code point, floats of every repr form, lists given as lists,
+    tuples and sets."""
     table = TABLES[name]
     records = data.draw(RECORDS[name])
     for _ in range(data.draw(st.integers(0, 2))):
         [(_, fields)] = validate([(1, data.draw(_valid_row(table)))], table, "in.jsonl")
         records.append(_as_record(fields, data))
-    made, expected = list(rows(table, records)), list(jsonl_oracle.rows(table, records))
-    assert made == expected
-    assert [json.dumps(row) for row in made] == [json.dumps(row) for row in expected]
+    assert list(lines(table, records)) == [json.dumps(row) + "\n"
+                                           for row in jsonl_oracle.rows(table, records)]
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +385,7 @@ def test_constructor_and_reader_reject_a_bad_value_alike(tmp_path, name, field):
     with pytest.raises(ValueError) as raised:
         make(**{**fields, field.name: bad})
     assert str(raised.value) == message
-    [row] = rows(table, [make(**fields)])
+    [row] = jsonl_oracle.rows(table, [make(**fields)])
     path = tmp_path / "in.jsonl"
     path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field.name: bad}) + "\n")
     with pytest.raises(SchemaError) as raised:
@@ -403,7 +414,7 @@ def test_constructor_and_reader_reject_a_number_out_of_range_alike(tmp_path, nam
     with pytest.raises(ValueError) as raised:
         make(**{**fields, field.name: bad})
     assert str(raised.value) == message
-    [row] = rows(table, [make(**fields)])
+    [row] = jsonl_oracle.rows(table, [make(**fields)])
     path = tmp_path / "in.jsonl"
     # json writes the floats as NaN, Infinity and 1e+16
     path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field.name: bad}) + "\n")
@@ -432,7 +443,7 @@ def test_constructor_and_reader_reject_a_wrong_type_alike(tmp_path, name, field,
     with pytest.raises(ValueError) as raised:
         make(**{**fields, field.name: bad})
     assert str(raised.value) == message
-    [row] = rows(table, [make(**fields)])
+    [row] = jsonl_oracle.rows(table, [make(**fields)])
     path = tmp_path / "in.jsonl"
     path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field.name: bad}) + "\n")
     with pytest.raises(SchemaError) as raised:
@@ -472,7 +483,7 @@ CROSS_FIELD = [
 @pytest.mark.parametrize("name, first, second, message", CROSS_FIELD)
 def test_reader_rejects_a_cross_field_fault_at_its_line(tmp_path, name, first, second, message):
     table, make, fields, read = BUILT[name]
-    [row] = rows(table, [make(**fields)])
+    [row] = jsonl_oracle.rows(table, [make(**fields)])
     path = tmp_path / "in.jsonl"
     path.write_text(json.dumps({**row, **first}) + "\n" + json.dumps({**row, **second}) + "\n")
     with pytest.raises(SchemaError) as raised:
@@ -522,12 +533,12 @@ def _collections(elements, **sizes):
 def _constructed_tokens(draw):
     start = draw(st.none() | TIMES)
     return AnnotatedToken(
-        draw(st.text(max_size=6)), speaker=draw(st.text(max_size=3)),
+        draw(st.text(CHARACTERS, max_size=6)), speaker=draw(st.text(CHARACTERS, max_size=3)),
         accent=draw(st.sampled_from(ACCENTS)), boundary=draw(st.sampled_from(BOUNDARIES)),
         phonation=draw(st.sampled_from(PHONATIONS)),
         pitch_range=draw(st.sampled_from(PITCH_RANGES)), pause_before_s=draw(TIMES),
         flags=draw(_collections(st.sampled_from(TOKEN_FLAGS), max_size=3)),
-        topic=draw(st.text(max_size=3)), start_s=start,
+        topic=draw(st.text(CHARACTERS, max_size=3)), start_s=start,
         end_s=None if start is None or draw(st.booleans()) else start + draw(TIMES))
 
 
@@ -537,7 +548,7 @@ CONSTRUCTED = {
     "token": _constructed_tokens(),
     "coded": st.builds(
         CodedRecord, fragment_index=INDICES, pause_before_s=st.none() | TIMES,
-        initial_constituent=st.sampled_from(CONSTITUENTS), initial_token=st.text(max_size=6),
+        initial_constituent=st.sampled_from(CONSTITUENTS), initial_token=st.text(CHARACTERS, max_size=6),
         operation=OPERATIONS, embedding_depth=st.integers(1, 10**15),
         prior_function=st.sampled_from(FUNCTION_LABELS),
         subsequent_function=st.sampled_from(FUNCTION_LABELS),
@@ -545,9 +556,9 @@ CONSTRUCTED = {
     "pause": st.builds(PauseRecord, TIMES, TIMES, position=st.sampled_from(POSITIONS),
                        suspect=st.booleans()),
     "entry": st.builds(
-        CueEntry, WORDS, gloss=st.text(max_size=6),
+        CueEntry, WORDS, gloss=st.text(CHARACTERS, max_size=6),
         candidate_ops=_collections(st.sampled_from(OP_KINDS), min_size=1, max_size=4),
-        token_class=st.sampled_from(TOKEN_CLASSES), display=st.text(max_size=6),
+        token_class=st.sampled_from(TOKEN_CLASSES), display=st.text(CHARACTERS, max_size=6),
         ordinal_rank=st.none() | st.sampled_from(ORDINAL_RANKS), connective=st.booleans(),
         corpus_derived=st.booleans(), variants=_collections(WORDS, max_size=2)),
 }
@@ -560,13 +571,12 @@ def test_a_constructed_record_is_the_record_read_back(name, data):
     """A constructor stores what a reader stores: sets, tuples and floats."""
     table, make, _, _ = BUILT[name]
     record = data.draw(CONSTRUCTED[name])
-    [row] = rows(table, [record])
-    line = json.dumps(row)
+    [line] = lines(table, [record])
     [(_, again)] = validate([(1, json.loads(line))], table, "in.jsonl", make)
     assert again == record
     if name == "entry":
         assert hash(again) == hash(record)
-    assert [json.dumps(row) for row in rows(table, [again])] == [line]
+    assert list(lines(table, [again])) == [line]
 
 
 RECORD_TABLES = [pytest.param(make, table, id=name)

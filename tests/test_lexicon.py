@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import lexicon_oracle as oracle
 from pausecue.focus import OpKind
-from pausecue.jsonl import SchemaError, rows, write_jsonl
+from pausecue.jsonl import SchemaError, lines, write_jsonl
 from pausecue.lexicon import (ENTRY_FIELDS, CueContext, CueEntry, Lexicon, MissingAnnotation,
                               bundled_lexicon, judge_cue_use, load_lexicon, normalize)
 
@@ -233,7 +233,7 @@ def test_missing_annotation_raises():
 
 def test_lexicon_roundtrip(tmp_path):
     path = tmp_path / "lexicon.jsonl"
-    write_jsonl(path, rows(ENTRY_FIELDS, LEX.entries))
+    write_jsonl(path, lines(ENTRY_FIELDS, LEX.entries))
     again = load_lexicon(path)
     assert again.entries == LEX.entries
     assert set(again.lookup("so").candidate_ops) == {OpKind.RETURN, OpKind.REPLACE}
@@ -246,7 +246,7 @@ def test_library_entry_derives_its_display(tmp_path):
     assert CueEntry(surface="so", gloss="", candidate_ops=frozenset({OpKind.RETURN}),
                     display="SO").display == "SO"
     path = tmp_path / "lexicon.jsonl"
-    write_jsonl(path, rows(ENTRY_FIELDS, [entry]))
+    write_jsonl(path, lines(ENTRY_FIELDS, [entry]))
     assert load_lexicon(path).entries == (entry,)
 
 
@@ -257,7 +257,7 @@ def test_variants_given_as_a_set_are_sorted(tmp_path):
         entry = CueEntry("so", candidate_ops=["Return"], variants=given)
         assert entry.variants == tuple(sorted(forms))
         path = tmp_path / "lexicon.jsonl"
-        write_jsonl(path, rows(ENTRY_FIELDS, [entry]))
+        write_jsonl(path, lines(ENTRY_FIELDS, [entry]))
         assert load_lexicon(path).entries == (entry,)
     for given in (list(forms), forms):
         assert CueEntry("so", candidate_ops=["Return"], variants=given).variants == forms

@@ -33,23 +33,6 @@ def test_bundled_corpus_equals_write_corpus(tmp_path):
         assert path.read_bytes() == (bundled / path.name).read_bytes(), path.name
 
 
-def test_worked_examples_script_prints_both_trees(capsys):
-    runpy.run_path(str(SCRIPTS / "run_worked_examples.py"), run_name="__main__")
-    out = capsys.readouterr().out
-    intro, resume = out.split("== directions_resume ==")
-    assert intro.startswith("== directions_intro ==")
-    assert intro.split("  tree:\n")[1] == (
-        "    [0] segment-0 (opened 0, closed 1)\n"
-        "    [1] segment-1 (opened 1, open)\n"
-        "      [2] segment-2 (opened 2, open)\n"
-        "        [3] segment-3 (opened 3, open)\n"
-        "\n")
-    assert resume.split("  tree:\n")[1] == (
-        "    [0] segment-0 (opened 0, open)\n"
-        "      [1] segment-1 (opened 1, closed 2)\n"
-        "\n")
-
-
 def _result_line(op_ms, rss, failed=0, attempted=10):
     return json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed,
                        "metrics": {"op_ms": {"value": op_ms, "unit": "ms"},
