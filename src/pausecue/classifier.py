@@ -81,6 +81,7 @@ class EvidenceItem(Frozen):
     TABLE_ROWS, so it stays out of ``==``, ``hash`` and ``repr``."""
 
     _fields = ("source", "feature", "weight")
+    __slots__ = (*_fields, "primitive")
 
     def __init__(self, source: str, feature: str, weight: float = 1.0) -> None:
         if (source, feature) not in TABLE_ROWS:
@@ -112,6 +113,7 @@ class ClassifierConfig(Frozen):
     """
 
     _fields = ("weights", "candidate_bonus", "impending_bonus", "lstar_threshold")
+    __slots__ = (*_fields, "items")
 
     def __init__(self, weights: Mapping[str, float] = MappingProxyType({}),
                  candidate_bonus: float = 2.0, impending_bonus: float = 2.0,

@@ -65,6 +65,7 @@ class FocusingOperation(Frozen):
     """
 
     _fields = ("kind", "pop_count")
+    __slots__ = (*_fields, "pushes")
 
     def __init__(self, kind: OpKind, pop_count: int = 0) -> None:
         if not isinstance(kind, OpKind):

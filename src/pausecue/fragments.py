@@ -173,6 +173,7 @@ class SpeechFragment(Frozen):
     """
 
     _fields = ("index", "tokens", "initial_token_class", "initial_cue", "pause_before_s")
+    __slots__ = (*_fields, "speaker", "features")
 
     def __init__(self, index: int, tokens: tuple[AnnotatedToken, ...],
                  initial_token_class: str, initial_cue: CueEntry | None,

@@ -63,7 +63,7 @@ class PauseConfig(Frozen):
     """Detection settings: ``threshold_db`` and ``min_silence_s`` must be
     finite and ``frame_ms`` must lie in (0, ``MAX_FRAME_MS``]."""
 
-    _fields = ("threshold_db", "min_silence_s", "frame_ms")
+    __slots__ = _fields = ("threshold_db", "min_silence_s", "frame_ms")
 
     def __init__(self, threshold_db: float = 10.0, min_silence_s: float = 0.05,
                  frame_ms: float = 10.0) -> None:
@@ -141,7 +141,7 @@ class PauseRecord(Record):
 class AudioFrameSeries(Frozen):
     """Per-frame RMS energies over a mono signal."""
 
-    _fields = ("sample_rate", "frame_ms", "energies", "n_samples")
+    __slots__ = _fields = ("sample_rate", "frame_ms", "energies", "n_samples")
     __eq__ = object.__eq__  # identity: ``==`` on the energies is elementwise
     __hash__ = object.__hash__
 

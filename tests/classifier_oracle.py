@@ -244,7 +244,9 @@ def write_audit(target, classifications):
                 "score": cls.score,
                 "alternatives": [[op.kind.value, op.pop_count, score]
                                  for op, score in cls.alternatives],
-                "evidence_used": [dict(vars(it)) for it in cls.evidence_used],
+                "evidence_used": [{"source": it.source, "feature": it.feature,
+                                   "primitive": it.primitive, "weight": it.weight}
+                                  for it in cls.evidence_used],
                 "low_confidence": cls.low_confidence,
                 "singleton_boosted": cls.singleton_boosted,
                 "tie_break_applied": cls.tie_break_applied,

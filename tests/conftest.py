@@ -27,6 +27,18 @@ def rebuilt(obj, **changes):
     return type(obj)(**{**{name: getattr(obj, name) for name in params}, **changes})
 
 
+def slots(cls):
+    """The ``__slots__`` names of ``cls`` and of every class it inherits from."""
+    return [name for owner in cls.__mro__ for name in vars(owner).get("__slots__", ())]
+
+
+def state(obj):
+    """Every attribute ``obj`` holds, by name: its fields, then what it derives
+    from them (the slots that are not fields)."""
+    held = [*type(obj)._fields, *slots(type(obj))]
+    return {name: getattr(obj, name) for name in dict.fromkeys(held)}
+
+
 def value_classes():
     """Every ``jsonl.Record`` subclass a module of ``src/pausecue`` defines, by
     name: the value classes, found by a walk rather than listed."""

@@ -19,7 +19,6 @@ import io
 import json
 import math
 import re
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,14 +27,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jsonl_oracle
-from conftest import read_trace, value_classes
+from conftest import read_trace, state, value_classes
 from pausecue.focus import (OP_KINDS, TRACE_FIELDS, FocusingOperation, OpKind, TraceStep,
                             segments_affected, write_trace)
 from pausecue.fragments import (ACCENTS, BOUNDARIES, CODED_FIELDS, CONSTITUENTS,
                                 FUNCTION_FIELDS, FUNCTION_LABELS, PHONATIONS, PITCH_RANGES,
                                 TOKEN_FIELDS, TOKEN_FLAGS, TURN_POSITIONS, AnnotatedToken,
                                 CodedRecord, read_coded, read_transcript, write_coded)
-from pausecue.jsonl import MAX_MAGNITUDE, REQUIRED, Field, SchemaError, lines, validate, write_jsonl
+from pausecue.jsonl import (MAX_MAGNITUDE, REQUIRED, Field, Record, SchemaError, lines,
+                            record_class, validate, write_jsonl)
 from pausecue.lexicon import (ENTRY_FIELDS, ORDINAL_RANKS, TOKEN_CLASSES, CueEntry,
                               DuplicateSurface, Lexicon, load_lexicon)
 from pausecue.pauses import (POSITIONS, PAUSE_FIELDS, PauseRecord, read_pauses, round_tenth,
@@ -496,20 +496,24 @@ def _rebuilt(record, table):
     return type(record)(**{field.name: getattr(record, field.name) for field in table})
 
 
+def read_records(name):
+    """The records a reader of table ``name`` in BUILT builds from its bundled file."""
+    records = BUILT[name][3](SOURCES[name])
+    return records.entries if isinstance(records, Lexicon) else records
+
+
 @pytest.mark.parametrize("name", BUILT)
 def test_reader_builds_what_the_constructor_builds(name):
     """Each record a reader builds in one step equals the constructor's
-    record of its attributes, with the same attribute order and a key-sharing
-    instance dict of the same size."""
-    table, _, _, read = BUILT[name]
-    records = read(SOURCES[name])
-    records = records.entries if isinstance(records, Lexicon) else records
+    record of its attributes and holds the same attributes."""
+    table = BUILT[name][0]
+    records = read_records(name)
     assert len(records) > 10
     for record in records:
         built = _rebuilt(record, table)
         assert record == built
-        assert list(vars(record)) == list(vars(built)) == [field.name for field in table]
-        assert sys.getsizeof(vars(record)) == sys.getsizeof(vars(built))
+        assert state(record) == state(built)
+        assert list(state(record)) == [field.name for field in table]
 
 
 def test_constructor_takes_an_int_for_a_float_as_the_reader_does():
@@ -595,22 +599,23 @@ def test_record_defaults_equal_the_table_defaults(make, table):
             field.name
 
 
-def _read_one(read, path):
-    records = read(path)
-    return (records.entries if isinstance(records, Lexicon) else records)[0]
+class _Super(Record):
+    def __post_init__(self):
+        super().__init__()
 
 
-@pytest.mark.parametrize("name", BUILT)
-def test_records_keep_key_sharing_instance_dicts(name):
-    """A record's ``__dict__`` shares its keys with its class's other
-    instances: smaller than a plain dict copy of it, from readers and
-    constructors alike."""
-    _, make, fields, read = BUILT[name]
-    source = {"token": FIXTURES / "directions_intro.jsonl",
-              "coded": DATA / "replication_records.jsonl",
-              "pause": DATA / "replication_pauses.jsonl", "entry": DATA / "lexicon.jsonl"}[name]
-    for record in (make(**fields), _read_one(read, source)):
-        assert sys.getsizeof(vars(record)) < sys.getsizeof(dict(vars(record)))
+class _NamesItsClass(Record):
+    @property
+    def kind(self):
+        return __class__.__name__
+
+
+@pytest.mark.parametrize("cls, method", [(_Super, "__post_init__"), (_NamesItsClass, "kind")])
+def test_a_record_method_that_names_its_class_is_refused(cls, method):
+    # the rebuilt class is a new class, which the method's __class__ cell would not name
+    with pytest.raises(TypeError,
+                       match=rf"^{cls.__qualname__}\.{method} uses super\(\) or __class__, "):
+        record_class([Field("a", int)])(cls)
 
 
 def test_unflagged_tokens_share_one_empty_flag_set():

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stats_oracle
+from conftest import rebuilt
 from pausecue.fragments import CONSTITUENTS, CodedRecord
 from pausecue.focus import FocusingOperation, OpKind
 from pausecue.pauses import PauseRecord, round_tenth
@@ -441,7 +442,7 @@ def test_compute_report_on_corpus(corpus_records, corpus_pauses):
 def test_records_without_pause_are_excluded(corpus_records):
     broken = list(corpus_records)
     rec = broken[0]
-    broken[0] = CodedRecord(**{**rec.__dict__, "pause_before_s": None})
+    broken[0] = rebuilt(rec, pause_before_s=None)
     report = compute_report(broken)
     assert report.excluded_records == 1
     assert any("excluded" in note for note in report.notes)

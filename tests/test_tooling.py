@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -321,6 +322,17 @@ def test_the_package_exports_each_name_on_first_use():
         pausecue.nope
     with pytest.raises(ImportError, match="cannot import name 'ordered_sum'"):
         exec("from pausecue import ordered_sum", {})
+
+
+def test_the_package_version_is_the_project_version():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.partition("\n[project]\n")[2].partition("\n[")[0]
+    found = re.search(r'^version = "(.+)"$', project, re.MULTILINE).group(1)
+    if sys.version_info >= (3, 11):  # the regex, all 3.10 has, reads what tomllib reads
+        import tomllib
+        assert found == tomllib.loads(text)["project"]["version"]
+    import pausecue
+    assert pausecue.__version__ == found
 
 
 #: Library definitions kept although nothing outside the tests calls them.

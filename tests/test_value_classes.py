@@ -12,7 +12,10 @@ all of them, on instances made from drawn arguments:
   hashes as the tuple of its fields does, or raises ``TypeError`` as it does;
 - a ``Frozen`` instance refuses assignment and deletion and keeps its value;
 - a pickle or a copy holds the original's attributes, and a ``Frozen`` one
-  is made again by the constructor, so it runs the constructor's checks.
+  is made again by the constructor, so it runs the constructor's checks;
+- an instance keeps its fields and what it derives in slots, those of a
+  record read from a file too, has no ``__dict__`` and can be given no
+  other attribute.
 
 Each class's own rules are example tests beside its other tests, and
 ``test_jsonl`` states the law that the constructor and the reader of each
@@ -28,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import value_classes
+from conftest import slots, state, value_classes
 from pausecue.classifier import ROW_KEYS, TABLE_ROWS
 from pausecue.focus import OP_KINDS, FocusSpace, OpKind, operation
 from pausecue.fragments import (ACCENTS, BOUNDARIES, CONSTITUENTS, FUNCTION_LABELS,
@@ -37,6 +40,7 @@ from pausecue.fragments import (ACCENTS, BOUNDARIES, CONSTITUENTS, FUNCTION_LABE
 from pausecue.jsonl import Frozen
 from pausecue.lexicon import ORDINAL_RANKS, TOKEN_CLASSES, bundled_lexicon
 from pausecue.pauses import POSITIONS
+from test_jsonl import BUILT, read_records
 from test_tooling import VALUE_METHOD_OWNERS
 
 FUZZ = settings(settings.get_profile("fuzz"), max_examples=40)
@@ -173,17 +177,17 @@ def outcome(fn, *args, **kwargs):
         return False, (type(exc), str(exc))
 
 
+#: The attributes each class derives from its fields and holds beside them.
+DERIVED = {"SpeechFragment": ("speaker", "features"), "EvidenceItem": ("primitive",),
+           "ClassifierConfig": ("items",), "FocusingOperation": ("pushes",),
+           "FocusStack": ("link", "depth")}
+#: The fields a class reads through a property off what it derives, not slots.
+COMPUTED = {"FocusStack": ("spaces",)}
+
+
 def fields(obj):
     """The values of ``obj``'s ``_fields``, in order."""
     return tuple(getattr(obj, name) for name in type(obj)._fields)
-
-
-def state(obj):
-    """Every attribute ``obj`` holds, by name: its fields, then what it derives
-    from them (the attributes it holds that are not fields)."""
-    slots = [name for cls in type(obj).__mro__ for name in vars(cls).get("__slots__", ())]
-    held = [*type(obj)._fields, *getattr(obj, "__dict__", ()), *slots]
-    return {name: getattr(obj, name) for name in dict.fromkeys(held)}
 
 
 def alike(first, second):
@@ -271,3 +275,33 @@ def test_a_pickle_or_a_copy_keeps_the_attributes_and_the_checks(name, data):
         else:
             assert ours == theirs  # the same exception type and message
 
+
+def assert_slotted(obj):
+    """``obj`` holds exactly its class's fields and derived names, in slots."""
+    cls, name = type(obj), type(obj).__name__
+    held = [field for field in cls._fields if field not in COMPUTED.get(name, ())]
+    assert sorted(slots(cls)) == sorted([*held, *DERIVED.get(name, ())])
+    assert not hasattr(obj, "__dict__")
+    before = state(obj)
+    for assign in (setattr, object.__setattr__):  # the second past Frozen's refusal
+        for attr in ("bogus", f"{held[0]}_"):  # a misspelled field too
+            with pytest.raises(AttributeError):
+                assign(obj, attr, 1)
+    assert state(obj) == before
+
+
+@FUZZ
+@pytest.mark.parametrize("name", CLASSES)
+@given(data=st.data())
+def test_an_instance_keeps_its_attributes_in_slots_alone(name, data):
+    ok, obj = outcome(CLASSES[name], **data.draw(good(name)))
+    if ok:
+        assert_slotted(obj)
+    else:  # as a constructor that stores a name without a slot would raise
+        assert obj[0] is not AttributeError, obj
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_a_record_read_keeps_its_fields_in_slots_alone(name):
+    for record in read_records(name):
+        assert_slotted(record)
