@@ -27,8 +27,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .focus import (OPERATION_FIELDS, FocusingOperation, FocusStack, apply,
                     operation_from_row, segments_affected)
-from .jsonl import (Field, Frozen, Record, SchemaError, Target, iter_jsonl, lines,
-                    open_target, record_class, validate, write_jsonl)
+from .jsonl import (IN_RANGE, MAX_MAGNITUDE, Field, Frozen, Record, SchemaError, Target,
+                    iter_jsonl, lines, open_target, record_class, validate, write_jsonl)
 from .lexicon import CueContext, CueEntry, Lexicon, bundled_lexicon, judge_cue_use, normalize
 from .pauses import PauseRecord, round_tenth
 
@@ -233,7 +233,9 @@ class CodedRecord(Record):
     pause was never measured; such records are excluded from statistics.
     segments_affected is the operation's pops plus pushes, and marked is
     True exactly when initial_constituent is not "unmarked"; None derives
-    each so, and any other value is rejected.
+    each so, and any other value is rejected.  A derived segments_affected
+    beyond the magnitude bound is rejected too, since no reader would take
+    the line that holds it.
     """
 
     def __post_init__(self) -> None:
@@ -242,6 +244,9 @@ class CodedRecord(Record):
             raise ValueError(f"field 'operation' has wrong type (got {type(op).__name__})")
         affected = segments_affected(op)
         if self.segments_affected is None:
+            if affected > MAX_MAGNITUDE:
+                raise ValueError(f"segments_affected {affected} of {op.kind.value}"
+                                 f"({op.pop_count}) {IN_RANGE}")
             self.segments_affected = affected
         elif self.segments_affected != affected:
             raise ValueError(f"segments_affected {self.segments_affected} inconsistent with "

@@ -10,7 +10,9 @@ freedom, signs and orderings are checked instead.
 
 The measured-pause inventory is reconstructed the same way from the
 published duration histogram (41 fragment-initial and 62 fragment-internal
-pauses).
+pauses).  ``scripts/build_replication_corpus.py`` turns the cells and the
+histogram below into the files in ``pausecue/data/``; every command reads
+those files.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from .focus import OP_KINDS, operation
-from .fragments import ROW_LABELS, CodedRecord, read_measured, write_coded
+from .fragments import CodedRecord, read_measured
 from .lexicon import DATA_DIR
-from .pauses import PauseRecord, read_pauses, write_pauses
-from .stats import CANONICAL_TOKEN_ROWS, TAIL_TOKEN_ROWS, CellStat, StatsReport
+from .pauses import PauseRecord, read_pauses
+from .stats import CellStat, StatsReport
 
 RECORDS_FILE = "replication_records.jsonl"
 PAUSES_FILE = "replication_pauses.jsonl"
@@ -48,10 +49,6 @@ TOKEN_OPERATION_CELLS: dict[tuple[str, str], tuple[float, int]] = {
     ("Unmarked", "Return"): (0.40, 5), ("Unmarked", "Replace"): (1.15, 4),
 }
 
-ROW_ORDER = CANONICAL_TOKEN_ROWS + TAIL_TOKEN_ROWS
-
-ROW_CONSTITUENT = {label: constituent for constituent, label in ROW_LABELS.items()}
-
 #: Published per-operation pause means at full printed precision.
 OPERATION_MEANS = {"Initiate": 0.3217, "Retain": 0.2091,
                    "Return": 0.2545, "Replace": 0.6500}
@@ -76,50 +73,6 @@ PAUSE_HIST_INTERNAL = {0.0: 15, 0.1: 11, 0.2: 15, 0.3: 5, 0.4: 5, 0.5: 5,
 PAUSE_AVG_INITIAL = 0.422
 PAUSE_AVG_INTERNAL = 0.224
 
-#: (pops, embedding depth) of each reconstructed operation.
-_POPS_DEPTH_BY_OP = {"Initiate": (0, 2), "Retain": (0, 2), "Return": (1, 1), "Replace": (1, 1)}
-
-
-def build_records() -> list[CodedRecord]:
-    """Reconstruct the 100 coded records from the token-by-operation cells."""
-    records: list[CodedRecord] = []
-    index = 0
-    for row in ROW_ORDER:
-        for op_name in OP_KINDS:
-            cell = TOKEN_OPERATION_CELLS.get((row, op_name))
-            if cell is None:
-                continue
-            mean, count = cell
-            pops, depth = _POPS_DEPTH_BY_OP[op_name]
-            op = operation(op_name, pops)
-            constituent = ROW_CONSTITUENT.get(row, "cue_phrase")
-            for _ in range(count):
-                records.append(CodedRecord(
-                    fragment_index=index,
-                    pause_before_s=mean,
-                    initial_constituent=constituent,
-                    initial_token=row if constituent == "cue_phrase" else "",
-                    operation=op,
-                    embedding_depth=depth,
-                    turn_position="initiating" if index == 0 else "continuing",
-                ))
-                index += 1
-    return records
-
-
-def build_pauses() -> list[PauseRecord]:
-    """Reconstruct the measured-pause inventory from the published histogram."""
-    records: list[PauseRecord] = []
-    start = 0.0
-    for position, hist in (("fragment_initial", PAUSE_HIST_INITIAL),
-                           ("fragment_internal", PAUSE_HIST_INTERNAL)):
-        for duration in sorted(hist):
-            for _ in range(hist[duration]):
-                records.append(PauseRecord(start_s=start, raw_duration_s=duration,
-                                           position=position))
-                start += duration + 1.0
-    return records
-
 
 def load_bundled(corpus_dir: str | Path | None = None
                  ) -> tuple[list[CodedRecord], list[PauseRecord]]:
@@ -129,17 +82,6 @@ def load_bundled(corpus_dir: str | Path | None = None
     """
     base = DATA_DIR if corpus_dir is None else Path(corpus_dir)
     return read_measured(base / RECORDS_FILE), read_pauses(base / PAUSES_FILE)
-
-
-def write_corpus(directory: str | Path) -> tuple[Path, Path]:
-    """Regenerate the corpus files (used by the build script)."""
-    base = Path(directory)
-    base.mkdir(parents=True, exist_ok=True)
-    records_path = base / RECORDS_FILE
-    pauses_path = base / PAUSES_FILE
-    write_coded(records_path, build_records())
-    write_pauses(pauses_path, build_pauses())
-    return records_path, pauses_path
 
 
 # ---------------------------------------------------------------------------

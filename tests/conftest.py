@@ -107,15 +107,15 @@ def make_wav(tmp_path):
 
 
 @pytest.fixture(scope="session")
-def corpus_records():
-    return replication.build_records()
-
-
-@pytest.fixture(scope="session")
-def corpus_pauses():
-    return replication.build_pauses()
-
-
-@pytest.fixture(scope="session")
 def bundled_corpus():
     return replication.load_bundled()
+
+
+@pytest.fixture(scope="session")
+def corpus_records(bundled_corpus):
+    return bundled_corpus[0]
+
+
+@pytest.fixture(scope="session")
+def corpus_pauses(bundled_corpus):
+    return bundled_corpus[1]

@@ -16,8 +16,10 @@ import pauses_oracle
 import test_golden
 from conftest import FIXTURES, RATE, build_signal, write_wav
 from pausecue.cli import COMMANDS, build_parser, main
+from pausecue.lexicon import DATA_DIR
 from pausecue.pauses import BLOCK_SAMPLES, PauseRecord
 from pausecue import pauses, replication
+from strategies import TYPES, bad_rows, example
 
 SRC = Path(__file__).parent.parent / "src"
 
@@ -178,7 +180,6 @@ LOADED = f"[m for m in {UNLOADED!r} if m in sys.modules]"
 #: code and which of UNLOADED were loaded.
 FRESH_MAIN = ("import sys; from pausecue.cli import main; code = main(sys.argv[1:]); "
               f"print(code, {LOADED})")
-DATA = SRC / "pausecue" / "data"
 
 
 def run_fresh(script, *argv, flags=()):
@@ -211,8 +212,8 @@ def command_argv(tmp_path, argv):
     (tmp_path / "gaps.jsonl").write_text(ON_LEFT)
     write_wav(tmp_path / "speech.wav", build_signal(TWO_TONES), RATE)
     files = {"intro": FIXTURES / "directions_intro.jsonl", "timed": tmp_path / "timed.jsonl",
-             "gaps": tmp_path / "gaps.jsonl", "records": DATA / "replication_records.jsonl",
-             "inventory": DATA / "replication_pauses.jsonl", "wav": tmp_path / "speech.wav"}
+             "gaps": tmp_path / "gaps.jsonl", "records": DATA_DIR / "replication_records.jsonl",
+             "inventory": DATA_DIR / "replication_pauses.jsonl", "wav": tmp_path / "speech.wav"}
     argv = [arg.format(**files) for arg in argv]
     return argv + ["--out", str(tmp_path)] if argv[0] in ("segment", "code", "pauses") else argv
 
@@ -329,7 +330,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     for seed in ("1", "2", "3"):
         cwd = tmp_path / f"seed{seed}"
         cwd.mkdir()
-        shutil.copy(DATA / replication.RECORDS_FILE, cwd / "records.jsonl")
+        shutil.copy(DATA_DIR / replication.RECORDS_FILE, cwd / "records.jsonl")
         (cwd / "anchored.jsonl").write_text(ANCHORED)
         env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
         done = subprocess.run([sys.executable, "-c", FRESH_COMMANDS, json.dumps(commands)],
@@ -604,6 +605,29 @@ def test_input_error_names_path_and_line(tmp_path, capsys, command, files, culpr
         assert len(message) < 120, message
 
 
+#: Per record type, a command that reads a file of it, ``{}`` for its path.
+READERS = {
+    "token": ["code", "{}", "--out", "{out}"],
+    "coded": ["stats", "{}"],
+    "pause": ["stats", str(DATA_DIR / replication.RECORDS_FILE), "--pauses", "{}"],
+    "entry": ["code", str(FIXTURES / "directions_intro.jsonl"), "--lexicon", "{}",
+              "--out", "{out}"],
+    "function": ["code", str(FIXTURES / "directions_intro.jsonl"), "--functions", "{}",
+                 "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_every_bad_row_exits_2_at_its_path_and_line(tmp_path, capsys, name):
+    # after a good row, each bad row the table gives, with the reader's message
+    table = TYPES[name].table
+    path = tmp_path / "in.jsonl"
+    for case in bad_rows(table):
+        path.write_text(json.dumps(example(table)) + "\n" + json.dumps(case.row) + "\n")
+        argv = [arg.format(path, out=tmp_path / "out") for arg in READERS[name]]
+        assert run(capsys, *argv) == (2, "", f"error: {path}:2: {case.message}\n"), case.name
+
+
 @pytest.mark.parametrize("files, culprit", [
     pytest.param({"transcript": TIMED, "pauses": ON_LEFT + NOWHERE}, "pauses",
                  id="pauses-match-no-gap"),
@@ -670,7 +694,9 @@ def test_transcript_without_tokens_names_file(tmp_path, capsys, command, content
 @pytest.fixture
 def corpus_dir(tmp_path):
     directory = tmp_path / "corpus"
-    replication.write_corpus(directory)
+    directory.mkdir()
+    for name in (replication.RECORDS_FILE, replication.PAUSES_FILE):
+        shutil.copy(DATA_DIR / name, directory / name)
     return directory
 
 
@@ -917,10 +943,9 @@ def cyclic_garbage(argv):
 def tiled_inputs(directory, n):
     """Inputs n times as long: the intro transcript and the replication corpus
     tiled n times, and a WAV of 3n tone-and-silence pairs."""
-    replication.write_corpus(directory)
+    directory.mkdir()
     for name in (replication.RECORDS_FILE, replication.PAUSES_FILE):
-        path = directory / name
-        path.write_text(path.read_text() * n)
+        (directory / name).write_text((DATA_DIR / name).read_text() * n)
     (directory / "t.jsonl").write_text((FIXTURES / "directions_intro.jsonl").read_text() * n)
     write_wav(directory / "speech.wav", build_signal([("tone", 0.3), ("silence", 0.4)] * 3 * n),
               RATE)

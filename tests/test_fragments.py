@@ -14,14 +14,14 @@ from conftest import rebuilt
 from pausecue import fragments
 from pausecue.classifier import segment_discourse
 from pausecue.focus import FocusingOperation, OpKind, segments_affected
-from pausecue.fragments import (ACCENTS, BOUNDARIES, PHONATIONS, PITCH_RANGES, TOKEN_FIELDS,
-                                TOKEN_FLAGS, AnnotatedToken, CodedRecord,
+from pausecue.fragments import (TOKEN_FIELDS, AnnotatedToken, CodedRecord,
                                 EmptyTranscript, LengthMismatch, MisalignedPause,
                                 SpeechFragment, code, fragmentize, read_coded,
                                 read_transcript, write_coded, write_coded_tsv, TSV_COLUMNS)
 from pausecue.jsonl import SchemaError, lines, write_jsonl
 from pausecue.lexicon import CueEntry, Lexicon, bundled_lexicon
 from pausecue.pauses import PauseRecord, round_tenth
+from strategies import ABSENT, records
 
 FIXTURES = Path(__file__).parent / "fixtures"
 INITIATE = FocusingOperation(OpKind.INITIATE)
@@ -242,22 +242,20 @@ SURFACES = ["so", "So,", "and", "But", "ok", "Okay.", "uh-huh", "um", "er", "wel
 PAUSE_S = st.sampled_from([0.0, 0.0, 0.04, 0.05, 0.1, 0.15, 0.3])
 
 
+TOKENS = records(TOKEN_FIELDS, AnnotatedToken, surface=st.sampled_from(SURFACES),
+                 speaker=st.sampled_from("AB"), topic=st.sampled_from(["", "", "t1", "t2"]),
+                 pause_before_s=PAUSE_S, start_s=ABSENT, end_s=ABSENT)
+
+
 @st.composite
 def transcripts_with_pauses(draw):
     """Tokens, timed one second apart or untimed, and pause records ending
     on some of their gaps when timed."""
-    n = draw(st.integers(1, 14))
+    tokens = draw(st.lists(TOKENS, min_size=1, max_size=14))
     timed = draw(st.booleans())
-    tokens = [tok(draw(st.sampled_from(SURFACES)), speaker=draw(st.sampled_from("AB")),
-                  accent=draw(st.sampled_from(ACCENTS)),
-                  boundary=draw(st.sampled_from(BOUNDARIES)),
-                  phonation=draw(st.sampled_from(PHONATIONS)),
-                  pitch_range=draw(st.sampled_from(PITCH_RANGES)),
-                  topic=draw(st.sampled_from(["", "", "t1", "t2"])),
-                  flags=draw(st.frozensets(st.sampled_from(TOKEN_FLAGS))),
-                  pause_before_s=draw(PAUSE_S), start_s=float(i) if timed else None)
-              for i in range(n)]
-    gaps = sorted(draw(st.sets(st.integers(0, n - 1)))) if timed else []
+    if timed:
+        tokens = [rebuilt(token, start_s=float(i)) for i, token in enumerate(tokens)]
+    gaps = sorted(draw(st.sets(st.integers(0, len(tokens) - 1)))) if timed else []
     pauses = [PauseRecord(start_s=gap - duration, raw_duration_s=duration)
               for gap, duration in zip(gaps, draw(st.lists(PAUSE_S, min_size=len(gaps),
                                                            max_size=len(gaps))))]

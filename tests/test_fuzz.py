@@ -20,13 +20,12 @@ from hypothesis import strategies as st
 
 import pauses_oracle
 from conftest import FIXTURES, RATE, build_signal, write_wav
-from pausecue import replication
 from pausecue.classifier import ROW_KEYS
 from pausecue.cli import main
-from pausecue.fragments import MisalignedPause, read_transcript, write_coded
-from pausecue.pauses import read_pauses, write_pauses
-
-DATA = Path(__file__).parent.parent / "src" / "pausecue" / "data"
+from pausecue.fragments import MisalignedPause, read_transcript
+from pausecue.lexicon import DATA_DIR
+from pausecue.pauses import read_pauses
+from strategies import LABELS, VALUES
 
 
 def _base_inputs() -> dict[str, bytes]:
@@ -38,9 +37,6 @@ def _base_inputs() -> dict[str, bytes]:
     weights = ("# evidence-row weights\n" + "".join(f"{key} = 1\n" for key in ROW_KEYS)
                + "# bonuses and thresholds\n"
                "candidate_bonus = 2\nimpending_bonus = 2\nlstar_threshold = 0.5\n")
-    coded, pauses = io.StringIO(), io.StringIO()
-    write_coded(coded, replication.build_records())
-    write_pauses(pauses, replication.build_pauses())
     with tempfile.TemporaryDirectory() as tmp:
         wav = Path(tmp) / "speech.wav"
         write_wav(wav, build_signal([("tone", 0.3), ("silence", 0.2), ("tone", 0.3)]), RATE)
@@ -50,10 +46,10 @@ def _base_inputs() -> dict[str, bytes]:
         "gaps.jsonl": "".join(json.dumps(g) + "\n" for g in gaps).encode(),
         "functions.jsonl": b'{"fragment_index": 1, "prior": "closure", "subsequent": "repair"}\n'
                            b'{"fragment_index": 2, "prior": "repair"}\n',
-        "lexicon.jsonl": (DATA / "lexicon.jsonl").read_bytes(),
+        "lexicon.jsonl": (DATA_DIR / "lexicon.jsonl").read_bytes(),
         "weights.conf": weights.encode(),
-        "replication_records.jsonl": coded.getvalue().encode(),
-        "replication_pauses.jsonl": pauses.getvalue().encode(),
+        "replication_records.jsonl": (DATA_DIR / "replication_records.jsonl").read_bytes(),
+        "replication_pauses.jsonl": (DATA_DIR / "replication_pauses.jsonl").read_bytes(),
         "speech.wav": wav_bytes,
     }
 
@@ -69,28 +65,6 @@ COMMANDS = {
     "replicate": ["replication_records.jsonl", "replication_pauses.jsonl"],
     "pauses": ["speech.wav"],
 }
-
-WORDS = ["Initiate", "Retain", "Return", "Replace", "topical", "closure", "bogus", "fall",
-         "Hstar", "creaky", "turn_initial", "cue_phrase", "fragment_initial", "so", "and",
-         "unmarked", "prior_pop", "candidate_bonus"]
-
-#: Integer literals beyond float range and beyond the decoder's 4,300 digits.
-#: Drawn as strings no other draw can equal, and unquoted once dumped: the
-#: JSON encoder refuses to write the longest as a number.
-OVERSIZED = ("1" + "0" * 400, "-" + "9" * 309, "1" * 4301)
-SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
-                    st.text(max_size=4), st.sampled_from(WORDS), st.sampled_from(OVERSIZED))
-VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
-                      | st.dictionaries(st.sampled_from(["kind", "pops", "x"]), inner,
-                                        max_size=2), max_leaves=4)
-
-
-def _dumps(obj) -> str:
-    text = json.dumps(obj)
-    for literal in OVERSIZED:
-        text = text.replace(json.dumps(literal), literal)
-    return text
-
 
 def _mutate_jsonl(data, content: bytes) -> bytes:
     lines = content.splitlines(keepends=True)
@@ -109,14 +83,14 @@ def _mutate_jsonl(data, content: bytes) -> bytes:
         obj[key][data.draw(st.sampled_from(sorted(obj[key])))] = data.draw(VALUES)
     else:
         obj[key] = data.draw(VALUES)
-    lines[i] = (_dumps(obj) + "\n").encode()
+    lines[i] = (json.dumps(obj) + "\n").encode()
     return b"".join(lines)
 
 
 def _mutate_weights(data, content: bytes) -> bytes:
     lines = content.splitlines(keepends=True)
     i = data.draw(st.integers(0, len(lines) - 1))
-    key = data.draw(st.sampled_from(WORDS + ["current_push", "lstar_threshold"]))
+    key = data.draw(st.sampled_from([*LABELS, *ROW_KEYS, "candidate_bonus", "lstar_threshold"]))
     value = data.draw(st.one_of(st.floats().map(repr), st.integers().map(str),
                                 st.text(max_size=4)))
     line = data.draw(st.sampled_from([f"{key} = {value}".encode(), b"\xff = 1", b"x"]))

@@ -1,114 +1,44 @@
 """Rows are checked and written from the Field tables: contracts and round trips.
 
-The compiled row checker agrees with the interpreted one in ``jsonl_oracle``
+The inputs come from ``strategies``, which reads the same tables.  The
+compiled row checker agrees with the interpreted one in ``jsonl_oracle``
 on every table: the same fields in the same order, or the same error
 message, on mutated rows.  The compiled line maker writes, on generated
-records, the line ``json.dumps`` writes of the interpreted row.
-Generated valid records of every type read back equal after writing; the
-bundled coded records and pauses read and write back to the same bytes.
-The bundled lexicon lists some ``candidate_ops`` in an order a set does not
-keep, so its first rewrite differs from it in that order alone and is
-byte-stable from then on.  Each record class is made from its table: its
-fields are the table's, and its constructor rejects a wrong type, a number
-out of range and a bad value with the reader's message.  A record its
-constructor builds is the record read back from its row.
+records, the line ``json.dumps`` writes of the interpreted row.  A file of
+records their constructor built reads back as the same records, for every
+record type; the bundled coded records and pauses read and write back to
+the same bytes.  The bundled lexicon lists some ``candidate_ops`` in an
+order a set does not keep, so its first rewrite differs from it in that
+order alone and is byte-stable from then on.  Each record class is made
+from its table: its fields are the table's, and its constructor rejects
+each bad row that a reader rejects for a field's type, magnitude, choices
+or minimum with the reader's message.  A record its constructor builds is
+the record read back from its row.
 """
 
 import inspect
 import io
 import json
-import math
 import re
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jsonl_oracle
-from conftest import read_trace, state, value_classes
-from pausecue.focus import (OP_KINDS, TRACE_FIELDS, FocusingOperation, OpKind, TraceStep,
-                            segments_affected, write_trace)
-from pausecue.fragments import (ACCENTS, BOUNDARIES, CODED_FIELDS, CONSTITUENTS,
-                                FUNCTION_FIELDS, FUNCTION_LABELS, PHONATIONS, PITCH_RANGES,
-                                TOKEN_FIELDS, TOKEN_FLAGS, TURN_POSITIONS, AnnotatedToken,
-                                CodedRecord, read_coded, read_transcript, write_coded)
-from pausecue.jsonl import (MAX_MAGNITUDE, REQUIRED, Field, Record, SchemaError, lines,
-                            record_class, validate, write_jsonl)
-from pausecue.lexicon import (ENTRY_FIELDS, ORDINAL_RANKS, TOKEN_CLASSES, CueEntry,
-                              DuplicateSurface, Lexicon, load_lexicon)
-from pausecue.pauses import (POSITIONS, PAUSE_FIELDS, PauseRecord, read_pauses, round_tenth,
-                             write_pauses)
-
-DATA = Path(__file__).parent.parent / "src" / "pausecue" / "data"
-FIXTURES = Path(__file__).parent / "fixtures"
+from conftest import state, value_classes
+from pausecue.focus import FocusingOperation, OpKind, write_trace
+from pausecue.fragments import (TOKEN_FIELDS, AnnotatedToken, read_coded, read_transcript,
+                                write_coded)
+from pausecue.jsonl import (REQUIRED, Field, Frozen, Record, SchemaError, lines, record_class,
+                            validate, write_jsonl)
+from pausecue.lexicon import DATA_DIR, ENTRY_FIELDS, Lexicon, load_lexicon
+from pausecue.pauses import PauseRecord, read_pauses, write_pauses
+from strategies import (EDGES, LABELS, OVERSIZED, RECORD_TYPES, SCALARS, TYPES, VALUES, bad_rows,
+                        example, files, records, rows)
 
 FUZZ = settings(settings.get_profile("fuzz"), max_examples=60)
-
-NUMBERS = st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE)
-DURATIONS = st.floats(0, 1e6)
-INDICES = st.integers(-10**15, 10**15)
-WORDS = st.from_regex(r"[a-z][a-z'-]{0,6}( [a-z]{1,6})?", fullmatch=True)
-#: Any code point, lone surrogates (category Cs) included, as a JSON reader
-#: may give them, and the characters ``json`` escapes.
-CHARACTERS = st.characters(exclude_categories=()) | st.sampled_from('"\\\n\x00\x1f\x7f\u2028')
-#: Floats whose shortest repr takes each form: -0.0, subnormal, exponent and bound.
-FLOAT_EDGES = st.sampled_from([-0.0, 5e-324, 1e-7, MAX_MAGNITUDE, -MAX_MAGNITUDE])
-
-
-def _operation(kind: OpKind, pops: int) -> FocusingOperation:
-    return FocusingOperation(kind, 0 if kind in (OpKind.INITIATE, OpKind.RETAIN) else pops)
-
-
-OPERATIONS = st.builds(_operation, st.sampled_from(OpKind), st.integers(1, 50))
-
-
-@st.composite
-def transcripts(draw):
-    tokens, start = [], draw(DURATIONS)
-    for _ in range(draw(st.integers(1, 6))):
-        timed = draw(st.booleans())
-        start += draw(DURATIONS) if timed else 0.0
-        tokens.append(AnnotatedToken(
-            surface=draw(st.text(CHARACTERS, max_size=6)), speaker=draw(st.text(CHARACTERS, max_size=3)),
-            accent=draw(st.sampled_from(ACCENTS)), boundary=draw(st.sampled_from(BOUNDARIES)),
-            phonation=draw(st.sampled_from(PHONATIONS)),
-            pitch_range=draw(st.sampled_from(PITCH_RANGES)),
-            pause_before_s=draw(DURATIONS),
-            flags=draw(st.frozensets(st.sampled_from(TOKEN_FLAGS))),
-            topic=draw(st.text(CHARACTERS, max_size=3)),
-            start_s=start if timed else None,
-            end_s=start + draw(DURATIONS) if timed and draw(st.booleans()) else None))
-    return tokens
-
-
-@st.composite
-def coded_records(draw):
-    op = draw(OPERATIONS)
-    constituent = draw(st.sampled_from(CONSTITUENTS))
-    return CodedRecord(
-        fragment_index=draw(INDICES), pause_before_s=draw(st.none() | DURATIONS),
-        initial_constituent=constituent, operation=op,
-        embedding_depth=draw(st.integers(1, 10**15)), segments_affected=segments_affected(op),
-        prior_function=draw(st.sampled_from(FUNCTION_LABELS)),
-        subsequent_function=draw(st.sampled_from(FUNCTION_LABELS)),
-        turn_position=draw(st.sampled_from(TURN_POSITIONS)), marked=constituent != "unmarked",
-        initial_token=draw(st.text(CHARACTERS, max_size=6)))
-
-
-PAUSES = st.builds(lambda raw, **kw: PauseRecord(raw_duration_s=raw,
-                                                 reported_duration_s=round_tenth(raw), **kw),
-                   DURATIONS, start_s=NUMBERS, position=st.sampled_from(POSITIONS),
-                   suspect=st.booleans())
-
-ENTRIES = st.builds(
-    CueEntry, surface=WORDS, gloss=st.text(CHARACTERS, max_size=6),
-    candidate_ops=st.frozensets(st.sampled_from(OpKind), min_size=1),
-    ordinal_rank=st.none() | st.sampled_from(ORDINAL_RANKS),
-    token_class=st.sampled_from(TOKEN_CLASSES), display=st.text(CHARACTERS, max_size=6),
-    connective=st.booleans(), corpus_derived=st.booleans(),
-    variants=st.lists(WORDS, max_size=2).map(tuple))
 
 
 def test_rows_follow_the_table():
@@ -130,68 +60,16 @@ def test_rows_follow_the_table():
         '"nested": {"kind": "a", "count": 3}}\n']
 
 
-@FUZZ
-@given(tokens=transcripts())
-def test_transcript_read_write_round_trip(tmp_path_factory, tokens):
-    path = tmp_path_factory.mktemp("tokens") / "t.jsonl"
-    write_jsonl(path, lines(TOKEN_FIELDS, tokens))
-    assert read_transcript(path) == tokens
-
-
-@FUZZ
-@given(records=st.lists(coded_records(), max_size=5))
-def test_coded_read_write_round_trip(tmp_path_factory, records):
-    path = tmp_path_factory.mktemp("coded") / "c.jsonl"
-    write_coded(path, records)
-    assert read_coded(path) == records
-
-
-@FUZZ
-@given(records=st.lists(PAUSES, max_size=5))
-def test_pauses_read_write_round_trip(tmp_path_factory, records):
-    path = tmp_path_factory.mktemp("pauses") / "p.jsonl"
-    write_pauses(path, records)
-    assert read_pauses(path) == records
-
-
-@FUZZ
-@given(trace=st.lists(st.tuples(OPERATIONS, INDICES), max_size=6))
-def test_trace_read_write_round_trip(tmp_path_factory, trace):
-    path = tmp_path_factory.mktemp("trace") / "t.jsonl"
-    write_trace(path, trace)
-    assert read_trace(path) == trace
-
-
-@FUZZ
-@given(entries=st.lists(ENTRIES, min_size=1, max_size=5))
-def test_lexicon_read_write_round_trip(tmp_path_factory, entries):
-    try:
-        lexicon = Lexicon(entries)
-    except DuplicateSurface:
-        assume(False)
-    path = tmp_path_factory.mktemp("lexicon") / "l.jsonl"
-    write_jsonl(path, lines(ENTRY_FIELDS, lexicon.entries))
-    assert load_lexicon(path).entries == lexicon.entries
-
-
 def _written(write, records) -> bytes:
     sink = io.StringIO()
     write(sink, records)
     return sink.getvalue().encode()
 
 
-def test_replication_builders_get_the_derived_columns(corpus_records, corpus_pauses):
-    for record in corpus_records:
-        assert record.segments_affected == segments_affected(record.operation)
-        assert record.marked == (record.initial_constituent != "unmarked")
-    for pause in corpus_pauses:
-        assert pause.reported_duration_s == round_tenth(pause.raw_duration_s)
-
-
 def test_bundled_corpus_writes_back_byte_for_byte():
     for name, read, write in (("replication_records.jsonl", read_coded, write_coded),
                               ("replication_pauses.jsonl", read_pauses, write_pauses)):
-        assert _written(write, read(DATA / name)) == (DATA / name).read_bytes(), name
+        assert _written(write, read(DATA_DIR / name)) == (DATA_DIR / name).read_bytes(), name
 
 
 def test_written_lines_keep_their_bytes():
@@ -199,54 +77,69 @@ def test_written_lines_keep_their_bytes():
         b'{"schema_version": 1, "index": 2, "kind": "Replace", "pops": 1}\n'
 
 
+@FUZZ
+@pytest.mark.parametrize("name", [name for name, kind in TYPES.items() if kind.read])
+@given(data=st.data())
+def test_a_constructed_record_is_the_record_read_back(tmp_path_factory, name, data):
+    """A file of records that their constructor built reads back as those
+    records and writes back to its own bytes: a constructor stores what a
+    reader stores, sets, tuples and floats."""
+    kind = TYPES[name]
+    made = data.draw(files(name))
+    path = tmp_path_factory.mktemp(name) / "in.jsonl"
+    kind.write(path, made)
+    again = kind.read(path)
+    assert again == made
+    if isinstance(made[0], Frozen):
+        assert list(map(hash, again)) == list(map(hash, made))
+    assert _written(kind.write, again) == path.read_bytes()
+
+
+# The same round trip through each type's public reader and writer by name.
+
+@FUZZ
+@given(tokens=files("token"))
+def test_transcript_read_write_round_trip(tmp_path_factory, tokens):
+    path = tmp_path_factory.mktemp("tokens") / "t.jsonl"
+    write_jsonl(path, lines(TOKEN_FIELDS, tokens))
+    assert read_transcript(path) == tokens
+
+
+@FUZZ
+@given(coded=files("coded"))
+def test_coded_read_write_round_trip(tmp_path_factory, coded):
+    path = tmp_path_factory.mktemp("coded") / "c.jsonl"
+    write_coded(path, coded)
+    assert read_coded(path) == coded
+
+
+@FUZZ
+@given(pauses=files("pause"))
+def test_pauses_read_write_round_trip(tmp_path_factory, pauses):
+    path = tmp_path_factory.mktemp("pauses") / "p.jsonl"
+    write_pauses(path, pauses)
+    assert read_pauses(path) == pauses
+
+
+@FUZZ
+@given(entries=files("entry"))
+def test_lexicon_read_write_round_trip(tmp_path_factory, entries):
+    lexicon = Lexicon(entries)
+    path = tmp_path_factory.mktemp("lexicon") / "l.jsonl"
+    write_jsonl(path, lines(ENTRY_FIELDS, lexicon.entries))
+    assert load_lexicon(path).entries == lexicon.entries
+
+
 # ---------------------------------------------------------------------------
 # Differential tests against the interpreted checker and row maker
 # ---------------------------------------------------------------------------
 
-TABLES = {"token": TOKEN_FIELDS, "coded": CODED_FIELDS, "pause": PAUSE_FIELDS,
-          "trace": TRACE_FIELDS, "entry": ENTRY_FIELDS, "function": FUNCTION_FIELDS}
-LABELS = sorted({*OP_KINDS, *FUNCTION_LABELS, *TOKEN_FLAGS, *ACCENTS, "bogus", ""})
-#: Ints beyond float range, up to the decoder's 4,300-digit limit.
-OVERSIZED = st.sampled_from([2**1024, -(10**400), int("9" * 4300)])
-#: Numbers at and beyond the magnitude bound.
-EDGES = st.sampled_from([10**15, 10**15 + 1, -10**15, -10**15 - 1, 1e15, -1.0000000000000002e15,
-                         2**53 + 1, 2**1023, float("nan"), float("inf"), -float("inf")])
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | EDGES | OVERSIZED
-    | st.text(max_size=4) | st.sampled_from(LABELS),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["kind", "pops", "x"]), inner, max_size=2),
-    max_leaves=4)
+TABLES = {name: kind.table for name, kind in TYPES.items()}
 #: Numbers just below, at and just above the tables' minimums: 0 for the
 #: float fields, 1 for the int field.
 BOUNDS = (-5e-324, -0.0, 0, 0.0, 5e-324, 1, 2)
 MUTATIONS = st.one_of(OVERSIZED, EDGES, st.sampled_from(BOUNDS), st.sampled_from(LABELS),
-                      st.lists(st.sampled_from(LABELS) | EDGES, max_size=3), JSON_VALUES)
-
-
-def _valid_value(field: Field):
-    """Values ``field`` accepts, as the JSON decoder gives them."""
-    _, kind, default, of, choices, minimum = field
-    words = (st.sampled_from(choices) if choices else
-             st.text(CHARACTERS, max_size=4) | st.sampled_from(LABELS))
-    ints, floats = INDICES, NUMBERS | FLOAT_EDGES
-    if minimum is not None:
-        ints = st.integers(math.ceil(minimum), 10**15)
-        floats = st.floats(minimum, MAX_MAGNITUDE) | FLOAT_EDGES.filter(lambda x: x >= minimum)
-    if kind is dict:
-        value = _valid_row(of)
-    elif kind is list:
-        value = st.lists(words, max_size=3)
-    else:
-        value = {str: words, bool: st.booleans(), int: ints, float: floats | ints}[kind]
-    return value | st.none() if default is None else value
-
-
-def _valid_row(table):
-    return st.fixed_dictionaries(
-        {field.name: _valid_value(field) for field in table if field.default is REQUIRED},
-        optional={field.name: _valid_value(field) for field in table
-                  if field.default is not REQUIRED})
+                      st.lists(st.sampled_from(LABELS) | EDGES, max_size=3), VALUES)
 
 
 def _outcome(validate_rows, table, obj):
@@ -262,7 +155,7 @@ def _outcome(validate_rows, table, obj):
 @pytest.mark.parametrize("table", TABLES.values(), ids=TABLES)
 @given(data=st.data())
 def test_checker_agrees_with_the_interpreted_one(table, data):
-    obj = data.draw(_valid_row(table))
+    obj = data.draw(rows(table))
     nested = [name for name, value in obj.items() if isinstance(value, dict)]
     owner = obj[data.draw(st.sampled_from(nested))] if nested and data.draw(st.booleans()) else obj
     lists = sorted(key for key, value in owner.items() if isinstance(value, list))
@@ -309,12 +202,6 @@ def _as_record(fields: dict, data):
     return SimpleNamespace(**values)
 
 
-RECORDS = {"token": transcripts(), "coded": st.lists(coded_records(), max_size=3),
-           "pause": st.lists(PAUSES, max_size=3),
-           "trace": st.lists(st.tuples(OPERATIONS, INDICES).map(TraceStep._make), max_size=3),
-           "entry": st.lists(ENTRIES, max_size=3), "function": st.just([])}
-
-
 @FUZZ
 @pytest.mark.parametrize("name", TABLES)
 @given(data=st.data())
@@ -322,137 +209,93 @@ def test_row_maker_agrees_with_the_interpreted_one(name, data):
     """Each written line is ``json.dumps`` of the interpreted row: strings
     with any code point, floats of every repr form, lists given as lists,
     tuples and sets."""
-    table = TABLES[name]
-    records = data.draw(RECORDS[name])
+    table, make = TYPES[name][:2]
+    made = data.draw(st.lists(records(table, make), max_size=3)) if make else []
     for _ in range(data.draw(st.integers(0, 2))):
-        [(_, fields)] = validate([(1, data.draw(_valid_row(table)))], table, "in.jsonl")
-        records.append(_as_record(fields, data))
-    assert list(lines(table, records)) == [json.dumps(row) + "\n"
-                                           for row in jsonl_oracle.rows(table, records)]
+        [(_, fields)] = validate([(1, data.draw(rows(table)))], table, "in.jsonl")
+        made.append(_as_record(fields, data))
+    assert list(lines(table, made)) == [json.dumps(row) + "\n"
+                                        for row in jsonl_oracle.rows(table, made)]
 
 
 # ---------------------------------------------------------------------------
 # Domain rules: the constructor and the reader give one message
 # ---------------------------------------------------------------------------
 
-#: Per table that builds a record class: the class, a valid record's fields
-#: and the reader.
-BUILT = {
-    "token": (TOKEN_FIELDS, AnnotatedToken, dict(surface="so"), read_transcript),
-    "coded": (CODED_FIELDS, CodedRecord,
-              dict(fragment_index=0, pause_before_s=0.2, initial_constituent="unmarked",
-                   operation=FocusingOperation(OpKind.INITIATE, 0), embedding_depth=1,
-                   segments_affected=1, prior_function="topical",
-                   subsequent_function="topical", turn_position="continuing", marked=False),
-              read_coded),
-    "pause": (PAUSE_FIELDS, PauseRecord,
-              dict(start_s=0.5, raw_duration_s=0.2, reported_duration_s=0.2), read_pauses),
-    "entry": (ENTRY_FIELDS, CueEntry,
-              dict(surface="so", candidate_ops=frozenset({OpKind.RETURN}), gloss=""),
-              load_lexicon),
-}
-#: Per table in BUILT, a bundled file of its records.
-SOURCES = {"token": FIXTURES / "directions_intro.jsonl",
-           "coded": DATA / "replication_records.jsonl",
-           "pause": DATA / "replication_pauses.jsonl", "entry": DATA / "lexicon.jsonl"}
-DOMAIN_FIELDS = [pytest.param(name, field, id=f"{name}-{field.name}")
-                 for name, (table, *_) in BUILT.items() for field in table
-                 if field.choices is not None or field.minimum is not None]
+def _case_id(name, case):
+    if case.fault in ("choice", "minimum"):
+        return f"{name}-{case.name}"
+    return f"{name}-{case.name}-{'missing' if case.fault == 'missing' else repr(case.value)}"
+
+
+#: Each bad row of each record type.
+BAD_ROWS = [pytest.param(name, case, id=_case_id(name, case))
+            for name, kind in RECORD_TYPES.items() for case in bad_rows(kind.table)]
+
+
+def _top_level(fault):
+    """(record type, field) of each bad row of ``fault`` in a field of the type's own table."""
+    return [(p.values[0], p.values[1].field) for p in BAD_ROWS
+            if p.values[1].fault == fault and "." not in p.values[1].name]
 
 
 def test_every_record_type_is_built():
     # the record laws below cover every class that a table declares
-    assert {make for _, make, _, _ in BUILT.values()} == {
+    assert {kind.make for kind in RECORD_TYPES.values()} == {
         cls for cls in value_classes().values() if "_record" in vars(cls)}
 
 
 def test_every_domain_rule_is_covered():
-    named = {(p.values[0], p.values[1].name) for p in DOMAIN_FIELDS}
-    assert {name for name, _ in named} == set(BUILT)
-    assert sum(1 for p in DOMAIN_FIELDS if p.values[1].minimum is not None) == 5
-
-
-@pytest.mark.parametrize("name, field", DOMAIN_FIELDS)
-def test_constructor_and_reader_reject_a_bad_value_alike(tmp_path, name, field):
-    table, make, fields, read = BUILT[name]
-    if field.choices is not None:
-        bad = ["bogus"] if field.kind is list else "bogus"
-        message = (f"field {field.name!r} has bad value 'bogus' "
-                   f"(expected one of {', '.join(field.choices)})")
-    else:
-        bad = field.minimum - 1 if field.kind is int else -0.5
-        message = f"field {field.name!r} must be at least {field.minimum:g} (got {bad!r})"
-    with pytest.raises(ValueError) as raised:
-        make(**{**fields, field.name: bad})
-    assert str(raised.value) == message
-    [row] = jsonl_oracle.rows(table, [make(**fields)])
-    path = tmp_path / "in.jsonl"
-    path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field.name: bad}) + "\n")
-    with pytest.raises(SchemaError) as raised:
-        read(path)
-    assert str(raised.value) == f"{path}:2: {message}"
-    if field.default is None:  # null skips the rule
-        make(**{**fields, field.name: None})
-
-
-NUMBER_FIELDS = [pytest.param(name, field, bad, id=f"{name}-{field.name}-{bad!r}")
-                 for name, (table, *_) in BUILT.items() for field in table
-                 if field.kind in (int, float)
-                 for bad in ((math.nan, math.inf, 1e16) if field.kind is float else (10**16,))]
+    assert {name for name, _ in _top_level("choice") + _top_level("minimum")} == set(RECORD_TYPES)
+    assert len(_top_level("minimum")) == 5
 
 
 def test_every_number_field_is_covered():
-    assert {p.values[0] for p in NUMBER_FIELDS} == {"token", "coded", "pause"}
-    assert len({(p.values[0], p.values[1].name) for p in NUMBER_FIELDS}) == 10
-
-
-@pytest.mark.parametrize("name, field, bad", NUMBER_FIELDS)
-def test_constructor_and_reader_reject_a_number_out_of_range_alike(tmp_path, name, field, bad):
-    table, make, fields, read = BUILT[name]
-    message = (f"field {field.name!r} must be finite and at most 1e+15 in magnitude "
-               f"(got {bad!r})")
-    with pytest.raises(ValueError) as raised:
-        make(**{**fields, field.name: bad})
-    assert str(raised.value) == message
-    [row] = jsonl_oracle.rows(table, [make(**fields)])
-    path = tmp_path / "in.jsonl"
-    # json writes the floats as NaN, Infinity and 1e+16
-    path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field.name: bad}) + "\n")
-    with pytest.raises(SchemaError) as raised:
-        read(path)
-    assert str(raised.value) == f"{path}:2: {message}"
-
-
-#: Per scalar kind, values of other types that a field of that kind rejects;
-#: a bool never counts as a number.
-WRONG_TYPES = {str: (5,), int: (1.5, True), float: ("x", False), bool: (1, "yes")}
-TYPE_FIELDS = [pytest.param(name, field, bad, id=f"{name}-{field.name}-{bad!r}")
-               for name, (table, *_) in BUILT.items() for field in table
-               if field.kind in WRONG_TYPES for bad in WRONG_TYPES[field.kind]]
+    ranged = set(_top_level("range"))
+    assert {name for name, _ in ranged} == {"token", "coded", "pause"}
+    assert len(ranged) == 10
 
 
 def test_every_scalar_field_is_covered():
-    assert {p.values[0] for p in TYPE_FIELDS} == set(BUILT)
-    assert len({(p.values[0], p.values[1].name) for p in TYPE_FIELDS}) == 32
+    typed = {(name, field) for name, field in _top_level("type") if field.kind in SCALARS}
+    assert {name for name, _ in typed} == set(RECORD_TYPES)
+    assert len(typed) == 32
 
 
-@pytest.mark.parametrize("name, field, bad", TYPE_FIELDS)
-def test_constructor_and_reader_reject_a_wrong_type_alike(tmp_path, name, field, bad):
-    table, make, fields, read = BUILT[name]
-    message = f"field {field.name!r} has wrong type (got {type(bad).__name__})"
-    with pytest.raises(ValueError) as raised:
-        make(**{**fields, field.name: bad})
-    assert str(raised.value) == message
-    [row] = jsonl_oracle.rows(table, [make(**fields)])
-    path = tmp_path / "in.jsonl"
-    path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field.name: bad}) + "\n")
-    with pytest.raises(SchemaError) as raised:
-        read(path)
-    assert str(raised.value) == f"{path}:2: {message}"
+def _rejection_test(faults):
+    """The test that the constructor and the reader reject the bad rows of
+    ``faults`` alike: the constructor, where it checks the fault, with the
+    reader's message, and the reader at the row's line, after a good row."""
+    @pytest.mark.parametrize("name, case", [p for p in BAD_ROWS if p.values[1].fault in faults])
+    def test(tmp_path, name, case):
+        table, make, read = TYPES[name][:3]
+        base = example(table)
+        if case.built:
+            [(_, record)] = validate([(1, base)], table, "in.jsonl", make)
+            fields = {field.name: getattr(record, field.name) for field in table}
+            with pytest.raises(ValueError) as raised:
+                make(**{**fields, case.name: case.value})
+            assert str(raised.value) == case.message
+            if case.field.default is None:  # null skips the rule
+                make(**{**fields, case.name: None})
+        path = tmp_path / "in.jsonl"
+        path.write_text(json.dumps(base) + "\n" + json.dumps(case.row) + "\n")
+        with pytest.raises(SchemaError) as raised:
+            read(path)
+        assert str(raised.value) == f"{path}:2: {case.message}"
+    return test
 
 
-#: Per case: the table, the changes to a valid row for lines 1 and 2, and
-#: the message for line 2.  The rules that span fields, each alone and each
+# One test under the three names its cases have long had.  A bad value
+# takes the missing fields too, and a wrong type the wrong list elements.
+test_constructor_and_reader_reject_a_bad_value_alike = _rejection_test(
+    {"choice", "minimum", "missing"})
+test_constructor_and_reader_reject_a_number_out_of_range_alike = _rejection_test({"range"})
+test_constructor_and_reader_reject_a_wrong_type_alike = _rejection_test({"type", "element"})
+
+
+#: Per case: the record type, the changes to its ``example`` row for lines 1
+#: and 2, and the message for line 2.  The rules that span fields, each alone and each
 #: behind a field rule, which is tested first.
 CROSS_FIELD = [
     pytest.param("token", {}, {"start_s": 1.0, "end_s": 0.5},
@@ -465,14 +308,17 @@ CROSS_FIELD = [
     pytest.param("coded", {}, {"segments_affected": 2},
                  "segments_affected 2 inconsistent with Initiate(0)",
                  id="coded-segments-affected"),
-    pytest.param("coded", {}, {"marked": True},
+    pytest.param("coded", {}, {"initial_constituent": "unmarked", "marked": True},
                  "marked true contradicts initial_constituent 'unmarked'", id="coded-marked"),
+    pytest.param("coded", {}, {"operation": {"kind": "Replace", "pops": 10**15}},
+                 "segments_affected 1000000000000001 of Replace(1000000000000000) must be "
+                 "finite and at most 1e+15 in magnitude", id="coded-derived-segments-affected"),
     pytest.param("coded", {}, {"operation": {"kind": "Retain", "pops": 1}},
                  "Retain must have pop_count 0, got 1", id="coded-malformed-operation"),
     pytest.param("coded", {}, {"operation": {"kind": "Retain", "pops": 1}, "embedding_depth": 0},
                  "field 'embedding_depth' must be at least 1 (got 0)",
                  id="coded-malformed-operation-and-bad-depth"),
-    pytest.param("pause", {}, {"reported_duration_s": 0.3},
+    pytest.param("pause", {}, {"raw_duration_s": 0.2, "reported_duration_s": 0.3},
                  "reported_duration_s 0.3 is not raw_duration_s 0.2 rounded to a tenth (0.2)",
                  id="pause-reported-duration"),
     pytest.param("entry", {}, {"surface": "now", "candidate_ops": []},
@@ -482,8 +328,8 @@ CROSS_FIELD = [
 
 @pytest.mark.parametrize("name, first, second, message", CROSS_FIELD)
 def test_reader_rejects_a_cross_field_fault_at_its_line(tmp_path, name, first, second, message):
-    table, make, fields, read = BUILT[name]
-    [row] = jsonl_oracle.rows(table, [make(**fields)])
+    table, _, read = TYPES[name][:3]
+    row = example(table)
     path = tmp_path / "in.jsonl"
     path.write_text(json.dumps({**row, **first}) + "\n" + json.dumps({**row, **second}) + "\n")
     with pytest.raises(SchemaError) as raised:
@@ -491,26 +337,15 @@ def test_reader_rejects_a_cross_field_fault_at_its_line(tmp_path, name, first, s
     assert str(raised.value) == f"{path}:2: {message}"
 
 
-def _rebuilt(record, table):
-    """``record`` built again by its constructor from its own attributes."""
-    return type(record)(**{field.name: getattr(record, field.name) for field in table})
-
-
-def read_records(name):
-    """The records a reader of table ``name`` in BUILT builds from its bundled file."""
-    records = BUILT[name][3](SOURCES[name])
-    return records.entries if isinstance(records, Lexicon) else records
-
-
-@pytest.mark.parametrize("name", BUILT)
+@pytest.mark.parametrize("name", RECORD_TYPES)
 def test_reader_builds_what_the_constructor_builds(name):
     """Each record a reader builds in one step equals the constructor's
     record of its attributes and holds the same attributes."""
-    table = BUILT[name][0]
-    records = read_records(name)
-    assert len(records) > 10
-    for record in records:
-        built = _rebuilt(record, table)
+    table, _, read, _, source = TYPES[name]
+    found = read(source)
+    assert len(found) > 10
+    for record in found:
+        built = type(record)(**{field.name: getattr(record, field.name) for field in table})
         assert record == built
         assert state(record) == state(built)
         assert list(state(record)) == [field.name for field in table]
@@ -522,73 +357,9 @@ def test_constructor_takes_an_int_for_a_float_as_the_reader_does():
     assert PauseRecord(0, 1).reported_duration_s == 1.0
 
 
-#: Whole numbers or not, as a reader takes them for a float field.
-TIMES = st.integers(0, 10**6) | st.floats(0, 1e6)
-
-
-def _collections(elements, **sizes):
-    """Lists of ``elements``, each given as a list, a tuple or a set, which a
-    reader's list field takes alike."""
-    return st.lists(elements, **sizes).flatmap(
-        lambda items: st.sampled_from([items, tuple(items), set(items)]))
-
-
-@st.composite
-def _constructed_tokens(draw):
-    start = draw(st.none() | TIMES)
-    return AnnotatedToken(
-        draw(st.text(CHARACTERS, max_size=6)), speaker=draw(st.text(CHARACTERS, max_size=3)),
-        accent=draw(st.sampled_from(ACCENTS)), boundary=draw(st.sampled_from(BOUNDARIES)),
-        phonation=draw(st.sampled_from(PHONATIONS)),
-        pitch_range=draw(st.sampled_from(PITCH_RANGES)), pause_before_s=draw(TIMES),
-        flags=draw(_collections(st.sampled_from(TOKEN_FLAGS), max_size=3)),
-        topic=draw(st.text(CHARACTERS, max_size=3)), start_s=start,
-        end_s=None if start is None or draw(st.booleans()) else start + draw(TIMES))
-
-
-#: Per table in BUILT, records made by their constructors from values a
-#: reader accepts, derived fields left out.
-CONSTRUCTED = {
-    "token": _constructed_tokens(),
-    "coded": st.builds(
-        CodedRecord, fragment_index=INDICES, pause_before_s=st.none() | TIMES,
-        initial_constituent=st.sampled_from(CONSTITUENTS), initial_token=st.text(CHARACTERS, max_size=6),
-        operation=OPERATIONS, embedding_depth=st.integers(1, 10**15),
-        prior_function=st.sampled_from(FUNCTION_LABELS),
-        subsequent_function=st.sampled_from(FUNCTION_LABELS),
-        turn_position=st.sampled_from(TURN_POSITIONS)),
-    "pause": st.builds(PauseRecord, TIMES, TIMES, position=st.sampled_from(POSITIONS),
-                       suspect=st.booleans()),
-    "entry": st.builds(
-        CueEntry, WORDS, gloss=st.text(CHARACTERS, max_size=6),
-        candidate_ops=_collections(st.sampled_from(OP_KINDS), min_size=1, max_size=4),
-        token_class=st.sampled_from(TOKEN_CLASSES), display=st.text(CHARACTERS, max_size=6),
-        ordinal_rank=st.none() | st.sampled_from(ORDINAL_RANKS), connective=st.booleans(),
-        corpus_derived=st.booleans(), variants=_collections(WORDS, max_size=2)),
-}
-
-
-@FUZZ
-@pytest.mark.parametrize("name", CONSTRUCTED)
-@given(data=st.data())
-def test_a_constructed_record_is_the_record_read_back(name, data):
-    """A constructor stores what a reader stores: sets, tuples and floats."""
-    table, make, _, _ = BUILT[name]
-    record = data.draw(CONSTRUCTED[name])
-    [line] = lines(table, [record])
-    [(_, again)] = validate([(1, json.loads(line))], table, "in.jsonl", make)
-    assert again == record
-    if name == "entry":
-        assert hash(again) == hash(record)
-    assert list(lines(table, [again])) == [line]
-
-
-RECORD_TABLES = [pytest.param(make, table, id=name)
-                 for name, (table, make, *_) in BUILT.items()]
-
-
-@pytest.mark.parametrize("make, table", RECORD_TABLES)
-def test_record_defaults_equal_the_table_defaults(make, table):
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_record_defaults_equal_the_table_defaults(name):
+    table, make = TYPES[name][:2]
     params = list(inspect.signature(make).parameters.values())
     assert [param.name for param in params] == [field.name for field in table]
     first_default = min(i for i, field in enumerate(table) if field.default is not REQUIRED)
@@ -620,7 +391,7 @@ def test_a_record_method_that_names_its_class_is_refused(cls, method):
 
 def test_unflagged_tokens_share_one_empty_flag_set():
     # one empty frozenset per token would cost 216 bytes and a tracked object each
-    read = read_transcript(SOURCES["token"])
+    read = read_transcript(TYPES["token"].source)
     unflagged = [token.flags for token in read if not token.flags]
     unflagged += [AnnotatedToken("so").flags, AnnotatedToken("go", flags=[]).flags]
     assert len(unflagged) > 10

@@ -46,10 +46,10 @@ from hypothesis import strategies as st
 
 from pausecue.classifier import ROW_KEYS
 from pausecue.cli import main
-from pausecue.fragments import (ACCENTS, BOUNDARIES, CONSTITUENTS, FUNCTION_LABELS,
-                                PHONATIONS, PITCH_RANGES, TOKEN_FLAGS, fragmentize, read_coded,
-                                read_transcript, write_coded)
+from pausecue.fragments import (CONSTITUENTS, FUNCTION_LABELS, TOKEN_FIELDS, fragmentize,
+                                read_coded, read_transcript, write_coded)
 from pausecue.lexicon import DATA_DIR, TOKEN_CLASSES, bundled_lexicon, normalize
+from strategies import ABSENT, rows
 from test_golden import run_case
 
 RELATION = settings(settings.get_profile("fuzz"), max_examples=60)
@@ -61,16 +61,10 @@ VOCABULARY = ["so", "now", "and", "but", "well", "you", "know", "i", "mean", "ok
 #: Words no transcript draws from VOCABULARY, for the idle lexicon entries.
 IDLE_WORDS = ["zebra", "quartz", "plinth", "vex", "oxbow", "fjord", "glyph"]
 
-TOKENS = st.fixed_dictionaries(
-    {"surface": st.sampled_from(VOCABULARY)},
-    optional={"speaker": st.sampled_from(["A", "B"]),
-              "accent": st.sampled_from(ACCENTS),
-              "boundary": st.sampled_from(BOUNDARIES),
-              "phonation": st.sampled_from(PHONATIONS),
-              "pitch_range": st.sampled_from(PITCH_RANGES),
-              "pause_before_s": st.sampled_from([0.0, 0.1, 0.2, 0.4, 0.7]),
-              "flags": st.lists(st.sampled_from(TOKEN_FLAGS), max_size=2, unique=True),
-              "topic": st.sampled_from(["", "route", "hall"])})
+TOKENS = rows(TOKEN_FIELDS, surface=st.sampled_from(VOCABULARY),
+              speaker=st.sampled_from(["A", "B"]),
+              pause_before_s=st.sampled_from([0.0, 0.1, 0.2, 0.4, 0.7]),
+              topic=st.sampled_from(["", "route", "hall"]), start_s=ABSENT, end_s=ABSENT)
 TRANSCRIPTS = st.lists(TOKENS, min_size=1, max_size=30)
 #: Names a renaming gives the speakers A and B, A and B among them.
 NAMES = ["A", "B", "C", "speaker 2", "\u00e9", ""]

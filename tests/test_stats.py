@@ -14,11 +14,12 @@ import stats_oracle
 from conftest import rebuilt
 from pausecue.fragments import CONSTITUENTS, CodedRecord
 from pausecue.focus import FocusingOperation, OpKind
-from pausecue.pauses import PauseRecord, round_tenth
+from pausecue.pauses import PAUSE_FIELDS, PauseRecord
 from pausecue.report import render_json, render_text
 from pausecue.stats import (ZeroVariance, anova_one_way, compute_report, f_sf,
                             grouped_means, ordered_sum, pearson, reg_inc_beta,
                             t_test_pooled, t_two_sided, table_distributions)
+from strategies import records
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +498,8 @@ def record_sets(draw):
 
 @settings(settings.get_profile("fuzz"))
 @given(records=record_sets(),
-       pauses=st.none() | st.lists(st.builds(
-           lambda raw, position: PauseRecord(start_s=0.0, raw_duration_s=raw,
-                                             reported_duration_s=round_tenth(raw),
-                                             position=position),
-           PAUSE_VALUES, st.sampled_from(["fragment_initial", "fragment_internal"])),
-           max_size=6))
+       pauses=st.none() | st.lists(records(PAUSE_FIELDS, PauseRecord,
+                                           raw_duration_s=PAUSE_VALUES), max_size=6))
 def test_report_equals_oracle_on_generated_records(records, pauses):
     assert outcome(compute_report, records, pauses) == \
         outcome(stats_oracle.compute_report, records, pauses)

@@ -24,7 +24,8 @@ SCRIPTS = ROOT / "scripts"
 
 
 def test_bundled_corpus_equals_write_corpus(tmp_path):
-    written = replication.write_corpus(tmp_path)
+    build = runpy.run_path(str(SCRIPTS / "build_replication_corpus.py"))
+    written = build["write_corpus"](tmp_path)
     # the one constant the readers use names the directory shipped with the code
     bundled = lexicon.DATA_DIR
     assert bundled == ROOT / "src" / "pausecue" / "data"
@@ -175,7 +176,7 @@ def test_bench_row_counters_see_every_row(monkeypatch):
     for module in ast.literal_eval(tables["ROW_WRITERS"]):
         owner = importlib.import_module(module)
         monkeypatch.setattr(owner, "write_jsonl", writer(module, owner.write_jsonl))
-    data = ROOT / "src" / "pausecue" / "data"
+    data = lexicon.DATA_DIR
     transcript = ROOT / "tests" / "fixtures" / "directions_intro.jsonl"
     records = fragments.read_coded(data / replication.RECORDS_FILE)
     tokens = fragments.read_transcript(transcript)

@@ -33,14 +33,11 @@ from hypothesis import strategies as st
 
 from conftest import slots, state, value_classes
 from pausecue.classifier import ROW_KEYS, TABLE_ROWS
-from pausecue.focus import OP_KINDS, FocusSpace, OpKind, operation
-from pausecue.fragments import (ACCENTS, BOUNDARIES, CONSTITUENTS, FUNCTION_LABELS,
-                                INITIAL_CLASSES, PHONATIONS, PITCH_RANGES, TOKEN_FLAGS,
-                                TURN_POSITIONS, AnnotatedToken)
+from pausecue.focus import FocusSpace, OpKind
+from pausecue.fragments import INITIAL_CLASSES, TOKEN_FIELDS, AnnotatedToken
 from pausecue.jsonl import Frozen
-from pausecue.lexicon import ORDINAL_RANKS, TOKEN_CLASSES, bundled_lexicon
-from pausecue.pauses import POSITIONS
-from test_jsonl import BUILT, read_records
+from pausecue.lexicon import bundled_lexicon
+from strategies import RECORD_TYPES, arguments, records
 from test_tooling import VALUE_METHOD_OWNERS
 
 FUZZ = settings(settings.get_profile("fuzz"), max_examples=40)
@@ -54,77 +51,41 @@ IDENTITY = {owner.partition(".")[2] for owner in VALUE_METHOD_OWNERS} & set(CLAS
 ANY = st.sampled_from([None, "", "x", "Return", 0, 1, -1, 2, 2.5, -0.5, 1e16, -1e16, math.nan,
                        math.inf, True, False, (), ["normal"], {"bogus": 1.0}, frozenset()])
 TEXT = st.text("ab '-.", max_size=4)
-WORDS = st.sampled_from(["so", "now", "and then", "o'k", "well-", ".", ""])
 SMALL = st.integers(-2, 6)
 SECONDS = st.floats(0, 5) | st.integers(0, 5)
 EDGES = st.sampled_from([math.nan, math.inf, -math.inf, 1e15, 1e16])
-OPERATIONS = st.sampled_from([operation(kind, 0) for kind in ("Initiate", "Retain")]
-                             + [operation(kind, pops) for kind in ("Return", "Replace")
-                                for pops in (1, 2)])
 
 
-def _collections(elements, **sizes):
-    return st.one_of(st.lists(elements, **sizes), st.lists(elements, **sizes).map(tuple),
-                     st.frozensets(elements, **sizes))
-
-
-def _choice(values):
-    return st.sampled_from(values)
-
-
-TOKENS = st.builds(AnnotatedToken, st.sampled_from(["so", "you", "left"]),
-                   phonation=_choice(PHONATIONS), pitch_range=_choice(PITCH_RANGES),
-                   topic=_choice(["", "route"]))
+TOKENS = records(TOKEN_FIELDS, AnnotatedToken, surface=st.sampled_from(["so", "you", "left"]))
 SPACES = st.builds(FocusSpace, SMALL, TEXT, SMALL)
 
 
 #: Good arguments of each class, by parameter name; ANY supplies the bad ones.
-GOOD = {name: st.fixed_dictionaries(values) for name, values in {
-    "AnnotatedToken": {
-        "surface": TEXT, "speaker": TEXT, "accent": _choice(ACCENTS),
-        "boundary": _choice(BOUNDARIES), "phonation": _choice(PHONATIONS),
-        "pitch_range": _choice(PITCH_RANGES), "pause_before_s": SECONDS,
-        "flags": _collections(_choice(TOKEN_FLAGS), max_size=2), "topic": TEXT,
-        "start_s": st.none() | SECONDS, "end_s": st.none() | SECONDS},
-    "CodedRecord": {
-        "fragment_index": SMALL, "pause_before_s": st.none() | SECONDS,
-        "initial_constituent": _choice(CONSTITUENTS), "initial_token": TEXT,
-        "operation": OPERATIONS, "embedding_depth": st.integers(0, 3),
-        "segments_affected": st.none() | st.integers(0, 3),
-        "prior_function": _choice(FUNCTION_LABELS),
-        "subsequent_function": _choice(FUNCTION_LABELS),
-        "turn_position": _choice(TURN_POSITIONS), "marked": st.none() | st.booleans()},
-    "PauseRecord": {
-        "start_s": SECONDS, "raw_duration_s": st.floats(-1, 2) | SMALL,
-        "reported_duration_s": st.none() | _choice([0.0, 0.1, 0.2, 0.5, 1.0, 2]),
-        "position": _choice(POSITIONS), "suspect": st.booleans()},
-    "CueEntry": {
-        "surface": WORDS, "gloss": TEXT,
-        "candidate_ops": _collections(_choice(OP_KINDS), max_size=3),
-        "token_class": _choice(TOKEN_CLASSES), "display": TEXT,
-        "ordinal_rank": st.none() | _choice(ORDINAL_RANKS), "connective": st.booleans(),
-        "corpus_derived": st.booleans(), "variants": _collections(WORDS, max_size=2)},
-    "FocusingOperation": {"kind": _choice(list(OpKind)), "pop_count": SMALL},
+#: A record class takes the arguments its table gives.
+GOOD = {kind.make.__name__: arguments(kind.table, kind.make) for kind in RECORD_TYPES.values()}
+GOOD.update((name, st.fixed_dictionaries(values)) for name, values in {
+    "FocusingOperation": {"kind": st.sampled_from(list(OpKind)), "pop_count": SMALL},
     "FocusSpace": {"id": SMALL, "dsp_label": TEXT, "opened_at": SMALL,
                    "closed_at": st.none() | SMALL},
     "PauseConfig": {"threshold_db": st.floats(-100, 100) | EDGES,
                     "min_silence_s": st.floats(0, 1) | EDGES,
                     "frame_ms": st.floats(-1, 2000) | SMALL | EDGES},
-    "AudioFrameSeries": {"sample_rate": _choice([8000, 16000]), "frame_ms": st.floats(1, 30),
+    "AudioFrameSeries": {"sample_rate": st.sampled_from([8000, 16000]),
+                         "frame_ms": st.floats(1, 30),
                          "energies": st.lists(st.floats(0, 1), max_size=3).map(tuple),
                          "n_samples": SMALL},
     "SpeechFragment": {
         "index": SMALL,
         "tokens": st.lists(TOKENS, max_size=3).map(tuple),
-        "initial_token_class": _choice(INITIAL_CLASSES),
+        "initial_token_class": st.sampled_from(INITIAL_CLASSES),
         "initial_cue": st.none() | st.sampled_from(bundled_lexicon().entries[:3]),
         "pause_before_s": SECONDS},
     "ClassifierConfig": {
-        "weights": st.dictionaries(_choice([*ROW_KEYS, "bogus"]), st.floats(0.1, 5) | SMALL,
-                                   max_size=3),
+        "weights": st.dictionaries(st.sampled_from([*ROW_KEYS, "bogus"]),
+                                   st.floats(0.1, 5) | SMALL, max_size=3),
         "candidate_bonus": st.floats(-2e15, 2e15) | SMALL | EDGES, "impending_bonus": SECONDS,
         "lstar_threshold": st.floats(0, 1)},
-}.items()}
+}.items())
 GOOD["EvidenceItem"] = st.builds(
     lambda row, weight: {"source": row[0], "feature": row[1], "weight": weight},
     st.sampled_from(list(TABLE_ROWS)), st.floats(-1, 1e16) | SMALL | EDGES)
@@ -301,7 +262,8 @@ def test_an_instance_keeps_its_attributes_in_slots_alone(name, data):
         assert obj[0] is not AttributeError, obj
 
 
-@pytest.mark.parametrize("name", BUILT)
+@pytest.mark.parametrize("name", RECORD_TYPES)
 def test_a_record_read_keeps_its_fields_in_slots_alone(name):
-    for record in read_records(name):
+    kind = RECORD_TYPES[name]
+    for record in kind.read(kind.source):
         assert_slotted(record)
